@@ -14,7 +14,6 @@ from .drive_model import (
     DriveSpec,
     FloquetScalars,
     MuNuSigma,
-    ScalarKernels,
     eval_drive,
     floquet_scalar_derivs,
     floquet_scalars,

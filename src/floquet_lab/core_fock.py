@@ -31,8 +31,10 @@ __all__ = [
     "build_ladder",
     "xp_operators",
     "number_basis_energies",
+    "x_off_diagonal",
     "build_xpH",
     "matrix_exp",
+    "exp_tridiagonal",
     "exp_padded",
 ]
 
@@ -164,6 +166,11 @@ def number_basis_energies(omega: float, dim: int) -> np.ndarray:
     return omega * (np.arange(dim) + 0.5)
 
 
+def x_off_diagonal(omega: float, dim: int) -> np.ndarray:
+    """x[n-1, n] = sqrt(n / (2 omega)) for n = 1 .. dim-1, the only nonzero band of x."""
+    return np.sqrt(np.arange(1, dim)) / np.sqrt(2.0 * omega)
+
+
 def build_xpH(
     params: OscillatorParams, trunc: Truncation
 ) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
@@ -188,13 +195,50 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _is_real_tridiagonal(h: np.ndarray) -> bool:
+    """True when h has no imaginary part and nothing off its three central diagonals."""
+    if h.imag.any():
+        return False
+    band = sum(np.count_nonzero(np.diagonal(h.real, k)) for k in (-1, 0, 1))
+    return np.count_nonzero(h.real) == band
+
+
+def exp_tridiagonal(diag, off) -> np.ndarray:
+    """exp(-i T) for the real symmetric tridiagonal T with the given
+    diagonal (length n) and off-diagonal (length n - 1).
+
+    scipy.linalg.eigh_tridiagonal gives T = V diag(w) V^T with real V, so
+    exp(-i T) = V cos(w) V^T - i V sin(w) V^T costs two real products and
+    is unitary up to rounding.  Non-finite input and eigensolver failures
+    raise NumericError.
+    """
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise NumericError("matrix_exp input contains NaN or Inf")
+    try:
+        w, v = scipy.linalg.eigh_tridiagonal(d, e)
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"tridiagonal eigensolver failed: {err}") from err
+    if not np.all(np.isfinite(w)):
+        raise NumericError("matrix_exp overflowed")
+    out = np.empty((d.size, d.size), dtype=complex)
+    out.real = (v * np.cos(w)) @ v.T
+    out.imag = (v * -np.sin(w)) @ v.T
+    return out
+
+
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential tuned for the generators seen in this package.
 
     Hermitian and anti-Hermitian inputs go through an eigendecomposition,
     which for anti-Hermitian generators returns an exactly unitary result
-    (columns of a unitary times unit-modulus phases).  Everything else falls
-    back to scipy's scaling-and-squaring Pade approximant.
+    (columns of a unitary times unit-modulus phases).  An anti-Hermitian
+    input a = iH whose H is real tridiagonal, such as -i h (H_omega + f x)
+    or -i c x, goes to exp_tridiagonal; p-generators (imaginary
+    off-diagonals) and wider bands take the dense complex eigh.
+    Everything else falls back to scipy's scaling-and-squaring Pade
+    approximant.
 
     Accepts a TruncatedOperator or a bare ndarray; returns an ndarray.
     """
@@ -209,7 +253,11 @@ def matrix_exp(m) -> np.ndarray:
         return (v * np.exp(w)) @ v.conj().T
     if np.abs(a + a.conj().T).max() <= _HERM_RTOL * scale:
         # a = iH with H Hermitian; exp(a) = V exp(i w) V^dag is unitary.
-        w, v = np.linalg.eigh(-1j * a)
+        h = -1j * a
+        if _is_real_tridiagonal(h):
+            # eigh reads the lower triangle, so take the sub-diagonal too
+            return exp_tridiagonal(-h.real.diagonal(), -h.real.diagonal(-1))
+        w, v = np.linalg.eigh(h)
         return (v * np.exp(1j * w)) @ v.conj().T
     out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out.view(float))):

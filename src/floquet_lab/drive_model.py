@@ -55,7 +55,6 @@ from .errors import (
 
 __all__ = [
     "DriveSpec",
-    "ScalarKernels",
     "MuNuSigma",
     "FloquetScalars",
     "eval_drive",
@@ -64,7 +63,6 @@ __all__ = [
     "mu_nu_sigma",
     "floquet_scalars",
     "floquet_scalar_derivs",
-    "floquet_phase_long_form",
     "fourier_coefficient",
     "is_resonant_period",
     "split_elapsed",
@@ -541,57 +539,6 @@ def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -
     return f1_dot, f2_dot, big_phi_dot
 
 
-def floquet_phase_long_form(spec: DriveSpec, params: OscillatorParams, t: float) -> float:
-    """Phi(t) assembled from its expanded display, as a cross-check.
-
-    The expanded display carries the factor (omega t - sin omega t) /
-    (8 omega sin^2(omega t / 2)) multiplying xi^2 + eta^2; the factor blows
-    up at omega t in 2 pi Z while the product stays finite.  Inside a narrow
-    band around those points the product is evaluated in its cancelled form,
-    which is proportional to mu^2 + nu^2.
-    """
-    t = float(t)
-    w = params.omega
-    big_t = params.period_T
-    mns = _monodromy_scalars(spec, params)
-    mu_t, nu_t, delta = mns.mu, mns.nu, mns.delta
-
-    sc = floquet_scalars(spec, params, t)
-    p1t, p2t = phi12(spec, params, t, 0.0)
-    p1_tt, p2_tt = phi12(spec, params, big_t, 0.0)
-    psi_t = psi(spec, params, t, 0.0)
-    psi_tt = psi(spec, params, big_t, 0.0)
-
-    u = w * t
-    k_near = round(u / (2.0 * math.pi))
-    du = u - 2.0 * math.pi * k_near
-    if abs(du) < _SERIES_CUT:
-        # cancelled form: lambda(u) (xi^2 + eta^2) = (u - sin u)(mu^2 + nu^2)/(2 w^2 Delta^2)
-        u_minus_sin = 2.0 * math.pi * k_near + (du**3 / 6.0 - du**5 / 120.0)
-        sing = u_minus_sin * (mu_t * mu_t + nu_t * nu_t) / (2.0 * w**3 * delta**2)
-    else:
-        sing = _lambda_factor_raw(u) / w * (sc.xi**2 + sc.eta**2)
-
-    u_tt = w * big_t
-    sing_tt = _lambda_factor_raw(u_tt) / w * (p1_tt**2 + p2_tt**2)
-
-    return (
-        -psi_t
-        + (t / big_t) * psi_tt
-        + sc.xi * sc.eta / (2.0 * w)
-        - t / (2.0 * w * big_t) * p1_tt * p2_tt
-        - p2t * sc.eta / w
-        - sing
-        + (t / big_t) * sing_tt
-    )
-
-
-def _lambda_factor_raw(u: float) -> float:
-    """(u - sin u) / (8 sin^2(u/2)) without the small-u series; the callers
-    guarantee u is away from 2 pi Z."""
-    return (u - math.sin(u)) / (8.0 * math.sin(0.5 * u) ** 2)
-
-
 def fourier_coefficient(spec: DriveSpec, k: int) -> complex:
     """f_k = (1/T) int_0^T exp(-2 pi i k t / T) f(t) dt, by quadrature."""
     w0 = spec.base_frequency
@@ -604,26 +551,3 @@ def fourier_coefficient(spec: DriveSpec, k: int) -> complex:
     re = _gauss_panels(lambda ts: np.real(integrand(ts)), 0.0, spec.period, maxf)
     im = _gauss_panels(lambda ts: np.imag(integrand(ts)), 0.0, spec.period, maxf)
     return complex(re, im) / spec.period
-
-
-@dataclass(frozen=True)
-class ScalarKernels:
-    """Facade bundling the scalar kernels of one (drive, oscillator) pair."""
-
-    spec: DriveSpec
-    params: OscillatorParams
-
-    def phi1(self, t: float, s: float) -> float:
-        return phi12(self.spec, self.params, t, s)[0]
-
-    def phi2(self, t: float, s: float) -> float:
-        return phi12(self.spec, self.params, t, s)[1]
-
-    def psi(self, t: float, s: float) -> float:
-        return psi(self.spec, self.params, t, s)
-
-    def mu_nu_sigma(self, t: float, s: float) -> MuNuSigma:
-        return mu_nu_sigma(self.spec, self.params, t, s)
-
-    def floquet_scalars(self, t: float) -> FloquetScalars:
-        return floquet_scalars(self.spec, self.params, t)

@@ -12,6 +12,14 @@ Two single-step schemes:
 
        the right factor acting first (heavy weight on the early node).
 
+PeriodStepper.segment steps on the structure of H(t) = H_omega + f(t) x:
+every step generator, for either scheme, is c H_omega + g x with real c
+and g, a real symmetric tridiagonal matrix.  A segment evaluates the drive
+once, vectorised over all its nodes, and each exponential is formed from
+its diagonal and off-diagonal by core_fock.exp_tridiagonal; no dense H(t)
+is built.  propagate_generic keeps stepping any Hamiltonian given as a
+dense matrix builder, through matrix_exp.
+
 Stepping happens at the padded dimension; trims are applied only at the
 end.  Multi-period evolutions compose the one-period propagator instead of
 re-stepping every period, which is exact for T-periodic Hamiltonians up to
@@ -29,11 +37,14 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
+    exp_tridiagonal,
     matrix_exp,
     number_basis_energies,
+    x_off_diagonal,
     xp_operators,
 )
 from .drive_model import DriveSpec, eval_drive
+from .errors import NumericError
 
 __all__ = [
     "hamiltonian_at",
@@ -114,9 +125,6 @@ class PeriodStepper:
     def dim(self) -> int:
         return self.trunc.dim
 
-    def _h(self, t: float) -> np.ndarray:
-        return hamiltonian_at(self.spec, self.params, t, self.dim)
-
     def _steps_for(self, span: float) -> int:
         frac = abs(span) / self.spec.period
         return max(1, int(math.ceil(self.steps_per_period * frac - 1e-12)))
@@ -132,8 +140,39 @@ class PeriodStepper:
         hit = self._segment_cache.get(key)
         if hit is not None:
             return hit
-        u = propagate_generic(self._h, self.dim, t_mod, t_mod + span, self._steps_for(span), self.scheme)
+        u = self._stepped(t_mod, t_mod + span, self._steps_for(span))
         self._segment_cache[key] = u
+        return u
+
+    def _stepped(self, s: float, t: float, n_steps: int) -> np.ndarray:
+        """propagate_generic(H, dim, s, t, n_steps, scheme) on the (diag, off)
+        form of the step generators.
+
+        Exponential k of a step is exp(-i h sum_m mix[k][m] H(node m)) =
+        exp(-i h (c H_omega + g_k x)) with c = sum_m mix[k][m], which is 1
+        for midpoint and a1 + a2 = 1/2 for both cf4 factors, so the diagonal
+        h c E_n is shared by every exponential and only the off-diagonal
+        h g_k x_{n,n+1} changes.  Rows of mix are in order of action.
+        """
+        h = (t - s) / n_steps
+        t0 = s + np.arange(n_steps) * h
+        if self.scheme == "midpoint":
+            nodes, mix = (t0 + 0.5 * h,), ((1.0,),)
+        else:
+            nodes = (t0 + _CF4_C1 * h, t0 + _CF4_C2 * h)
+            mix = ((_CF4_A2, _CF4_A1), (_CF4_A1, _CF4_A2))
+        f = eval_drive(self.spec, np.concatenate(nodes)).reshape(len(nodes), n_steps)
+        x_off = x_off_diagonal(self.params.omega, self.dim)
+        # f(t) x must stay finite; the negated comparison also catches NaN
+        if not np.abs(f).max() <= np.finfo(float).max / x_off[-1]:
+            raise NumericError("H(t) = H_omega + f(t) x contains NaN or Inf at a step node")
+        diag = (h * sum(mix[0])) * number_basis_energies(self.params.omega, self.dim)
+        u = np.eye(self.dim, dtype=complex)
+        for gs in ((h * np.asarray(mix)) @ f).T:
+            step = exp_tridiagonal(diag, gs[0] * x_off)
+            for g in gs[1:]:
+                step = exp_tridiagonal(diag, g * x_off) @ step
+            u = step @ u
         return u
 
     def monodromy(self) -> np.ndarray:

@@ -34,7 +34,7 @@ from .core_fock import (
     number_basis_energies,
     xp_operators,
 )
-from .drive_model import DriveSpec, MuNuSigma, mu_nu_sigma, phi12, psi
+from .drive_model import _SERIES_CUT, DriveSpec, MuNuSigma, _lambda_factor, mu_nu_sigma, phi12, psi
 from .errors import DomainError
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "propagator_single_exp",
     "heisenberg_check",
 ]
-
-_SERIES_CUT = 1e-4
 
 
 def _sinc_half(u: float) -> float:
@@ -91,13 +89,6 @@ def _half_cot_half(u: float) -> float:
     if abs(u) < _SERIES_CUT:
         return 1.0 - u * u / 12.0 - u**4 / 720.0
     return 0.5 * u * math.cos(0.5 * u) / math.sin(0.5 * u)
-
-
-def _lambda_factor(u: float) -> float:
-    """(u - sin u) / (8 sin^2(u/2)), series near 0."""
-    if abs(u) < _SERIES_CUT:
-        return u / 12.0 + u**3 / 360.0 + u**5 / 10080.0
-    return (u - math.sin(u)) / (8.0 * math.sin(0.5 * u) ** 2)
 
 
 def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float, float, float]:

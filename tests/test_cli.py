@@ -172,6 +172,27 @@ class TestStability:
         assert rc == 2
 
 
+class TestNonFiniteDrive:
+    """Fourier coefficients of +-5e307 overflow f(t) x: a numeric failure, exit 4."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--t", "5.0", "--form", "oracle", "--out", "u.json"],
+            ["stability", "--periods", "2", "--samples", "2", "--out-csv", "s.csv"],
+        ],
+        ids=["propagate_oracle", "stability"],
+    )
+    def test_exits_numeric(self, tmp_path, capsys, argv):
+        cfg = _write_config(tmp_path / "huge.json", amplitude=1e308)
+        command, *rest = argv
+        rest = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in rest]
+        rc = main([command, cfg, *rest])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NumericError"
+
+
 class TestResonanceScan:
     def test_straddles_resonance(self, tmp_path):
         cfg = _write_config(tmp_path / "res.json", period=2 * math.pi, n_keep=24, n_pad=24)

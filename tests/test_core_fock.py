@@ -17,7 +17,14 @@ from floquet_lab import (
     exp_padded,
     matrix_exp,
 )
-from floquet_lab.core_fock import ladder, number_basis_energies, xp_operators
+from floquet_lab import core_fock
+from floquet_lab.core_fock import (
+    exp_tridiagonal,
+    ladder,
+    number_basis_energies,
+    x_off_diagonal,
+    xp_operators,
+)
 
 
 class TestLadder:
@@ -72,6 +79,10 @@ class TestXPH:
         quad = 0.5 * (p.entries @ p.entries + 4.0 * x.entries @ x.entries)
         assert abs(quad[11, 11] - expect[11, 11]) > 1.0
 
+    def test_x_band_helper(self):
+        x, _ = xp_operators(0.7, 9)
+        assert np.allclose(x_off_diagonal(0.7, 9), np.diagonal(x, 1), rtol=1e-15, atol=0.0)
+
     def test_energies_helper(self):
         assert np.allclose(number_basis_energies(3.0, 3), [1.5, 4.5, 7.5])
 
@@ -102,6 +113,81 @@ class TestMatrixExp:
         bad = np.full((3, 3), np.nan, dtype=complex)
         with pytest.raises(NumericError):
             matrix_exp(bad)
+
+
+def _dense_antihermitian_exp(a: np.ndarray) -> np.ndarray:
+    """exp(a) for anti-Hermitian a through a dense complex eigh of -i a."""
+    w, v = np.linalg.eigh(-1j * a)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+class TestTridiagonalExp:
+    OMEGA = 0.8
+    DIM = 40
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        original = core_fock.exp_tridiagonal
+
+        def recording(diag, off):
+            calls.append(len(diag))
+            return original(diag, off)
+
+        monkeypatch.setattr(core_fock, "exp_tridiagonal", recording)
+        return calls
+
+    def test_x_generator_takes_the_tridiagonal_route(self, spy):
+        x, _ = xp_operators(self.OMEGA, self.DIM)
+        a = -1j * 1.3 * x
+        dev = np.abs(matrix_exp(a) - _dense_antihermitian_exp(a)).max()
+        assert spy == [self.DIM]
+        assert dev <= 1e-12
+
+    def test_step_generator_takes_the_tridiagonal_route(self, spy):
+        x, _ = xp_operators(self.OMEGA, self.DIM)
+        h_omega = np.diag(number_basis_energies(self.OMEGA, self.DIM)).astype(complex)
+        a = -1j * 0.07 * (h_omega + 0.35 * x)
+        dev = np.abs(matrix_exp(a) - _dense_antihermitian_exp(a)).max()
+        assert spy == [self.DIM]
+        assert dev <= 1e-12
+
+    def test_p_generator_stays_dense(self, spy):
+        _, p = xp_operators(self.OMEGA, self.DIM)
+        a = 1j * 0.9 * p
+        assert np.allclose(matrix_exp(a), scipy.linalg.expm(a), atol=1e-12)
+        assert spy == []
+
+    def test_pentadiagonal_generator_stays_dense(self, spy):
+        x, _ = xp_operators(self.OMEGA, self.DIM)
+        a = -1j * 0.2 * (x @ x)
+        assert np.allclose(matrix_exp(a), scipy.linalg.expm(a), atol=1e-12)
+        assert spy == []
+
+    def test_helper_matches_dense_exponential(self):
+        rng = np.random.default_rng(11)
+        d, e = rng.standard_normal(30), rng.standard_normal(29)
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        u = exp_tridiagonal(d, e)
+        assert np.abs(u - scipy.linalg.expm(-1j * t)).max() <= 1e-12
+        assert np.linalg.norm(u.conj().T @ u - np.eye(30), 2) <= 1e-12
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NumericError):
+            exp_tridiagonal(np.ones(4), np.array([1.0, np.inf, 0.0]))
+        with pytest.raises(NumericError):
+            exp_tridiagonal(np.array([0.0, np.nan, 1.0]), np.ones(2))
+        # finite input whose eigenvalues overflow
+        with pytest.raises(NumericError, match="overflowed"):
+            exp_tridiagonal(np.array([1e308, 1e308]), np.array([1e308]))
+
+    def test_eigensolver_failure_is_numeric_error(self, monkeypatch):
+        def failing(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("stevd did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        with pytest.raises(NumericError, match="did not converge"):
+            exp_tridiagonal(np.ones(4), np.ones(3))
 
 
 class TestExpPadded:

@@ -5,6 +5,7 @@ import pytest
 
 from floquet_lab import (
     DriveSpec,
+    NumericError,
     OscillatorParams,
     PeriodStepper,
     Truncation,
@@ -97,6 +98,65 @@ class TestStepper:
         u_ref = propagator_factored(SPEC, PARAMS, TRUNC, 1.8, 0.2).entries
         half = TRUNC.n_keep // 2
         assert np.linalg.norm((u_num - u_ref)[:half, :half], 2) <= 1e-8
+
+
+def _sampled_drive() -> DriveSpec:
+    ts = np.linspace(0.0, T_DRIVE, 32, endpoint=False)
+    fs = 0.2 * np.sin(2 * np.pi * ts / T_DRIVE) + 0.1 * np.cos(4 * np.pi * ts / T_DRIVE)
+    return DriveSpec.from_samples(T_DRIVE, ts, fs)
+
+
+class TestStructuredSegment:
+    """PeriodStepper.segment steps on the (diag, off) form of H(t); it must
+    reproduce the dense generic stepper on the same nodes."""
+
+    @pytest.mark.parametrize("scheme", ["cf4", "midpoint"])
+    @pytest.mark.parametrize("drive", ["fourier", "sampled"])
+    @pytest.mark.parametrize("trunc", [TRUNC, Truncation(n_keep=16, n_pad=0)], ids=["padded", "no_pad"])
+    @pytest.mark.parametrize(
+        "start, span",
+        [(0.0, 0.4), (0.3, 0.45), (0.6, 1.7), (0.5, -0.8), (2.25, -0.3)],
+        ids=["short", "mid_period", "over_a_period", "backward", "backward_later_period"],
+    )
+    def test_matches_generic_stepper(self, scheme, drive, trunc, start, span):
+        spec = SPEC if drive == "fourier" else _sampled_drive()
+        stepper = PeriodStepper(spec, PARAMS, trunc, steps_per_period=32, scheme=scheme)
+        start, span = start * T_DRIVE, span * T_DRIVE
+        u = stepper.segment(start, span)
+        t_mod = math.fmod(start, T_DRIVE)
+        n_steps = max(1, math.ceil(32 * abs(span) / T_DRIVE - 1e-12))
+        ref = propagate_generic(
+            lambda tt: hamiltonian_at(spec, PARAMS, tt, trunc.dim),
+            trunc.dim,
+            t_mod,
+            t_mod + span,
+            n_steps,
+            scheme=scheme,
+        )
+        assert np.abs(u - ref).max() <= 1e-12
+
+
+class TestNonFiniteDrive:
+    """A drive whose f(t) x overflows fails with the typed NumericError."""
+
+    HUGE = DriveSpec.sine(T_DRIVE, amplitude=1e308)
+
+    @pytest.mark.parametrize("scheme", ["cf4", "midpoint"])
+    def test_integrate(self, scheme):
+        with pytest.raises(NumericError):
+            integrate(self.HUGE, PARAMS, TRUNC, 5.0, 0.0, steps_per_period=32, scheme=scheme)
+
+    def test_evolve_state(self):
+        psi0 = np.array([1.0 + 0j])
+        with pytest.raises(NumericError):
+            evolve_state(self.HUGE, PARAMS, TRUNC, psi0, [0.0, 5.0], steps_per_period=32)
+
+    def test_nan_drive_value(self, monkeypatch):
+        import floquet_lab.oracle as oracle
+
+        monkeypatch.setattr(oracle, "eval_drive", lambda spec, t: np.full(np.shape(t), np.nan))
+        with pytest.raises(NumericError):
+            integrate(SPEC, PARAMS, TRUNC, 1.0, 0.0, steps_per_period=32)
 
 
 class TestEvolveState:
