@@ -195,14 +195,6 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def _is_real_tridiagonal(h: np.ndarray) -> bool:
-    """True when h has no imaginary part and nothing off its three central diagonals."""
-    if h.imag.any():
-        return False
-    band = sum(np.count_nonzero(np.diagonal(h.real, k)) for k in (-1, 0, 1))
-    return np.count_nonzero(h.real) == band
-
-
 def exp_tridiagonal(diag, off) -> np.ndarray:
     """exp(-i T) for the real symmetric tridiagonal T with the given
     diagonal (length n) and off-diagonal (length n - 1).
@@ -233,12 +225,8 @@ def matrix_exp(m) -> np.ndarray:
 
     Hermitian and anti-Hermitian inputs go through an eigendecomposition,
     which for anti-Hermitian generators returns an exactly unitary result
-    (columns of a unitary times unit-modulus phases).  An anti-Hermitian
-    input a = iH whose H is real tridiagonal, such as -i h (H_omega + f x)
-    or -i c x, goes to exp_tridiagonal; p-generators (imaginary
-    off-diagonals) and wider bands take the dense complex eigh.
-    Everything else falls back to scipy's scaling-and-squaring Pade
-    approximant.
+    (columns of a unitary times unit-modulus phases).  Everything else falls
+    back to scipy's scaling-and-squaring Pade approximant.
 
     Accepts a TruncatedOperator or a bare ndarray; returns an ndarray.
     """
@@ -253,11 +241,7 @@ def matrix_exp(m) -> np.ndarray:
         return (v * np.exp(w)) @ v.conj().T
     if np.abs(a + a.conj().T).max() <= _HERM_RTOL * scale:
         # a = iH with H Hermitian; exp(a) = V exp(i w) V^dag is unitary.
-        h = -1j * a
-        if _is_real_tridiagonal(h):
-            # eigh reads the lower triangle, so take the sub-diagonal too
-            return exp_tridiagonal(-h.real.diagonal(), -h.real.diagonal(-1))
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(-1j * a)
         return (v * np.exp(1j * w)) @ v.conj().T
     out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out.view(float))):

