@@ -32,7 +32,7 @@ from .core_fock import (
     number_basis_energies,
     xp_operators,
 )
-from .drive_model import DriveSpec, _json_float, mu_nu_sigma, phi12, psi, split_elapsed
+from .drive_model import DriveSpec, mu_nu_sigma, phi12, psi, split_elapsed
 from .errors import (
     FloquetLabError,
     IntegrationError,
@@ -76,9 +76,9 @@ def _emit_error(exc: BaseException, code: int) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, SmallDenominatorError):
         payload["error"]["pair"] = list(exc.pair) if exc.pair is not None else None
-        payload["error"]["gap"] = _json_float(exc.gap) if exc.gap is not None else None
+        payload["error"]["gap"] = float(exc.gap) if exc.gap is not None else None
     if isinstance(exc, ResonantTimeError):
-        payload["error"]["elapsed"] = _json_float(exc.elapsed) if exc.elapsed is not None else None
+        payload["error"]["elapsed"] = float(exc.elapsed) if exc.elapsed is not None else None
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 
@@ -154,8 +154,8 @@ def _json_dumps(obj) -> str:
 def _matrix_payload(mat: np.ndarray) -> dict:
     return {
         "dim": int(mat.shape[0]),
-        "re": [[_json_float(v) for v in row] for row in mat.real],
-        "im": [[_json_float(v) for v in row] for row in mat.imag],
+        "re": mat.real.tolist(),
+        "im": mat.imag.tolist(),
     }
 
 
@@ -184,19 +184,19 @@ def cmd_propagate(args) -> int:
 
     p1, p2 = phi12(spec, params, t, s)
     kernels = {
-        "phi1": _json_float(p1),
-        "phi2": _json_float(p2),
-        "psi": _json_float(psi(spec, params, t, s)),
+        "phi1": float(p1),
+        "phi2": float(p2),
+        "psi": float(psi(spec, params, t, s)),
     }
     if "single-exp" in mats:
         mns = mu_nu_sigma(spec, params, t, s)
         kernels.update(
             {
-                "mu": _json_float(mns.mu),
-                "nu": _json_float(mns.nu),
-                "sigma": _json_float(mns.sigma),
+                "mu": float(mns.mu),
+                "nu": float(mns.nu),
+                "sigma": float(mns.sigma),
                 "whole_periods": int(mns.whole_periods),
-                "delta": _json_float(mns.delta),
+                "delta": float(mns.delta),
             }
         )
 
@@ -204,7 +204,7 @@ def cmd_propagate(args) -> int:
     half = trunc.n_keep // 2
     block = primary[:half, :half]
     tolerances = {
-        "halfblock_unitarity_defect": _json_float(
+        "halfblock_unitarity_defect": float(
             float(np.linalg.norm(block.conj().T @ block - np.eye(half), 2))
         ),
         "halfblock_note": _HALF_NOTE,
@@ -215,14 +215,14 @@ def cmd_propagate(args) -> int:
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 d = float(np.linalg.norm(mats[a][:half, :half] - mats[b][:half, :half], 2))
-                diffs[f"{a}_vs_{b}"] = _json_float(d)
+                diffs[f"{a}_vs_{b}"] = float(d)
         tolerances["halfblock_cross_form_differences"] = diffs
 
     payload = {
         "metadata": {
             "form": args.form,
-            "t": _json_float(t),
-            "s": _json_float(s),
+            "t": float(t),
+            "s": float(s),
             "n_keep": trunc.n_keep,
             "n_pad": trunc.n_pad,
             "scalar_kernels": kernels,
@@ -312,10 +312,10 @@ def _scan_row(spec, params, trunc, opts, omega: float) -> str:
     sup_energy = float(np.max(report.energy_norms))
     return ",".join(
         [
-            str(_json_float(omega)),
+            str(float(omega)),
             classification.value,
-            str(_json_float(report.fit_exponent)),
-            str(_json_float(sup_energy)),
+            str(float(report.fit_exponent)),
+            str(float(sup_energy)),
         ]
     )
 
@@ -355,20 +355,20 @@ def cmd_kam(args) -> int:
     payload = {
         "status": result.status,
         "iterations": result.iterations,
-        "final_residual": _json_float(result.final_residual),
-        "eps_v": _json_float(result.history[-1].eps_v) if result.history else None,
-        "edge_leak": _json_float(result.edge_leak),
+        "final_residual": float(result.final_residual),
+        "eps_v": float(result.history[-1].eps_v) if result.history else None,
+        "edge_leak": float(result.edge_leak),
         "message": result.message,
     }
     if result.converged:
-        payload["w_weighted_norm"] = _json_float(result.w_weighted_norm)
+        payload["w_weighted_norm"] = float(result.w_weighted_norm)
         payload["g_level"] = _matrix_payload(result.g_level)
         payload["w_blocks"] = {
             str(q): _matrix_payload(blk) for q, blk in sorted(result.w_blocks.items())
         }
     if result.abort_pair is not None:
         payload["abort_pair"] = list(result.abort_pair)
-        payload["abort_gap"] = _json_float(result.abort_gap)
+        payload["abort_gap"] = float(result.abort_gap)
     _write_text(args.out_result, _json_dumps(payload))
 
     if result.status == "converged":

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_fock import OscillatorParams, TruncatedOperator, Truncation, matrix_exp
-from .drive_model import DriveSpec, _json_float
+from .drive_model import DriveSpec
 from .errors import InvalidIntervalError, NumericError
 from .floquet import (
     _BLOCK_NOTE,
@@ -318,18 +318,18 @@ class HigherOrderBoundReport:
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
-            "t": _json_float(self.t),
-            "s": _json_float(self.s),
-            "interval_1": [_json_float(v) for v in self.interval_1],
-            "interval_2": [_json_float(v) for v in self.interval_2],
-            "dist": _json_float(self.dist),
-            "lhs": _json_float(self.lhs),
-            "c_p": _json_float(self.c_p),
-            "rhs": _json_float(self.rhs),
+            "t": float(self.t),
+            "s": float(self.s),
+            "interval_1": [float(v) for v in self.interval_1],
+            "interval_2": [float(v) for v in self.interval_2],
+            "dist": float(self.dist),
+            "lhs": float(self.lhs),
+            "c_p": float(self.c_p),
+            "rhs": float(self.rhs),
             "ok": self.ok,
             "first_order_rhs": None
             if self.first_order_rhs is None
-            else _json_float(self.first_order_rhs),
+            else float(self.first_order_rhs),
             "block_note": self.block_note,
         }
 

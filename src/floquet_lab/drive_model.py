@@ -77,10 +77,6 @@ _SERIES_CUT = 1e-4
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _json_float(x: float) -> float:
-    return float(x)
-
-
 @dataclass(frozen=True)
 class DriveSpec:
     """A real T-periodic drive, canonically a finite Fourier series.
@@ -188,16 +184,16 @@ class DriveSpec:
 
     def to_json_dict(self) -> dict:
         out = {
-            "period": _json_float(self.period),
+            "period": float(self.period),
             "fourier": [
-                {"k": int(k), "re": _json_float(c.real), "im": _json_float(c.imag)}
+                {"k": int(k), "re": float(c.real), "im": float(c.imag)}
                 for k, c in self.fourier
             ],
         }
         if self.samples is not None:
             out["samples"] = {
-                "t": [_json_float(t) for t in self.samples[0]],
-                "f": [_json_float(f) for f in self.samples[1]],
+                "t": [float(t) for t in self.samples[0]],
+                "f": [float(f) for f in self.samples[1]],
                 "order": int(self.sample_order),
             }
         return out

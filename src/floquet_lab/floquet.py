@@ -52,7 +52,6 @@ from .core_fock import (
 )
 from .drive_model import (
     DriveSpec,
-    _json_float,
     _monodromy_scalars,
     eval_drive,
     floquet_scalar_derivs,
@@ -60,7 +59,7 @@ from .drive_model import (
     fourier_coefficient,
     is_resonant_period,
 )
-from .errors import DomainError, InvalidIntervalError, UnsupportedDriveError
+from .errors import DomainError, InvalidIntervalError, NumericError, UnsupportedDriveError
 from .oracle import evolve_state, hamiltonian_at
 from .propagator import propagator_factored
 
@@ -125,13 +124,20 @@ def _hf_matrix(spec: DriveSpec, params: OscillatorParams, dim: int) -> np.ndarra
     mns = _monodromy_scalars(spec, params)
     omega, big_t = params.omega, params.period_T
     n_whole, delta = mns.whole_periods, mns.delta
+    try:
+        shift = -mns.sigma / big_t + (
+            math.pi * n_whole * (mns.mu**2 + mns.nu**2) / (omega**3 * delta**2 * big_t)
+        )
+    except OverflowError:  # float ** raises where float * would give inf
+        shift = math.inf
+    if not all(math.isfinite(c) for c in (mns.mu, mns.nu, shift)):
+        raise NumericError(
+            f"H_F is not finite: mu = {mns.mu}, nu = {mns.nu}, shift = {shift}"
+        )
     x, p = xp_operators(omega, dim)
     out = np.diag(number_basis_energies(omega, dim)).astype(complex)
     out -= (mns.mu / (omega * delta)) * p
     out -= (mns.nu / delta) * x
-    shift = -mns.sigma / big_t + (
-        math.pi * n_whole * (mns.mu**2 + mns.nu**2) / (omega**3 * delta**2 * big_t)
-    )
     out += shift * np.eye(dim)
     return out
 
@@ -299,15 +305,15 @@ class StabilityReport:
         return {
             "classification": self.classification.value,
             "verdict": self.verdict,
-            "fit_exponent": _json_float(self.fit_exponent),
-            "sup_bound": _json_float(self.sup_bound),
-            "paper_bound": None if self.paper_bound is None else _json_float(self.paper_bound),
+            "fit_exponent": float(self.fit_exponent),
+            "sup_bound": float(self.sup_bound),
+            "paper_bound": None if self.paper_bound is None else float(self.paper_bound),
             "leak_warning": self.leak_warning,
             "block_note": self.block_note,
-            "t_grid": [_json_float(v) for v in self.t_grid],
-            "energy_norms": [_json_float(v) for v in self.energy_norms],
-            "mean_energy": [_json_float(v) for v in self.mean_energy],
-            "high_mode_population": [_json_float(v) for v in self.high_mode_population],
+            "t_grid": self.t_grid.tolist(),
+            "energy_norms": self.energy_norms.tolist(),
+            "mean_energy": self.mean_energy.tolist(),
+            "high_mode_population": self.high_mode_population.tolist(),
         }
 
     def to_csv_text(self) -> str:
@@ -449,22 +455,22 @@ class TransitionBoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "t": _json_float(self.t),
-            "s": _json_float(self.s),
-            "interval_1": [_json_float(v) for v in self.interval_1],
-            "interval_2": [_json_float(v) for v in self.interval_2],
-            "dist": _json_float(self.dist),
-            "lhs": _json_float(self.lhs),
-            "sup_sf_norm": _json_float(self.sup_sf_norm),
-            "rhs": _json_float(self.rhs),
+            "t": float(self.t),
+            "s": float(self.s),
+            "interval_1": [float(v) for v in self.interval_1],
+            "interval_2": [float(v) for v in self.interval_2],
+            "dist": float(self.dist),
+            "lhs": float(self.lhs),
+            "sup_sf_norm": float(self.sup_sf_norm),
+            "rhs": float(self.rhs),
             "ok": self.ok,
             "pair_ok": self.pair_ok,
             "pairs": [
                 {
-                    "energy_t": _json_float(self.pair_energies_t[i]),
-                    "energy_s": _json_float(self.pair_energies_s[i]),
-                    "lhs": _json_float(self.pair_lhs[i]),
-                    "rhs": _json_float(self.pair_rhs[i]),
+                    "energy_t": float(self.pair_energies_t[i]),
+                    "energy_s": float(self.pair_energies_s[i]),
+                    "lhs": float(self.pair_lhs[i]),
+                    "rhs": float(self.pair_rhs[i]),
                 }
                 for i in range(self.pair_lhs.size)
             ],

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_fock import TruncatedOperator, matrix_exp
-from .drive_model import _json_float
 from .errors import NotConvergedError, NumericError, SmallDenominatorError
 
 __all__ = [
@@ -255,10 +254,32 @@ def _materialize(space: FloquetMatrixSpace, sym: dict) -> np.ndarray:
                 out[k1 * ell : (k1 + 1) * ell, k2 * ell : (k2 + 1) * ell] = blk
     return out
 
+def _dense_norm(mat: np.ndarray) -> float:
+    """Spectral norm; an exactly zero matrix returns 0.0 without an SVD."""
+    return float(np.linalg.norm(mat, 2)) if np.any(mat) else 0.0
+
 def _sym_norm(space: FloquetMatrixSpace, sym: dict) -> float:
     if not sym:
         return 0.0
-    return float(np.linalg.norm(_materialize(space, sym), 2))
+    return _dense_norm(_materialize(space, sym))
+
+def _spectral_norms(mats: list) -> list:
+    """Spectral norms of matrices or stacks of matrices (the last two axes).
+
+    One np.linalg.norm call per distinct matrix shape; the batched SVD
+    gives each matrix the value a call on it alone would.
+    """
+    groups: dict = {}
+    for i, mat in enumerate(mats):
+        groups.setdefault(mat.shape[-2:], []).append(i)
+    out: list = [None] * len(mats)
+    for shape, idx in groups.items():
+        flat = [mats[i].reshape(-1, *shape) for i in idx]
+        norms = np.linalg.norm(np.concatenate(flat), 2, axis=(-2, -1))
+        bounds = np.cumsum([len(f) for f in flat])[:-1]
+        for i, part in zip(idx, np.split(norms, bounds)):
+            out[i] = part.reshape(mats[i].shape[:-2])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +344,8 @@ class BlockPerturbation:
                     "k": k,
                     "n": n,
                     "m": m,
-                    "re": [[_json_float(v) for v in row] for row in blk.real],
-                    "im": [[_json_float(v) for v in row] for row in blk.imag],
+                    "re": blk.real.tolist(),
+                    "im": blk.imag.tolist(),
                 }
             )
         return items
@@ -402,27 +423,39 @@ def detect_resonances(space: FloquetMatrixSpace, tol: float | None = None) -> li
 
 
 def eps_v_norm(v: BlockPerturbation, r: float) -> float:
-    """eps_V = sup_n sum_m sum_k (1 + |k|)^r ||V_{knm}|| with spectral norms."""
+    """eps_V = sup_n sum_m sum_k (1 + |k|)^r ||V_{knm}||.
+
+    ||V_{knm}|| is the spectral norm of each block, taken in one batched
+    call per block shape; zero blocks contribute zero.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
+    norms = _spectral_norms(list(v.blocks.values()))
     per_n: dict = {}
-    for (k, n, m), blk in v.blocks.items():
-        w = (1.0 + abs(k)) ** r * float(np.linalg.norm(blk, 2))
+    for (k, n, m), norm in zip(v.blocks, norms):
+        w = (1.0 + abs(k)) ** r * float(norm)
         per_n[n] = per_n.get(n, 0.0) + w
     return max(per_n.values(), default=0.0)
 
 
 def weighted_block_norm(space: FloquetMatrixSpace, sym: dict, nu: float) -> float:
-    """sup_n sum_m sum_k (1+|k|)^nu ||X_{knm}|| for a symbol-form operator."""
-    per_n = np.zeros(space.n_levels)
-    for q, blk in sym.items():
-        w = (1.0 + abs(q)) ** nu
-        for n in range(space.n_levels):
-            for m in range(space.n_levels):
-                sub = blk[space.level_slice(n), space.level_slice(m)]
-                if np.any(sub):
-                    per_n[n] += w * float(np.linalg.norm(sub, 2))
-    return float(per_n.max(initial=0.0))
+    """sup_n sum_m sum_k (1+|k|)^nu ||X_{knm}|| for a symbol-form operator.
+
+    ||X_{knm}|| is the spectral norm of the (n, m) level sub-block of the
+    symbol's k block, taken in one batched call per sub-block shape; zero
+    sub-blocks contribute zero.
+    """
+    if not sym:
+        return 0.0
+    stack = np.stack(list(sym.values()))
+    slices = [space.level_slice(n) for n in range(space.n_levels)]
+    norms = _spectral_norms([stack[:, sn, sm] for sn in slices for sm in slices])
+    weights = np.array([(1.0 + abs(q)) ** nu for q in sym])
+    # terms[n, m, q]; add.accumulate sums each row in order, q then m, where
+    # np.sum would sum pairwise, so the row sums match a per-block loop's
+    terms = (np.array(norms) * weights).reshape(space.n_levels, space.n_levels, -1)
+    per_n = np.add.accumulate(terms.transpose(0, 2, 1).reshape(space.n_levels, -1), axis=1)
+    return float(per_n[:, -1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +621,15 @@ class KamState:
     def summary_dict(self) -> dict:
         return {
             "s": self.s,
-            "offdiag_residual": _json_float(self.offdiag_residual),
+            "offdiag_residual": float(self.offdiag_residual),
             "min_denominator": None
             if math.isinf(self.min_denominator)
-            else _json_float(self.min_denominator),
-            "eps_v": _json_float(self.eps_v),
-            "conj_residual": _json_float(self.conj_residual),
-            "herm_g_residual": _json_float(self.herm_g_residual),
-            "antiherm_a_residual": _json_float(self.antiherm_a_residual),
-            "unitary_w_residual": _json_float(self.unitary_w_residual),
+            else float(self.min_denominator),
+            "eps_v": float(self.eps_v),
+            "conj_residual": float(self.conj_residual),
+            "herm_g_residual": float(self.herm_g_residual),
+            "antiherm_a_residual": float(self.antiherm_a_residual),
+            "unitary_w_residual": float(self.unitary_w_residual),
         }
 
 
@@ -690,7 +723,6 @@ def kam_iterate(
         float(np.linalg.norm(blk, 2)) for q, blk in v_sym.items() if abs(q) == space.k_max
     )
     v_s = _schedule_symbols(space, v_sym, config)
-    v_norm = _sym_norm(space, v_sym)
 
     g = v_s[0]                      # G_0 = V_0
     delta_g = g                     # G_s - G_{s-1}, with G_{-1} = 0
@@ -730,8 +762,8 @@ def kam_iterate(
                 min_denominator=min_denom,
                 eps_v=eps_v,
                 conj_residual=conj_res,
-                herm_g_residual=float(np.linalg.norm(g_dense - g_dense.conj().T, 2)),
-                antiherm_a_residual=float(np.linalg.norm(a_dense + a_dense.conj().T, 2)),
+                herm_g_residual=_dense_norm(g_dense - g_dense.conj().T),
+                antiherm_a_residual=_dense_norm(a_dense + a_dense.conj().T),
                 unitary_w_residual=w_unit,
             )
         )
@@ -880,15 +912,15 @@ def problem_to_json_dict(
     config: KamConfig,
 ) -> dict:
     return {
-        "omega": _json_float(space.omega),
+        "omega": float(space.omega),
         "k_max": space.k_max,
-        "levels": [{"h": _json_float(h), "mult": m} for h, m in space.levels],
+        "levels": [{"h": float(h), "mult": m} for h, m in space.levels],
         "V_blocks": v.to_json_list(),
-        "r": _json_float(config.r_weight),
-        "nu": _json_float(config.nu_weight),
+        "r": float(config.r_weight),
+        "nu": float(config.nu_weight),
         "schedule": config.schedule,
         "max_iters": config.max_iters,
-        "tol": _json_float(config.tol),
+        "tol": float(config.tol),
     }
 
 

@@ -193,6 +193,16 @@ class TestNonFiniteDrive:
         assert err["error"]["type"] == "NumericError"
 
 
+def test_stability_huge_drive_exits_numeric(tmp_path, capsys):
+    """An amplitude of 1e200 overflows the H_F shift: exit 4, not a traceback."""
+    cfg = _write_config(tmp_path / "huge.json", amplitude=1e200)
+    rc = main(["stability", cfg, "--periods", "2", "--samples", "2",
+               "--out-csv", str(tmp_path / "s.csv")])
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NumericError"
+
+
 class TestResonanceScan:
     def test_straddles_resonance(self, tmp_path):
         cfg = _write_config(tmp_path / "res.json", period=2 * math.pi, n_keep=24, n_pad=24)

@@ -10,6 +10,7 @@ from floquet_lab import (
     DomainError,
     DriveSpec,
     InvalidIntervalError,
+    NumericError,
     OscillatorParams,
     ResonanceError,
     Truncation,
@@ -62,6 +63,12 @@ class TestQuasiEnergy:
     def test_resonant_period_rejected(self, drive_res, params_res, trunc48):
         with pytest.raises(ResonanceError):
             build_HF(drive_res, params_res, trunc48)
+
+    def test_huge_drive_is_a_numeric_error(self, params_nonres, trunc48):
+        """mu**2 overflows a float once the amplitude passes about 1e154."""
+        huge = DriveSpec.sine(params_nonres.period_T, amplitude=1e200)
+        with pytest.raises(NumericError):
+            build_HF(huge, params_nonres, trunc48)
 
     def test_monodromy_eigenphases(self, drive_nonres, params_nonres, trunc48):
         """U(T, 0) and exp(-i T H_F) share their kept-block spectrum.

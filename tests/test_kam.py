@@ -117,6 +117,84 @@ class TestPerturbation:
         assert eps_v_norm(rough_v, 2.0) == pytest.approx(0.01)
 
 
+def _eps_v_norm_loop(v, r):
+    """Per-block reference for eps_v_norm: one np.linalg.norm per block."""
+    per_n: dict = {}
+    for (k, n, m), blk in v.blocks.items():
+        w = (1.0 + abs(k)) ** r * float(np.linalg.norm(blk, 2))
+        per_n[n] = per_n.get(n, 0.0) + w
+    return max(per_n.values(), default=0.0)
+
+
+def _weighted_block_norm_loop(space, sym, nu):
+    """Per-block reference for weighted_block_norm: one np.linalg.norm per
+    non-zero level sub-block, summed by symbol key, then column level."""
+    per_n = np.zeros(space.n_levels)
+    for q, blk in sym.items():
+        w = (1.0 + abs(q)) ** nu
+        for n in range(space.n_levels):
+            for m in range(space.n_levels):
+                sub = blk[space.level_slice(n), space.level_slice(m)]
+                if np.any(sub):
+                    per_n[n] += w * float(np.linalg.norm(sub, 2))
+    return float(per_n.max(initial=0.0))
+
+
+def _random_symbol(space, rng, qs):
+    ell = space.level_dim
+    return {q: rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell)) for q in qs}
+
+
+class TestBatchedNorms:
+    """The batched block norms equal the per-block loops bit for bit."""
+
+    MIXED = FloquetMatrixSpace(k_max=2, levels=((0.0, 2), (1.0, 3), (2.5, 1)), omega=GOLDEN)
+
+    @pytest.mark.parametrize("nu", [0, 1, 2])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["mult1", "mixed"])
+    def test_weighted_block_norm_random(self, space, mixed, nu):
+        sp = self.MIXED if mixed else space
+        sym = _random_symbol(sp, np.random.default_rng(11 + nu), [0, 3, -1, 7, -12, 1])
+        assert weighted_block_norm(sp, sym, nu) == _weighted_block_norm_loop(sp, sym, nu)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["mult1", "mixed"])
+    def test_weighted_block_norm_zero_blocks(self, space, mixed):
+        sp = self.MIXED if mixed else space
+        sym = _random_symbol(sp, np.random.default_rng(3), [2, 0, -2, 5])
+        sym[5][:] = 0.0
+        sl0, sl1 = sp.level_slice(0), sp.level_slice(1)
+        sym[0][sl0, sl1] = 0.0
+        sym[2][sl1, :] = 0.0
+        sym[-2][:, sl0] = 0.0
+        for nu in (0, 1.5):
+            assert weighted_block_norm(sp, sym, nu) == _weighted_block_norm_loop(sp, sym, nu)
+        only_zero = {4: np.zeros((sp.level_dim, sp.level_dim), dtype=complex)}
+        assert weighted_block_norm(sp, only_zero, 1.0) == 0.0
+
+    def test_empty_symbol(self, space):
+        assert weighted_block_norm(space, {}, 1.0) == 0.0
+        assert weighted_block_norm(self.MIXED, {}, 1.0) == 0.0
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["mult1", "mixed"])
+    def test_eps_v_norm_random(self, space, mixed, r):
+        sp = self.MIXED if mixed else space
+        v = random_perturbation(sp, np.random.default_rng(17), k_band=3, r=2.0, eps_target=0.3)
+        assert eps_v_norm(v, r) == _eps_v_norm_loop(v, r)
+
+    def test_eps_v_norm_zero_blocks(self):
+        sp = self.MIXED
+        v = random_perturbation(sp, np.random.default_rng(23), k_band=2, r=2.0, eps_target=0.1)
+        blocks = dict(v.blocks)
+        for key in ((1, 0, 1), (-1, 1, 0), (0, 2, 2)):
+            blocks[key] = np.zeros_like(blocks[key])
+        v0 = BlockPerturbation(blocks=blocks)
+        assert eps_v_norm(v0, 2.0) == _eps_v_norm_loop(v0, 2.0)
+
+    def test_zero_perturbation(self):
+        assert eps_v_norm(BlockPerturbation.zero(), 2.0) == 0.0
+
+
 class TestHomologicalSolve:
     def test_two_level_example(self):
         """[A, K] = -Y for K = diag(0, 1) and antisymmetric Y."""
@@ -221,6 +299,8 @@ class TestIteration:
         assert max(st.herm_g_residual for st in res.history) <= 1e-9
         assert max(st.antiherm_a_residual for st in res.history) <= 1e-9
         assert max(st.unitary_w_residual for st in res.history) <= 1e-9
+        # the terminal record carries A = 0: its residual is exact, no SVD
+        assert res.history[-1].antiherm_a_residual == 0.0
 
     def test_golden_history_metadata(self, golden_result, space, rough_v):
         first = golden_result.history[0]
