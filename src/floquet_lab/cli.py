@@ -5,7 +5,9 @@ tracking with verdict sidecar), resonance-scan (classification sweep
 over omega), kam (iterative diagonalization driver), verify (invariant
 suites). All outputs are deterministic: floats use shortest round-trip
 decimals, JSON keys are sorted, rows follow the input grid order, and
-failures write a machine-readable error object to stderr.
+failures write a machine-readable error object to stderr. That object is
+all a failure writes there: warnings raised on the way to it are listed
+inside it under "warnings".
 
 Exit codes: 0 success, 2 configuration or argument error, 3 resonant
 time difference where only the factored form exists, 4 numeric failure,
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from importlib.resources import files
 
@@ -72,8 +75,10 @@ def _thread_cap() -> int:
     return cap
 
 
-def _emit_error(exc: BaseException, code: int) -> int:
+def _emit_error(exc: BaseException, code: int, held: list) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if held:
+        payload["error"]["warnings"] = [f"{w.category.__name__}: {w.message}" for w in held]
     if isinstance(exc, SmallDenominatorError):
         payload["error"]["pair"] = list(exc.pair) if exc.pair is not None else None
         payload["error"]["gap"] = float(exc.gap) if exc.gap is not None else None
@@ -592,28 +597,34 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ResonantTimeError as err:
-        return _emit_error(err, EXIT_RESONANT_TIME)
-    except SmallDenominatorError as err:
-        return _emit_error(err, EXIT_SMALL_DENOM)
-    except NotConvergedError as err:
-        return _emit_error(err, EXIT_ITERATION_LIMIT)
-    except (NumericError, IntegrationError) as err:
-        return _emit_error(err, EXIT_NUMERIC)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        InvalidTruncationError,
-        InvalidIntervalError,
-        UnsupportedDriveError,
-        ResonanceError,
-    ) as err:
-        return _emit_error(err, EXIT_CONFIG)
-    except FloquetLabError as err:
-        return _emit_error(err, EXIT_NUMERIC)
+    # Warnings are held so that a failing run's stderr is the one JSON error
+    # object, which lists them; a run that returns prints them as usual.
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            code = args.func(args)
+        except ResonantTimeError as err:
+            return _emit_error(err, EXIT_RESONANT_TIME, held)
+        except SmallDenominatorError as err:
+            return _emit_error(err, EXIT_SMALL_DENOM, held)
+        except NotConvergedError as err:
+            return _emit_error(err, EXIT_ITERATION_LIMIT, held)
+        except (NumericError, IntegrationError) as err:
+            return _emit_error(err, EXIT_NUMERIC, held)
+        except (
+            ValueError,
+            KeyError,
+            OSError,
+            InvalidTruncationError,
+            InvalidIntervalError,
+            UnsupportedDriveError,
+            ResonanceError,
+        ) as err:
+            return _emit_error(err, EXIT_CONFIG, held)
+        except FloquetLabError as err:
+            return _emit_error(err, EXIT_NUMERIC, held)
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

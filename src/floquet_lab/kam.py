@@ -10,11 +10,18 @@ unperturbed operator is diagonal,
 and the perturbation V is a multiplication operator in time, i.e. block
 Toeplitz in k: its (k1, k2) block depends only on q = k1 - k2. Every
 operator the iteration touches shares that structure (it commutes with
-the Fourier shift), so the engine stores operators as symbols: a map
-q -> (L x L) level-space block. Products, commutators, and exponentials
-act on symbols by convolution, which realizes the infinite-lattice
-algebra exactly; the k truncation only enters when a symbol is
-materialized to a dense matrix for norms and reports.
+the Fourier shift), so the engine stores operators as symbols: arrays of
+level-space blocks S_q for |q| <= cap = band_cap_factor * k_max (or V's
+band, if wider). A symbol acts on functions of theta = omega t as
+multiplication by the matrix function S(theta) = sum_q e^{i q theta} S_q
+(the symbol calculus of block-Toeplitz operators; Boettcher &
+Silbermann). Products, exp(A) and the functions of ad_A therefore act
+pointwise on a grid of at least 3 cap + 1 angles, and an FFT returns
+their blocks: exactly for a product of two symbols, and up to aliasing
+from |q| > 2 cap, far below round-off for the small generators of a KAM
+step, for a function of ad_A. Only ad_{K_0}, which differentiates in
+theta, acts on the blocks themselves. The k truncation enters only when
+a symbol is materialized to a dense matrix for norms and reports.
 
 The recursion (G_{-1} = 0, G_0 = V_0, Phi(x) = (1/x)(e^x - (e^x-1)/x)):
 
@@ -37,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .core_fock import TruncatedOperator, matrix_exp
 from .errors import NotConvergedError, NumericError, SmallDenominatorError
@@ -63,7 +71,6 @@ __all__ = [
 ]
 
 _DEGEN_RTOL = 1e-12
-_SERIES_MAX_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -130,138 +137,83 @@ class FloquetMatrixSpace:
 
 
 # ---------------------------------------------------------------------------
-# symbols: q -> L x L block, representing a block-Toeplitz operator
+# symbols: (2 cap + 1, L, L) arrays, block S_q at index q + cap
 
 
-def _sym_clean(sym: dict) -> dict:
-    return {q: blk for q, blk in sym.items() if np.any(blk)}
+def _cap(sym: np.ndarray) -> int:
+    return (len(sym) - 1) // 2
 
-def _sym_identity(dim: int) -> dict:
-    return {0: np.eye(dim, dtype=complex)}
-
-def _sym_add(a: dict, b: dict, beta: complex = 1.0) -> dict:
-    out = {q: blk.copy() for q, blk in a.items()}
-    for q, blk in b.items():
-        if q in out:
-            out[q] = out[q] + beta * blk
-        else:
-            out[q] = beta * blk
-    return _sym_clean(out)
-
-def _sym_scale(a: dict, c: complex) -> dict:
-    return _sym_clean({q: c * blk for q, blk in a.items()})
-
-def _sym_mul(a: dict, b: dict, cap: int) -> dict:
-    out: dict = {}
-    for qa, ba in a.items():
-        for qb, bb in b.items():
-            q = qa + qb
-            if abs(q) > cap:
-                continue
-            prod = ba @ bb
-            if q in out:
-                out[q] += prod
-            else:
-                out[q] = prod
-    return _sym_clean(out)
-
-def _sym_dagger(a: dict) -> dict:
-    return {-q: blk.conj().T.copy() for q, blk in a.items()}
-
-def _sym_comm(a: dict, b: dict, cap: int) -> dict:
-    return _sym_add(_sym_mul(a, b, cap), _sym_mul(b, a, cap), -1.0)
-
-def _sym_fro(a: dict) -> float:
-    return math.sqrt(sum(float(np.sum(np.abs(blk) ** 2)) for blk in a.values()))
-
-def _sym_exp(a: dict, dim: int, cap: int, tol: float = 1e-16) -> dict:
-    acc = _sym_identity(dim)
-    term = _sym_identity(dim)
-    scale = max(1.0, _sym_fro(a))
-    for n in range(1, _SERIES_MAX_TERMS):
-        term = _sym_scale(_sym_mul(a, term, cap), 1.0 / n)
-        acc = _sym_add(acc, term)
-        if _sym_fro(term) < tol * scale:
-            return acc
-    raise NumericError("symbol exponential series failed to terminate")
-
-def _sym_exp_ad(a: dict, x: dict, cap: int, tol: float = 1e-16) -> dict:
-    """exp(ad_A) X = sum ad_A^n X / n! on symbols."""
-    acc = {q: blk.copy() for q, blk in x.items()}
-    term = x
-    scale = max(1.0, _sym_fro(x))
-    for n in range(1, _SERIES_MAX_TERMS):
-        term = _sym_scale(_sym_comm(a, term, cap), 1.0 / n)
-        if not term:
-            return acc
-        acc = _sym_add(acc, term)
-        if _sym_fro(term) < tol * scale:
-            return acc
-    raise NumericError("adjoint exponential series failed to terminate")
-
-def _sym_phi_ad(a: dict, z: dict, cap: int, tol: float = 1e-16) -> dict:
-    """Phi(ad_A) Z with Phi(x) = sum_n (n+1) x^n / (n+2)!."""
-    acc = _sym_scale(z, 0.5)
-    term = z
-    scale = max(1.0, _sym_fro(z))
-    for n in range(1, _SERIES_MAX_TERMS):
-        term = _sym_comm(a, term, cap)
-        if not term:
-            return acc
-        coeff = (n + 1) / math.factorial(n + 2)
-        acc = _sym_add(acc, term, coeff)
-        if _sym_fro(term) * coeff < tol * scale:
-            return acc
-    raise NumericError("Phi(ad_A) series failed to terminate")
-
-def _ad_k0(space: FloquetMatrixSpace, a: dict) -> dict:
-    """ad_{K_0} on symbols: entrywise multiplication by q omega + h_n - h_m."""
-    h = space.h_expanded
-    out = {}
-    for q, blk in a.items():
-        fac = q * space.omega + h[:, None] - h[None, :]
-        out[q] = fac * blk
-    return _sym_clean(out)
-
-def _sym_block_diag(space: FloquetMatrixSpace, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for n in range(space.n_levels):
-        sl = space.level_slice(n)
-        out[sl, sl] = mat[sl, sl]
-    return out
-
-def _sym_d(space: FloquetMatrixSpace, x: dict) -> dict:
-    """Diagonal part w.r.t. the K_0 decomposition: q = 0, same level."""
-    blk = x.get(0)
-    if blk is None:
-        return {}
-    return _sym_clean({0: _sym_block_diag(space, blk)})
-
-def _sym_offd(space: FloquetMatrixSpace, x: dict) -> dict:
-    out = {q: blk.copy() for q, blk in x.items()}
-    if 0 in out:
-        out[0] = out[0] - _sym_block_diag(space, out[0])
-    return _sym_clean(out)
-
-def _materialize(space: FloquetMatrixSpace, sym: dict) -> np.ndarray:
-    ell = space.level_dim
-    nk = 2 * space.k_max + 1
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+def _as_array(sym: dict, cap: int, ell: int) -> np.ndarray:
+    out = np.zeros((2 * cap + 1, ell, ell), dtype=complex)
     for q, blk in sym.items():
-        for k1 in range(nk):
-            k2 = k1 - q
-            if 0 <= k2 < nk:
-                out[k1 * ell : (k1 + 1) * ell, k2 * ell : (k2 + 1) * ell] = blk
+        out[q + cap] = blk
     return out
+
+def _as_dict(sym: np.ndarray) -> dict:
+    """Non-zero blocks of an array symbol keyed by q, ascending."""
+    return {q - _cap(sym): blk.copy() for q, blk in enumerate(sym) if np.any(blk)}
+
+def _to_grid(sym: np.ndarray, n_grid: int) -> np.ndarray:
+    """S(theta_j) at theta_j = 2 pi j / n_grid, j = 0 .. n_grid - 1."""
+    cap = _cap(sym)
+    padded = np.zeros((n_grid,) + sym.shape[1:], dtype=complex)
+    padded[: cap + 1] = sym[cap:]
+    padded[n_grid - cap :] = sym[:cap]
+    return sp_fft.ifft(padded, axis=0, norm="forward")
+
+def _from_grid(vals: np.ndarray, cap: int) -> np.ndarray:
+    """Fourier blocks |q| <= cap of grid values; exact for a product of two
+    cap-band symbols when the grid has at least 3 cap + 1 points."""
+    coef = sp_fft.fft(vals, axis=0, norm="forward")
+    return np.concatenate([coef[len(coef) - cap :], coef[: cap + 1]])
+
+def _dagger(vals: np.ndarray) -> np.ndarray:
+    return vals.conj().swapaxes(-1, -2)
+
+def _adjoint(sym: np.ndarray) -> np.ndarray:
+    """Symbol of the adjoint operator: (S^+)_q = (S_{-q})^+."""
+    return _dagger(sym[::-1])
+
+def _grid_size(cap: int) -> int:
+    return sp_fft.next_fast_len(3 * cap + 1)
+
+def _denominators(space: FloquetMatrixSpace, cap: int, d: np.ndarray) -> np.ndarray:
+    """q omega + d_a - d_b for every q in [-cap, cap]."""
+    q = np.arange(-cap, cap + 1)[:, None, None]
+    return q * space.omega + d[:, None] - d[None, :]
+
+def _same_level(space: FloquetMatrixSpace) -> np.ndarray:
+    level_of = space.level_of_index
+    return level_of[:, None] == level_of[None, :]
+
+def _block_diag(space: FloquetMatrixSpace, mat: np.ndarray) -> np.ndarray:
+    return np.where(_same_level(space), mat, 0.0)
+
+def _sym_d(space: FloquetMatrixSpace, x: np.ndarray) -> np.ndarray:
+    """Diagonal part w.r.t. the K_0 decomposition: q = 0, same level."""
+    out = np.zeros_like(x)
+    out[_cap(x)] = _block_diag(space, x[_cap(x)])
+    return out
+
+def _sym_offd(space: FloquetMatrixSpace, x: np.ndarray) -> np.ndarray:
+    return x - _sym_d(space, x)
+
+def _materialize(space: FloquetMatrixSpace, sym: np.ndarray) -> np.ndarray:
+    """Dense window: block (k1, k2) = S_{k1 - k2}, zero beyond the cap."""
+    cap, nk, ell = _cap(sym), 2 * space.k_max + 1, space.level_dim
+    out = np.zeros((nk, ell, nk, ell), dtype=complex)
+    for q in range(-min(cap, nk - 1), min(cap, nk - 1) + 1):
+        if np.any(sym[q + cap]):  # zero blocks leave their pages untouched
+            k1 = np.arange(max(q, 0), nk + min(q, 0))
+            out[k1, :, k1 - q] = sym[q + cap]
+    return out.reshape(space.total_dim, space.total_dim)
 
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm; an exactly zero matrix returns 0.0 without an SVD."""
     return float(np.linalg.norm(mat, 2)) if np.any(mat) else 0.0
 
-def _sym_norm(space: FloquetMatrixSpace, sym: dict) -> float:
-    if not sym:
-        return 0.0
-    return _dense_norm(_materialize(space, sym))
+def _sym_norm(space: FloquetMatrixSpace, sym: np.ndarray) -> float:
+    return _dense_norm(_materialize(space, sym)) if np.any(sym) else 0.0
 
 def _spectral_norms(mats: list) -> list:
     """Spectral norms of matrices or stacks of matrices (the last two axes).
@@ -333,7 +285,7 @@ class BlockPerturbation:
                 )
             target = out.setdefault(k, np.zeros((ell, ell), dtype=complex))
             target[sl_n, sl_m] += blk
-        return _sym_clean(out)
+        return {q: blk for q, blk in out.items() if np.any(blk)}
 
     def to_json_list(self) -> list:
         items = []
@@ -521,12 +473,14 @@ def solve_homological(
 def _solve_sym(
     space: FloquetMatrixSpace,
     e_level: np.ndarray,
-    y: dict,
+    y: np.ndarray,
     guard: float,
-    cap: int,
-) -> tuple[dict, float]:
+) -> tuple[np.ndarray, float]:
     """Symbol-form homological solve against K_0 dressed by the level
-    matrix e_level = D(G) blocks; returns (A, min denominator used)."""
+    matrix e_level = D(G) blocks; returns (A, min denominator used).
+
+    The first needed denominator below the guard, by ascending q and then
+    row-major within the block, aborts the solve."""
     # rotate within level blocks so the dressed diagonal is scalar
     ell = space.level_dim
     rot = np.eye(ell, dtype=complex)
@@ -540,35 +494,26 @@ def _solve_sym(
             vals, vecs = np.linalg.eigh(blk)
             rot[sl, sl] = vecs
             d[sl] += vals
-    rotated = {q: rot.conj().T @ blk @ rot for q, blk in y.items()}
-    level_of = space.level_of_index
-    min_denom = math.inf
-    a_sym: dict = {}
-    for q, blk in rotated.items():
-        denom = q * space.omega + d[:, None] - d[None, :]
-        needed = blk != 0.0
-        if q == 0:
-            same_level = level_of[:, None] == level_of[None, :]
-            needed = needed & ~same_level
-        if not np.any(needed):
-            continue
-        gaps = np.abs(denom[needed])
-        small = float(gaps.min())
-        if small < guard:
-            a_idx, b_idx = np.argwhere(needed & (np.abs(denom) < guard))[0]
-            raise SmallDenominatorError(
-                f"denominator {denom[a_idx, b_idx]:.3e} below guard {guard:.3e} "
-                f"for coupling q={q}, levels "
-                f"{level_of[a_idx]} and {level_of[b_idx]}",
-                pair=(q, int(level_of[a_idx]), int(level_of[b_idx])),
-                gap=float(denom[a_idx, b_idx]),
-            )
-        min_denom = min(min_denom, small)
-        a_blk = np.zeros_like(blk)
-        np.divide(blk, denom, out=a_blk, where=needed)
-        a_sym[q] = a_blk
-    a_sym = {q: rot @ blk @ rot.conj().T for q, blk in a_sym.items()}
-    return _sym_clean(a_sym), min_denom
+    rotated = rot.conj().T @ y @ rot
+    cap = _cap(y)
+    denom = _denominators(space, cap, d)
+    needed = rotated != 0.0
+    needed[cap] &= ~_same_level(space)
+    bad = needed & (np.abs(denom) < guard)
+    if np.any(bad):
+        qi, a_idx, b_idx = np.argwhere(bad)[0]
+        q, level_of = int(qi) - cap, space.level_of_index
+        raise SmallDenominatorError(
+            f"denominator {denom[qi, a_idx, b_idx]:.3e} below guard {guard:.3e} "
+            f"for coupling q={q}, levels "
+            f"{level_of[a_idx]} and {level_of[b_idx]}",
+            pair=(q, int(level_of[a_idx]), int(level_of[b_idx])),
+            gap=float(denom[qi, a_idx, b_idx]),
+        )
+    min_denom = float(np.abs(denom[needed]).min()) if np.any(needed) else math.inf
+    a_sym = np.zeros_like(rotated)
+    np.divide(rotated, denom, out=a_sym, where=needed)
+    return rot @ a_sym @ rot.conj().T, min_denom
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +529,6 @@ class KamConfig:
     cutoff_steps: tuple | None = None
     r_weight: float = 2.0
     nu_weight: float = 1.0
-    series_tol: float = 1e-16
     band_cap_factor: int = 6
 
     def __post_init__(self):
@@ -672,13 +616,12 @@ class KamResult:
         return reconstruct_propagator(self.space, self.w_blocks, self.g_level, t, s)
 
 
-def _schedule_symbols(
-    space: FloquetMatrixSpace, v_sym: dict, config: KamConfig
-) -> list:
-    """V_s symbols for s = 0..max_iters; constant or Fourier cutoff."""
-    count = config.max_iters + 1
+def _schedule_symbol(
+    space: FloquetMatrixSpace, v_sym: np.ndarray, config: KamConfig, s: int
+) -> np.ndarray:
+    """V_s: V itself, or under the Fourier cutoff schedule its |q| <= k_s part."""
     if config.schedule == "constant":
-        return [v_sym] * count
+        return v_sym
     if config.cutoff_steps is not None:
         cuts = list(config.cutoff_steps)
     else:
@@ -686,11 +629,62 @@ def _schedule_symbols(
         while c < space.k_max:
             cuts.append(c)
             c *= 2
-    out = []
-    for s in range(count):
-        k_s = cuts[s] if s < len(cuts) else space.k_max
-        out.append(_sym_clean({q: blk for q, blk in v_sym.items() if abs(q) <= k_s}))
-    return out
+    q = np.abs(np.arange(len(v_sym)) - _cap(v_sym))[:, None, None]
+    return np.where(q <= (cuts[s] if s < len(cuts) else space.k_max), v_sym, 0.0)
+
+
+def _conjugate(w_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W X W^+ for W given by its grid values and X by its symbol."""
+    return _from_grid(w_vals @ _to_grid(x, len(w_vals)) @ _dagger(w_vals), _cap(x))
+
+
+class _PointwiseAd:
+    """Functions of ad_A for an anti-Hermitian symbol A, applied pointwise.
+
+    iA(theta) = U diag(mu) U^+ on the grid, so e^A = U e^{-i mu} U^+ and
+    ad_A multiplies entry (a, b) of U^+ X U by x = -i delta, delta =
+    mu_a - mu_b. On that basis exp(ad_A) is e^x (exp), the series
+    sum_{n>=1} ad_A^{n-1} / n! is E1(x) = expm1(x) / x = e^{x/2}
+    sinc(delta / 2 pi) (e1), and ad_A Phi(ad_A) is e^x - E1(x).
+    """
+
+    def __init__(self, a_sym: np.ndarray, n_grid: int):
+        self.mu, self.u = np.linalg.eigh(1j * _to_grid(a_sym, n_grid))
+        self.uh = _dagger(self.u)
+        delta = self.mu[:, :, None] - self.mu[:, None, :]
+        self.exp = np.exp(-1j * delta)
+        self.e1 = np.exp(-0.5j * delta) * np.sinc(delta / (2 * math.pi))
+        self.n_grid, self.cap = n_grid, _cap(a_sym)
+
+    def apply(self, *terms) -> np.ndarray:
+        """sum_k f_k(ad_A) X_k for (factor of f_k, symbol X_k) pairs."""
+        acc = sum(f * (self.uh @ _to_grid(x, self.n_grid) @ self.u) for f, x in terms)
+        return _from_grid(self.u @ acc @ self.uh, self.cap)
+
+    def expm1_times(self, vals: np.ndarray) -> np.ndarray:
+        """(e^{A(theta)} - 1) Y(theta) for grid values Y."""
+        return (self.u * np.expm1(-1j * self.mu)[:, None, :]) @ self.uh @ vals
+
+
+def _kam_step(a_sym, n_grid, w_sym, g, dv, rhs, c, k0_gaps) -> tuple:
+    """Conjugate by e^{A_s}: (W_{s+1}, G_{s+1}, c_{s+1}) from W_s, G_s, c_s,
+    V_{s+1} - V_s and the homological right-hand side (1-D)(G_s - G_{s-1}).
+
+    A function of its own so that the grid arrays are freed before the
+    next record materializes its dense windows (peak memory)."""
+    ad = _PointwiseAd(a_sym, n_grid)
+    # W_{s+1} = e^{A_s} W_s. Only the step goes through the grid, so the
+    # transform's round-off scales with A_s, not with the identity in W.
+    w_vals = _to_grid(w_sym, n_grid)
+    w_step = ad.expm1_times(w_vals)
+    # G_{s+1} = G_s + exp(ad_{A_s}) ... exp(ad_{A_0}) (V_{s+1} - V_s)
+    #           + ad_{A_s} Phi(ad_{A_s}) (1-D)(G_s - G_{s-1})
+    if np.any(dv):
+        g = g + _conjugate(w_vals + w_step, dv)
+    g = g + ad.apply((ad.exp - ad.e1, rhs))
+    # for X = K_0 + c: e^A X e^{-A} = K_0 + exp(ad_A) c + E1(ad_A) B, B = -ad_{K_0} A
+    c = ad.apply((ad.exp, c), (ad.e1, -k0_gaps * a_sym))
+    return w_sym + _from_grid(w_step, _cap(w_sym)), g, c
 
 
 def kam_iterate(
@@ -701,9 +695,12 @@ def kam_iterate(
     """Run the G_s/A_s recurrence until the off-diagonal residual of
     W_s(K_0+V)W_s^+ - K_0 falls below tol.
 
-    Everything is computed in symbol (block-Toeplitz) arithmetic, which
-    preserves the shift-commutation structure exactly; k products are
-    capped at band_cap_factor * k_max Fourier offsets.
+    Operators are symbols with Fourier offsets capped at cap =
+    band_cap_factor * k_max, widened to V's band if that reaches further.
+    Each iteration takes one batched eigh of the
+    Hermitian iA_s(theta) on the theta grid; in that eigenbasis exp(A_s)
+    and every function of ad_{A_s} the recurrence needs is an entrywise
+    factor (see _PointwiseAd).
     """
     if config is None:
         config = KamConfig()
@@ -711,59 +708,60 @@ def kam_iterate(
     if guard is None:
         guard = 1e-8 * space.omega
     ell = space.level_dim
-    cap = max(1, config.band_cap_factor * space.k_max)
-    stol = config.series_tol
+    v_dict = v.symbol(space)
+    # the symbols hold V whole, however far its Fourier band reaches
+    cap = max(1, config.band_cap_factor * space.k_max, *map(abs, v_dict))
+    n_grid = _grid_size(cap)
+    k0_gaps = _denominators(space, cap, space.h_expanded)
 
-    v_sym = v.symbol(space)
-    v_herm_dev = _sym_fro(_sym_add(v_sym, _sym_dagger(v_sym), -1.0))
-    if v_herm_dev > 1e-12 * max(1.0, _sym_fro(v_sym)):
+    v_sym = _as_array(v_dict, cap, ell)
+    v_herm_dev = np.linalg.norm(v_sym - _adjoint(v_sym))
+    if v_herm_dev > 1e-12 * max(1.0, float(np.linalg.norm(v_sym))):
         raise ValueError("perturbation is not Hermitian as a total operator")
     eps_v = eps_v_norm(v, config.r_weight)
     edge_leak = sum(
-        float(np.linalg.norm(blk, 2)) for q, blk in v_sym.items() if abs(q) == space.k_max
+        float(np.linalg.norm(blk, 2)) for q, blk in v_dict.items() if abs(q) == space.k_max
     )
-    v_s = _schedule_symbols(space, v_sym, config)
 
-    g = v_s[0]                      # G_0 = V_0
+    def v_s(s: int) -> np.ndarray:
+        return _schedule_symbol(space, v_sym, config, s)
+
+    g = v_s(0)                      # G_0 = V_0
     delta_g = g                     # G_s - G_{s-1}, with G_{-1} = 0
-    w_sym = _sym_identity(ell)
-    a_list: list = []
+    w_sym = np.zeros_like(v_sym)
+    w_sym[cap] = np.eye(ell)
     # c = W_s (K_0 + V) W_s^+ - K_0, maintained incrementally
     c = v_sym
     history: list = []
+    taus = np.linspace(0.0, 2 * math.pi / space.omega, 24, endpoint=False)
+    w_phases = np.exp(1j * np.arange(-cap, cap + 1) * space.omega * taus[:, None])
 
-    def _record(s: int, a_sym: dict, offdiag: float, min_denom: float):
-        w_dense = _materialize(space, w_sym)
-        g_dense = _materialize(space, g)
-        a_dense = _materialize(space, a_sym)
-        w_unit = 0.0
-        for tau in np.linspace(0.0, 2 * math.pi / space.omega, 24, endpoint=False):
-            wt = _w_at(space, w_sym, tau)
-            w_unit = max(
-                w_unit,
-                float(np.linalg.norm(wt @ wt.conj().T - np.eye(ell), 2)),
-            )
+    def _record(s: int, a_sym: np.ndarray | None, offdiag: float, min_denom: float):
+        a_sym = np.zeros_like(g) if a_sym is None else a_sym
+        wt = np.tensordot(w_phases, w_sym, axes=1)
+        w_unit = float(np.linalg.norm(wt @ _dagger(wt) - np.eye(ell), 2, axis=(-2, -1)).max())
         # conjugation identity for the schedule operator V_s
         c_sched = c
-        if config.schedule != "constant":
-            dv = _sym_add(v_s[min(s, config.max_iters)], v_sym, -1.0)
-            if dv:
-                wdvw = _sym_mul(_sym_mul(w_sym, dv, cap), _sym_dagger(w_sym), cap)
-                c_sched = _sym_add(c, wdvw)
-        target = _sym_add(_sym_d(space, g), _sym_offd(space, delta_g))
-        conj_res = _sym_norm(space, _sym_add(c_sched, target, -1.0))
+        dv = v_s(s) - v_sym
+        if np.any(dv):
+            c_sched = c + _conjugate(_to_grid(w_sym, n_grid), dv)
+        target = _sym_d(space, g) + _sym_offd(space, delta_g)
+        # the norms' dense windows are freed before the kept ones are made
+        conj_res = _sym_norm(space, c_sched - target)
+        herm_g = _sym_norm(space, g - _adjoint(g))
+        antiherm_a = _sym_norm(space, a_sym + _adjoint(a_sym))
         history.append(
             KamState(
                 s=s,
-                g=g_dense,
-                a=a_dense,
-                w=w_dense,
+                g=_materialize(space, g),
+                a=_materialize(space, a_sym),
+                w=_materialize(space, w_sym),
                 offdiag_residual=offdiag,
                 min_denominator=min_denom,
                 eps_v=eps_v,
                 conj_residual=conj_res,
-                herm_g_residual=_dense_norm(g_dense - g_dense.conj().T),
-                antiherm_a_residual=_dense_norm(a_dense + a_dense.conj().T),
+                herm_g_residual=herm_g,
+                antiherm_a_residual=antiherm_a,
                 unitary_w_residual=w_unit,
             )
         )
@@ -771,24 +769,25 @@ def kam_iterate(
     for s in range(config.max_iters + 1):
         offdiag = _sym_norm(space, _sym_offd(space, c))
         if offdiag < config.tol:
-            _record(s, {}, offdiag, math.inf)
-            g_level = _sym_block_diag(space, g.get(0, np.zeros((ell, ell), dtype=complex)))
+            _record(s, None, offdiag, math.inf)
+            g_level = _block_diag(space, g[cap])
+            w_blocks = _as_dict(w_sym)
             return KamResult(
                 status="converged",
                 space=space,
                 history=history,
                 w=history[-1].w,
                 g_inf=history[-1].g,
-                w_blocks={q: blk.copy() for q, blk in w_sym.items()},
+                w_blocks=w_blocks,
                 g_level=0.5 * (g_level + g_level.conj().T),
                 iterations=s,
                 final_residual=offdiag,
                 edge_leak=edge_leak,
-                w_weighted_norm=weighted_block_norm(space, w_sym, config.nu_weight),
+                w_weighted_norm=weighted_block_norm(space, w_blocks, config.nu_weight),
                 message=f"off-diagonal residual {offdiag:.3e} below tol after {s} iterations",
             )
         if s == config.max_iters:
-            _record(s, {}, offdiag, math.inf)
+            _record(s, None, offdiag, math.inf)
             return KamResult(
                 status="iteration_limit",
                 space=space,
@@ -799,12 +798,11 @@ def kam_iterate(
                 message=f"residual {offdiag:.3e} still above tol {config.tol:.3e}",
             )
 
-        e_level = _sym_block_diag(space, g.get(0, np.zeros((ell, ell), dtype=complex)))
         rhs = _sym_offd(space, delta_g)
         try:
-            a_sym, min_denom = _solve_sym(space, e_level, rhs, guard, cap)
+            a_sym, min_denom = _solve_sym(space, _block_diag(space, g[cap]), rhs, guard)
         except SmallDenominatorError as err:
-            _record(s, {}, offdiag, abs(err.gap) if err.gap is not None else math.nan)
+            _record(s, None, offdiag, abs(err.gap) if err.gap is not None else math.nan)
             return KamResult(
                 status="small_denominator_abort",
                 space=space,
@@ -818,38 +816,9 @@ def kam_iterate(
             )
         _record(s, a_sym, offdiag, min_denom)
 
-        # G_{s+1}
-        g_next = g
-        dv = _sym_add(v_s[s + 1], v_s[s], -1.0)
-        if dv:
-            chain = dv
-            for a_prev in a_list:
-                chain = _sym_exp_ad(a_prev, chain, cap, stol)
-            chain = _sym_exp_ad(a_sym, chain, cap, stol)
-            g_next = _sym_add(g_next, chain)
-        correction = _sym_comm(a_sym, _sym_phi_ad(a_sym, rhs, cap, stol), cap)
-        g_next = _sym_add(g_next, correction)
-        delta_g = _sym_add(g_next, g, -1.0)
+        w_sym, g_next, c = _kam_step(a_sym, n_grid, w_sym, g, v_s(s + 1) - v_s(s), rhs, c, k0_gaps)
+        delta_g = g_next - g
         g = g_next
-        a_list.append(a_sym)
-
-        # advance W and the conjugated operator: for X = K_0 + c,
-        # e^A X e^{-A} = K_0 + exp(ad_A) c + sum_{n>=1} ad_A^{n-1} B / n!
-        # with B = ad_A K_0 = -ad_{K_0} A.
-        w_sym = _sym_mul(_sym_exp(a_sym, ell, cap, stol), w_sym, cap)
-        b = _sym_scale(_ad_k0(space, a_sym), -1.0)
-        c_new = _sym_exp_ad(a_sym, c, cap, stol)
-        term = b
-        c_new = _sym_add(c_new, term)
-        scale = max(1.0, _sym_fro(b))
-        for n in range(2, _SERIES_MAX_TERMS):
-            term = _sym_scale(_sym_comm(a_sym, term, cap), 1.0 / n)
-            if not term:
-                break
-            c_new = _sym_add(c_new, term)
-            if _sym_fro(term) < stol * scale:
-                break
-        c = c_new
 
     raise NumericError("kam_iterate exited its loop without a result")
 
@@ -899,7 +868,7 @@ def reconstruct_propagator(
         g_level = g_inf[ctr : ctr + ell, ctr : ctr + ell]
     else:
         raise ValueError(f"g_inf has unsupported shape {g_inf.shape}")
-    g_level = _sym_block_diag(space, 0.5 * (g_level + g_level.conj().T))
+    g_level = _block_diag(space, 0.5 * (g_level + g_level.conj().T))
     h_eff = np.diag(space.h_expanded).astype(complex) + g_level
     core = matrix_exp(-1j * (float(t) - float(s)) * h_eff)
     u = _w_at(space, w_blocks, t).conj().T @ core @ _w_at(space, w_blocks, s)

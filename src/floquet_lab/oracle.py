@@ -17,7 +17,9 @@ every step generator, for either scheme, is c H_omega + g x with real c
 and g, a real symmetric tridiagonal matrix.  A segment evaluates the drive
 once, vectorised over all its nodes, and each exponential is formed from
 its diagonal and off-diagonal by core_fock.exp_tridiagonal; no dense H(t)
-is built.  propagate_generic keeps stepping any Hamiltonian given as a
+is built.  A segment whose step phase h max|f(t_j)| ||x|| reaches
+1/eps = 2^52 raises NumericError: at that size no digit of the phase
+survives.  propagate_generic keeps stepping any Hamiltonian given as a
 dense matrix builder, through matrix_exp.
 
 Stepping happens at the padded dimension; trims are applied only at the
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .core_fock import (
     OscillatorParams,
@@ -163,9 +166,21 @@ class PeriodStepper:
             mix = ((_CF4_A2, _CF4_A1), (_CF4_A1, _CF4_A2))
         f = eval_drive(self.spec, np.concatenate(nodes)).reshape(len(nodes), n_steps)
         x_off = x_off_diagonal(self.params.omega, self.dim)
+        f_max = float(np.abs(f).max())
         # f(t) x must stay finite; the negated comparison also catches NaN
-        if not np.abs(f).max() <= np.finfo(float).max / x_off[-1]:
+        if not f_max <= np.finfo(float).max / x_off[-1]:
             raise NumericError("H(t) = H_omega + f(t) x contains NaN or Inf at a step node")
+        # a step phase of 1/eps = 2^52 rad or more keeps no digit of exp(-i h f x)
+        top = self.dim - 1
+        x_norm = scipy.linalg.eigvalsh_tridiagonal(
+            np.zeros(self.dim), x_off, select="i", select_range=(top, top)
+        )[0]
+        phase = abs(h) * f_max * float(x_norm)
+        if phase >= 1.0 / np.finfo(float).eps:
+            raise NumericError(
+                f"oracle step phase h max|f| ||x|| = {phase:.3e} reaches 2^52: "
+                "no digit of a step exponential survives"
+            )
         diag = (h * sum(mix[0])) * number_basis_energies(self.params.omega, self.dim)
         u = np.eye(self.dim, dtype=complex)
         for gs in ((h * np.asarray(mix)) @ f).T:

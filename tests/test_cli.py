@@ -1,9 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from test_acceptance import _run_cli
 
+from floquet_lab import NumericError, cli
 from floquet_lab.cli import main, shipped_config_path
 
 
@@ -201,6 +204,62 @@ def test_stability_huge_drive_exits_numeric(tmp_path, capsys):
     assert rc == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NumericError"
+
+
+def test_oracle_step_phase_limit_exits_numeric(tmp_path, capsys):
+    """A finite drive whose oracle step phase passes 2^52 rad: exit 4."""
+    cfg = _write_config(tmp_path / "huge.json", amplitude=1e306)
+    rc = main(["propagate", cfg, "--t", "5.0", "--form", "oracle",
+               "--out", str(tmp_path / "u.json")])
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NumericError"
+    assert "step phase" in err["error"]["message"]
+
+
+class TestErrorStream:
+    """A failing run leaves exactly one JSON document on stderr; warnings
+    raised on the way are listed inside it. Other runs print warnings as usual."""
+
+    def test_numpy_warnings_fold_into_the_error(self, tmp_path):
+        # numpy overflows in the closed-form kernels before the typed failure
+        cfg = _write_config(tmp_path / "huge.json", amplitude=1e200)
+        r = _run_cli(["propagate", cfg, "--t", "2.5", "--form", "factored",
+                              "--out", str(tmp_path / "u.json")], tmp_path)
+        assert r.returncode == 4
+        assert r.stderr.count(b"\n") == 1
+        err = json.loads(r.stderr)["error"]
+        assert err["type"] == "NumericError"
+        assert any(w.startswith("RuntimeWarning: overflow") for w in err["warnings"])
+
+    def test_success_keeps_its_stderr(self, small_config, tmp_path):
+        r = _run_cli(["propagate", small_config, "--t", "1.0",
+                              "--out", str(tmp_path / "u.json")], tmp_path)
+        assert r.returncode == 0
+        assert r.stderr == b""
+
+    def _warn_then(self, monkeypatch, outcome):
+        def command(args):
+            warnings.warn("held back", RuntimeWarning)
+            return outcome()
+        monkeypatch.setattr(cli, "cmd_verify", command)
+
+    def test_warning_of_a_successful_run_is_printed(self, monkeypatch, capsys):
+        self._warn_then(monkeypatch, lambda: 0)
+        with pytest.warns(RuntimeWarning, match="held back"):
+            assert main(["verify"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_warning_of_a_failed_run_is_in_the_error(self, monkeypatch, capsys):
+        def fail():
+            raise NumericError("boom")
+        self._warn_then(monkeypatch, fail)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["verify"]) == 4
+        assert seen == []
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["warnings"] == ["RuntimeWarning: held back"]
 
 
 class TestResonanceScan:

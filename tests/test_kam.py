@@ -22,6 +22,7 @@ from floquet_lab import (
     solve_homological,
     weighted_block_norm,
 )
+from floquet_lab import kam
 from floquet_lab.kam import history_to_jsonl, problem_to_json_dict
 from floquet_lab.oracle import propagate_generic
 
@@ -394,6 +395,25 @@ class TestPropagator:
         u2 = golden_result.propagator(0.4, 0.1).entries
         assert np.allclose(u1, u2, atol=1e-14)
 
+    def test_perturbation_band_wider_than_the_cap(self):
+        """Blocks of V beyond band_cap_factor * k_max widen the symbols instead
+        of dropping out: the propagator still matches direct integration."""
+        sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=GOLDEN)
+        v = BlockPerturbation(
+            blocks={
+                (1, 0, 1): np.array([[0.003]]),
+                (-1, 1, 0): np.array([[0.003]]),
+                (9, 0, 1): np.array([[0.002j]]),
+                (-9, 1, 0): np.array([[-0.002j]]),
+            }
+        )
+        res = kam_iterate(sp, v, KamConfig(band_cap_factor=2))
+        assert res.converged
+        assert max(res.w_blocks) >= 9
+        t = 2 * math.pi / sp.omega
+        u_ref = propagate_generic(lambda tt: level_hamiltonian(sp, v, tt), sp.level_dim, 0.0, t, 600)
+        assert np.linalg.norm(res.propagator(t, 0.0).entries - u_ref, 2) <= 1e-6
+
 
 class TestSerialization:
     def test_problem_round_trip(self, space, rough_v):
@@ -414,3 +434,165 @@ class TestSerialization:
         for i, row in enumerate(lines):
             assert row["s"] == i
             assert "offdiag_residual" in row and "conj_residual" in row
+
+
+def _capped_product(a, b):
+    """Direct convolution of two (2 cap + 1, L, L) symbols, kept on |q| <= cap."""
+    cap = (len(a) - 1) // 2
+    out = np.zeros_like(a, dtype=complex)
+    nonzero_b = [qb for qb in range(-cap, cap + 1) if np.any(b[qb + cap])]
+    for qa in range(-cap, cap + 1):
+        if not np.any(a[qa + cap]):
+            continue
+        for qb in nonzero_b:
+            if abs(qa + qb) <= cap:
+                out[qa + qb + cap] += a[qa + cap] @ b[qb + cap]
+    return out
+
+
+def _random_array_symbol(rng, cap, ell, band=None, scale=1.0):
+    band = cap if band is None else band
+    sym = np.zeros((2 * cap + 1, ell, ell), dtype=complex)
+    sym[cap - band : cap + band + 1] = scale * (
+        rng.normal(size=(2 * band + 1, ell, ell)) + 1j * rng.normal(size=(2 * band + 1, ell, ell))
+    )
+    return sym
+
+
+def _anti_hermitian(sym):
+    """(S - S^+) / 2 as a total operator: (S^+)_q = (S_{-q})^+."""
+    return 0.5 * (sym - sym[::-1].conj().transpose(0, 2, 1))
+
+
+class TestArraySymbols:
+    """The theta-grid core against direct Fourier-block arithmetic."""
+
+    @pytest.mark.parametrize("cap", [1, 4, 9, 48])
+    def test_grid_product_is_the_capped_convolution(self, cap):
+        rng = np.random.default_rng(cap)
+        a, b = (_random_array_symbol(rng, cap, 3) for _ in range(2))
+        ref = _capped_product(a, b)
+        tol = 1e-15 * np.abs(ref).max()
+        for n_grid in (3 * cap + 1, kam._grid_size(cap)):
+            grid = kam._from_grid(kam._to_grid(a, n_grid) @ kam._to_grid(b, n_grid), cap)
+            assert np.abs(grid - ref).max() <= tol
+            assert np.abs(grid[[0, -1]] - ref[[0, -1]]).max() <= tol  # |q| = cap
+        # one point fewer aliases the product's |q| = 2 cap tail onto q = -+cap
+        short = kam._from_grid(kam._to_grid(a, 3 * cap) @ kam._to_grid(b, 3 * cap), cap)
+        assert np.abs(short[0] - ref[0]).max() > 1e3 * tol
+
+    def test_array_dict_round_trip(self, space):
+        sym = _random_symbol(space, np.random.default_rng(4), [-3, 0, 2, 5])
+        arr = kam._as_array(sym, 6, space.level_dim)
+        back = kam._as_dict(arr)
+        assert list(back) == [-3, 0, 2, 5]
+        for q, blk in sym.items():
+            assert np.array_equal(back[q], blk)
+
+    def test_materialize_is_block_toeplitz(self, space):
+        cap = 2 * space.k_max
+        arr = _random_array_symbol(np.random.default_rng(8), cap, space.level_dim)
+        dense = kam._materialize(space, arr)
+        ell, nk = space.level_dim, 2 * space.k_max + 1
+        for k1 in range(nk):
+            for k2 in range(nk):
+                blk = dense[k1 * ell : (k1 + 1) * ell, k2 * ell : (k2 + 1) * ell]
+                assert np.array_equal(blk, arr[k1 - k2 + cap])
+        # offsets beyond a smaller cap are zero
+        small = kam._materialize(space, arr[cap - 3 : cap + 4])
+        assert not np.any(small[: ell, 4 * ell : 5 * ell])
+        assert np.array_equal(small[: ell, 3 * ell : 4 * ell], arr[cap - 3])
+
+
+class TestPointwiseAd:
+    """exp(ad_A), E1(ad_A) and ad_A Phi(ad_A) applied pointwise in theta
+    against their power series on Fourier blocks.
+
+    A and X have |q| <= 1 and ||ad_A|| < 0.9, so 24 series terms reach
+    1e-20; the series run on a cap of 26, where no product is truncated,
+    and are cut back to the working cap at the end, so they give the
+    exact Fourier blocks of the true operators.
+    """
+
+    CAP, WIDE, ELL, TERMS = 12, 26, 4, 24
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(21)
+        a = _anti_hermitian(_random_array_symbol(rng, self.WIDE, self.ELL, band=1, scale=0.08))
+        x = _random_array_symbol(rng, self.WIDE, self.ELL, band=1)
+        return a, x
+
+    def _series(self, a, x, coeff):
+        """sum_n coeff(n) ad_A^n X on the wide cap."""
+        acc = coeff(0) * x
+        term = x
+        for n in range(1, self.TERMS):
+            term = _capped_product(a, term) - _capped_product(term, a)
+            acc = acc + coeff(n) * term
+        return acc
+
+    def _narrow(self, sym):
+        return sym[self.WIDE - self.CAP : self.WIDE + self.CAP + 1]
+
+    @pytest.mark.parametrize(
+        "factor, coeff",
+        [
+            (lambda ad: ad.exp, lambda n: 1 / math.factorial(n)),
+            (lambda ad: ad.e1, lambda n: 1 / math.factorial(n + 1)),
+            (lambda ad: ad.exp - ad.e1, lambda n: n / math.factorial(n + 1)),
+        ],
+        ids=["exp", "E1", "ad_Phi"],
+    )
+    def test_against_power_series(self, pair, factor, coeff):
+        a, x = pair
+        spread = np.abs(np.linalg.eigvalsh(1j * kam._to_grid(a, 64))).max()
+        assert 0.2 < spread < 0.45  # ||ad_A|| <= 2 spread
+        ad = kam._PointwiseAd(self._narrow(a), kam._grid_size(self.CAP))
+        got = ad.apply((factor(ad), self._narrow(x)))
+        ref = self._narrow(self._series(a, x, coeff))
+        assert np.abs(ref).max() > 0.1
+        assert np.abs(got - ref).max() <= 1e-14
+
+    def test_exp_step(self, pair):
+        """W = 1 + (e^A - 1) 1 is unitary on the grid and its blocks are
+        those of the exponential series of A."""
+        a, _ = pair
+        n_grid = kam._grid_size(self.CAP)
+        ad = kam._PointwiseAd(self._narrow(a), n_grid)
+        eye = np.broadcast_to(np.eye(self.ELL, dtype=complex), (n_grid, self.ELL, self.ELL))
+        w = eye + ad.expm1_times(eye)
+        assert np.abs(w @ w.conj().transpose(0, 2, 1) - eye).max() <= 1e-15
+        term = np.zeros_like(a)
+        term[self.WIDE] = np.eye(self.ELL)
+        exp_a = term.copy()
+        for n in range(1, self.TERMS):
+            term = _capped_product(a, term) / n
+            exp_a = exp_a + term
+        assert np.abs(kam._from_grid(w, self.CAP) - self._narrow(exp_a)).max() <= 1e-15
+
+
+class TestPinnedGolden:
+    """kam_golden and kam_resonant against the values the dict-and-series
+    engine printed before the array core replaced it."""
+
+    G_DIAG = (5.169917173119521e-08, -1.766725487897953e-05, -1.050776979265276e-06,
+              -6.823197454573142e-05)
+
+    def test_golden(self):
+        from floquet_lab.cli import shipped_config_path
+        space, v, config = load_problem(json.loads(open(shipped_config_path("kam_golden.json")).read()))
+        res = kam_iterate(space, v, config)
+        assert res.status == "converged" and res.iterations == 2
+        assert res.message == "off-diagonal residual 1.777e-15 below tol after 2 iterations"
+        assert np.allclose(res.g_level, np.diag(self.G_DIAG), rtol=1e-12, atol=1e-20)
+        assert res.w_weighted_norm == pytest.approx(1.0021580460579997, rel=1e-12)
+        assert len(res.w_blocks) == 2 * 6 * space.k_max + 1
+
+    def test_resonant_abort_pair(self):
+        from floquet_lab.cli import shipped_config_path
+        space, v, config = load_problem(json.loads(open(shipped_config_path("kam_resonant.json")).read()))
+        res = kam_iterate(space, v, config)
+        assert res.status == "small_denominator_abort"
+        assert list(res.abort_pair) == [-1, 1, 0]
+        assert res.abort_gap == 0.0

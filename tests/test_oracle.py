@@ -13,6 +13,7 @@ from floquet_lab import (
     integrate,
     propagator_factored,
 )
+from floquet_lab.core_fock import xp_operators
 from floquet_lab.oracle import hamiltonian_at, propagate_generic
 
 OMEGA = 1.0
@@ -157,6 +158,45 @@ class TestNonFiniteDrive:
         monkeypatch.setattr(oracle, "eval_drive", lambda spec, t: np.full(np.shape(t), np.nan))
         with pytest.raises(NumericError):
             integrate(SPEC, PARAMS, TRUNC, 1.0, 0.0, steps_per_period=32)
+
+
+class TestStepPhaseLimit:
+    """A step phase h max|f(t_j)| ||x|| of 2^52 or more keeps no digit of
+    the step exponential: NumericError, however finite the drive is."""
+
+    LIMIT = 2.0**52
+
+    def _amplitude(self, phase: float, steps: int) -> float:
+        """Sine amplitude whose full-period segment has about this phase."""
+        x, _ = xp_operators(OMEGA, TRUNC.dim)
+        x_norm = float(np.abs(np.linalg.eigvalsh(x)).max())
+        return phase / ((T_DRIVE / steps) * x_norm)
+
+    def test_segment_at_and_below_the_limit(self):
+        # max |f| over the step nodes is within 1% of the amplitude, so the
+        # two segments have phases of about 2^53 and 2^50
+        raised = PeriodStepper(
+            DriveSpec.sine(T_DRIVE, amplitude=self._amplitude(2 * self.LIMIT, 32)),
+            PARAMS, TRUNC, steps_per_period=32,
+        )
+        with pytest.raises(NumericError, match="2\\^52"):
+            raised.segment(0.0, T_DRIVE)
+        kept = PeriodStepper(
+            DriveSpec.sine(T_DRIVE, amplitude=self._amplitude(0.25 * self.LIMIT, 32)),
+            PARAMS, TRUNC, steps_per_period=32,
+        )
+        assert np.all(np.isfinite(kept.segment(0.0, T_DRIVE)))
+
+    @pytest.mark.parametrize("scheme", ["cf4", "midpoint"])
+    def test_integrate(self, scheme):
+        spec = DriveSpec.sine(T_DRIVE, amplitude=1e306)
+        with pytest.raises(NumericError, match="step phase"):
+            integrate(spec, PARAMS, TRUNC, 5.0, 0.0, steps_per_period=32, scheme=scheme)
+
+    def test_evolve_state(self):
+        spec = DriveSpec.sine(T_DRIVE, amplitude=1e306)
+        with pytest.raises(NumericError, match="step phase"):
+            evolve_state(spec, PARAMS, TRUNC, np.array([1.0 + 0j]), [0.0, 5.0], steps_per_period=32)
 
 
 class TestEvolveState:
