@@ -288,6 +288,8 @@ def sup_xn_norm(
     Periodicity of the Floquet construction reduces the sup over the
     whole plane to one period square.
     """
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     big_t = params.period_T
     taus = np.linspace(0.0, big_t, grid_points, endpoint=False)
     sup = 0.0
@@ -354,6 +356,8 @@ def higher_order_bound_check(
     """
     if not 1 <= p <= 4:
         raise ValueError("p is limited to 1..4 at desk scale")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     lo1, hi1 = float(interval_1[0]), float(interval_1[1])
     lo2, hi2 = float(interval_2[0]), float(interval_2[1])
     if not (lo1 <= hi1 and lo2 <= hi2):

@@ -36,6 +36,7 @@ exact time derivatives F1', F2', Phi' needed by the Floquet generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -463,13 +464,32 @@ def _p123(u: float) -> tuple[float, float, float]:
     )
 
 
+# Distinct (spec, params) pairs whose monodromy scalars stay memoized.
+_MONODROMY_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_MONODROMY_CACHE_SIZE)
 def _monodromy_scalars(spec: DriveSpec, params: OscillatorParams) -> MuNuSigma:
+    """mu_nu_sigma(T, 0), memoized on the frozen (spec, params).
+
+    Errors are not cached: a resonant period or a failed quadrature raises
+    again on every call.
+    """
     if is_resonant_period(params):
         raise ResonanceError(
             f"period_T = {params.period_T} is an integer multiple of 2 pi/omega; "
             "the non-resonant Floquet construction does not apply"
         )
     return mu_nu_sigma(spec, params, params.period_T, 0.0)
+
+
+def _xi_eta(mns: MuNuSigma, w: float, u: float) -> tuple[float, float]:
+    """xi and eta at phase u = omega t: the monodromy data rotated at omega."""
+    sin_u = math.sin(u)
+    cos_u = math.cos(u)
+    xi = (sin_u * mns.mu - (1.0 - cos_u) * mns.nu) / (w * mns.delta)
+    eta = ((1.0 - cos_u) * mns.mu + sin_u * mns.nu) / (w * mns.delta)
+    return xi, eta
 
 
 def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> FloquetScalars:
@@ -487,10 +507,7 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     mu_t, nu_t, sigma_t, n_t, delta = mns.mu, mns.nu, mns.sigma, mns.whole_periods, mns.delta
 
     u = w * t
-    sin_u = math.sin(u)
-    cos_u = math.cos(u)
-    xi = (sin_u * mu_t - (1.0 - cos_u) * nu_t) / (w * delta)
-    eta = ((1.0 - cos_u) * mu_t + sin_u * nu_t) / (w * delta)
+    xi, eta = _xi_eta(mns, w, u)
     q1, q2, q3 = _p123(u)
     phi = -(q1 * mu_t * mu_t + q2 * mu_t * nu_t + q3 * nu_t * nu_t) / (4.0 * w**3 * delta**2)
 
@@ -502,8 +519,9 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     return FloquetScalars(xi=xi, eta=eta, phi=phi, f1=f1, f2=f2, big_phi=big_phi)
 
 
-def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float]:
-    """(F1', F2', Phi') at time t, exact for Fourier drives."""
+def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float, float]:
+    """(F1, F1', F2', Phi') at time t: all that S_F(t) needs, from one
+    phi12(t, 0) and no psi quadrature."""
     _require_fourier(spec, "floquet_scalar_derivs")
     t = float(t)
     w = params.omega
@@ -514,6 +532,7 @@ def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -
     u = w * t
     sin_u = math.sin(u)
     cos_u = math.cos(u)
+    xi, eta = _xi_eta(mns, w, u)
     xi_dot = (cos_u * mu_t - sin_u * nu_t) / delta
     eta_dot = (sin_u * mu_t + cos_u * nu_t) / delta
     # d/du of the three polynomials in phi
@@ -523,7 +542,6 @@ def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -
     phi_dot = -(q1d * mu_t * mu_t + q2d * mu_t * nu_t + q3d * nu_t * nu_t) / (4.0 * w**2 * delta**2)
 
     p1, p2 = phi12(spec, params, t, 0.0)
-    eta = ((1.0 - cos_u) * mu_t + sin_u * nu_t) / (w * delta)
     ft = eval_drive(spec, t)
     f1_dot = w * p1 - xi_dot
     f2_dot = w * p2 - ft - eta_dot
@@ -532,7 +550,12 @@ def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -
     big_phi_dot = (
         -psi_dot + phi_dot - sigma_t / big_t + rot - (w * p1 * eta + p2 * eta_dot) / w
     )
-    return f1_dot, f2_dot, big_phi_dot
+    return p2 - xi, f1_dot, f2_dot, big_phi_dot
+
+
+def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float]:
+    """(F1', F2', Phi') at time t, exact for Fourier drives."""
+    return _sf_scalars(spec, params, t)[1:]
 
 
 def fourier_coefficient(spec: DriveSpec, k: int) -> complex:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .core_fock import (
 from .drive_model import (
     DriveSpec,
     _monodromy_scalars,
+    _sf_scalars,
     eval_drive,
-    floquet_scalar_derivs,
     floquet_scalars,
     fourier_coefficient,
     is_resonant_period,
@@ -87,6 +87,10 @@ _BLOCK_NOTE = (
 )
 
 _IDENTITY_COEFF_TOL = 1e-12
+
+# S_F matrices per batched norm call in _sup_sf_norm; bounds the stack's memory
+# (2.4 MB at n_keep 48).
+_SF_NORM_BATCH = 64
 
 
 class Classification(str, Enum):
@@ -166,18 +170,24 @@ def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
-def _sf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
+def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
+    """S_F at each time in ts, in order, sharing one x and p."""
     if not spec.is_fourier:
         raise UnsupportedDriveError(
             "S_F needs exact scalar derivatives, available only for Fourier drives"
         )
-    fs = floquet_scalars(spec, params, t)
-    d1, d2, dphi = floquet_scalar_derivs(spec, params, t)
     omega = params.omega
     x, p = xp_operators(omega, dim)
-    out = -(d1 / omega) * p - d2 * x
-    out += (fs.f1 * d2 / omega - dphi) * np.eye(dim)
-    return out
+    eye = np.eye(dim)
+    for t in ts:
+        f1, d1, d2, dphi = _sf_scalars(spec, params, t)
+        out = -(d1 / omega) * p - d2 * x
+        out += (f1 * d2 / omega - dphi) * eye
+        yield out
+
+
+def _sf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
+    return next(_sf_matrices(spec, params, (t,), dim))
 
 
 def build_SF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float) -> TruncatedOperator:
@@ -190,59 +200,28 @@ def build_SF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
 class FloquetData:
     """Assembled Floquet decomposition for one drive configuration.
 
-    The operator-valued callables return kept-block TruncatedOperators;
-    scalar callables return floats. Construct via floquet_data().
+    The callables return kept-block TruncatedOperators; the scalars behind
+    them are floquet_scalars and floquet_scalar_derivs. Construct via
+    floquet_data().
     """
 
     h_f: TruncatedOperator
     u_f_at: Callable[[float], TruncatedOperator]
     s_f_at: Callable[[float], TruncatedOperator]
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    phi: Callable[[float], float]
-    f1_deriv: Callable[[float], float]
-    f2_deriv: Callable[[float], float]
-    phi_deriv: Callable[[float], float]
     classification: Classification
 
 
 def floquet_data(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> FloquetData:
-    """Bundle H_F, U_F, S_F and the scalar functions for one drive.
+    """Bundle H_F, U_F and S_F for one drive.
 
     Raises a resonance error for resonant periods; use classify_monodromy
     alone in that regime.
     """
     classification = classify_monodromy(spec, params)
-    h_f = build_HF(spec, params, trunc)
-
-    def f1(t: float) -> float:
-        return floquet_scalars(spec, params, t).f1
-
-    def f2(t: float) -> float:
-        return floquet_scalars(spec, params, t).f2
-
-    def phi(t: float) -> float:
-        return floquet_scalars(spec, params, t).big_phi
-
-    def f1_deriv(t: float) -> float:
-        return floquet_scalar_derivs(spec, params, t)[0]
-
-    def f2_deriv(t: float) -> float:
-        return floquet_scalar_derivs(spec, params, t)[1]
-
-    def phi_deriv(t: float) -> float:
-        return floquet_scalar_derivs(spec, params, t)[2]
-
     return FloquetData(
-        h_f=h_f,
+        h_f=build_HF(spec, params, trunc),
         u_f_at=lambda t: build_UF(spec, params, trunc, t),
         s_f_at=lambda t: build_SF(spec, params, trunc, t),
-        f1=f1,
-        f2=f2,
-        phi=phi,
-        f1_deriv=f1_deriv,
-        f2_deriv=f2_deriv,
-        phi_deriv=phi_deriv,
         classification=classification,
     )
 
@@ -263,6 +242,8 @@ def energy_bound_constant(
     Evaluated on the kept/2 block; the sup runs over sup_samples points of
     one period. Finite for every normalized psi supported there.
     """
+    if sup_samples < 1:
+        raise ValueError(f"sup_samples must be >= 1, got {sup_samples}")
     m = trunc.n_keep // 2
     psi = np.zeros(m, dtype=complex)
     src = np.asarray(psi0, dtype=complex).ravel()
@@ -271,10 +252,9 @@ def energy_bound_constant(
     hf = _hf_matrix(spec, params, m)
     shifted = hf + 1j * np.eye(m)
     inv_shifted = np.linalg.inv(shifted)
+    taus = [j * params.period_T / max(1, sup_samples - 1) for j in range(sup_samples)]
     sup = 0.0
-    for j in range(sup_samples):
-        tau = j * params.period_T / max(1, sup_samples - 1)
-        s_blk = _sf_matrix(spec, params, tau, m)
+    for s_blk in _sf_matrices(spec, params, taus, m):
         sup = max(sup, float(np.linalg.norm(s_blk @ inv_shifted, 2)))
     return float(np.linalg.norm(hf @ psi) + sup * np.linalg.norm(shifted @ psi))
 
@@ -479,10 +459,16 @@ class TransitionBoundReport:
 
 
 def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, samples: int = 64) -> float:
+    """max ||S_F(tau)|| over samples uniform points of one period, kept block."""
+    taus = [j * params.period_T / samples for j in range(samples)]
+    n = trunc.n_keep
+    stack = np.empty((min(samples, _SF_NORM_BATCH), n, n), dtype=complex)
     sup = 0.0
-    for j in range(samples):
-        tau = j * params.period_T / samples
-        sup = max(sup, float(np.linalg.norm(_sf_matrix(spec, params, tau, trunc.n_keep), 2)))
+    for lo in range(0, samples, _SF_NORM_BATCH):
+        batch = taus[lo : lo + _SF_NORM_BATCH]
+        for i, s_f in enumerate(_sf_matrices(spec, params, batch, n)):
+            stack[i] = s_f
+        sup = max(sup, *np.linalg.norm(stack[: len(batch)], 2, axis=(-2, -1)).tolist())
     return sup
 
 
@@ -503,6 +489,8 @@ def transition_bound_check(
     ||P1 U P2|| against 2 sup_tau ||S_F(tau)|| / dist.
     """
     _check_periods(spec, params)
+    if sf_samples < 1:
+        raise ValueError(f"sf_samples must be >= 1, got {sf_samples}")
     lo1, hi1 = float(interval_1[0]), float(interval_1[1])
     lo2, hi2 = float(interval_2[0]), float(interval_2[1])
     if not (lo1 <= hi1 and lo2 <= hi2):

@@ -222,6 +222,15 @@ class TestHigherOrderBound:
                 SPEC, PARAMS, TRUNC, 0, 1.0, 0.0, self.IV1, self.IV2, c_p=1.0
             )
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_grid_points_must_be_positive(self, count):
+        with pytest.raises(ValueError, match="grid_points"):
+            higher_order_bound_check(
+                SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, self.IV1, self.IV2, grid_points=count
+            )
+        with pytest.raises(ValueError, match="grid_points"):
+            sup_xn_norm(SPEC, PARAMS, TRUNC, 1, grid_points=count)
+
     def test_json_payload(self):
         report = higher_order_bound_check(
             SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, self.IV1, self.IV2, c_p=3.0

@@ -7,11 +7,14 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import floquet_lab
 from floquet_lab import (
     DriveSpec,
+    IntegrationError,
     OscillatorParams,
     ResonanceError,
     ResonantTimeError,
+    Truncation,
     eval_drive,
     floquet_scalar_derivs,
     floquet_scalars,
@@ -21,7 +24,9 @@ from floquet_lab import (
     phi12,
     psi,
     split_elapsed,
+    transition_bound_check,
 )
+from floquet_lab import drive_model
 
 T0 = 2 * math.pi * math.sqrt(2)
 
@@ -194,6 +199,58 @@ class TestFloquetScalars:
         spec = DriveSpec.sine(2 * math.pi, amplitude=0.1)
         with pytest.raises(ResonanceError):
             floquet_scalars(spec, OscillatorParams(omega=1.0, period_T=2 * math.pi), 0.5)
+
+
+class TestMonodromyMemo:
+    """The monodromy scalars are computed once per (spec, params); failures
+    are raised again on every call."""
+
+    params = OscillatorParams(omega=1.0, period_T=2 * math.pi * 1.37)
+
+    def _count_mu_nu_sigma(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return mu_nu_sigma(*args)
+
+        for mod in vars(floquet_lab).values():
+            if getattr(mod, "mu_nu_sigma", None) is mu_nu_sigma:
+                monkeypatch.setattr(mod, "mu_nu_sigma", counted)
+        return calls
+
+    def test_one_monodromy_per_transition_bound(self, monkeypatch):
+        spec = DriveSpec.sine(self.params.period_T, 0.05)
+        calls = self._count_mu_nu_sigma(monkeypatch)
+        drive_model._monodromy_scalars.cache_clear()
+        transition_bound_check(spec, self.params, Truncation(n_keep=32), 2.0, 0.5, (0.0, 1.2), (2.3, 3.6))
+        assert (self.params.period_T, 0.0) in calls
+        assert len(calls) <= 2
+        again = len(calls)
+        floquet_scalars(spec, self.params, 1.0)
+        floquet_scalar_derivs(spec, self.params, 1.0)
+        assert len(calls) == again
+
+    def test_resonance_error_is_not_cached(self):
+        spec = DriveSpec.sine(2 * math.pi, amplitude=0.1)
+        resonant = OscillatorParams(omega=1.0, period_T=2 * math.pi)
+        drive_model._monodromy_scalars.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ResonanceError):
+                floquet_scalars(spec, resonant, 0.5)
+        assert drive_model._monodromy_scalars.cache_info().currsize == 0
+
+    def test_integration_error_is_not_cached(self, monkeypatch):
+        period = self.params.period_T
+        ts = np.linspace(0.0, period, 32, endpoint=False)
+        sampled = DriveSpec.from_samples(period, ts, eval_drive(DriveSpec.sine(period, 0.05), ts))
+        calls = self._count_mu_nu_sigma(monkeypatch)
+        drive_model._monodromy_scalars.cache_clear()
+        for _ in range(2):
+            with pytest.raises(IntegrationError):
+                floquet_scalars(sampled, self.params, 0.5)
+        assert len(calls) == 2
+        assert drive_model._monodromy_scalars.cache_info().currsize == 0
 
 
 class TestMuNuSigma:

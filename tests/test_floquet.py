@@ -21,6 +21,10 @@ from floquet_lab import (
     classify_monodromy,
     energy_bound_constant,
     floquet_data,
+    floquet_scalar_derivs,
+    floquet_scalars,
+    hamiltonian_at,
+    higher_order_bound_check,
     matrix_exp,
     propagator_factored,
     solve_sylvester_separated,
@@ -28,6 +32,8 @@ from floquet_lab import (
     stability_scan,
     transition_bound_check,
 )
+from floquet_lab.core_fock import xp_operators
+from floquet_lab.floquet import _sup_sf_norm
 
 P12 = 13  # projector onto the lowest 13 number states
 
@@ -154,16 +160,20 @@ class TestDecomposition:
     def test_bundle(self, drive_nonres, params_nonres, trunc48):
         data = floquet_data(drive_nonres, params_nonres, trunc48)
         assert data.classification is Classification.NON_RESONANT
-        assert data.f1(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert data.f2(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert data.phi(0.0) == pytest.approx(0.0, abs=1e-12)
+        sc = floquet_scalars(drive_nonres, params_nonres, 0.0)
+        assert sc.f1 == pytest.approx(0.0, abs=1e-12)
+        assert sc.f2 == pytest.approx(0.0, abs=1e-12)
+        assert sc.big_phi == pytest.approx(0.0, abs=1e-12)
         u = data.u_f_at(0.5).entries
         assert u.shape == (trunc48.n_keep, trunc48.n_keep)
-        # derivative callables agree with central differences of the scalars
+        # the derivatives agree with central differences of the scalars
         eps = 1e-6
-        for f, df in ((data.f1, data.f1_deriv), (data.f2, data.f2_deriv), (data.phi, data.phi_deriv)):
-            num = (f(1.0 + eps) - f(1.0 - eps)) / (2 * eps)
-            assert df(1.0) == pytest.approx(num, abs=1e-6)
+        sp = floquet_scalars(drive_nonres, params_nonres, 1.0 + eps)
+        sm = floquet_scalars(drive_nonres, params_nonres, 1.0 - eps)
+        derivs = floquet_scalar_derivs(drive_nonres, params_nonres, 1.0)
+        for name, d in zip(("f1", "f2", "big_phi"), derivs):
+            num = (getattr(sp, name) - getattr(sm, name)) / (2 * eps)
+            assert d == pytest.approx(num, abs=1e-6)
 
 
 class TestResonantMonodromy:
@@ -269,6 +279,146 @@ class TestTransitionBound:
         d = report.to_json_dict()
         assert d["ok"] and d["pair_ok"]
         assert len(d["pairs"]) == report.pair_lhs.size
+
+
+def _reference_sf(spec, params, t, dim):
+    """S_F(t) assembled per time from the public scalars: F1 from
+    floquet_scalars, F1', F2', Phi' from floquet_scalar_derivs."""
+    omega = params.omega
+    f1 = floquet_scalars(spec, params, t).f1
+    d1, d2, dphi = floquet_scalar_derivs(spec, params, t)
+    x, p = xp_operators(omega, dim)
+    out = -(d1 / omega) * p - d2 * x
+    out += (f1 * d2 / omega - dphi) * np.eye(dim)
+    return out
+
+
+def _reference_sup_sf(spec, params, dim, samples=64):
+    """max ||S_F(tau)|| with one spectral norm per sampled matrix."""
+    sup = 0.0
+    for j in range(samples):
+        tau = j * params.period_T / samples
+        sup = max(sup, float(np.linalg.norm(_reference_sf(spec, params, tau, dim), 2)))
+    return sup
+
+
+def _sf_case(harmonics, ratio, omega=1.0):
+    """A Fourier drive with the given number of harmonics and
+    T = ratio * 2 pi / omega."""
+    period = 2 * math.pi * ratio / omega
+    coeffs = {}
+    for k in range(1, harmonics + 1):
+        c = complex(0.02 / k, -0.03 / k)
+        coeffs[k], coeffs[-k] = c, c.conjugate()
+    return DriveSpec.from_fourier(period, coeffs), OscillatorParams(omega=omega, period_T=period)
+
+
+# 1-3 harmonics; the fractional part of T/T_osc on both sides of 0.5
+SF_CASES = [(1, 1.37), (2, 2.64), (3, 1.21), (3, 2.83)]
+
+
+class TestSFAgainstReference:
+    """S_F and every bound built on it equal, bit for bit, the per-time
+    assembly from the public scalar functions."""
+
+    @pytest.fixture(params=SF_CASES, ids=lambda c: f"h{c[0]}-r{c[1]}")
+    def case(self, request):
+        return _sf_case(*request.param)
+
+    @pytest.mark.parametrize("n_keep", [32, 48])
+    def test_sf_and_sup(self, case, n_keep):
+        spec, params = case
+        trunc = Truncation(n_keep=n_keep)
+        for frac in (0.0, 0.29, 0.71):
+            t = frac * params.period_T
+            got = build_SF(spec, params, trunc, t).entries
+            assert np.array_equal(got, _reference_sf(spec, params, t, n_keep))
+        assert _sup_sf_norm(spec, params, trunc) == _reference_sup_sf(spec, params, n_keep)
+        # one partial batch, then more samples than one batched norm call takes
+        for samples in (5, 70):
+            assert _sup_sf_norm(spec, params, trunc, samples) == _reference_sup_sf(spec, params, n_keep, samples)
+
+    @pytest.mark.parametrize("n_keep", [32, 48])
+    def test_energy_bound_constant(self, case, n_keep, ground_state):
+        spec, params = case
+        trunc = Truncation(n_keep=n_keep)
+        m = n_keep // 2
+        samples = 9
+        psi = np.zeros(m, dtype=complex)
+        psi[0] = 1.0
+        hf = build_HF(spec, params, Truncation(n_keep=m)).entries
+        shifted = hf + 1j * np.eye(m)
+        inv_shifted = np.linalg.inv(shifted)
+        sup = 0.0
+        for j in range(samples):
+            s_blk = _reference_sf(spec, params, j * params.period_T / (samples - 1), m)
+            sup = max(sup, float(np.linalg.norm(s_blk @ inv_shifted, 2)))
+        expected = float(np.linalg.norm(hf @ psi) + sup * np.linalg.norm(shifted @ psi))
+        assert energy_bound_constant(spec, params, trunc, ground_state, samples) == expected
+
+    @pytest.mark.parametrize("n_keep", [32, 48])
+    def test_transition_bound_fields(self, case, n_keep):
+        spec, params = case
+        trunc = Truncation(n_keep=n_keep)
+        t, s = 0.63 * params.period_T, 0.12 * params.period_T
+        iv1, iv2 = (0.0, 1.2), (2.3, 3.6)
+        report = transition_bound_check(spec, params, trunc, t, s, iv1, iv2)
+
+        vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep))
+        vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep))
+        idx_t = np.nonzero((vals_t >= iv1[0]) & (vals_t <= iv1[1]))[0]
+        idx_s = np.nonzero((vals_s >= iv2[0]) & (vals_s <= iv2[1]))[0]
+        core = vecs_t.conj().T @ propagator_factored(spec, params, trunc, t, s).entries @ vecs_s
+        dist = iv2[0] - iv1[1]
+        lhs = float(np.linalg.norm(core[np.ix_(idx_t, idx_s)], 2))
+        sup = _reference_sup_sf(spec, params, n_keep)
+        rhs = 2.0 * sup / dist
+        pairs = [(a, b) for a in idx_t for b in idx_s]
+        pair_lhs = np.array([abs(core[a, b]) for a, b in pairs])
+        pair_rhs = np.array([2.0 * sup / abs(vals_t[a] - vals_s[b]) for a, b in pairs])
+
+        assert pairs
+        assert (report.t, report.s, report.dist) == (t, s, dist)
+        assert (report.interval_1, report.interval_2) == (iv1, iv2)
+        assert (report.lhs, report.sup_sf_norm, report.rhs) == (lhs, sup, rhs)
+        assert report.ok is (lhs <= rhs * (1.0 + 1e-6))
+        assert np.array_equal(report.pair_energies_t, np.array([vals_t[a] for a, _ in pairs]))
+        assert np.array_equal(report.pair_energies_s, np.array([vals_s[b] for _, b in pairs]))
+        assert np.array_equal(report.pair_lhs, pair_lhs)
+        assert np.array_equal(report.pair_rhs, pair_rhs)
+        assert report.pair_ok is bool(np.all(pair_lhs <= pair_rhs * (1.0 + 1e-6)))
+
+    def test_first_order_rhs(self, case):
+        spec, params = case
+        trunc = Truncation(n_keep=32)
+        dist = 2.3 - 1.2
+        report = higher_order_bound_check(
+            spec, params, trunc, 1, 0.4 * params.period_T, 0.0, (0.0, 1.2), (2.3, 3.6), c_p=1.0
+        )
+        assert report.first_order_rhs == 2.0 * _reference_sup_sf(spec, params, 32) / dist
+
+
+class TestSampleCounts:
+    """A sup over no sample points is not a bound; each count is checked."""
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_transition_bound(self, drive_nonres, params_nonres, trunc48, count):
+        with pytest.raises(ValueError, match="sf_samples"):
+            transition_bound_check(
+                drive_nonres, params_nonres, trunc48, 1.0, 0.0, (0.0, 1.2), (2.3, 3.6), sf_samples=count
+            )
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_energy_bound_constant(self, drive_nonres, params_nonres, trunc48, ground_state, count):
+        with pytest.raises(ValueError, match="sup_samples"):
+            energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state, count)
+
+    def test_one_sample_is_accepted(self, drive_nonres, params_nonres, trunc48, ground_state):
+        report = transition_bound_check(
+            drive_nonres, params_nonres, trunc48, 1.0, 0.0, (0.0, 1.2), (2.3, 3.6), sf_samples=1
+        )
+        assert report.sup_sf_norm == float(np.linalg.norm(_reference_sf(drive_nonres, params_nonres, 0.0, 48), 2))
+        assert math.isfinite(energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state, 1))
 
 
 class TestSpectralProjector:
