@@ -20,10 +20,8 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from importlib.resources import files
 
 import numpy as np
@@ -62,17 +60,6 @@ EXIT_SMALL_DENOM = 5
 EXIT_ITERATION_LIMIT = 6
 
 _HALF_NOTE = "half-block means the leading n_keep/2 rows and columns"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FLOQUET_LAB_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = min(4, os.cpu_count() or 1)
-    return cap
 
 
 def _emit_error(exc: BaseException, code: int, held: list) -> int:
@@ -339,8 +326,7 @@ def cmd_resonance_scan(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     grid = np.linspace(lo, hi, args.steps)
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        rows = list(pool.map(lambda w: _scan_row(spec, params, trunc, opts, w), grid))
+    rows = [_scan_row(spec, params, trunc, opts, w) for w in grid]
     text = "omega,classification,growth_exponent,sup_energy\n" + "\n".join(rows) + "\n"
     _write_text(args.out_csv, text)
     return EXIT_OK

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import InvalidTruncationError, NumericError
 
@@ -34,7 +35,7 @@ __all__ = [
     "x_off_diagonal",
     "build_xpH",
     "matrix_exp",
-    "exp_tridiagonal",
+    "tridiagonal_eigh",
     "exp_padded",
 ]
 
@@ -195,29 +196,28 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def exp_tridiagonal(diag, off) -> np.ndarray:
-    """exp(-i T) for the real symmetric tridiagonal T with the given
-    diagonal (length n) and off-diagonal (length n - 1).
+def tridiagonal_eigh(diag, off) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of the real symmetric tridiagonal T with the given
+    diagonal (length n >= 2) and off-diagonal (length n - 1), so that
+    T = V diag(w) V^T with real orthogonal V and exp(-i T) = V diag(e^{-i w}) V^T.
 
-    scipy.linalg.eigh_tridiagonal gives T = V diag(w) V^T with real V, so
-    exp(-i T) = V cos(w) V^T - i V sin(w) V^T costs two real products and
-    is unitary up to rounding.  Non-finite input and eigensolver failures
-    raise NumericError.
+    Calls LAPACK dstevd, the driver scipy.linalg.eigh_tridiagonal picks for
+    all eigenpairs, directly: the same eigenpairs without the wrapper's
+    validation cost.  Non-finite input, overflowing eigenvalues and a
+    solver failure (info != 0) raise NumericError.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
+    if d.size < 2 or e.shape != (d.size - 1,):
+        raise ValueError(f"need n >= 2 diagonal and n - 1 off-diagonal entries, got {d.size} and {e.size}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise NumericError("matrix_exp input contains NaN or Inf")
-    try:
-        w, v = scipy.linalg.eigh_tridiagonal(d, e)
-    except np.linalg.LinAlgError as err:
-        raise NumericError(f"tridiagonal eigensolver failed: {err}") from err
+        raise NumericError("tridiagonal input contains NaN or Inf")
+    w, v, info = lapack.dstevd(d, e)
+    if info != 0:
+        raise NumericError(f"tridiagonal eigensolver dstevd failed with info = {info}")
     if not np.all(np.isfinite(w)):
-        raise NumericError("matrix_exp overflowed")
-    out = np.empty((d.size, d.size), dtype=complex)
-    out.real = (v * np.cos(w)) @ v.T
-    out.imag = (v * -np.sin(w)) @ v.T
-    return out
+        raise NumericError("tridiagonal eigenvalues overflowed")
+    return w, v
 
 
 def matrix_exp(m) -> np.ndarray:

@@ -15,9 +15,19 @@ Two single-step schemes:
 PeriodStepper.segment steps on the structure of H(t) = H_omega + f(t) x:
 every step generator, for either scheme, is c H_omega + g x with real c
 and g, a real symmetric tridiagonal matrix.  A segment evaluates the drive
-once, vectorised over all its nodes, and each exponential is formed from
-its diagonal and off-diagonal by core_fock.exp_tridiagonal; no dense H(t)
-is built.  A segment whose step phase h max|f(t_j)| ||x|| reaches
+once, vectorised over all its nodes, and takes each exponential's real
+eigenpairs from core_fock.tridiagonal_eigh; no dense H(t) and no step
+exponential is ever formed.  The product is carried in the current
+eigenbasis instead: with E_j = V_j diag(e^{-i w_j}) V_j^T in order of
+action,
+
+    a_1 = diag(e^{-i w_1}) V_1^T,
+    a_j = diag(e^{-i w_j}) (V_j^T V_{j-1}) a_{j-1},
+    U   = V_last a_last,
+
+so each exponential costs one real overlap product and one real product
+on the stacked real and imaginary parts of a, and only a and the previous
+V are kept.  A segment whose step phase h max|f(t_j)| ||x|| reaches
 1/eps = 2^52 raises NumericError: at that size no digit of the phase
 survives.  propagate_generic keeps stepping any Hamiltonian given as a
 dense matrix builder, through matrix_exp.
@@ -40,9 +50,9 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    exp_tridiagonal,
     matrix_exp,
     number_basis_energies,
+    tridiagonal_eigh,
     x_off_diagonal,
     xp_operators,
 )
@@ -156,6 +166,10 @@ class PeriodStepper:
         for midpoint and a1 + a2 = 1/2 for both cf4 factors, so the diagonal
         h c E_n is shared by every exponential and only the off-diagonal
         h g_k x_{n,n+1} changes.  Rows of mix are in order of action.
+
+        The exponentials, flattened in order of action, are chained in their
+        eigenbases (module docstring).  Each real-by-complex product is one
+        real GEMM on a.view(float), whose rows interleave re and im.
         """
         h = (t - s) / n_steps
         t0 = s + np.arange(n_steps) * h
@@ -167,8 +181,9 @@ class PeriodStepper:
         f = eval_drive(self.spec, np.concatenate(nodes)).reshape(len(nodes), n_steps)
         x_off = x_off_diagonal(self.params.omega, self.dim)
         f_max = float(np.abs(f).max())
-        # f(t) x must stay finite; the negated comparison also catches NaN
-        if not f_max <= np.finfo(float).max / x_off[-1]:
+        # f(t) x must stay finite; the negated comparison also catches NaN.
+        # An x band below 1 cannot overflow a finite f, and dividing by it would.
+        if not f_max <= np.finfo(float).max / max(x_off[-1], 1.0):
             raise NumericError("H(t) = H_omega + f(t) x contains NaN or Inf at a step node")
         # a step phase of 1/eps = 2^52 rad or more keeps no digit of exp(-i h f x)
         top = self.dim - 1
@@ -182,13 +197,15 @@ class PeriodStepper:
                 "no digit of a step exponential survives"
             )
         diag = (h * sum(mix[0])) * number_basis_energies(self.params.omega, self.dim)
-        u = np.eye(self.dim, dtype=complex)
-        for gs in ((h * np.asarray(mix)) @ f).T:
-            step = exp_tridiagonal(diag, gs[0] * x_off)
-            for g in gs[1:]:
-                step = exp_tridiagonal(diag, g * x_off) @ step
-            u = step @ u
-        return u
+        gs = ((h * np.asarray(mix)) @ f).T.ravel()
+        w, v = tridiagonal_eigh(diag, gs[0] * x_off)
+        a = np.exp(-1j * w)[:, None] * v.T
+        for g in gs[1:]:
+            v_prev = v
+            w, v = tridiagonal_eigh(diag, g * x_off)
+            a = ((v.T @ v_prev) @ a.view(float)).view(complex)
+            a *= np.exp(-1j * w)[:, None]
+        return (v @ a.view(float)).view(complex)
 
     def monodromy(self) -> np.ndarray:
         if self._monodromy is None:

@@ -1,10 +1,7 @@
 import math
-import os
 
 import numpy as np
 import pytest
-
-os.environ.setdefault("FLOQUET_LAB_THREADS", "2")
 
 from floquet_lab import DriveSpec, OscillatorParams, Truncation
 

@@ -461,7 +461,6 @@ def _run_cli(args, cwd) -> subprocess.CompletedProcess:
     resolve from ``cwd``.
     """
     env = dict(os.environ)
-    env.setdefault("FLOQUET_LAB_THREADS", "2")
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(

@@ -18,9 +18,9 @@ from floquet_lab import (
     matrix_exp,
 )
 from floquet_lab.core_fock import (
-    exp_tridiagonal,
     ladder,
     number_basis_energies,
+    tridiagonal_eigh,
     x_off_diagonal,
     xp_operators,
 )
@@ -114,46 +114,72 @@ class TestMatrixExp:
             matrix_exp(bad)
 
 
+def _exp_from_eigh(diag, off) -> np.ndarray:
+    """exp(-i T) as V diag(e^{-i w}) V^T from the checked eigensolver."""
+    w, v = tridiagonal_eigh(diag, off)
+    return (v * np.exp(-1j * w)) @ v.T
+
+
 class TestTridiagonalExp:
     OMEGA = 0.8
     DIM = 40
 
     def test_x_generator_matches_matrix_exp(self):
         x, _ = xp_operators(self.OMEGA, self.DIM)
-        u = exp_tridiagonal(np.zeros(self.DIM), 1.3 * x_off_diagonal(self.OMEGA, self.DIM))
+        u = _exp_from_eigh(np.zeros(self.DIM), 1.3 * x_off_diagonal(self.OMEGA, self.DIM))
         assert np.abs(u - matrix_exp(-1j * 1.3 * x)).max() <= 1e-12
 
     def test_step_generator_matches_matrix_exp(self):
         x, _ = xp_operators(self.OMEGA, self.DIM)
         energies = number_basis_energies(self.OMEGA, self.DIM)
         h_omega = np.diag(energies).astype(complex)
-        u = exp_tridiagonal(0.07 * energies, 0.07 * 0.35 * x_off_diagonal(self.OMEGA, self.DIM))
+        u = _exp_from_eigh(0.07 * energies, 0.07 * 0.35 * x_off_diagonal(self.OMEGA, self.DIM))
         assert np.abs(u - matrix_exp(-1j * 0.07 * (h_omega + 0.35 * x))).max() <= 1e-12
 
     def test_helper_matches_dense_exponential(self):
         rng = np.random.default_rng(11)
         d, e = rng.standard_normal(30), rng.standard_normal(29)
         t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        u = exp_tridiagonal(d, e)
+        w, v = tridiagonal_eigh(d, e)
+        assert v.dtype == np.float64
+        assert np.linalg.norm(v.T @ v - np.eye(30), 2) <= 1e-12
+        assert np.abs((v * w) @ v.T - t).max() <= 1e-12
+        u = _exp_from_eigh(d, e)
         assert np.abs(u - scipy.linalg.expm(-1j * t)).max() <= 1e-12
         assert np.linalg.norm(u.conj().T @ u - np.eye(30), 2) <= 1e-12
 
+    def test_same_eigenpairs_as_scipy(self):
+        """dstevd is the driver eigh_tridiagonal picks for all eigenpairs."""
+        rng = np.random.default_rng(12)
+        d, e = rng.standard_normal(25), rng.standard_normal(24)
+        w, v = tridiagonal_eigh(d, e)
+        w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(v, v_ref)
+
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
-            exp_tridiagonal(np.ones(4), np.array([1.0, np.inf, 0.0]))
+            tridiagonal_eigh(np.ones(4), np.array([1.0, np.inf, 0.0]))
         with pytest.raises(NumericError):
-            exp_tridiagonal(np.array([0.0, np.nan, 1.0]), np.ones(2))
+            tridiagonal_eigh(np.array([0.0, np.nan, 1.0]), np.ones(2))
         # finite input whose eigenvalues overflow
         with pytest.raises(NumericError, match="overflowed"):
-            exp_tridiagonal(np.array([1e308, 1e308]), np.array([1e308]))
+            tridiagonal_eigh(np.array([1e308, 1e308]), np.array([1e308]))
+
+    def test_rejects_mismatched_bands(self):
+        with pytest.raises(ValueError):
+            tridiagonal_eigh(np.ones(4), np.ones(4))
+        with pytest.raises(ValueError):
+            tridiagonal_eigh(np.ones(1), np.ones(0))
 
     def test_eigensolver_failure_is_numeric_error(self, monkeypatch):
-        def failing(*_args, **_kwargs):
-            raise np.linalg.LinAlgError("stevd did not converge")
+        def failing(d, e, **_kwargs):
+            # LAPACK reports non-convergence through info > 0, not an exception
+            return np.zeros_like(d), np.eye(d.size), 3
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
-        with pytest.raises(NumericError, match="did not converge"):
-            exp_tridiagonal(np.ones(4), np.ones(3))
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+        with pytest.raises(NumericError, match="info = 3"):
+            tridiagonal_eigh(np.ones(4), np.ones(3))
 
 
 class TestExpPadded:

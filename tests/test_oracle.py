@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ class TestStructuredSegment:
     )
     def test_matches_generic_stepper(self, scheme, drive, trunc, start, span):
         spec = SPEC if drive == "fourier" else _sampled_drive()
+        self._check(spec, trunc, scheme, start, span)
+
+    @pytest.mark.parametrize(
+        "scheme, trunc, start, span",
+        [
+            # one midpoint step: a single exponential, no eigenbasis overlap
+            ("midpoint", TRUNC, 0.3, 0.02),
+            ("cf4", Truncation(n_keep=2, n_pad=0), 0.3, 0.45),
+            ("cf4", Truncation(n_keep=96, n_pad=96), 0.3, 0.45),
+        ],
+        ids=["one_exponential", "dim_2", "dim_192"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_matches_generic_stepper_at_the_edges(self, scheme, trunc, start, span):
+        self._check(SPEC, trunc, scheme, start, span)
+
+    @staticmethod
+    def _check(spec, trunc, scheme, start, span):
         stepper = PeriodStepper(spec, PARAMS, trunc, steps_per_period=32, scheme=scheme)
         start, span = start * T_DRIVE, span * T_DRIVE
         u = stepper.segment(start, span)
@@ -135,6 +154,23 @@ class TestStructuredSegment:
             scheme=scheme,
         )
         assert np.abs(u - ref).max() <= 1e-12
+
+
+class TestWorkingSet:
+    """segment streams its product through the current eigenbasis: it keeps
+    one state and one eigenvector matrix, not every step's eigenvectors."""
+
+    def test_period_peak_stays_a_few_matrices(self):
+        trunc = Truncation(n_keep=96, n_pad=96)
+        stepper = PeriodStepper(SPEC, PARAMS, trunc, steps_per_period=128)
+        budget = 8 * trunc.dim**2 * 16
+        tracemalloc.start()
+        try:
+            stepper.segment(0.0, T_DRIVE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, f"peak {peak} bytes against a budget of {budget}"
 
 
 class TestNonFiniteDrive:
