@@ -8,7 +8,9 @@ processes and writes, into DIR, every file they write plus each command's
 stdout, stderr and exit code. The commands: ``propagate --form all`` at
 t = 2.5 and at t = 20.3 with s = 0.7, ``stability`` and
 ``resonance-scan --omega-range 0.8:1.2 --steps 3`` on each shipped
-oscillator config, and ``verify --suite all``. ``--src`` names the source
+oscillator config, ``kam`` on each shipped KAM problem (writing its
+history and result files; ``kam_resonant`` exits 5 by design), and
+``verify --suite all``. ``--src`` names the source
 tree whose ``floquet_lab`` runs (default: this checkout's ``src``), so one
 copy of the script can run two revisions. The commands run on one BLAS
 thread, so that a rerun of one revision is byte-identical. ``run`` exits 0 whatever the
@@ -33,6 +35,7 @@ from pathlib import Path
 
 CHECKOUT_SRC = Path(__file__).resolve().parent.parent / "src"
 OSCILLATOR_CONFIGS = ("nonresonant", "resonant_identity", "resonant_growth")
+KAM_PROBLEMS = ("kam_golden", "kam_resonant")
 
 # a decimal number not glued to a word on the left and not followed by one
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?(?!\w)")
@@ -52,6 +55,9 @@ def _cases(configs: dict[str, str]) -> list[tuple[str, list[str]]]:
             (f"{name}.resonance_scan", ["resonance-scan", cfg, "--omega-range", "0.8:1.2", "--steps", "3",
                                         "--out-csv", f"{name}.resonance_scan.csv"]),
         ]
+    for name in KAM_PROBLEMS:
+        cases.append((f"{name}.kam", ["kam", configs[name], "--out-history", f"{name}.kam_history.jsonl",
+                                      "--out-result", f"{name}.kam_result.json"]))
     cases.append(("verify_all", ["verify", "--suite", "all"]))
     return cases
 
@@ -63,7 +69,7 @@ def _config_paths(env: dict) -> dict[str, str]:
         "print(json.dumps({n: p(n + '.json') for n in sys.argv[1:]}))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, *OSCILLATOR_CONFIGS],
+        [sys.executable, "-c", code, *OSCILLATOR_CONFIGS, *KAM_PROBLEMS],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(done.stdout)

@@ -71,16 +71,13 @@ from .kam import (
     KamConfig,
     KamResult,
     KamState,
-    build_k0,
     detect_resonances,
-    diagonal_part,
     eps_v_norm,
     kam_iterate,
     level_hamiltonian,
     load_problem,
     random_perturbation,
     reconstruct_propagator,
-    solve_homological,
     weighted_block_norm,
 )
 from .oracle import EvolveResult, PeriodStepper, evolve_state, hamiltonian_at, integrate

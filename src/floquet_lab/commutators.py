@@ -31,13 +31,13 @@ import numpy as np
 
 from .core_fock import OscillatorParams, TruncatedOperator, Truncation, matrix_exp
 from .drive_model import DriveSpec
-from .errors import InvalidIntervalError, NumericError
+from .errors import NumericError
 from .floquet import (
     _BLOCK_NOTE,
     _hf_matrix,
-    _interval_dist,
     _sf_matrix,
     _sup_sf_norm,
+    _transition_window,
     _uf_matrix,
 )
 from .oracle import hamiltonian_at
@@ -358,44 +358,24 @@ def higher_order_bound_check(
         raise ValueError("p is limited to 1..4 at desk scale")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    lo1, hi1 = float(interval_1[0]), float(interval_1[1])
-    lo2, hi2 = float(interval_2[0]), float(interval_2[1])
-    if not (lo1 <= hi1 and lo2 <= hi2):
-        raise InvalidIntervalError("intervals must satisfy lo <= hi")
-    dist = _interval_dist((lo1, hi1), (lo2, hi2))
-    if dist <= 0.0:
-        raise InvalidIntervalError(
-            f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch"
-        )
-
-    nk = trunc.n_keep
-    h_t = hamiltonian_at(spec, params, float(t), nk)
-    h_s = hamiltonian_at(spec, params, float(s), nk)
-    vals_t, vecs_t = np.linalg.eigh(h_t)
-    vals_s, vecs_s = np.linalg.eigh(h_s)
-    mask_t = (vals_t >= lo1) & (vals_t <= hi1)
-    mask_s = (vals_s >= lo2) & (vals_s <= hi2)
-    u = propagator_factored(spec, params, trunc, float(t), float(s)).entries
-    core = vecs_t.conj().T @ u @ vecs_s
-    block = core[np.ix_(mask_t, mask_s)]
-    lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
+    win = _transition_window(spec, params, trunc, t, s, interval_1, interval_2)
 
     if c_p is None:
         c_p = sup_xn_norm(spec, params, trunc, p, grid_points)
-    rhs = c_p / dist**p
+    rhs = c_p / win.dist**p
     first_order = None
     if p == 1:
-        first_order = 2.0 * _sup_sf_norm(spec, params, trunc) / dist
+        first_order = 2.0 * _sup_sf_norm(spec, params, trunc) / win.dist
     return HigherOrderBoundReport(
         p=p,
         t=float(t),
         s=float(s),
-        interval_1=(lo1, hi1),
-        interval_2=(lo2, hi2),
-        dist=dist,
-        lhs=lhs,
+        interval_1=win.interval_1,
+        interval_2=win.interval_2,
+        dist=win.dist,
+        lhs=win.lhs,
         c_p=float(c_p),
         rhs=float(rhs),
-        ok=lhs <= rhs * (1.0 + 1e-6),
+        ok=win.lhs <= rhs * (1.0 + 1e-6),
         first_order_rhs=first_order,
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -472,6 +472,56 @@ def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, s
     return sup
 
 
+class _Window(NamedTuple):
+    interval_1: tuple[float, float]
+    interval_2: tuple[float, float]
+    dist: float
+    vals_t: np.ndarray
+    vals_s: np.ndarray
+    idx_t: np.ndarray  # indices of the eigenvalues of H(t) in D1
+    idx_s: np.ndarray  # indices of the eigenvalues of H(s) in D2
+    core: np.ndarray  # <n(t)| U(t, s) |m(s)>
+    lhs: float  # ||P(t, D1) U(t, s) P(s, D2)||
+
+
+def _transition_window(
+    spec: DriveSpec,
+    params: OscillatorParams,
+    trunc: Truncation,
+    t: float,
+    s: float,
+    interval_1: tuple[float, float],
+    interval_2: tuple[float, float],
+) -> _Window:
+    """The left-hand side shared by the transition-bound checks.
+
+    Checks that the intervals are ordered and apart, diagonalizes H(t)
+    and H(s) on the kept block, picks the eigenvalues in each closed
+    interval (endpoint ties included) and takes the projected norm of U.
+    """
+    lo1, hi1 = float(interval_1[0]), float(interval_1[1])
+    lo2, hi2 = float(interval_2[0]), float(interval_2[1])
+    if not (lo1 <= hi1 and lo2 <= hi2):
+        raise InvalidIntervalError("intervals must satisfy lo <= hi")
+    dist = _interval_dist((lo1, hi1), (lo2, hi2))
+    if dist <= 0.0:
+        raise InvalidIntervalError(
+            f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch"
+        )
+
+    n = trunc.n_keep
+    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, float(t), n))
+    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, float(s), n))
+    idx_t = np.nonzero((vals_t >= lo1) & (vals_t <= hi1))[0]
+    idx_s = np.nonzero((vals_s >= lo2) & (vals_s <= hi2))[0]
+
+    u = propagator_factored(spec, params, trunc, float(t), float(s)).entries
+    core = vecs_t.conj().T @ u @ vecs_s
+    block = core[np.ix_(idx_t, idx_s)]
+    lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
+    return _Window((lo1, hi1), (lo2, hi2), dist, vals_t, vals_s, idx_t, idx_s, core, lhs)
+
+
 def transition_bound_check(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -491,42 +541,19 @@ def transition_bound_check(
     _check_periods(spec, params)
     if sf_samples < 1:
         raise ValueError(f"sf_samples must be >= 1, got {sf_samples}")
-    lo1, hi1 = float(interval_1[0]), float(interval_1[1])
-    lo2, hi2 = float(interval_2[0]), float(interval_2[1])
-    if not (lo1 <= hi1 and lo2 <= hi2):
-        raise InvalidIntervalError("intervals must satisfy lo <= hi")
-    dist = _interval_dist((lo1, hi1), (lo2, hi2))
-    if dist <= 0.0:
-        raise InvalidIntervalError(
-            f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch"
-        )
-
-    n = trunc.n_keep
-    h_t = hamiltonian_at(spec, params, float(t), n)
-    h_s = hamiltonian_at(spec, params, float(s), n)
-    vals_t, vecs_t = np.linalg.eigh(h_t)
-    vals_s, vecs_s = np.linalg.eigh(h_s)
-    mask_t = (vals_t >= lo1) & (vals_t <= hi1)
-    mask_s = (vals_s >= lo2) & (vals_s <= hi2)
-
-    u = propagator_factored(spec, params, trunc, float(t), float(s)).entries
-    core = vecs_t.conj().T @ u @ vecs_s  # <n(t)| U |m(s)>
-
-    block = core[np.ix_(mask_t, mask_s)]
-    lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
+    win = _transition_window(spec, params, trunc, t, s, interval_1, interval_2)
+    vals_t, vals_s, core = win.vals_t, win.vals_s, win.core
 
     sup_sf = _sup_sf_norm(spec, params, trunc, sf_samples)
-    rhs = 2.0 * sup_sf / dist
-    ok = lhs <= rhs * (1.0 + 1e-6)
+    rhs = 2.0 * sup_sf / win.dist
+    ok = win.lhs <= rhs * (1.0 + 1e-6)
 
     # eigenvalue-resolved form; the spectrum here is simple, so each
     # projector is rank one and the pair norm is a single amplitude
-    idx_t = np.nonzero(mask_t)[0]
-    idx_s = np.nonzero(mask_s)[0]
     pe_t, pe_s, p_lhs, p_rhs = [], [], [], []
     pair_ok = True
-    for a in idx_t:
-        for b in idx_s:
+    for a in win.idx_t:
+        for b in win.idx_s:
             gap = abs(vals_t[a] - vals_s[b])
             if gap == 0.0:
                 continue
@@ -542,10 +569,10 @@ def transition_bound_check(
     return TransitionBoundReport(
         t=float(t),
         s=float(s),
-        interval_1=(lo1, hi1),
-        interval_2=(lo2, hi2),
-        dist=dist,
-        lhs=lhs,
+        interval_1=win.interval_1,
+        interval_2=win.interval_2,
+        dist=win.dist,
+        lhs=win.lhs,
         sup_sf_norm=sup_sf,
         rhs=rhs,
         ok=ok,

@@ -11,8 +11,8 @@ and the perturbation V is a multiplication operator in time, i.e. block
 Toeplitz in k: its (k1, k2) block depends only on q = k1 - k2. Every
 operator the iteration touches shares that structure (it commutes with
 the Fourier shift), so the engine stores operators as symbols: arrays of
-level-space blocks S_q for |q| <= cap = band_cap_factor * k_max (or V's
-band, if wider). A symbol acts on functions of theta = omega t as
+level-space blocks S_q for |q| <= cap = 6 k_max (or V's band, if
+wider). A symbol acts on functions of theta = omega t as
 multiplication by the matrix function S(theta) = sum_q e^{i q theta} S_q
 (the symbol calculus of block-Toeplitz operators; Boettcher &
 Silbermann). Products, exp(A) and the functions of ad_A therefore act
@@ -21,7 +21,7 @@ their blocks: exactly for a product of two symbols, and up to aliasing
 from |q| > 2 cap, far below round-off for the small generators of a KAM
 step, for a function of ad_A. Only ad_{K_0}, which differentiates in
 theta, acts on the blocks themselves. The k truncation enters only when
-a symbol is materialized to a dense matrix for norms and reports.
+a symbol is materialized to a dense window, which is done for norms only.
 
 The recursion (G_{-1} = 0, G_0 = V_0, Phi(x) = (1/x)(e^x - (e^x-1)/x)):
 
@@ -53,12 +53,9 @@ __all__ = [
     "FloquetMatrixSpace",
     "BlockPerturbation",
     "random_perturbation",
-    "build_k0",
     "detect_resonances",
     "eps_v_norm",
     "weighted_block_norm",
-    "diagonal_part",
-    "solve_homological",
     "KamConfig",
     "KamState",
     "KamResult",
@@ -70,7 +67,8 @@ __all__ = [
     "history_to_jsonl",
 ]
 
-_DEGEN_RTOL = 1e-12
+# symbols keep Fourier offsets |q| <= _BAND_CAP_FACTOR * k_max (or V's band)
+_BAND_CAP_FACTOR = 6
 
 
 @dataclass(frozen=True)
@@ -342,15 +340,6 @@ def random_perturbation(
     )
 
 
-def build_k0(space: FloquetMatrixSpace) -> TruncatedOperator:
-    """Diagonal K_0 with entries k omega + h_m, k outer, level inner."""
-    h = space.h_expanded
-    diag = np.concatenate(
-        [k * space.omega + h for k in range(-space.k_max, space.k_max + 1)]
-    )
-    return TruncatedOperator.hermitian_op(np.diag(diag).astype(complex), basis_tag="floquet")
-
-
 def detect_resonances(space: FloquetMatrixSpace, tol: float | None = None) -> list:
     """Near-collisions q omega + h_n - h_m ~ 0 between distinct cells.
 
@@ -411,63 +400,7 @@ def weighted_block_norm(space: FloquetMatrixSpace, sym: dict, nu: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# diagonal projection and the homological equation (dense forms)
-
-
-def diagonal_part(x: np.ndarray, space: FloquetMatrixSpace) -> np.ndarray:
-    """Projection onto the diagonal w.r.t. the spectral decomposition of
-    K_0: entries connecting distinct K_0 eigenvalues are zeroed, entries
-    inside a degenerate eigenspace are kept."""
-    x = np.asarray(x)
-    diag = np.diag(build_k0(space).entries).real
-    scale = max(1.0, float(np.abs(diag).max()))
-    keep = np.abs(diag[:, None] - diag[None, :]) <= _DEGEN_RTOL * scale
-    return np.where(keep, x, 0.0)
-
-
-def solve_homological(
-    k_dressed: np.ndarray,
-    y: np.ndarray,
-    space: FloquetMatrixSpace,
-    min_denom_guard: float | None = None,
-) -> np.ndarray:
-    """Solve [A, K_dressed] = -(1-D)Y in the eigenbasis of K_dressed.
-
-    Entrywise A_ab = Y_ab / (lambda_a - lambda_b) on non-degenerate
-    pairs (so that [A, K]_ab = -Y_ab) and A_ab = 0 on degenerate ones.
-    A needed denominator below the guard raises a small-denominator
-    error carrying the offending pair and gap.
-    """
-    if min_denom_guard is None:
-        min_denom_guard = 1e-8 * space.omega
-    k_dressed = np.asarray(k_dressed, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    off = k_dressed - np.diag(np.diag(k_dressed))
-    scale = max(1.0, float(np.abs(k_dressed).max(initial=0.0)))
-    if np.abs(off).max(initial=0.0) <= 1e-14 * scale:
-        lam = np.diag(k_dressed).real
-        rot = None
-    else:
-        lam, rot = np.linalg.eigh(k_dressed)
-    yr = y if rot is None else rot.conj().T @ y @ rot
-    gaps = lam[:, None] - lam[None, :]
-    degenerate = np.abs(gaps) <= _DEGEN_RTOL * max(1.0, float(np.abs(lam).max()))
-    needed = (~degenerate) & (yr != 0.0)
-    bad = needed & (np.abs(gaps) < min_denom_guard)
-    if np.any(bad):
-        a_idx, b_idx = np.argwhere(bad)[0]
-        gap = float(gaps[a_idx, b_idx])
-        raise SmallDenominatorError(
-            f"homological denominator {gap} below guard {min_denom_guard} "
-            f"for pair ({a_idx}, {b_idx})",
-            pair=(int(a_idx), int(b_idx)),
-            gap=gap,
-        )
-    a = np.zeros_like(yr)
-    np.divide(yr, gaps, out=a, where=needed)
-    if rot is not None:
-        a = rot @ a @ rot.conj().T
-    return a
+# the homological equation
 
 
 def _solve_sym(
@@ -526,10 +459,8 @@ class KamConfig:
     tol: float = 1e-10
     min_denom_guard: float | None = None
     schedule: str = "constant"
-    cutoff_steps: tuple | None = None
     r_weight: float = 2.0
     nu_weight: float = 1.0
-    band_cap_factor: int = 6
 
     def __post_init__(self):
         if self.schedule not in ("constant", "fourier_cutoff"):
@@ -538,22 +469,23 @@ class KamConfig:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        guard = self.min_denom_guard
+        if guard is not None and not (isinstance(guard, float) and math.isfinite(guard) and guard > 0):
+            raise ValueError(f"min_denom_guard must be None or a positive finite float, got {guard!r}")
 
 
 @dataclass
 class KamState:
-    """Snapshot after iteration s: W_s = e^{A_{s-1}} ... e^{A_0}.
+    """Residuals after iteration s, W_s = e^{A_{s-1}} ... e^{A_0}.
 
-    g, a, w are dense windows of the block-Toeplitz operators (the
-    window of a lattice unitary is not unitary at its k edges, so
-    unitary_w_residual measures the operator itself: the worst
-    level-space defect of W_s(t) over a period).
+    The norms are spectral norms of the dense windows of the
+    block-Toeplitz operators, which are not kept. A window of a lattice
+    unitary is not unitary at its k edges, so unitary_w_residual
+    measures the operator itself: the worst level-space defect of
+    W_s(t) over a period.
     """
 
     s: int
-    g: np.ndarray
-    a: np.ndarray
-    w: np.ndarray
     offdiag_residual: float
     min_denominator: float
     eps_v: float
@@ -582,7 +514,8 @@ class KamResult:
     """Outcome of kam_iterate.
 
     status is "converged", "small_denominator_abort", or
-    "iteration_limit". w_blocks holds the Fourier symbols of W, g_level
+    "iteration_limit". history holds one KamState per iteration. A
+    converged run sets w_blocks, the Fourier symbols of W, and g_level,
     the level-space block of D(G_inf); both feed the propagator
     reconstruction.
     """
@@ -590,8 +523,6 @@ class KamResult:
     status: str
     space: FloquetMatrixSpace
     history: list
-    w: np.ndarray | None = None
-    g_inf: np.ndarray | None = None
     w_blocks: dict | None = None
     g_level: np.ndarray | None = None
     iterations: int = 0
@@ -622,13 +553,10 @@ def _schedule_symbol(
     """V_s: V itself, or under the Fourier cutoff schedule its |q| <= k_s part."""
     if config.schedule == "constant":
         return v_sym
-    if config.cutoff_steps is not None:
-        cuts = list(config.cutoff_steps)
-    else:
-        cuts, c = [], 1
-        while c < space.k_max:
-            cuts.append(c)
-            c *= 2
+    cuts, c = [], 1
+    while c < space.k_max:
+        cuts.append(c)
+        c *= 2
     q = np.abs(np.arange(len(v_sym)) - _cap(v_sym))[:, None, None]
     return np.where(q <= (cuts[s] if s < len(cuts) else space.k_max), v_sym, 0.0)
 
@@ -671,7 +599,7 @@ def _kam_step(a_sym, n_grid, w_sym, g, dv, rhs, c, k0_gaps) -> tuple:
     V_{s+1} - V_s and the homological right-hand side (1-D)(G_s - G_{s-1}).
 
     A function of its own so that the grid arrays are freed before the
-    next record materializes its dense windows (peak memory)."""
+    next record materializes its norm windows (peak memory)."""
     ad = _PointwiseAd(a_sym, n_grid)
     # W_{s+1} = e^{A_s} W_s. Only the step goes through the grid, so the
     # transform's round-off scales with A_s, not with the identity in W.
@@ -696,7 +624,7 @@ def kam_iterate(
     W_s(K_0+V)W_s^+ - K_0 falls below tol.
 
     Operators are symbols with Fourier offsets capped at cap =
-    band_cap_factor * k_max, widened to V's band if that reaches further.
+    _BAND_CAP_FACTOR * k_max, widened to V's band if that reaches further.
     Each iteration takes one batched eigh of the
     Hermitian iA_s(theta) on the theta grid; in that eigenbasis exp(A_s)
     and every function of ad_{A_s} the recurrence needs is an entrywise
@@ -710,7 +638,7 @@ def kam_iterate(
     ell = space.level_dim
     v_dict = v.symbol(space)
     # the symbols hold V whole, however far its Fourier band reaches
-    cap = max(1, config.band_cap_factor * space.k_max, *map(abs, v_dict))
+    cap = max(1, _BAND_CAP_FACTOR * space.k_max, *map(abs, v_dict))
     n_grid = _grid_size(cap)
     k0_gaps = _denominators(space, cap, space.h_expanded)
 
@@ -746,22 +674,15 @@ def kam_iterate(
         if np.any(dv):
             c_sched = c + _conjugate(_to_grid(w_sym, n_grid), dv)
         target = _sym_d(space, g) + _sym_offd(space, delta_g)
-        # the norms' dense windows are freed before the kept ones are made
-        conj_res = _sym_norm(space, c_sched - target)
-        herm_g = _sym_norm(space, g - _adjoint(g))
-        antiherm_a = _sym_norm(space, a_sym + _adjoint(a_sym))
         history.append(
             KamState(
                 s=s,
-                g=_materialize(space, g),
-                a=_materialize(space, a_sym),
-                w=_materialize(space, w_sym),
                 offdiag_residual=offdiag,
                 min_denominator=min_denom,
                 eps_v=eps_v,
-                conj_residual=conj_res,
-                herm_g_residual=herm_g,
-                antiherm_a_residual=antiherm_a,
+                conj_residual=_sym_norm(space, c_sched - target),
+                herm_g_residual=_sym_norm(space, g - _adjoint(g)),
+                antiherm_a_residual=_sym_norm(space, a_sym + _adjoint(a_sym)),
                 unitary_w_residual=w_unit,
             )
         )
@@ -776,8 +697,6 @@ def kam_iterate(
                 status="converged",
                 space=space,
                 history=history,
-                w=history[-1].w,
-                g_inf=history[-1].g,
                 w_blocks=w_blocks,
                 g_level=0.5 * (g_level + g_level.conj().T),
                 iterations=s,
@@ -849,25 +768,19 @@ def _w_at(space: FloquetMatrixSpace, w_blocks: dict, t: float) -> np.ndarray:
 def reconstruct_propagator(
     space: FloquetMatrixSpace,
     w_blocks: dict,
-    g_inf,
+    g_level,
     t: float,
     s: float,
 ) -> TruncatedOperator:
     """U(t, s) = W(t)* exp(-i(t-s)(H_0 + G)) W(s) on the level space.
 
     w_blocks are the Fourier symbols of W (W(t) = sum_q e^{i q omega t}
-    W_q); g_inf is either the level-space G or a full Fourier x level
-    matrix, from which the central diagonal block is extracted.
+    W_q); g_level is the level-space G, an L x L matrix.
     """
     ell = space.level_dim
-    g_inf = np.asarray(g_inf, dtype=complex)
-    if g_inf.shape == (ell, ell):
-        g_level = g_inf
-    elif g_inf.shape == (space.total_dim, space.total_dim):
-        ctr = space.k_max * ell
-        g_level = g_inf[ctr : ctr + ell, ctr : ctr + ell]
-    else:
-        raise ValueError(f"g_inf has unsupported shape {g_inf.shape}")
+    g_level = np.asarray(g_level, dtype=complex)
+    if g_level.shape != (ell, ell):
+        raise ValueError(f"g_level has shape {g_level.shape}, expected {(ell, ell)}")
     g_level = _block_diag(space, 0.5 * (g_level + g_level.conj().T))
     h_eff = np.diag(space.h_expanded).astype(complex) + g_level
     core = matrix_exp(-1j * (float(t) - float(s)) * h_eff)
@@ -880,7 +793,7 @@ def problem_to_json_dict(
     v: BlockPerturbation,
     config: KamConfig,
 ) -> dict:
-    return {
+    doc = {
         "omega": float(space.omega),
         "k_max": space.k_max,
         "levels": [{"h": float(h), "mult": m} for h, m in space.levels],
@@ -891,6 +804,9 @@ def problem_to_json_dict(
         "max_iters": config.max_iters,
         "tol": float(config.tol),
     }
+    if config.min_denom_guard is not None:
+        doc["min_denom_guard"] = config.min_denom_guard
+    return doc
 
 
 def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConfig]:
@@ -902,10 +818,16 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
         omega=float(data["omega"]),
     )
     v = BlockPerturbation.from_json_list(data.get("V_blocks", []))
+    guard = data.get("min_denom_guard")
+    if guard is not None:
+        try:
+            guard = float(guard)
+        except (TypeError, ValueError):
+            raise ValueError(f"min_denom_guard must be a number, got {guard!r}") from None
     config = KamConfig(
         max_iters=int(data.get("max_iters", 20)),
         tol=float(data.get("tol", 1e-10)),
-        min_denom_guard=data.get("min_denom_guard"),
+        min_denom_guard=guard,
         schedule=data.get("schedule", "constant"),
         r_weight=float(data.get("r", 2.0)),
         nu_weight=float(data.get("nu", 1.0)),

@@ -398,20 +398,7 @@ def test_08_iterative_diagonalization():
     conj_worst = max(st.conj_residual for st in res.history)
     assert conj_worst <= 1e-8
 
-    # (c) every stored window commutes with the Fourier shift: block
-    # Toeplitz, entry for entry, at every iteration
-    ell = space.level_dim
-    count = 2 * space.k_max + 1
-    for st in res.history:
-        for mat in (st.g, st.a, st.w):
-            for k1 in range(count):
-                for k2 in range(count):
-                    blk = mat[k1 * ell : (k1 + 1) * ell, k2 * ell : (k2 + 1) * ell]
-                    r1, r2 = (k1 - k2, 0) if k1 >= k2 else (0, k2 - k1)
-                    ref = mat[r1 * ell : (r1 + 1) * ell, r2 * ell : (r2 + 1) * ell]
-                    assert np.array_equal(blk, ref)
-
-    # (d) drive frequency equal to a level gap aborts with diagnostics
+    # (c) drive frequency equal to a level gap aborts with diagnostics
     sp_res = FloquetMatrixSpace(k_max=8, levels=levels, omega=1.0)
     v_res = BlockPerturbation(
         blocks={
@@ -426,7 +413,7 @@ def test_08_iterative_diagonalization():
     assert aborted.abort_pair is not None and aborted.abort_pair[0] in (1, -1)
     assert abs(aborted.abort_gap) <= 1e-8
 
-    # (e) reconstructed propagator against direct integration
+    # (d) reconstructed propagator against direct integration
     big_t = 2 * math.pi / space.omega
     worst_u = 0.0
     for t in (0.3 * big_t, 1.0 * big_t, 1.7 * big_t, 2.5 * big_t, 3.0 * big_t):

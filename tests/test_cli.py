@@ -330,6 +330,22 @@ class TestKam:
         assert doc["abort_pair"][0] in (1, -1)
         assert abs(doc["abort_gap"]) <= 1e-8
 
+    @pytest.mark.parametrize("guard", ["abc", 0, -1, math.nan], ids=["text", "zero", "negative", "nan"])
+    def test_bad_guard_is_a_config_error(self, tmp_path, capsys, guard):
+        """A guard of 0 or less would divide by the exact zero it guards against."""
+        problem = json.loads(open(shipped_config_path("kam_resonant.json")).read())
+        problem["min_denom_guard"] = guard
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        result = tmp_path / "result.json"
+        rc = main(["kam", str(path), "--out-history", str(tmp_path / "h.jsonl"), "--out-result", str(result)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "min_denom_guard" in err["message"]
+        assert "warnings" not in err
+        assert not result.exists()
+
 
 class TestVerify:
     def test_commutator_suite_passes(self, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,13 @@ from floquet_lab import (
     KamConfig,
     NotConvergedError,
     SmallDenominatorError,
-    build_k0,
     detect_resonances,
-    diagonal_part,
     eps_v_norm,
     kam_iterate,
     level_hamiltonian,
     load_problem,
     random_perturbation,
     reconstruct_propagator,
-    solve_homological,
     weighted_block_norm,
 )
 from floquet_lab import kam
@@ -70,13 +68,6 @@ class TestSpace:
             FloquetMatrixSpace(k_max=1, levels=((0.5, 0),), omega=1.0)
         with pytest.raises(ValueError):
             FloquetMatrixSpace(k_max=1, levels=(), omega=1.0)
-
-    def test_k0_ordering(self):
-        """k runs outer and ascending, levels inner."""
-        sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=1.0)
-        k0 = build_k0(sp).entries
-        assert np.allclose(np.diag(k0).real, [-0.5, 0.5, 0.5, 1.5, 1.5, 2.5])
-        assert np.linalg.norm(k0 - np.diag(np.diag(k0))) == 0.0
 
     def test_detect_resonances(self):
         sp = FloquetMatrixSpace(k_max=2, levels=((0.5, 1), (1.5, 1)), omega=1.0)
@@ -196,83 +187,120 @@ class TestBatchedNorms:
         assert eps_v_norm(BlockPerturbation.zero(), 2.0) == 0.0
 
 
-class TestHomologicalSolve:
-    def test_two_level_example(self):
-        """[A, K] = -Y for K = diag(0, 1) and antisymmetric Y."""
-        sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=1.0)
-        k = np.diag([0.0, 1.0]).astype(complex)
-        y = np.array([[0, 0.2 + 0.1j], [-(0.2 - 0.1j), 0]])
-        a = solve_homological(k, y, sp)
-        assert np.abs((a @ k - k @ a) + y).max() <= 1e-14
-        assert a[0, 1] == pytest.approx(y[0, 1] / (0.0 - 1.0))
+def _homological_lhs(space, e_level, a):
+    """[A, K_0 + E] for a symbol A and a level-space matrix E at q = 0:
+    block q is A_q E - E A_q - (q omega + h_a - h_b) A_q."""
+    k0_gaps = kam._denominators(space, kam._cap(a), space.h_expanded)
+    return a @ e_level - e_level @ a - k0_gaps * a
 
-    def test_random_dense(self, space):
+
+def _symbol(cap, ell, cells):
+    """A (2 cap + 1, L, L) symbol with the given {(q, a, b): value} entries."""
+    sym = np.zeros((2 * cap + 1, ell, ell), dtype=complex)
+    for (q, a, b), val in cells.items():
+        sym[q + cap, a, b] = val
+    return sym
+
+
+class TestHomologicalSolve:
+    """kam._solve_sym, the solve the iteration runs: [A, K_0 + D(G)] = -Y
+    for Y = (1-D)Y, one division per cell in the basis where K_0 + D(G)
+    is diagonal."""
+
+    SP2 = FloquetMatrixSpace(k_max=1, levels=((0.0, 1), (1.0, 1)), omega=GOLDEN)
+    MIXED = TestBatchedNorms.MIXED
+    # omega = 1: q omega + h_a - h_b is exactly 0 at q = 1 (0, 1), 2 (1, 2),
+    # 3 (0, 2) and their mirrors
+    RES = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1), (3.5, 1)), omega=1.0)
+
+    def test_two_level_example(self):
+        e_level = np.zeros((2, 2))
+        y = _symbol(1, 2, {(0, 0, 1): 0.2 + 0.1j, (0, 1, 0): -(0.2 - 0.1j)})
+        a, min_denom = kam._solve_sym(self.SP2, e_level, y, 1e-8)
+        assert np.abs(_homological_lhs(self.SP2, e_level, a) + y).max() <= 1e-14
+        assert a[1, 0, 1] == pytest.approx(y[1, 0, 1] / (0.0 - 1.0))
+        assert min_denom == 1.0
+
+    def test_random_dense(self):
+        """A random Hermitian symbol against K_0 dressed by a random D(G)
+        that is not diagonal inside the levels of multiplicity 2 and 3."""
+        sp, cap, ell = self.MIXED, 3, self.MIXED.level_dim
         rng = np.random.default_rng(5)
-        n = 8
-        lam = np.arange(n, dtype=float)
-        k = np.diag(lam).astype(complex)
-        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        y = (y + y.conj().T) / 2
-        y = y - np.diag(np.diag(y))  # Hermitian, with no diagonal part
-        a = solve_homological(k, y, space)
-        assert np.abs((a @ k - k @ a) + y).max() <= 1e-12
+        y = _random_array_symbol(rng, cap, ell)
+        y = kam._sym_offd(sp, 0.5 * (y + kam._adjoint(y)))
+        e = 0.05 * (rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell)))
+        e_level = kam._block_diag(sp, e + e.conj().T)
+        a, min_denom = kam._solve_sym(sp, e_level, y, 1e-8)
+        assert np.abs(_homological_lhs(sp, e_level, a) + y).max() <= 1e-12
         # Hermitian data yields an anti-Hermitian generator
-        assert np.abs(a + a.conj().T).max() <= 1e-12
+        assert np.abs(a + kam._adjoint(a)).max() <= 1e-12
+        assert not np.any(kam._sym_d(sp, a))
+        assert 0.0 < min_denom < 1.0
 
     def test_guard_abort_carries_pair(self):
-        """A gap above the degeneracy floor but below the guard aborts."""
-        sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=1.0)
-        k = np.diag([0.0, 1e-10]).astype(complex)
-        y = np.array([[0, 1.0], [1.0, 0]], dtype=complex)
+        """The first denominator below the guard in ascending q aborts, with
+        its (q, n, m), whether it is exactly zero or just below the guard."""
+        y = _symbol(3, 3, {(3, 0, 2): 1.0, (2, 1, 2): 1.0, (-1, 1, 0): 1.0, (-3, 0, 1): 1.0})
         with pytest.raises(SmallDenominatorError) as err:
-            solve_homological(k, y, sp, min_denom_guard=1e-8)
-        assert err.value.pair is not None
-        assert abs(err.value.gap) < 1e-8
+            kam._solve_sym(self.RES, np.zeros((3, 3)), y, 1e-8)
+        assert err.value.pair == (-1, 1, 0)
+        assert err.value.gap == 0.0
+        # dressing level 1 by 1e-10 opens that gap, still below the guard
+        with pytest.raises(SmallDenominatorError) as err:
+            kam._solve_sym(self.RES, np.diag([0.0, 1e-10, 0.0]), y, 1e-8)
+        assert err.value.pair == (-1, 1, 0)
+        assert 0.0 < abs(err.value.gap) < 1e-8
+        # the later cells abort the solve once the first one is gone
+        y[-1 + 3] = 0.0
+        with pytest.raises(SmallDenominatorError) as err:
+            kam._solve_sym(self.RES, np.zeros((3, 3)), y, 1e-8)
+        assert err.value.pair == (2, 1, 2)
 
     def test_true_degeneracy_is_skipped_not_guarded(self):
-        sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=1.0)
-        k = np.diag([1.0, 1.0]).astype(complex)
-        y = np.array([[0, 1.0], [1.0, 0]], dtype=complex)
-        a = solve_homological(k, y, sp, min_denom_guard=1e-8)
+        """q = 0 cells inside a level of multiplicity 2 are structure: their
+        zero denominators neither abort nor divide."""
+        y = _symbol(2, 6, {(0, 0, 1): 1.0, (0, 1, 0): 1.0})
+        a, min_denom = kam._solve_sym(self.MIXED, np.zeros((6, 6)), y, 1e-8)
         assert np.abs(a).max() == 0.0
+        assert min_denom == math.inf
 
     def test_degenerate_entries_skipped(self):
-        sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=1.0)
-        k = np.diag([1.0, 1.0, 2.0]).astype(complex)
-        y = np.zeros((3, 3), dtype=complex)
-        y[0, 2] = 0.3
-        y[2, 0] = -0.3
-        a = solve_homological(k, y, sp)
-        assert a[0, 1] == 0.0 and a[1, 0] == 0.0
-        assert a[0, 2] == pytest.approx(0.3 / (1.0 - 2.0))
+        sp = FloquetMatrixSpace(k_max=1, levels=((1.0, 2), (2.0, 1)), omega=GOLDEN)
+        y = _symbol(1, 3, {(0, 0, 1): 0.7, (0, 0, 2): 0.3, (0, 2, 0): -0.3})
+        a, _ = kam._solve_sym(sp, np.zeros((3, 3)), y, 1e-8)
+        assert a[1, 0, 1] == 0.0 and a[1, 1, 0] == 0.0
+        assert a[1, 0, 2] == pytest.approx(0.3 / (1.0 - 2.0))
 
 
 class TestDiagonalPart:
-    SP2 = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=1.0)
+    """kam._sym_d, the projection D the iteration runs: the q = 0 block,
+    level by level, with the cells inside a degenerate level kept."""
+
+    MIXED = TestBatchedNorms.MIXED
 
     def test_idempotent_and_degenerate_keep(self):
-        x = np.arange(36, dtype=float).reshape(6, 6) + 0j
-        dx = diagonal_part(x, self.SP2)
-        assert np.array_equal(diagonal_part(dx, self.SP2), dx)
-        # K_0 spectrum (-0.5, 0.5, 0.5, 1.5, 1.5, 2.5): cells 1,2 and 3,4
-        # are degenerate crossings and survive the projection
-        assert dx[1, 2] == x[1, 2] and dx[3, 4] == x[3, 4]
-        assert dx[0, 1] == 0.0 and dx[2, 3] == 0.0
+        x = _random_array_symbol(np.random.default_rng(9), 2, 6)
+        dx = kam._sym_d(self.MIXED, x)
+        assert np.array_equal(kam._sym_d(self.MIXED, dx), dx)
+        # levels 0 (indices 0, 1) and 1 (indices 2, 3, 4) keep their cells
+        assert dx[2, 0, 1] == x[2, 0, 1] and dx[2, 2, 4] == x[2, 2, 4]
+        assert dx[2, 1, 2] == 0.0 and dx[2, 4, 5] == 0.0
+        assert not np.any(np.delete(dx, 2, axis=0))
 
     def test_kills_offdiagonal_norm(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        dx = diagonal_part(x, self.SP2)
-        residual = dx - diagonal_part(dx, self.SP2)
-        assert np.abs(residual).max() == 0.0
+        x = _random_array_symbol(np.random.default_rng(9), 2, 6)
+        offd = kam._sym_offd(self.MIXED, x)
+        assert np.abs(kam._sym_d(self.MIXED, offd)).max() == 0.0
+        assert np.array_equal(kam._sym_d(self.MIXED, x) + offd, x)
 
 
 class TestIteration:
     def test_zero_perturbation(self, space):
         res = kam_iterate(space, BlockPerturbation.zero())
         assert res.converged and res.iterations == 0
-        assert np.allclose(res.w, np.eye(space.total_dim))
-        assert np.abs(res.g_inf).max() == 0.0
+        assert list(res.w_blocks) == [0]
+        assert np.array_equal(res.w_blocks[0], np.eye(space.level_dim))
+        assert np.abs(res.g_level).max() == 0.0
 
     def test_diagonal_perturbation(self, space):
         v = BlockPerturbation(
@@ -309,19 +337,6 @@ class TestIteration:
         assert first.eps_v == pytest.approx(eps_v_norm(rough_v, 2.0))
         assert first.min_denominator > 0.0
         assert math.isfinite(golden_result.w_weighted_norm)
-
-    def test_toeplitz_structure_exact(self, golden_result, space):
-        """Every stored window is block-Toeplitz, entry for entry."""
-        ell = space.level_dim
-        count = 2 * space.k_max + 1
-        for st in golden_result.history:
-            for mat in (st.g, st.a, st.w):
-                for k1 in range(count):
-                    for k2 in range(count):
-                        blk = mat[k1 * ell : (k1 + 1) * ell, k2 * ell : (k2 + 1) * ell]
-                        r1, r2 = (k1 - k2, 0) if k1 >= k2 else (0, k2 - k1)
-                        ref = mat[r1 * ell : (r1 + 1) * ell, r2 * ell : (r2 + 1) * ell]
-                        assert np.array_equal(blk, ref)
 
     def test_resonant_aborts_with_diagnostics(self):
         sp = FloquetMatrixSpace(k_max=8, levels=LEVELS, omega=1.0)
@@ -361,6 +376,27 @@ class TestIteration:
             KamConfig(max_iters=0)
         with pytest.raises(ValueError):
             KamConfig(tol=0.0)
+        for guard in (0.0, -1.0, math.nan, math.inf, "abc"):
+            with pytest.raises(ValueError, match="min_denom_guard"):
+                KamConfig(min_denom_guard=guard)
+
+    def test_working_set_holds_no_dense_window(self):
+        """A run keeps symbols and scalars, not (2 k_max + 1) L-square
+        windows: with the result alive, what it still holds on a 12-level,
+        k_max = 12 arena stays below one 300 x 300 complex window."""
+        omega = GOLDEN * 1.01
+        levels = tuple((0.5 + (GOLDEN - 1) * omega * n, 1) for n in range(12))
+        sp = FloquetMatrixSpace(k_max=12, levels=levels, omega=omega)
+        v = random_perturbation(sp, np.random.default_rng(12), k_band=2, r=2.0, eps_target=0.002)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = kam_iterate(sp, v, KamConfig(max_iters=8, tol=1e-10))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations >= 2
+        assert held < sp.total_dim**2 * 16
 
 
 class TestPropagator:
@@ -396,8 +432,8 @@ class TestPropagator:
         assert np.allclose(u1, u2, atol=1e-14)
 
     def test_perturbation_band_wider_than_the_cap(self):
-        """Blocks of V beyond band_cap_factor * k_max widen the symbols instead
-        of dropping out: the propagator still matches direct integration."""
+        """Blocks of V beyond the cap of 6 k_max widen the symbols instead of
+        dropping out: the propagator still matches direct integration."""
         sp = FloquetMatrixSpace(k_max=1, levels=((0.5, 1), (1.5, 1)), omega=GOLDEN)
         v = BlockPerturbation(
             blocks={
@@ -407,7 +443,7 @@ class TestPropagator:
                 (-9, 1, 0): np.array([[-0.002j]]),
             }
         )
-        res = kam_iterate(sp, v, KamConfig(band_cap_factor=2))
+        res = kam_iterate(sp, v)
         assert res.converged
         assert max(res.w_blocks) >= 9
         t = 2 * math.pi / sp.omega
@@ -417,13 +453,13 @@ class TestPropagator:
 
 class TestSerialization:
     def test_problem_round_trip(self, space, rough_v):
-        cfg = KamConfig(max_iters=9, tol=1e-9, schedule="fourier_cutoff")
+        cfg = KamConfig(max_iters=9, tol=1e-9, min_denom_guard=1e-6, schedule="fourier_cutoff")
         doc = problem_to_json_dict(space, rough_v, cfg)
         text = json.dumps(doc)
         sp2, v2, cfg2 = load_problem(text)
         assert sp2 == space
-        assert cfg2.max_iters == 9 and cfg2.tol == 1e-9
-        assert cfg2.schedule == "fourier_cutoff"
+        assert cfg2 == cfg
+        assert "min_denom_guard" not in problem_to_json_dict(space, rough_v, KamConfig())
         for key, blk in rough_v.blocks.items():
             assert np.allclose(v2.blocks[key], blk, atol=1e-15)
 
