@@ -1,7 +1,7 @@
 """Same-results check for the floquet-lab CLI.
 
     python3 scripts/same_results.py run DIR [--src PATH]
-    python3 scripts/same_results.py compare A B
+    python3 scripts/same_results.py compare A B [--exact]
 
 ``run`` runs a fixed set of CLI commands on the shipped configs in fresh
 processes and writes, into DIR, every file they write plus each command's
@@ -20,7 +20,9 @@ exit codes of the commands are: they are part of the record.
 and the text between them. Any difference in the text, in the file set or
 in the count of numbers is a failure (exit 1). Numbers may move; the
 worst absolute and relative deviation and the number of moved values are
-printed.
+printed. With ``--exact`` a moved number is a failure too: two runs of
+one revision must be byte-identical, or a diff between two revisions
+says nothing.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ def cmd_compare(args) -> int:
     print(f"{len(a_files & b_files)} common files, {total} numbers, {moved} moved")
     print(f"worst absolute deviation {worst_abs[0]:.3e}{worst_abs[1]}")
     print(f"worst relative deviation {worst_rel[0]:.3e}{worst_rel[1]}")
+    if args.exact and moved:
+        failures.append(f"{moved} numbers moved (--exact)")
     for line in failures:
         print(f"DIFF {line}")
     return 1 if failures else 0
@@ -151,6 +155,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare two run directories")
     p.add_argument("a")
     p.add_argument("b")
+    p.add_argument("--exact", action="store_true", help="fail when any number moved")
     p.set_defaults(func=cmd_compare)
     args = parser.parse_args(argv)
     return args.func(args)

@@ -212,6 +212,15 @@ def tridiagonal_eigh(diag, off) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need n >= 2 diagonal and n - 1 off-diagonal entries, got {d.size} and {e.size}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise NumericError("tridiagonal input contains NaN or Inf")
+    return _dstevd(d, e)
+
+
+def _dstevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dstevd core of tridiagonal_eigh for bands the caller has already
+    checked: float arrays of n >= 2 and n - 1 finite entries.  Still raises
+    NumericError on a solver failure (info != 0) or an overflowing
+    eigenvalue, which no check of the input can rule out.
+    """
     w, v, info = lapack.dstevd(d, e)
     if info != 0:
         raise NumericError(f"tridiagonal eigensolver dstevd failed with info = {info}")

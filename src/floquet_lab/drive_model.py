@@ -365,10 +365,14 @@ def psi(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> float:
 
 
 def split_elapsed(params: OscillatorParams, elapsed: float) -> tuple[int, float]:
-    """Split elapsed time as (2 pi/omega) N + Delta with Delta in (0, 2 pi/omega).
+    """Split elapsed time as T_osc N + Delta, T_osc = 2 pi/omega, with N the
+    nearest whole number of oscillator periods, so Delta in (-T_osc/2, T_osc/2].
 
-    Raises ResonantTimeError when elapsed is within RESONANCE_REL_TOL
-    oscillator periods of an exact multiple, where the split degenerates.
+    Rounding to the nearest period keeps omega Delta / (2 sin(omega elapsed / 2))
+    within [1, pi/2] in size, so the single exponential stays bounded on both
+    sides of a whole period.  Raises ResonantTimeError when elapsed is within
+    RESONANCE_REL_TOL oscillator periods of an exact multiple, where the
+    split degenerates.
     """
     t_osc = params.oscillator_period
     r = elapsed / t_osc
@@ -379,7 +383,7 @@ def split_elapsed(params: OscillatorParams, elapsed: float) -> tuple[int, float]
             elapsed=elapsed,
             period=t_osc,
         )
-    n = int(math.floor(r))
+    n = math.ceil(r - 0.5)
     delta = (r - n) * t_osc
     return n, delta
 
@@ -394,8 +398,11 @@ def _lambda_factor(u: float) -> float:
 def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> MuNuSigma:
     """Scalars of the single-exponential propagator over [s, t].
 
-    Refuses elapsed times at (near) integer multiples of the oscillator
-    period, where Delta -> {0, 2 pi/omega} and the form degenerates.
+    Delta is the elapsed time less the nearest whole number of oscillator
+    periods (split_elapsed), so the prefactor omega Delta / (2 sin(omega
+    (t - s) / 2)) of mu and nu stays between 1 and pi/2 in size.  Refuses
+    elapsed times at (near) integer multiples of the oscillator period,
+    where Delta -> 0 and the form degenerates.
     """
     t = float(t)
     s = float(s)

@@ -330,9 +330,11 @@ def stability_scan(
 ) -> StabilityReport:
     """Evolve psi0 and track ||H(t) psi_t|| and <H(t)> over n_periods.
 
-    Non-resonant drives additionally get the uniform bound C_psi and the
-    verdict compares sup ||H psi|| against it; resonant drives are judged
-    by the fitted growth exponent alone.
+    The energies come from one drive evaluation on the whole time grid and
+    one product with the evolved states, H(t) psi = E psi + f(t) x psi;
+    no H(t) is formed.  Non-resonant drives additionally get the uniform
+    bound C_psi and the verdict compares sup ||H psi|| against it; resonant
+    drives are judged by the fitted growth exponent alone.
     """
     _check_periods(spec, params)
     if n_periods < 1 or samples_per_period < 1:
@@ -344,16 +346,12 @@ def stability_scan(
 
     evolved = evolve_state(spec, params, trunc, psi0, t_grid, steps_per_period, scheme)
 
-    dim = trunc.dim
-    x, _ = xp_operators(params.omega, dim)
-    h0 = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
-    energy_norms = np.empty(count)
-    mean_energy = np.empty(count)
-    for i, ti in enumerate(t_grid):
-        h = h0 + float(eval_drive(spec, ti)) * x
-        v = h @ evolved.states[i]
-        energy_norms[i] = np.linalg.norm(v)
-        mean_energy[i] = float(np.real(np.vdot(evolved.states[i], v)))
+    states = evolved.states
+    x, _ = xp_operators(params.omega, trunc.dim)
+    f = eval_drive(spec, t_grid)
+    h_states = number_basis_energies(params.omega, trunc.dim) * states + f[:, None] * (states @ x.T)
+    energy_norms = np.linalg.norm(h_states, axis=1)
+    mean_energy = np.real(np.sum(states.conj() * h_states, axis=1))
 
     sup_bound = float(energy_norms.max())
     exponent = _fit_exponent(t_grid, mean_energy)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,6 +454,11 @@ def _solve_sym(
 # the iteration
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A finite number of the given kind; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class KamConfig:
     max_iters: int = 20
@@ -465,10 +471,14 @@ class KamConfig:
     def __post_init__(self):
         if self.schedule not in ("constant", "fourier_cutoff"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not (_is_number(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not (_is_number(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
+        if not (_is_number(self.r_weight) and self.r_weight >= 0):
+            raise ValueError(f"r_weight must be a finite number >= 0, got {self.r_weight!r}")
+        if not _is_number(self.nu_weight):
+            raise ValueError(f"nu_weight must be a finite number, got {self.nu_weight!r}")
         guard = self.min_denom_guard
         if guard is not None and not (isinstance(guard, float) and math.isfinite(guard) and guard > 0):
             raise ValueError(f"min_denom_guard must be None or a positive finite float, got {guard!r}")
@@ -818,19 +828,27 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
         omega=float(data["omega"]),
     )
     v = BlockPerturbation.from_json_list(data.get("V_blocks", []))
-    guard = data.get("min_denom_guard")
-    if guard is not None:
+
+    def number(key, name, default):
+        """data[key] as a float; the error names the KamConfig field."""
+        value = data.get(key, default)
         try:
-            guard = float(guard)
-        except (TypeError, ValueError):
-            raise ValueError(f"min_denom_guard must be a number, got {guard!r}") from None
+            if isinstance(value, bool):
+                raise TypeError
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+    # an integral max_iters such as 20.0 is read as 20; 2.7 stays a float and is refused
+    max_iters = number("max_iters", "max_iters", 20)
+    guard = data.get("min_denom_guard")
     config = KamConfig(
-        max_iters=int(data.get("max_iters", 20)),
-        tol=float(data.get("tol", 1e-10)),
-        min_denom_guard=guard,
+        max_iters=int(max_iters) if max_iters.is_integer() else max_iters,
+        tol=number("tol", "tol", 1e-10),
+        min_denom_guard=None if guard is None else number("min_denom_guard", "min_denom_guard", None),
         schedule=data.get("schedule", "constant"),
-        r_weight=float(data.get("r", 2.0)),
-        nu_weight=float(data.get("nu", 1.0)),
+        r_weight=number("r", "r_weight", 2.0),
+        nu_weight=number("nu", "nu_weight", 1.0),
     )
     return space, v, config
 

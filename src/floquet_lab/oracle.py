@@ -15,9 +15,10 @@ Two single-step schemes:
 PeriodStepper.segment steps on the structure of H(t) = H_omega + f(t) x:
 every step generator, for either scheme, is c H_omega + g x with real c
 and g, a real symmetric tridiagonal matrix.  A segment evaluates the drive
-once, vectorised over all its nodes, and takes each exponential's real
-eigenpairs from core_fock.tridiagonal_eigh; no dense H(t) and no step
-exponential is ever formed.  The product is carried in the current
+once, vectorised over all its nodes, checks all its generators once, and
+takes each exponential's real eigenpairs from the LAPACK dstevd core of
+core_fock.tridiagonal_eigh; no dense H(t) and no step exponential is ever
+formed.  The product is carried in the current
 eigenbasis instead: with E_j = V_j diag(e^{-i w_j}) V_j^T in order of
 action,
 
@@ -40,6 +41,7 @@ floating-point reassociation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,9 +52,9 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
+    _dstevd,
     matrix_exp,
     number_basis_energies,
-    tridiagonal_eigh,
     x_off_diagonal,
     xp_operators,
 )
@@ -142,14 +144,33 @@ class PeriodStepper:
         frac = abs(span) / self.spec.period
         return max(1, int(math.ceil(self.steps_per_period * frac - 1e-12)))
 
+    @functools.cached_property
+    def _x_band(self) -> tuple[np.ndarray, float]:
+        """x's off-diagonal at the working dimension and its spectral norm."""
+        x_off = x_off_diagonal(self.params.omega, self.dim)
+        top = self.dim - 1
+        x_norm = scipy.linalg.eigvalsh_tridiagonal(
+            np.zeros(self.dim), x_off, select="i", select_range=(top, top)
+        )[0]
+        return x_off, float(x_norm)
+
     def segment(self, start: float, span: float) -> np.ndarray:
-        """U(start + span, start), cached by (start mod T, span)."""
+        """U(start + span, start), cached by (start mod T, span) in units of T.
+
+        The start phase is folded into [0, T).  At start = k T, fmod can
+        return T less one ulp, whose key would round to 1.0: that key is
+        folded to 0.0, and a miss steps the segment from 0.0.
+        """
         if span == 0.0:
             return np.eye(self.dim, dtype=complex)
-        t_mod = math.fmod(start, self.spec.period)
+        big_t = self.spec.period
+        t_mod = math.fmod(start, big_t)
         if t_mod < 0.0:
-            t_mod += self.spec.period
-        key = (round(t_mod / self.spec.period, 12), round(span / self.spec.period, 12))
+            t_mod += big_t
+        phase = round(t_mod / big_t, 12)
+        if phase == 1.0:
+            t_mod = phase = 0.0
+        key = (phase, round(span / big_t, 12))
         hit = self._segment_cache.get(key)
         if hit is not None:
             return hit
@@ -167,7 +188,10 @@ class PeriodStepper:
         h c E_n is shared by every exponential and only the off-diagonal
         h g_k x_{n,n+1} changes.  Rows of mix are in order of action.
 
-        The exponentials, flattened in order of action, are chained in their
+        The whole batch of generators is checked once, for a finite drive, a
+        step phase below 2^52 and finite bands; each eigensolve then goes to
+        the dstevd core, which still checks info and the eigenvalues.  The
+        exponentials, flattened in order of action, are chained in their
         eigenbases (module docstring).  Each real-by-complex product is one
         real GEMM on a.view(float), whose rows interleave re and im.
         """
@@ -179,30 +203,28 @@ class PeriodStepper:
             nodes = (t0 + _CF4_C1 * h, t0 + _CF4_C2 * h)
             mix = ((_CF4_A2, _CF4_A1), (_CF4_A1, _CF4_A2))
         f = eval_drive(self.spec, np.concatenate(nodes)).reshape(len(nodes), n_steps)
-        x_off = x_off_diagonal(self.params.omega, self.dim)
+        x_off, x_norm = self._x_band
         f_max = float(np.abs(f).max())
         # f(t) x must stay finite; the negated comparison also catches NaN.
         # An x band below 1 cannot overflow a finite f, and dividing by it would.
         if not f_max <= np.finfo(float).max / max(x_off[-1], 1.0):
             raise NumericError("H(t) = H_omega + f(t) x contains NaN or Inf at a step node")
         # a step phase of 1/eps = 2^52 rad or more keeps no digit of exp(-i h f x)
-        top = self.dim - 1
-        x_norm = scipy.linalg.eigvalsh_tridiagonal(
-            np.zeros(self.dim), x_off, select="i", select_range=(top, top)
-        )[0]
-        phase = abs(h) * f_max * float(x_norm)
+        phase = abs(h) * f_max * x_norm
         if phase >= 1.0 / np.finfo(float).eps:
             raise NumericError(
                 f"oracle step phase h max|f| ||x|| = {phase:.3e} reaches 2^52: "
                 "no digit of a step exponential survives"
             )
         diag = (h * sum(mix[0])) * number_basis_energies(self.params.omega, self.dim)
-        gs = ((h * np.asarray(mix)) @ f).T.ravel()
-        w, v = tridiagonal_eigh(diag, gs[0] * x_off)
+        offs = ((h * np.asarray(mix)) @ f).T.reshape(-1, 1) * x_off
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offs))):
+            raise NumericError("tridiagonal input contains NaN or Inf")
+        w, v = _dstevd(diag, offs[0])
         a = np.exp(-1j * w)[:, None] * v.T
-        for g in gs[1:]:
+        for off in offs[1:]:
             v_prev = v
-            w, v = tridiagonal_eigh(diag, g * x_off)
+            w, v = _dstevd(diag, off)
             a = ((v.T @ v_prev) @ a.view(float)).view(complex)
             a *= np.exp(-1j * w)[:, None]
         return (v @ a.view(float)).view(complex)

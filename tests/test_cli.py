@@ -346,6 +346,48 @@ class TestKam:
         assert "warnings" not in err
         assert not result.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("tol", math.inf, "tol"),
+            ("tol", math.nan, "tol"),
+            ("tol", 0, "tol"),
+            ("tol", "abc", "tol"),
+            ("max_iters", "abc", "max_iters"),
+            ("max_iters", 2.7, "max_iters"),
+            ("max_iters", 0, "max_iters"),
+            ("max_iters", True, "max_iters"),
+            ("r", math.nan, "r_weight"),
+            ("r", -1.0, "r_weight"),
+            ("r", "abc", "r_weight"),
+            ("nu", math.inf, "nu_weight"),
+            ("nu", None, "nu_weight"),
+        ],
+        ids=["tol_inf", "tol_nan", "tol_zero", "tol_text", "max_iters_text", "max_iters_fraction",
+             "max_iters_zero", "max_iters_bool", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null"],
+    )
+    def test_bad_numeric_field_is_a_config_error(self, tmp_path, capsys, key, value, field):
+        problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
+        problem[key] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        result = tmp_path / "result.json"
+        rc = main(["kam", str(path), "--out-history", str(tmp_path / "h.jsonl"), "--out-result", str(result)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(field + " must be")
+        assert not result.exists()
+
+    def test_integral_max_iters_is_accepted(self, tmp_path):
+        problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
+        problem["max_iters"] = float(problem.get("max_iters", 20))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        rc = main(["kam", str(path), "--out-history", str(tmp_path / "h.jsonl"),
+                   "--out-result", str(tmp_path / "result.json")])
+        assert rc == 0
+
 
 class TestVerify:
     def test_commutator_suite_passes(self, capsys):

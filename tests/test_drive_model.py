@@ -132,12 +132,17 @@ class TestSplitElapsed:
     params = OscillatorParams(omega=2.0, period_T=5.0)
 
     def test_decomposition(self):
+        """n is the nearest whole number of periods, so |Delta| <= T_osc/2."""
         period = 2 * math.pi / self.params.omega
-        for elapsed in (0.4, 3.7, 11.0, 2.5 * period + 0.3):
+        cases = [(0.4, 0), (3.7, 1), (11.0, 4), (2.5 * period + 0.3, 3), (-0.4, 0), (-3.7, -1)]
+        for elapsed, nearest in cases:
             n, delta = split_elapsed(self.params, elapsed)
-            assert n == math.floor(elapsed / period)
-            assert 0.0 < delta < period
+            assert n == nearest
+            assert -0.5 * period < delta <= 0.5 * period
             assert n * period + delta == pytest.approx(elapsed, abs=1e-12)
+        # a half-period tie rounds down, so Delta = +T_osc/2
+        n, delta = split_elapsed(self.params, 2.5 * period)
+        assert n == 2 and delta == pytest.approx(0.5 * period, abs=1e-12)
 
     def test_resonant_rejected(self):
         period = 2 * math.pi / self.params.omega
@@ -151,6 +156,8 @@ class TestSplitElapsed:
             split_elapsed(self.params, period * (1 + 1e-10))
         n, delta = split_elapsed(self.params, period * (1 + 1e-7))
         assert n == 1 and delta > 0
+        n, delta = split_elapsed(self.params, period * (1 - 1e-7))
+        assert n == 1 and delta < 0
 
 
 class TestResonanceDetection:

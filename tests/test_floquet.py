@@ -32,8 +32,12 @@ from floquet_lab import (
     stability_scan,
     transition_bound_check,
 )
-from floquet_lab.core_fock import xp_operators
+import floquet_lab.floquet as floquet_module
+from floquet_lab import cli
+from floquet_lab.cli import shipped_config_path
+from floquet_lab.core_fock import number_basis_energies, xp_operators
 from floquet_lab.floquet import _sup_sf_norm
+from floquet_lab.oracle import PeriodStepper, evolve_state
 
 P12 = 13  # projector onto the lowest 13 number states
 
@@ -239,6 +243,61 @@ class TestStabilityScan:
     def test_energy_bound_constant_finite(self, drive_nonres, params_nonres, trunc48, ground_state):
         c = energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state)
         assert math.isfinite(c) and c > 0.0
+
+
+def _count_segment_builds(monkeypatch) -> list:
+    """Record the start of every segment PeriodStepper actually steps."""
+    starts = []
+    real = PeriodStepper._stepped
+
+    def spy(self, s, t, n_steps):
+        starts.append(s)
+        return real(self, s, t, n_steps)
+
+    monkeypatch.setattr(PeriodStepper, "_stepped", spy)
+    return starts
+
+
+class TestStabilityScanWork:
+    """On T = 2 pi sqrt(2) (the shipped nonresonant period), fmod(9 T, T)
+    returns T less an ulp; that start must reuse the segment from 0."""
+
+    def _nonresonant(self):
+        spec, params, trunc, opts, _ = cli._load_config(shipped_config_path("nonresonant.json"))
+        big_t = params.period_T
+        assert round(math.fmod(9 * big_t, big_t) / big_t, 12) == 1.0
+        return spec, params, trunc, opts
+
+    def test_resonance_scan_row_builds_each_segment_once(self, monkeypatch):
+        spec, params, trunc, opts = self._nonresonant()
+        starts = _count_segment_builds(monkeypatch)
+        cli._scan_row(spec, params, trunc, opts, 0.9)  # 24 periods, 4 samples each
+        assert len(starts) == 4
+        assert starts[0] == 0.0
+
+    def test_stability_builds_each_segment_once(self, monkeypatch, tmp_path):
+        starts = _count_segment_builds(monkeypatch)
+        rc = cli.main(["stability", shipped_config_path("nonresonant.json"), "--periods", "10",
+                       "--samples", "8", "--out-csv", str(tmp_path / "s.csv")])
+        assert rc == 0
+        assert len(starts) == 8
+
+    def test_energies_match_dense_per_sample_reference(self, monkeypatch, ground_state):
+        spec, params, trunc, opts = self._nonresonant()
+        grids = []
+        real = floquet_module.eval_drive
+        monkeypatch.setattr(floquet_module, "eval_drive", lambda sp, t: grids.append(t) or real(sp, t))
+        report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4,
+                                steps_per_period=opts["steps_per_period"])
+        assert len(grids) == 1 and np.shape(grids[0]) == report.t_grid.shape
+        states = evolve_state(spec, params, trunc, ground_state, report.t_grid,
+                              opts["steps_per_period"]).states
+        x, _ = xp_operators(params.omega, trunc.dim)
+        h0 = np.diag(number_basis_energies(params.omega, trunc.dim)).astype(complex)
+        for i, ti in enumerate(report.t_grid):
+            v = (h0 + float(real(spec, ti)) * x) @ states[i]
+            assert report.energy_norms[i] == pytest.approx(np.linalg.norm(v), rel=1e-12)
+            assert report.mean_energy[i] == pytest.approx(np.real(np.vdot(states[i], v)), rel=1e-12)
 
 
 class TestTransitionBound:

@@ -173,6 +173,32 @@ class TestWorkingSet:
         assert peak <= budget, f"peak {peak} bytes against a budget of {budget}"
 
 
+class TestSegmentKey:
+    """The cache keys a segment by its start phase folded into [0, T)."""
+
+    def test_start_at_a_whole_period_reuses_the_segment_from_zero(self, monkeypatch):
+        start = 9 * T_DRIVE  # fmod(start, T) is T less an ulp here
+        assert round(math.fmod(start, T_DRIVE) / T_DRIVE, 12) == 1.0
+        starts = []
+        real = PeriodStepper._stepped
+        monkeypatch.setattr(
+            PeriodStepper, "_stepped", lambda self, s, t, n: starts.append(s) or real(self, s, t, n)
+        )
+        stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
+        first = stepper.segment(start, 0.25 * T_DRIVE)
+        assert starts == [0.0]
+        assert stepper.segment(0.0, 0.25 * T_DRIVE) is first
+        assert stepper.segment(-T_DRIVE, 0.25 * T_DRIVE) is first
+        assert starts == [0.0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_diagonal_is_a_numeric_error(self):
+        """The batch check still sees every band: here omega (n + 1/2) overflows."""
+        params = OscillatorParams(omega=1e307, period_T=T_DRIVE)
+        with pytest.raises(NumericError, match="tridiagonal input contains NaN or Inf"):
+            PeriodStepper(SPEC, params, TRUNC, steps_per_period=32).segment(0.0, 1.0)
+
+
 class TestNonFiniteDrive:
     """A drive whose f(t) x overflows fails with the typed NumericError."""
 

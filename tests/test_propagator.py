@@ -12,6 +12,7 @@ from floquet_lab import (
     Truncation,
     factored_factors,
     heisenberg_check,
+    integrate,
     matrix_exp,
     propagator_factored,
     propagator_single_exp,
@@ -141,6 +142,26 @@ class TestClosedForms:
         half = TRUNC.n_keep // 2
         assert single_exp_factors(SPEC, PARAMS, t, 0.0).whole_periods == 1
         assert np.linalg.norm((u1 - u2)[:half, :half], 2) <= 1e-10
+
+
+class TestNearWholePeriods:
+    """t - s = (k - eps) T_osc on both sides of one and two whole oscillator
+    periods: Delta is taken from the nearest whole period, so the single
+    exponential's displacement stays bounded as eps -> 0."""
+
+    SPEC = DriveSpec.sine(T_DRIVE, amplitude=0.05)
+    S = 0.3
+    CASES = [(k, sign * eps) for k in (1, 2) for eps in (0.3, 0.05, 0.01, 0.004, 0.002) for sign in (1, -1)]
+
+    @pytest.mark.parametrize("k, eps", CASES)
+    def test_single_exp_matches_factored_and_oracle(self, k, eps):
+        t = self.S + (k - eps) * 2 * math.pi / OMEGA
+        half = TRUNC.n_keep // 2
+        single = propagator_single_exp(self.SPEC, PARAMS, TRUNC, t, self.S).entries[:half, :half]
+        factored = propagator_factored(self.SPEC, PARAMS, TRUNC, t, self.S).entries[:half, :half]
+        oracle = integrate(self.SPEC, PARAMS, TRUNC, t, self.S).entries[:half, :half]
+        assert np.abs(single - factored).max() <= 1e-10
+        assert np.abs(single - oracle).max() <= 1e-6
 
 
 class TestHeisenberg:

@@ -32,6 +32,14 @@ def test_moved_numbers_pass_and_are_reported(same_results, tmp_path, capsys):
     assert "worst absolute deviation 2.168e-19" in out
 
 
+def test_exact_fails_on_a_moved_number(same_results, tmp_path, capsys):
+    a = _write(tmp_path / "a", {"x.csv": "omega,v\n0.8,1.25e-3\n"})
+    b = _write(tmp_path / "b", {"x.csv": "omega,v\n0.8,1.2500000000000002e-3\n"})
+    assert same_results.main(["compare", "--exact", a, b]) == 1
+    assert "DIFF 1 numbers moved (--exact)" in capsys.readouterr().out
+    assert same_results.main(["compare", "--exact", a, a]) == 0
+
+
 @pytest.mark.parametrize(
     "b_files",
     [
