@@ -5,9 +5,6 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    build_ladder,
-    build_xpH,
-    exp_padded,
     matrix_exp,
 )
 from .drive_model import (
@@ -25,10 +22,8 @@ from .drive_model import (
     split_elapsed,
 )
 from .commutators import (
-    CommutatorTower,
     FPolynomial,
     HigherOrderBoundReport,
-    ad_power,
     ap_commute,
     f_polynomial,
     higher_order_bound_check,
@@ -51,7 +46,6 @@ from .errors import (
 )
 from .floquet import (
     Classification,
-    FloquetData,
     StabilityReport,
     TransitionBoundReport,
     build_HF,
@@ -59,9 +53,6 @@ from .floquet import (
     build_UF,
     classify_monodromy,
     energy_bound_constant,
-    floquet_data,
-    solve_sylvester_separated,
-    spectral_projector,
     stability_scan,
     transition_bound_check,
 )
@@ -71,7 +62,6 @@ from .kam import (
     KamConfig,
     KamResult,
     KamState,
-    detect_resonances,
     eps_v_norm,
     kam_iterate,
     level_hamiltonian,
@@ -84,7 +74,6 @@ from .oracle import EvolveResult, PeriodStepper, evolve_state, hamiltonian_at, i
 from .propagator import (
     PropagatorFactors,
     factored_factors,
-    heisenberg_check,
     propagator_factored,
     propagator_single_exp,
     single_exp_factors,

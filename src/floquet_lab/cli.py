@@ -29,11 +29,12 @@ import numpy as np
 from .core_fock import (
     OscillatorParams,
     Truncation,
+    _integer_field,
     matrix_exp,
     number_basis_energies,
     xp_operators,
 )
-from .drive_model import DriveSpec, mu_nu_sigma, phi12, psi, split_elapsed
+from .drive_model import DriveSpec, mu_nu_sigma, phi12, psi
 from .errors import (
     FloquetLabError,
     IntegrationError,
@@ -108,7 +109,9 @@ def _parse_config(data: dict):
         )
         spec = DriveSpec.from_json_dict(data["drive"])
         tr = data["truncation"]
-        trunc = Truncation(n_keep=int(tr["n_keep"]), n_pad=int(tr["n_pad"]))
+        trunc = Truncation(
+            n_keep=_integer_field(tr["n_keep"], "n_keep"), n_pad=_integer_field(tr["n_pad"], "n_pad")
+        )
     except (KeyError, TypeError) as err:
         raise ValueError(f"config missing or malformed field: {err}") from err
     if abs(spec.period - params.period_T) > 1e-12 * params.period_T:
@@ -117,9 +120,8 @@ def _parse_config(data: dict):
         )
     tol = data.get("tolerances", {})
     opts = {
-        "steps_per_period": int(tol.get("steps_per_period", 128)),
+        "steps_per_period": _integer_field(tol.get("steps_per_period", 128), "steps_per_period"),
         "scheme": str(tol.get("scheme", "cf4")),
-        "samples_per_period": int(tol.get("samples_per_period", 8)),
     }
     debug = data.get("debug", {})
     return spec, params, trunc, opts, debug
@@ -420,24 +422,30 @@ def _suite_appendix(config_path: str) -> list:
 
 
 def _suite_floquet(config_path: str) -> list:
-    from .floquet import floquet_data
+    from .floquet import build_HF, build_SF, build_UF
     from .oracle import hamiltonian_at
 
     spec, params, trunc, opts, _ = _load_config(config_path)
-    data = floquet_data(spec, params, trunc)
+    h_f = build_HF(spec, params, trunc).entries
     checks = []
     big_t = params.period_T
 
-    uf0 = data.u_f_at(0.0).entries
+    def u_f(t):
+        return build_UF(spec, params, trunc, t).entries
+
+    def s_f(t):
+        return build_SF(spec, params, trunc, t).entries
+
+    uf0 = u_f(0.0)
     dev = float(np.linalg.norm(uf0 - np.eye(trunc.n_keep), 2))
     checks.append(("u_f_at_zero_is_identity", dev <= 1e-12, dev))
 
-    ufT = data.u_f_at(big_t).entries
+    ufT = u_f(big_t)
     dev = float(np.linalg.norm(ufT - uf0, 2))
     checks.append(("u_f_periodicity", dev <= 1e-7, dev))
 
     h0 = hamiltonian_at(spec, params, 0.0, trunc.n_keep)
-    recon = data.h_f.entries + data.s_f_at(0.0).entries
+    recon = h_f + s_f(0.0)
     dev = float(np.linalg.norm(h0 - recon, 2))
     checks.append(("h0_equals_hf_plus_sf0", dev <= 1e-8, dev))
 
@@ -445,17 +453,17 @@ def _suite_floquet(config_path: str) -> list:
     for i, frac in enumerate((0.31, 0.77)):
         t = frac * big_t
         u = integrate(spec, params, trunc, t, 0.0, opts["steps_per_period"], opts["scheme"]).entries
-        reduced = data.u_f_at(t).entries @ matrix_exp(-1j * t * data.h_f.entries)
+        reduced = u_f(t) @ matrix_exp(-1j * t * h_f)
         dev = float(np.linalg.norm((u - reduced)[:half, :half], 2))
         checks.append((f"decomposition_t{i}", dev <= 1e-6, dev))
 
     eps = 1e-6
     t0 = 0.4 * big_t
-    um = data.u_f_at(t0 - eps).entries
-    up = data.u_f_at(t0 + eps).entries
+    um = u_f(t0 - eps)
+    up = u_f(t0 + eps)
     dudt = (up - um) / (2 * eps)
-    sf_fd = 1j * np.linalg.inv(data.u_f_at(t0).entries) @ dudt
-    dev = float(np.linalg.norm((sf_fd - data.s_f_at(t0).entries)[:half, :half], 2))
+    sf_fd = 1j * np.linalg.inv(u_f(t0)) @ dudt
+    dev = float(np.linalg.norm((sf_fd - s_f(t0))[:half, :half], 2))
     checks.append(("s_f_finite_difference", dev <= 1e-5, dev))
     return checks
 

@@ -44,8 +44,6 @@ from .oracle import hamiltonian_at
 from .propagator import propagator_factored
 
 __all__ = [
-    "CommutatorTower",
-    "ad_power",
     "FPolynomial",
     "f_polynomial",
     "ap_commute",
@@ -55,66 +53,6 @@ __all__ = [
     "HigherOrderBoundReport",
     "higher_order_bound_check",
 ]
-
-
-@dataclass(frozen=True)
-class CommutatorTower:
-    """ad_A^0 X .. ad_A^n X by iterated bracketing."""
-
-    base: TruncatedOperator
-    powers: list
-
-    @property
-    def order(self) -> int:
-        return len(self.powers) - 1
-
-    def __getitem__(self, n: int) -> TruncatedOperator:
-        return self.powers[n]
-
-
-def _binomial_ad(a: np.ndarray, x: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Binomial form of ad_A^n X and the scale of its terms."""
-    a_pows = [np.eye(a.shape[0], dtype=complex)]
-    for _ in range(n):
-        a_pows.append(a_pows[-1] @ a)
-    out = np.zeros_like(x)
-    scale = 0.0
-    for k in range(n + 1):
-        term = math.comb(n, k) * ((-1) ** k) * (a_pows[n - k] @ x @ a_pows[k])
-        out += term
-        scale += float(np.linalg.norm(term))
-    return out, scale
-
-
-def ad_power(a: TruncatedOperator, x: TruncatedOperator, n: int) -> CommutatorTower:
-    """Tower of iterated commutators, cross-checked against the binomial
-    sum ad_A^n X = sum_k (n choose k)(-1)^k A^{n-k} X A^k.
-
-    The cross-check tolerance is relative to the binomial term scale: the
-    bracket result itself can be exponentially smaller for near-diagonal A.
-    """
-    if not isinstance(a, TruncatedOperator):
-        a = TruncatedOperator.hermitian_op(np.asarray(a))
-    if not a.hermitian:
-        raise ValueError("ad_power requires a Hermitian base operator")
-    if not isinstance(x, TruncatedOperator):
-        x = TruncatedOperator(np.asarray(x, dtype=complex))
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    am = a.entries
-    powers = [x]
-    cur = x.entries
-    for _ in range(n):
-        cur = am @ cur - cur @ am
-        powers.append(TruncatedOperator(cur))
-    binom, scale = _binomial_ad(am, x.entries, n)
-    dev = float(np.linalg.norm(powers[n].entries - binom))
-    if dev > 1e-9 * max(scale, 1.0):
-        raise NumericError(
-            f"iterated bracket and binomial sum disagree at order {n}: "
-            f"deviation {dev} against term scale {scale}"
-        )
-    return CommutatorTower(base=a, powers=powers)
 
 
 # ---------------------------------------------------------------------------

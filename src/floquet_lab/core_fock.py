@@ -12,15 +12,17 @@ H_omega is built spectrally rather than from x and p so its diagonal is exact
 at every truncation.  Truncation policy: operators are assembled and
 exponentiated at dimension n_keep + n_pad and results are trimmed back to
 n_keep, which keeps the basis-cutoff corruption inside the padding band.
+Every exponential the package forms has an anti-Hermitian generator, so
+matrix_exp accepts that kind only.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import InvalidTruncationError, NumericError
 
@@ -29,18 +31,27 @@ __all__ = [
     "Truncation",
     "TruncatedOperator",
     "ladder",
-    "build_ladder",
     "xp_operators",
     "number_basis_energies",
     "x_off_diagonal",
-    "build_xpH",
+    "x_norm",
     "matrix_exp",
     "tridiagonal_eigh",
-    "exp_padded",
 ]
 
 # Relative tolerance used to classify generators as (anti-)Hermitian.
 _HERM_RTOL = 1e-12
+
+
+def _integer_field(value, name: str) -> int:
+    """A config field read as an int.  An integral float such as 20.0 is
+    read as 20; a fraction, a bool or a non-number raises ValueError naming
+    the field."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,12 +159,6 @@ def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def build_ladder(trunc: Truncation) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Ladder pair at the full working dimension n_keep + n_pad."""
-    a, ad = ladder(trunc.dim)
-    return TruncatedOperator(a), TruncatedOperator(ad)
-
-
 def xp_operators(omega: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum matrices at the given dimension."""
     a, ad = ladder(dim)
@@ -172,21 +177,12 @@ def x_off_diagonal(omega: float, dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, dim)) / np.sqrt(2.0 * omega)
 
 
-def build_xpH(
-    params: OscillatorParams, trunc: Truncation
-) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator]:
-    """x, p and H_omega at the full working dimension.
-
-    H_omega comes from its known spectrum, not from x and p, so it is exact
-    even though the truncated x and p violate the commutation relation in
-    the last basis state.
-    """
-    x, p = xp_operators(params.omega, trunc.dim)
-    h = np.diag(number_basis_energies(params.omega, trunc.dim)).astype(complex)
-    return (
-        TruncatedOperator.hermitian_op(x),
-        TruncatedOperator.hermitian_op(p),
-        TruncatedOperator.hermitian_op(h),
+def x_norm(omega: float, dim: int) -> float:
+    """Spectral norm of the truncated x at the given dimension: its largest
+    eigenvalue, since its spectrum is symmetric about 0."""
+    top = dim - 1
+    return float(
+        eigvalsh_tridiagonal(np.zeros(dim), x_off_diagonal(omega, dim), select="i", select_range=(top, top))[0]
     )
 
 
@@ -230,12 +226,13 @@ def _dstevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential tuned for the generators seen in this package.
+    """exp(A) for an anti-Hermitian generator A = iH, the only kind this
+    package exponentiates.
 
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition,
-    which for anti-Hermitian generators returns an exactly unitary result
-    (columns of a unitary times unit-modulus phases).  Everything else falls
-    back to scipy's scaling-and-squaring Pade approximant.
+    exp(A) = V diag(e^{iw}) V^dag from the eigenpairs (w, V) of H, which is
+    exactly unitary up to rounding.  A generator that deviates from
+    anti-Hermitian by more than 1e-12 of its largest entry raises
+    ValueError naming the deviation.
 
     Accepts a TruncatedOperator or a bare ndarray; returns an ndarray.
     """
@@ -245,27 +242,8 @@ def matrix_exp(m) -> np.ndarray:
     scale = np.abs(a).max()
     if scale == 0.0:
         return np.eye(a.shape[0], dtype=complex)
-    if np.abs(a - a.conj().T).max() <= _HERM_RTOL * scale:
-        w, v = np.linalg.eigh(a)
-        return (v * np.exp(w)) @ v.conj().T
-    if np.abs(a + a.conj().T).max() <= _HERM_RTOL * scale:
-        # a = iH with H Hermitian; exp(a) = V exp(i w) V^dag is unitary.
-        w, v = np.linalg.eigh(-1j * a)
-        return (v * np.exp(1j * w)) @ v.conj().T
-    out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericError("matrix_exp overflowed")
-    return out
-
-
-def exp_padded(generator_builder, trunc: Truncation) -> TruncatedOperator:
-    """Exponentiate at n_keep + n_pad, then trim to n_keep.
-
-    generator_builder(dim) must return the generator at any requested
-    dimension (ndarray or TruncatedOperator).
-    """
-    g = _as_matrix(generator_builder(trunc.dim))
-    if g.shape != (trunc.dim, trunc.dim):
-        raise ValueError(f"generator_builder returned shape {g.shape}, expected {(trunc.dim, trunc.dim)}")
-    full = matrix_exp(g)
-    return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
+    dev = np.abs(a + a.conj().T).max()
+    if dev > _HERM_RTOL * scale:
+        raise ValueError(f"matrix_exp generator is not anti-Hermitian: deviates by {dev:.3e} (scale {scale:.3e})")
+    w, v = np.linalg.eigh(-1j * a)
+    return (v * np.exp(1j * w)) @ v.conj().T

@@ -47,7 +47,6 @@ from scipy.integrate import quad
 
 from .core_fock import OscillatorParams
 from .errors import (
-    DomainError,
     IntegrationError,
     ResonanceError,
     ResonantTimeError,

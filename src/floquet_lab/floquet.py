@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .core_fock import (
     Truncation,
     matrix_exp,
     number_basis_energies,
+    x_norm,
     xp_operators,
 )
 from .drive_model import (
@@ -59,7 +60,7 @@ from .drive_model import (
     fourier_coefficient,
     is_resonant_period,
 )
-from .errors import DomainError, InvalidIntervalError, NumericError, UnsupportedDriveError
+from .errors import InvalidIntervalError, NumericError, UnsupportedDriveError
 from .oracle import evolve_state, hamiltonian_at
 from .propagator import propagator_factored
 
@@ -69,15 +70,11 @@ __all__ = [
     "build_HF",
     "build_UF",
     "build_SF",
-    "FloquetData",
-    "floquet_data",
     "StabilityReport",
     "stability_scan",
     "energy_bound_constant",
-    "spectral_projector",
     "TransitionBoundReport",
     "transition_bound_check",
-    "solve_sylvester_separated",
 ]
 
 _BLOCK_NOTE = (
@@ -87,10 +84,6 @@ _BLOCK_NOTE = (
 )
 
 _IDENTITY_COEFF_TOL = 1e-12
-
-# S_F matrices per batched norm call in _sup_sf_norm; bounds the stack's memory
-# (2.4 MB at n_keep 48).
-_SF_NORM_BATCH = 64
 
 
 class Classification(str, Enum):
@@ -170,12 +163,16 @@ def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
-def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
-    """S_F at each time in ts, in order, sharing one x and p."""
+def _require_sf(spec: DriveSpec):
     if not spec.is_fourier:
         raise UnsupportedDriveError(
             "S_F needs exact scalar derivatives, available only for Fourier drives"
         )
+
+
+def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
+    """S_F at each time in ts, in order, sharing one x and p."""
+    _require_sf(spec)
     omega = params.omega
     x, p = xp_operators(omega, dim)
     eye = np.eye(dim)
@@ -194,36 +191,6 @@ def build_SF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
     """Co-rotating generator S_F(t) = i U_F^{-1} dU_F/dt on the kept block."""
     _check_periods(spec, params)
     return TruncatedOperator.hermitian_op(_sf_matrix(spec, params, float(t), trunc.n_keep))
-
-
-@dataclass(frozen=True)
-class FloquetData:
-    """Assembled Floquet decomposition for one drive configuration.
-
-    The callables return kept-block TruncatedOperators; the scalars behind
-    them are floquet_scalars and floquet_scalar_derivs. Construct via
-    floquet_data().
-    """
-
-    h_f: TruncatedOperator
-    u_f_at: Callable[[float], TruncatedOperator]
-    s_f_at: Callable[[float], TruncatedOperator]
-    classification: Classification
-
-
-def floquet_data(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> FloquetData:
-    """Bundle H_F, U_F and S_F for one drive.
-
-    Raises a resonance error for resonant periods; use classify_monodromy
-    alone in that regime.
-    """
-    classification = classify_monodromy(spec, params)
-    return FloquetData(
-        h_f=build_HF(spec, params, trunc),
-        u_f_at=lambda t: build_UF(spec, params, trunc, t),
-        s_f_at=lambda t: build_SF(spec, params, trunc, t),
-        classification=classification,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +347,7 @@ def stability_scan(
 
 
 # ---------------------------------------------------------------------------
-# spectral projectors and the transition-probability bound
-
-
-def spectral_projector(op, interval: tuple[float, float]) -> np.ndarray:
-    """Projector onto eigenvalues of a Hermitian matrix in a closed interval.
-
-    Endpoint ties are included, which keeps the construction deterministic
-    under eigenvalue reordering.
-    """
-    mat = op.entries if isinstance(op, TruncatedOperator) else np.asarray(op)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo <= hi:
-        raise InvalidIntervalError(f"empty interval [{lo}, {hi}]")
-    vals, vecs = np.linalg.eigh(mat)
-    mask = (vals >= lo) & (vals <= hi)
-    v = vecs[:, mask]
-    return v @ v.conj().T
+# the transition-probability bound
 
 
 def _interval_dist(i1: tuple[float, float], i2: tuple[float, float]) -> float:
@@ -457,16 +408,21 @@ class TransitionBoundReport:
 
 
 def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, samples: int = 64) -> float:
-    """max ||S_F(tau)|| over samples uniform points of one period, kept block."""
-    taus = [j * params.period_T / samples for j in range(samples)]
-    n = trunc.n_keep
-    stack = np.empty((min(samples, _SF_NORM_BATCH), n, n), dtype=complex)
+    """max ||S_F(tau)|| over samples uniform points of one period, kept block.
+
+    S_F = z a + conj(z) a^dag + c with |z| = sqrt(F1'^2 + F2'^2)/sqrt(2 omega)
+    and real c = F1 F2'/omega - Phi'.  The diagonal unitary diag(e^{i n arg z})
+    maps it to |z| (a + a^dag) + c = sqrt(F1'^2 + F2'^2) x + c on every
+    truncation, and the truncated x has a spectrum symmetric about 0, so
+    ||S_F|| = |c| + sqrt(F1'^2 + F2'^2) ||x||: no matrix is formed.
+    """
+    _require_sf(spec)
+    omega = params.omega
+    x_nrm = x_norm(omega, trunc.n_keep)
     sup = 0.0
-    for lo in range(0, samples, _SF_NORM_BATCH):
-        batch = taus[lo : lo + _SF_NORM_BATCH]
-        for i, s_f in enumerate(_sf_matrices(spec, params, batch, n)):
-            stack[i] = s_f
-        sup = max(sup, *np.linalg.norm(stack[: len(batch)], 2, axis=(-2, -1)).tolist())
+    for j in range(samples):
+        f1, d1, d2, dphi = _sf_scalars(spec, params, j * params.period_T / samples)
+        sup = max(sup, abs(f1 * d2 / omega - dphi) + math.hypot(d1, d2) * x_nrm)
     return sup
 
 
@@ -581,26 +537,3 @@ def transition_bound_check(
         pair_ok=pair_ok,
     )
 
-
-def solve_sylvester_separated(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve AX - XB = Y for Hermitian A, B with separated spectra.
-
-    Evaluates the resolvent contour representation
-
-        X = (1/(2 pi i)) \\oint (A - z)^{-1} Y (B - z)^{-1} dz
-
-    by residues in the eigenbases of A and B, where it reduces to
-    X_ab = Y_ab / (alpha_a - beta_b). The solution obeys
-    ||X|| <= ||Y|| / dist(Spec A, Spec B).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    y = np.asarray(y)
-    vals_a, vecs_a = np.linalg.eigh(a)
-    vals_b, vecs_b = np.linalg.eigh(b)
-    gaps = vals_a[:, None] - vals_b[None, :]
-    min_gap = float(np.abs(gaps).min())
-    if min_gap == 0.0:
-        raise DomainError("spectra of A and B intersect; no bounded solution")
-    core = (vecs_a.conj().T @ y @ vecs_b) / gaps
-    return vecs_a @ core @ vecs_b.conj().T

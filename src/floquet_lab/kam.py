@@ -47,14 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .core_fock import TruncatedOperator, matrix_exp
+from .core_fock import TruncatedOperator, _integer_field, matrix_exp
 from .errors import NotConvergedError, NumericError, SmallDenominatorError
 
 __all__ = [
     "FloquetMatrixSpace",
     "BlockPerturbation",
     "random_perturbation",
-    "detect_resonances",
     "eps_v_norm",
     "weighted_block_norm",
     "KamConfig",
@@ -339,29 +338,6 @@ def random_perturbation(
     return BlockPerturbation(
         blocks={key: factor * blk for key, blk in v.blocks.items()}
     )
-
-
-def detect_resonances(space: FloquetMatrixSpace, tol: float | None = None) -> list:
-    """Near-collisions q omega + h_n - h_m ~ 0 between distinct cells.
-
-    Returns a sorted list of (q, n, m, gap) with |gap| < tol, excluding
-    the trivial q = 0, n = m case. These are exactly the couplings whose
-    homological denominators vanish.
-    """
-    if tol is None:
-        tol = 1e-8 * space.omega
-    hs = [h for h, _ in space.levels]
-    hits = []
-    for q in range(-2 * space.k_max, 2 * space.k_max + 1):
-        for n, hn in enumerate(hs):
-            for m, hm in enumerate(hs):
-                if q == 0 and n == m:
-                    continue
-                gap = q * space.omega + hn - hm
-                if abs(gap) < tol:
-                    hits.append((q, n, m, gap))
-    hits.sort(key=lambda item: (abs(item[3]), item[0], item[1], item[2]))
-    return hits
 
 
 def eps_v_norm(v: BlockPerturbation, r: float) -> float:
@@ -823,8 +799,8 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
     """Parse a problem dict or JSON text into (space, V, config)."""
     data = json.loads(source) if isinstance(source, str) else source
     space = FloquetMatrixSpace(
-        k_max=int(data["k_max"]),
-        levels=tuple((lv["h"], lv.get("mult", 1)) for lv in data["levels"]),
+        k_max=_integer_field(data["k_max"], "k_max"),
+        levels=tuple((lv["h"], _integer_field(lv.get("mult", 1), "mult")) for lv in data["levels"]),
         omega=float(data["omega"]),
     )
     v = BlockPerturbation.from_json_list(data.get("V_blocks", []))
@@ -839,11 +815,9 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{name} must be a number, got {value!r}") from None
 
-    # an integral max_iters such as 20.0 is read as 20; 2.7 stays a float and is refused
-    max_iters = number("max_iters", "max_iters", 20)
     guard = data.get("min_denom_guard")
     config = KamConfig(
-        max_iters=int(max_iters) if max_iters.is_integer() else max_iters,
+        max_iters=_integer_field(data.get("max_iters", 20), "max_iters"),
         tol=number("tol", "tol", 1e-10),
         min_denom_guard=None if guard is None else number("min_denom_guard", "min_denom_guard", None),
         schedule=data.get("schedule", "constant"),

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core_fock import (
     OscillatorParams,
@@ -55,6 +54,7 @@ from .core_fock import (
     _dstevd,
     matrix_exp,
     number_basis_energies,
+    x_norm,
     x_off_diagonal,
     xp_operators,
 )
@@ -147,12 +147,7 @@ class PeriodStepper:
     @functools.cached_property
     def _x_band(self) -> tuple[np.ndarray, float]:
         """x's off-diagonal at the working dimension and its spectral norm."""
-        x_off = x_off_diagonal(self.params.omega, self.dim)
-        top = self.dim - 1
-        x_norm = scipy.linalg.eigvalsh_tridiagonal(
-            np.zeros(self.dim), x_off, select="i", select_range=(top, top)
-        )[0]
-        return x_off, float(x_norm)
+        return x_off_diagonal(self.params.omega, self.dim), x_norm(self.params.omega, self.dim)
 
     def segment(self, start: float, span: float) -> np.ndarray:
         """U(start + span, start), cached by (start mod T, span) in units of T.
@@ -203,14 +198,14 @@ class PeriodStepper:
             nodes = (t0 + _CF4_C1 * h, t0 + _CF4_C2 * h)
             mix = ((_CF4_A2, _CF4_A1), (_CF4_A1, _CF4_A2))
         f = eval_drive(self.spec, np.concatenate(nodes)).reshape(len(nodes), n_steps)
-        x_off, x_norm = self._x_band
+        x_off, x_nrm = self._x_band
         f_max = float(np.abs(f).max())
         # f(t) x must stay finite; the negated comparison also catches NaN.
         # An x band below 1 cannot overflow a finite f, and dividing by it would.
         if not f_max <= np.finfo(float).max / max(x_off[-1], 1.0):
             raise NumericError("H(t) = H_omega + f(t) x contains NaN or Inf at a step node")
         # a step phase of 1/eps = 2^52 rad or more keeps no digit of exp(-i h f x)
-        phase = abs(h) * f_max * x_norm
+        phase = abs(h) * f_max * x_nrm
         if phase >= 1.0 / np.finfo(float).eps:
             raise NumericError(
                 f"oracle step phase h max|f| ||x|| = {phase:.3e} reaches 2^52: "
@@ -311,7 +306,8 @@ def evolve_state(
     if psi0.size > trunc.dim:
         raise ValueError(f"psi0 has {psi0.size} components, working dimension is {trunc.dim}")
     nrm = float(np.linalg.norm(psi0))
-    if abs(nrm - 1.0) > 1e-12:
+    # the negated comparison also refuses a NaN norm
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"psi0 must be normalized, got norm {nrm}")
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):

@@ -45,7 +45,6 @@ __all__ = [
     "single_exp_factors",
     "propagator_factored",
     "propagator_single_exp",
-    "heisenberg_check",
 ]
 
 
@@ -197,28 +196,3 @@ def propagator_single_exp(
     full = _single_exp_matrix(params, factors, trunc.dim)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
-
-def heisenberg_check(params: OscillatorParams, trunc: Truncation, t: float) -> dict:
-    """Deviation of the free Heisenberg rotation on the leading block.
-
-    exp(i t H) x exp(-i t H) = cos(wt) x + sin(wt) p / w
-    exp(i t H) p exp(-i t H) = -w sin(wt) x + cos(wt) p
-
-    Computed at the padded dimension, compared on the kept block; returns
-    the two maximal deviations.
-    """
-    w = params.omega
-    dim = trunc.dim
-    k = trunc.n_keep
-    x, p = xp_operators(w, dim)
-    energies = number_basis_energies(w, dim)
-    u = np.diag(np.exp(1j * t * energies))
-    udag = np.diag(np.exp(-1j * t * energies))
-    x_rot = u @ x @ udag
-    p_rot = u @ p @ udag
-    x_ref = math.cos(w * t) * x + math.sin(w * t) / w * p
-    p_ref = -w * math.sin(w * t) * x + math.cos(w * t) * p
-    return {
-        "x_deviation": float(np.abs((x_rot - x_ref)[:k, :k]).max()),
-        "p_deviation": float(np.abs((p_rot - p_ref)[:k, :k]).max()),
-    }

@@ -175,6 +175,61 @@ class TestStability:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("state", ["coherent:nan", "coherent:1e200"])
+    def test_non_finite_state_is_a_config_error(self, small_config, tmp_path, capsys, state):
+        """A state whose norm is NaN is refused, not evolved into NaN energies."""
+        csv_path = tmp_path / "s.csv"
+        rc = main(["stability", small_config, "--periods", "2", "--state", state, "--out-csv", str(csv_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "normalized" in err["message"]
+        assert not csv_path.exists()
+
+
+class TestConfigIntegers:
+    """Integer fields of an oscillator config: an integral float is read as
+    that integer; a fraction, a bool or a non-number is refused, naming the
+    field (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("truncation", "n_keep", 24.7),
+            ("truncation", "n_keep", "abc"),
+            ("truncation", "n_pad", True),
+            ("tolerances", "steps_per_period", 64.9),
+            ("tolerances", "steps_per_period", None),
+        ],
+        ids=["n_keep_fraction", "n_keep_text", "n_pad_bool", "steps_fraction", "steps_null"],
+    )
+    def test_bad_integer_is_a_config_error(self, small_config, tmp_path, capsys, section, key, value):
+        data = json.loads(open(small_config).read())
+        data[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "u.json"
+        rc = main(["propagate", str(cfg), "--t", "1.0", "--form", "oracle", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(key + " must be an integer")
+        assert not out.exists()
+
+    def test_integral_floats_are_read_as_integers(self, small_config, tmp_path):
+        data = json.loads(open(small_config).read())
+        data["truncation"] = {"n_keep": 32.0, "n_pad": 32.0}
+        data["tolerances"]["steps_per_period"] = 64.0
+        cfg = tmp_path / "floats.json"
+        cfg.write_text(json.dumps(data))
+        outs = []
+        for name, path in (("ints", small_config), ("floats", str(cfg))):
+            out = tmp_path / f"{name}.json"
+            assert main(["propagate", path, "--t", "1.0", "--form", "all", "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
+
 class TestNonFiniteDrive:
     """Fourier coefficients of +-5e307 overflow f(t) x: a numeric failure, exit 4."""
 
@@ -357,6 +412,7 @@ class TestKam:
             ("max_iters", 2.7, "max_iters"),
             ("max_iters", 0, "max_iters"),
             ("max_iters", True, "max_iters"),
+            ("k_max", 2.5, "k_max"),
             ("r", math.nan, "r_weight"),
             ("r", -1.0, "r_weight"),
             ("r", "abc", "r_weight"),
@@ -364,7 +420,7 @@ class TestKam:
             ("nu", None, "nu_weight"),
         ],
         ids=["tol_inf", "tol_nan", "tol_zero", "tol_text", "max_iters_text", "max_iters_fraction",
-             "max_iters_zero", "max_iters_bool", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null"],
+             "max_iters_zero", "max_iters_bool", "k_max_fraction", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null"],
     )
     def test_bad_numeric_field_is_a_config_error(self, tmp_path, capsys, key, value, field):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
@@ -378,6 +434,17 @@ class TestKam:
         assert err["type"] == "ValueError"
         assert err["message"].startswith(field + " must be")
         assert not result.exists()
+
+    def test_fractional_multiplicity_is_a_config_error(self, tmp_path, capsys):
+        problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
+        problem["levels"][0]["mult"] = 1.5
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        rc = main(["kam", str(path), "--out-history", str(tmp_path / "h.jsonl"),
+                   "--out-result", str(tmp_path / "result.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"].startswith("mult must be an integer")
 
     def test_integral_max_iters_is_accepted(self, tmp_path):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())

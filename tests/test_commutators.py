@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from floquet_lab import (
-    CommutatorTower,
     DriveSpec,
     InvalidIntervalError,
     OscillatorParams,
     Truncation,
     TruncatedOperator,
-    ad_power,
     ap_commute,
     f_polynomial,
     higher_order_bound_check,
@@ -53,43 +51,6 @@ def expand_normal_ordered(p: int) -> dict:
     for (word, m), coeff in terms.items():
         by_k.setdefault(m, {})[word] = coeff
     return by_k
-
-
-class TestAdPower:
-    def test_tower_matches_hand_rolled_brackets(self):
-        rng = np.random.default_rng(21)
-        a = _random_hermitian(rng, 10)
-        x = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        tower = ad_power(TruncatedOperator.hermitian_op(a), TruncatedOperator(x), 4)
-        cur = x
-        for n in range(5):
-            assert np.allclose(tower[n].entries, cur, atol=1e-10)
-            cur = a @ cur - cur @ a
-        assert tower.order == 4
-        assert isinstance(tower, CommutatorTower)
-
-    def test_accepts_plain_arrays(self):
-        rng = np.random.default_rng(22)
-        a = _random_hermitian(rng, 6)
-        x = rng.normal(size=(6, 6))
-        tower = ad_power(a, x, 2)
-        assert tower[2].entries.shape == (6, 6)
-
-    def test_non_hermitian_base_rejected(self):
-        rng = np.random.default_rng(23)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        with pytest.raises(ValueError):
-            ad_power(a, np.eye(5), 1)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            ad_power(np.eye(3), np.eye(3), -1)
-
-    def test_diagonal_base_annihilates_diagonal_argument(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        tower = ad_power(a, np.diag([5.0, 6.0, 7.0]).astype(complex), 3)
-        for n in range(1, 4):
-            assert np.linalg.norm(tower[n].entries) == 0.0
 
 
 class TestApCommute:

@@ -12,15 +12,13 @@ from floquet_lab import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    build_ladder,
-    build_xpH,
-    exp_padded,
     matrix_exp,
 )
 from floquet_lab.core_fock import (
     ladder,
     number_basis_energies,
     tridiagonal_eigh,
+    x_norm,
     x_off_diagonal,
     xp_operators,
 )
@@ -47,13 +45,6 @@ class TestLadder:
         assert np.allclose(comm[:9, :9], np.eye(9))
         assert comm[9, 9] == pytest.approx(-9.0)
 
-    def test_build_ladder_wraps(self):
-        tr = Truncation(n_keep=4, n_pad=2)
-        a, adag = build_ladder(tr)
-        assert isinstance(a, TruncatedOperator)
-        assert a.dim == 6
-        assert np.array_equal(a.dagger().entries, adag.entries)
-
 
 class TestXPH:
     def test_hermitian_exact(self):
@@ -70,13 +61,16 @@ class TestXPH:
     def test_h_is_diagonal_spectrum_not_quadratic_form(self):
         """H comes from its known eigenvalues; the quadratic form in
         truncated x, p would corrupt the last rows."""
-        params = OscillatorParams(omega=2.0, period_T=1.0)
-        tr = Truncation(n_keep=8, n_pad=4)
-        x, p, h = build_xpH(params, tr)
-        expect = np.diag([2.0 * (n + 0.5) for n in range(12)])
-        assert np.array_equal(h.entries, expect.astype(complex))
-        quad = 0.5 * (p.entries @ p.entries + 4.0 * x.entries @ x.entries)
-        assert abs(quad[11, 11] - expect[11, 11]) > 1.0
+        x, p = xp_operators(2.0, 12)
+        expect = np.array([2.0 * (n + 0.5) for n in range(12)])
+        assert np.array_equal(number_basis_energies(2.0, 12), expect)
+        quad = 0.5 * (p @ p + 4.0 * x @ x)
+        assert abs(quad[11, 11] - expect[11]) > 1.0
+
+    def test_x_norm_is_largest_singular_value(self):
+        for omega, dim in ((0.7, 9), (1.0, 48), (2.5, 33)):
+            x, _ = xp_operators(omega, dim)
+            assert x_norm(omega, dim) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
 
     def test_x_band_helper(self):
         x, _ = xp_operators(0.7, 9)
@@ -86,12 +80,22 @@ class TestXPH:
         assert np.allclose(number_basis_energies(3.0, 3), [1.5, 4.5, 7.5])
 
 
+def _random_hermitian(rng, n) -> np.ndarray:
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (h + h.conj().T)
+
+
 class TestMatrixExp:
     def test_matches_scipy_on_general_input(self):
+        """General input no longer falls back to scipy's expm: it is refused,
+        and its anti-Hermitian part matches scipy.linalg.expm."""
         rng = np.random.default_rng(5)
         for _ in range(5):
             m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-            assert np.allclose(matrix_exp(m), scipy.linalg.expm(m), atol=1e-12)
+            with pytest.raises(ValueError, match="not anti-Hermitian"):
+                matrix_exp(m)
+            skew = 0.5 * (m - m.conj().T)
+            assert np.abs(matrix_exp(skew) - scipy.linalg.expm(skew)).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [16, 64, 256])
     def test_unitarity_antihermitian(self, dim):
@@ -103,10 +107,24 @@ class TestMatrixExp:
         assert defect <= 1e-10
 
     def test_hermitian_path(self):
+        """A Hermitian generator has no exactly unitary exponential; it is
+        refused with the deviation from anti-Hermitian named."""
         rng = np.random.default_rng(1)
         h = rng.standard_normal((12, 12))
         h = 0.5 * (h + h.T) + 0j
-        assert np.allclose(matrix_exp(h), scipy.linalg.expm(h), atol=1e-11)
+        with pytest.raises(ValueError, match="deviates by"):
+            matrix_exp(h)
+        with pytest.raises(ValueError, match="not anti-Hermitian"):
+            matrix_exp(TruncatedOperator.hermitian_op(h))
+
+    def test_tolerates_round_off_in_the_generator(self):
+        rng = np.random.default_rng(2)
+        gen = -1j * _random_hermitian(rng, 10)
+        gen[0, 1] += 1e-14
+        assert np.linalg.norm(matrix_exp(gen) - scipy.linalg.expm(gen), 2) <= 1e-12
+
+    def test_zero_generator_gives_identity(self):
+        assert np.array_equal(matrix_exp(np.zeros((4, 4))), np.eye(4, dtype=complex))
 
     def test_rejects_nan(self):
         bad = np.full((3, 3), np.nan, dtype=complex)
@@ -186,19 +204,16 @@ class TestExpPadded:
     def test_pad_then_trim_beats_trim_then_exponentiate(self):
         """Exponentiating at the padded dimension and trimming keeps the
         kept block accurate; exponentiating the trimmed generator does not."""
-        params = OscillatorParams(omega=1.0, period_T=2 * math.pi)
-        tr = Truncation(n_keep=16, n_pad=16)
-        x_full, _ = xp_operators(params.omega, tr.dim)
+        omega, n_keep, dim = 1.0, 16, 32
 
-        def gen(dim):
-            x, _ = xp_operators(params.omega, dim)
+        def gen(n):
+            x, _ = xp_operators(omega, n)
             return -1j * 1.5 * x
 
-        padded = exp_padded(gen, tr)
-        assert padded.dim == tr.n_keep
-        reference = scipy.linalg.expm(gen(80))[:16, :16]
-        assert np.linalg.norm(padded.entries - reference, 2) <= 1e-10
-        trimmed_first = scipy.linalg.expm(gen(16))
+        padded = matrix_exp(gen(dim))[:n_keep, :n_keep]
+        reference = scipy.linalg.expm(gen(80))[:n_keep, :n_keep]
+        assert np.linalg.norm(padded - reference, 2) <= 1e-10
+        trimmed_first = matrix_exp(gen(n_keep))
         assert np.linalg.norm(trimmed_first - reference, 2) > 1e-4
 
 

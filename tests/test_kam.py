@@ -11,7 +11,6 @@ from floquet_lab import (
     KamConfig,
     NotConvergedError,
     SmallDenominatorError,
-    detect_resonances,
     eps_v_norm,
     kam_iterate,
     level_hamiltonian,
@@ -68,16 +67,6 @@ class TestSpace:
             FloquetMatrixSpace(k_max=1, levels=((0.5, 0),), omega=1.0)
         with pytest.raises(ValueError):
             FloquetMatrixSpace(k_max=1, levels=(), omega=1.0)
-
-    def test_detect_resonances(self):
-        sp = FloquetMatrixSpace(k_max=2, levels=((0.5, 1), (1.5, 1)), omega=1.0)
-        hits = detect_resonances(sp)
-        # omega = h_1 - h_0 exactly: the (q, n, m) = (1, 0, 1) cell collides
-        assert any(q == 1 and n == 0 and m == 1 for q, n, m, _ in hits)
-        assert all(abs(gap) <= 1e-8 for _, _, _, gap in hits)
-        clean = FloquetMatrixSpace(k_max=2, levels=((0.5, 1), (1.5, 1)), omega=GOLDEN)
-        assert detect_resonances(clean) == []
-
 
 class TestPerturbation:
     def test_hermiticity_enforced(self):

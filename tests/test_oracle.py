@@ -285,6 +285,11 @@ class TestEvolveState:
         with pytest.raises(ValueError):
             evolve_state(SPEC, PARAMS, TRUNC, psi0, [0.0, 1.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_state_rejected(self, value):
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_state(SPEC, PARAMS, TRUNC, np.array([value], dtype=complex), [0.0, 1.0])
+
     def test_grid_must_not_decrease(self):
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1.0

@@ -11,7 +11,6 @@ from floquet_lab import (
     ResonantTimeError,
     Truncation,
     factored_factors,
-    heisenberg_check,
     integrate,
     matrix_exp,
     propagator_factored,
@@ -163,9 +162,3 @@ class TestNearWholePeriods:
         assert np.abs(single - factored).max() <= 1e-10
         assert np.abs(single - oracle).max() <= 1e-6
 
-
-class TestHeisenberg:
-    @pytest.mark.parametrize("t", [0.3, 1.7, 4.0])
-    def test_free_rotation(self, t):
-        report = heisenberg_check(PARAMS, TRUNC, t)
-        assert max(report.values()) <= 1e-9

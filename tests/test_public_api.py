@@ -1,0 +1,110 @@
+"""Every public name is used by the program, not only by its tests.
+
+A public name is one in a module's ``__all__`` or one that
+``floquet_lab/__init__.py`` re-exports.  It counts as used when code in
+``src/``, ``bench/`` or ``scripts/`` refers to it, as a ``Name`` or an
+``Attribute`` node, outside its own definition, or when ``bench/tracing.py``
+names it in ``LAYERS``, whose entries the tracer wraps by string.  The files
+are read with ``ast``; nothing is imported.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "floquet_lab"
+PROGRAM_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
+
+# public names that only tests use, each kept for a reason
+ALLOWED_UNUSED = {
+    "xn_operator_via_floquet": "independent reference that tests compare xn_operator against",
+    "level_hamiltonian": "independent reference that tests compare the KAM reconstruction against",
+    "problem_to_json_dict": "writes the problem format that load_problem reads",
+    "tridiagonal_eigh": "the checked public entry to the dstevd core that the oracle calls directly",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _public_names() -> dict[str, str]:
+    """name -> where it is made public."""
+    names = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                for elt in node.value.elts:
+                    names[elt.value] = f"{path.stem}.__all__"
+            if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    names[alias.asname or alias.name] = "floquet_lab/__init__.py"
+    return names
+
+
+class _References(ast.NodeVisitor):
+    """Names and attributes used, each outside the definition of that name."""
+
+    def __init__(self):
+        self.found: set[str] = set()
+        self._inside: list[str] = []
+
+    def _definition(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _use(self, name: str):
+        if name not in self._inside:
+            self.found.add(name)
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+
+def _traced_names() -> set[str]:
+    """Every dotted part of the function names in bench/tracing.py LAYERS."""
+    for node in _parse(ROOT / "bench" / "tracing.py").body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return {
+                part
+                for const in ast.walk(node.value)
+                if isinstance(const, ast.Constant) and isinstance(const.value, str)
+                for part in const.value.split(".")
+            }
+    raise AssertionError("bench/tracing.py defines no LAYERS")
+
+
+def _program_references() -> set[str]:
+    refs = _References()
+    for top in PROGRAM_DIRS:
+        for path in sorted(top.rglob("*.py")):
+            refs.visit(_parse(path))
+    return refs.found | _traced_names()
+
+
+def test_every_public_name_is_used_by_the_program():
+    used = _program_references()
+    unused = sorted(
+        f"{name} ({where})"
+        for name, where in _public_names().items()
+        if name not in used and name not in ALLOWED_UNUSED
+    )
+    assert not unused, "public but used only by tests: " + ", ".join(unused)
+
+
+def test_allowlist_is_current():
+    """Each allowed name is still public and still unused by the program."""
+    public, used = _public_names(), _program_references()
+    stale = sorted(name for name in ALLOWED_UNUSED if name not in public or name in used)
+    assert not stale, "allowlist entries to drop: " + ", ".join(stale)
