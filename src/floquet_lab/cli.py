@@ -30,6 +30,7 @@ from .core_fock import (
     OscillatorParams,
     Truncation,
     _integer_field,
+    _real_field,
     matrix_exp,
     number_basis_energies,
     xp_operators,
@@ -105,7 +106,7 @@ def _parse_config(data: dict):
     try:
         system = data["system"]
         params = OscillatorParams(
-            omega=float(system["omega"]), period_T=float(system["period"])
+            omega=_real_field(system["omega"], "omega"), period_T=_real_field(system["period"], "period")
         )
         spec = DriveSpec.from_json_dict(data["drive"])
         tr = data["truncation"]

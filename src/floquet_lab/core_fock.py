@@ -54,6 +54,20 @@ def _integer_field(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real_field(value, name: str) -> float:
+    """A config field read as a finite float.  An int is read as a float; a
+    bool, a string, null or a value that is not finite as a float raises
+    ValueError naming the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:  # an int beyond the float range
+            out = np.inf
+        if np.isfinite(out):
+            return out
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Oscillator frequency and drive period, natural units."""

@@ -20,8 +20,9 @@ pointwise on a grid of at least 3 cap + 1 angles, and an FFT returns
 their blocks: exactly for a product of two symbols, and up to aliasing
 from |q| > 2 cap, far below round-off for the small generators of a KAM
 step, for a function of ad_A. Only ad_{K_0}, which differentiates in
-theta, acts on the blocks themselves. The k truncation enters only when
-a symbol is materialized to a dense window, which is done for norms only.
+theta, acts on the blocks themselves. A norm is that of the whole
+block-Laurent operator, ||L(S)|| = sup_theta ||S(theta)|| (ibid.), taken
+as the max over the same grid; no dense k window is ever formed.
 
 The recursion (G_{-1} = 0, G_0 = V_0, Phi(x) = (1/x)(e^x - (e^x-1)/x)):
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .core_fock import TruncatedOperator, _integer_field, matrix_exp
+from .core_fock import TruncatedOperator, _integer_field, _real_field, matrix_exp
 from .errors import NotConvergedError, NumericError, SmallDenominatorError
 
 __all__ = [
@@ -196,28 +197,21 @@ def _sym_d(space: FloquetMatrixSpace, x: np.ndarray) -> np.ndarray:
 def _sym_offd(space: FloquetMatrixSpace, x: np.ndarray) -> np.ndarray:
     return x - _sym_d(space, x)
 
-def _materialize(space: FloquetMatrixSpace, sym: np.ndarray) -> np.ndarray:
-    """Dense window: block (k1, k2) = S_{k1 - k2}, zero beyond the cap."""
-    cap, nk, ell = _cap(sym), 2 * space.k_max + 1, space.level_dim
-    out = np.zeros((nk, ell, nk, ell), dtype=complex)
-    for q in range(-min(cap, nk - 1), min(cap, nk - 1) + 1):
-        if np.any(sym[q + cap]):  # zero blocks leave their pages untouched
-            k1 = np.arange(max(q, 0), nk + min(q, 0))
-            out[k1, :, k1 - q] = sym[q + cap]
-    return out.reshape(space.total_dim, space.total_dim)
-
-def _dense_norm(mat: np.ndarray) -> float:
-    """Spectral norm; an exactly zero matrix returns 0.0 without an SVD."""
-    return float(np.linalg.norm(mat, 2)) if np.any(mat) else 0.0
-
-def _sym_norm(space: FloquetMatrixSpace, sym: np.ndarray) -> float:
-    return _dense_norm(_materialize(space, sym)) if np.any(sym) else 0.0
+def _sym_norm(sym: np.ndarray) -> float:
+    """sup_theta ||S(theta)||, the norm of the block-Laurent operator of the
+    symbol, as the max over the engine's theta grid; one batched norm of
+    the grid values, and 0.0 for an exactly zero symbol."""
+    if not np.any(sym):
+        return 0.0
+    vals = _to_grid(sym, _grid_size(_cap(sym)))
+    return float(np.linalg.norm(vals, 2, axis=(-2, -1)).max())
 
 def _spectral_norms(mats: list) -> list:
     """Spectral norms of matrices or stacks of matrices (the last two axes).
 
     One np.linalg.norm call per distinct matrix shape; the batched SVD
-    gives each matrix the value a call on it alone would.
+    gives each matrix the value a call on it alone would. A 1 x 1 matrix
+    takes its modulus, which agrees with the SVD to round-off.
     """
     groups: dict = {}
     for i, mat in enumerate(mats):
@@ -225,7 +219,8 @@ def _spectral_norms(mats: list) -> list:
     out: list = [None] * len(mats)
     for shape, idx in groups.items():
         flat = [mats[i].reshape(-1, *shape) for i in idx]
-        norms = np.linalg.norm(np.concatenate(flat), 2, axis=(-2, -1))
+        stack = np.concatenate(flat)
+        norms = np.abs(stack[:, 0, 0]) if shape == (1, 1) else np.linalg.norm(stack, 2, axis=(-2, -1))
         bounds = np.cumsum([len(f) for f in flat])[:-1]
         for i, part in zip(idx, np.split(norms, bounds)):
             out[i] = part.reshape(mats[i].shape[:-2])
@@ -236,21 +231,25 @@ def _spectral_norms(mats: list) -> list:
 # the perturbation
 
 
-@dataclass(frozen=True)
 class BlockPerturbation:
     """Fourier blocks V_{knm} of a T-periodic level-space perturbation.
 
     blocks maps (k, n, m) -> complex matrix of shape M_n x M_m; the
     multiplication operator V(omega t) = sum_k e^{i k omega t} V_k is
     self-adjoint iff V_{knm} = (V_{-k,m,n})^+ for every block.
+
+    The blocks are kept packed in one complex array, with one index row
+    (k, n, m, rows, cols, start) per block: a dict of small arrays costs
+    some 250 bytes a block. The blocks property unpacks them, in the
+    order given, into a fresh dict of read-only views.
     """
 
-    blocks: dict
+    __slots__ = ("_index", "_data")
 
-    def __post_init__(self):
+    def __init__(self, blocks: dict):
         norm_blocks = {}
         scale = 0.0
-        for (k, n, m), blk in self.blocks.items():
+        for (k, n, m), blk in blocks.items():
             arr = np.asarray(blk, dtype=complex)
             if arr.ndim != 2:
                 raise ValueError(f"block {(k, n, m)} is not a matrix")
@@ -263,7 +262,20 @@ class BlockPerturbation:
                 raise ValueError(
                     f"hermiticity violated: V[{k},{n},{m}] != V[{-k},{m},{n}]^+"
                 )
-        object.__setattr__(self, "blocks", norm_blocks)
+        starts = np.cumsum([0] + [arr.size for arr in norm_blocks.values()])
+        self._index = np.array(
+            [(*key, *arr.shape, start) for (key, arr), start in zip(norm_blocks.items(), starts)],
+            dtype=np.int64,
+        ).reshape(-1, 6)
+        self._data = np.concatenate([arr.ravel() for arr in norm_blocks.values()] or [np.zeros(0, complex)])
+        self._data.flags.writeable = False
+
+    @property
+    def blocks(self) -> dict:
+        return {
+            (k, n, m): self._data[start : start + rows * cols].reshape(rows, cols)
+            for k, n, m, rows, cols, start in self._index.tolist()
+        }
 
     @classmethod
     def zero(cls) -> "BlockPerturbation":
@@ -271,24 +283,25 @@ class BlockPerturbation:
 
     def symbol(self, space: FloquetMatrixSpace) -> dict:
         ell = space.level_dim
+        mult = [m for _, m in space.levels]
+        start = np.cumsum([0] + mult).tolist()
         out: dict = {}
         for (k, n, m), blk in self.blocks.items():
-            if n >= space.n_levels or m >= space.n_levels:
+            if not (0 <= n < space.n_levels and 0 <= m < space.n_levels):
                 raise ValueError(f"block {(k, n, m)} references a level outside the space")
-            sl_n, sl_m = space.level_slice(n), space.level_slice(m)
-            exp_n, exp_m = space.levels[n][1], space.levels[m][1]
-            if blk.shape != (exp_n, exp_m):
+            if blk.shape != (mult[n], mult[m]):
                 raise ValueError(
-                    f"block {(k, n, m)} has shape {blk.shape}, expected {(exp_n, exp_m)}"
+                    f"block {(k, n, m)} has shape {blk.shape}, expected {(mult[n], mult[m])}"
                 )
             target = out.setdefault(k, np.zeros((ell, ell), dtype=complex))
-            target[sl_n, sl_m] += blk
+            target[start[n] : start[n + 1], start[m] : start[m + 1]] += blk
         return {q: blk for q, blk in out.items() if np.any(blk)}
 
     def to_json_list(self) -> list:
         items = []
-        for (k, n, m) in sorted(self.blocks):
-            blk = self.blocks[(k, n, m)]
+        blocks = self.blocks
+        for (k, n, m) in sorted(blocks):
+            blk = blocks[(k, n, m)]
             items.append(
                 {
                     "k": k,
@@ -348,9 +361,10 @@ def eps_v_norm(v: BlockPerturbation, r: float) -> float:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    norms = _spectral_norms(list(v.blocks.values()))
+    blocks = v.blocks
+    norms = _spectral_norms(list(blocks.values()))
     per_n: dict = {}
-    for (k, n, m), norm in zip(v.blocks, norms):
+    for (k, n, m), norm in zip(blocks, norms):
         w = (1.0 + abs(k)) ** r * float(norm)
         per_n[n] = per_n.get(n, 0.0) + w
     return max(per_n.values(), default=0.0)
@@ -464,11 +478,12 @@ class KamConfig:
 class KamState:
     """Residuals after iteration s, W_s = e^{A_{s-1}} ... e^{A_0}.
 
-    The norms are spectral norms of the dense windows of the
-    block-Toeplitz operators, which are not kept. A window of a lattice
-    unitary is not unitary at its k edges, so unitary_w_residual
-    measures the operator itself: the worst level-space defect of
-    W_s(t) over a period.
+    offdiag_residual, conj_residual, herm_g_residual and
+    antiherm_a_residual are norms of the whole block-Laurent operators,
+    sup_theta ||S(theta)||, taken as the max of the spectral norm of
+    S(theta_j) over the engine's grid of next_fast_len(3 cap + 1)
+    angles. unitary_w_residual is the worst level-space defect
+    ||W_s(t) W_s(t)^+ - 1|| at 24 times over a period.
     """
 
     s: int
@@ -584,8 +599,8 @@ def _kam_step(a_sym, n_grid, w_sym, g, dv, rhs, c, k0_gaps) -> tuple:
     """Conjugate by e^{A_s}: (W_{s+1}, G_{s+1}, c_{s+1}) from W_s, G_s, c_s,
     V_{s+1} - V_s and the homological right-hand side (1-D)(G_s - G_{s-1}).
 
-    A function of its own so that the grid arrays are freed before the
-    next record materializes its norm windows (peak memory)."""
+    A function of its own so that its grid arrays are freed before the
+    next record grids its residuals (peak memory)."""
     ad = _PointwiseAd(a_sym, n_grid)
     # W_{s+1} = e^{A_s} W_s. Only the step goes through the grid, so the
     # transform's round-off scales with A_s, not with the identity in W.
@@ -607,7 +622,8 @@ def kam_iterate(
     config: KamConfig | None = None,
 ) -> KamResult:
     """Run the G_s/A_s recurrence until the off-diagonal residual of
-    W_s(K_0+V)W_s^+ - K_0 falls below tol.
+    W_s(K_0+V)W_s^+ - K_0, in the operator norm sup_theta ||S(theta)||,
+    falls below tol.
 
     Operators are symbols with Fourier offsets capped at cap =
     _BAND_CAP_FACTOR * k_max, widened to V's band if that reaches further.
@@ -666,15 +682,15 @@ def kam_iterate(
                 offdiag_residual=offdiag,
                 min_denominator=min_denom,
                 eps_v=eps_v,
-                conj_residual=_sym_norm(space, c_sched - target),
-                herm_g_residual=_sym_norm(space, g - _adjoint(g)),
-                antiherm_a_residual=_sym_norm(space, a_sym + _adjoint(a_sym)),
+                conj_residual=_sym_norm(c_sched - target),
+                herm_g_residual=_sym_norm(g - _adjoint(g)),
+                antiherm_a_residual=_sym_norm(a_sym + _adjoint(a_sym)),
                 unitary_w_residual=w_unit,
             )
         )
 
     for s in range(config.max_iters + 1):
-        offdiag = _sym_norm(space, _sym_offd(space, c))
+        offdiag = _sym_norm(_sym_offd(space, c))
         if offdiag < config.tol:
             _record(s, None, offdiag, math.inf)
             g_level = _block_diag(space, g[cap])
@@ -800,29 +816,20 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
     data = json.loads(source) if isinstance(source, str) else source
     space = FloquetMatrixSpace(
         k_max=_integer_field(data["k_max"], "k_max"),
-        levels=tuple((lv["h"], _integer_field(lv.get("mult", 1), "mult")) for lv in data["levels"]),
-        omega=float(data["omega"]),
+        levels=tuple(
+            (_real_field(lv["h"], "h"), _integer_field(lv.get("mult", 1), "mult")) for lv in data["levels"]
+        ),
+        omega=_real_field(data["omega"], "omega"),
     )
     v = BlockPerturbation.from_json_list(data.get("V_blocks", []))
-
-    def number(key, name, default):
-        """data[key] as a float; the error names the KamConfig field."""
-        value = data.get(key, default)
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{name} must be a number, got {value!r}") from None
-
     guard = data.get("min_denom_guard")
     config = KamConfig(
         max_iters=_integer_field(data.get("max_iters", 20), "max_iters"),
-        tol=number("tol", "tol", 1e-10),
-        min_denom_guard=None if guard is None else number("min_denom_guard", "min_denom_guard", None),
+        tol=_real_field(data.get("tol", 1e-10), "tol"),
+        min_denom_guard=None if guard is None else _real_field(guard, "min_denom_guard"),
         schedule=data.get("schedule", "constant"),
-        r_weight=number("r", "r_weight", 2.0),
-        nu_weight=number("nu", "nu_weight", 1.0),
+        r_weight=_real_field(data.get("r", 2.0), "r_weight"),
+        nu_weight=_real_field(data.get("nu", 1.0), "nu_weight"),
     )
     return space, v, config
 

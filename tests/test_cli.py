@@ -230,6 +230,41 @@ class TestConfigIntegers:
         assert outs[0] == outs[1]
 
 
+class TestConfigReals:
+    """omega and period of an oscillator config must be finite numbers: a
+    bool, a string, null or a non-finite value is refused with one JSON
+    error naming the field (exit 2), never coerced."""
+
+    @pytest.mark.parametrize("key", ["omega", "period"])
+    @pytest.mark.parametrize(
+        "value", [True, "1.5", None, math.inf, math.nan, 10**400], ids=["bool", "text", "null", "inf", "nan", "huge_int"]
+    )
+    def test_bad_real_is_a_config_error(self, small_config, tmp_path, capsys, key, value):
+        data = json.loads(open(small_config).read())
+        data["system"][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "u.json"
+        rc = main(["propagate", str(cfg), "--t", "1.0", "--form", "factored", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(key + " must be a finite number")
+        assert not out.exists()
+
+    def test_integer_omega_is_read_as_a_float(self, small_config, tmp_path):
+        data = json.loads(open(small_config).read())
+        data["system"]["omega"] = 1
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps(data))
+        outs = []
+        for name, path in (("float", small_config), ("int", str(cfg))):
+            out = tmp_path / f"{name}.json"
+            assert main(["propagate", path, "--t", "1.0", "--form", "factored", "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
+
 class TestNonFiniteDrive:
     """Fourier coefficients of +-5e307 overflow f(t) x: a numeric failure, exit 4."""
 
@@ -418,9 +453,16 @@ class TestKam:
             ("r", "abc", "r_weight"),
             ("nu", math.inf, "nu_weight"),
             ("nu", None, "nu_weight"),
+            ("omega", True, "omega"),
+            ("omega", "1.6", "omega"),
+            ("omega", None, "omega"),
+            ("omega", math.inf, "omega"),
+            ("tol", True, "tol"),
+            ("r", "2", "r_weight"),
         ],
         ids=["tol_inf", "tol_nan", "tol_zero", "tol_text", "max_iters_text", "max_iters_fraction",
-             "max_iters_zero", "max_iters_bool", "k_max_fraction", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null"],
+             "max_iters_zero", "max_iters_bool", "k_max_fraction", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null",
+             "omega_bool", "omega_text", "omega_null", "omega_inf", "tol_bool", "r_numeric_text"],
     )
     def test_bad_numeric_field_is_a_config_error(self, tmp_path, capsys, key, value, field):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
@@ -433,6 +475,20 @@ class TestKam:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
         assert err["message"].startswith(field + " must be")
+        assert not result.exists()
+
+    @pytest.mark.parametrize("value", [True, "1.5", None, math.nan], ids=["bool", "text", "null", "nan"])
+    def test_bad_level_energy_is_a_config_error(self, tmp_path, capsys, value):
+        problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
+        problem["levels"][1]["h"] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        result = tmp_path / "result.json"
+        rc = main(["kam", str(path), "--out-history", str(tmp_path / "h.jsonl"), "--out-result", str(result)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("h must be a finite number")
         assert not result.exists()
 
     def test_fractional_multiplicity_is_a_config_error(self, tmp_path, capsys):

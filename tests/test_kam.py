@@ -79,6 +79,31 @@ class TestPerturbation:
         for key, blk in rough_v.blocks.items():
             assert np.allclose(back.blocks[key], blk, atol=1e-15)
 
+    def test_blocks_are_packed_read_only_copies(self, space):
+        """The constructor copies the blocks into one array; blocks returns
+        read-only views of it, in the order given. A 12-level perturbation
+        of band 2 (720 blocks) holds under 100 kB (about 60 kB), where a
+        dict of 1 x 1 arrays held about 150 kB."""
+        blk = np.array([[0.25 + 0.5j]])
+        v = BlockPerturbation(blocks={(1, 0, 1): blk, (-1, 1, 0): blk.conj().T})
+        blk[0, 0] = 9.0
+        assert list(v.blocks) == [(1, 0, 1), (-1, 1, 0)]
+        assert v.blocks[(1, 0, 1)][0, 0] == 0.25 + 0.5j
+        with pytest.raises(ValueError):
+            v.blocks[(1, 0, 1)][0, 0] = 1.0
+        sp = FloquetMatrixSpace(k_max=12, levels=tuple((0.5 + n, 1) for n in range(12)), omega=GOLDEN)
+        rng = np.random.default_rng(3)
+        random_perturbation(sp, rng, k_band=2, r=2.0, eps_target=0.002)  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            big = random_perturbation(sp, rng, k_band=2, r=2.0, eps_target=0.002)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(big.blocks) == 720
+        assert held < 100_000
+
     def test_eps_norm_hand_value(self):
         v = BlockPerturbation(
             blocks={
@@ -98,17 +123,23 @@ class TestPerturbation:
         assert eps_v_norm(rough_v, 2.0) == pytest.approx(0.01)
 
 
+def _block_norm(blk):
+    """Spectral norm of one block: its modulus if it is 1 x 1, else one
+    np.linalg.norm call."""
+    return float(abs(blk[0, 0]) if blk.shape == (1, 1) else np.linalg.norm(blk, 2))
+
+
 def _eps_v_norm_loop(v, r):
-    """Per-block reference for eps_v_norm: one np.linalg.norm per block."""
+    """Per-block reference for eps_v_norm: one _block_norm per block."""
     per_n: dict = {}
     for (k, n, m), blk in v.blocks.items():
-        w = (1.0 + abs(k)) ** r * float(np.linalg.norm(blk, 2))
+        w = (1.0 + abs(k)) ** r * _block_norm(blk)
         per_n[n] = per_n.get(n, 0.0) + w
     return max(per_n.values(), default=0.0)
 
 
 def _weighted_block_norm_loop(space, sym, nu):
-    """Per-block reference for weighted_block_norm: one np.linalg.norm per
+    """Per-block reference for weighted_block_norm: one _block_norm per
     non-zero level sub-block, summed by symbol key, then column level."""
     per_n = np.zeros(space.n_levels)
     for q, blk in sym.items():
@@ -117,7 +148,7 @@ def _weighted_block_norm_loop(space, sym, nu):
             for m in range(space.n_levels):
                 sub = blk[space.level_slice(n), space.level_slice(m)]
                 if np.any(sub):
-                    per_n[n] += w * float(np.linalg.norm(sub, 2))
+                    per_n[n] += w * _block_norm(sub)
     return float(per_n.max(initial=0.0))
 
 
@@ -174,6 +205,16 @@ class TestBatchedNorms:
 
     def test_zero_perturbation(self):
         assert eps_v_norm(BlockPerturbation.zero(), 2.0) == 0.0
+
+    def test_one_by_one_blocks_take_the_modulus(self):
+        """1 x 1 blocks skip the SVD; the modulus agrees with it to round-off."""
+        rng = np.random.default_rng(31)
+        for scale in (1e-20, 1e-3, 1.0, 1e5):
+            z = scale * (rng.normal(size=(400, 1, 1)) + 1j * rng.normal(size=(400, 1, 1)))
+            got, = kam._spectral_norms([z])
+            ref = np.linalg.norm(z, 2, axis=(-2, -1))
+            assert got.shape == (400,)
+            assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
 def _homological_lhs(space, e_level, a):
@@ -388,6 +429,30 @@ class TestIteration:
         assert held < sp.total_dim**2 * 16
 
 
+    def test_no_svd_wider_than_the_level_space(self, monkeypatch):
+        """Every norm a run takes is of a level-space block or of a stack of
+        them: no SVD of a (2 k_max + 1) L window on a 12-level, k_max = 12
+        arena."""
+        import numpy.linalg._linalg as linalg_impl
+
+        omega = GOLDEN * 1.01
+        levels = tuple((0.5 + (GOLDEN - 1) * omega * n, 1) for n in range(12))
+        sp = FloquetMatrixSpace(k_max=12, levels=levels, omega=omega)
+        v = random_perturbation(sp, np.random.default_rng(12), k_band=2, r=2.0, eps_target=0.002)
+        shapes = []
+        svd = linalg_impl.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg_impl, "svd", recording_svd)
+        res = kam_iterate(sp, v, KamConfig(max_iters=8, tol=1e-10))
+        assert res.converged and res.iterations >= 2
+        assert shapes, "the residual norms no longer go through numpy's svd; the guard is blind"
+        assert max(max(shape[-2:]) for shape in shapes) <= sp.level_dim
+
+
 class TestPropagator:
     def test_matches_brute_force(self, space, rough_v, golden_result):
         """W(t)^dag exp(-i(t-s)(H_0+G)) W(s) against direct integration of
@@ -484,6 +549,17 @@ def _random_array_symbol(rng, cap, ell, band=None, scale=1.0):
     return sym
 
 
+def _materialize(space, sym):
+    """Dense (2 k_max + 1) L window of a symbol: block (k1, k2) = S_{k1 - k2},
+    zero beyond the cap. The reference the symbol norm is measured against."""
+    cap, nk, ell = kam._cap(sym), 2 * space.k_max + 1, space.level_dim
+    out = np.zeros((nk, ell, nk, ell), dtype=complex)
+    for q in range(-min(cap, nk - 1), min(cap, nk - 1) + 1):
+        k1 = np.arange(max(q, 0), nk + min(q, 0))
+        out[k1, :, k1 - q] = sym[q + cap]
+    return out.reshape(space.total_dim, space.total_dim)
+
+
 def _anti_hermitian(sym):
     """(S - S^+) / 2 as a total operator: (S^+)_q = (S_{-q})^+."""
     return 0.5 * (sym - sym[::-1].conj().transpose(0, 2, 1))
@@ -517,16 +593,52 @@ class TestArraySymbols:
     def test_materialize_is_block_toeplitz(self, space):
         cap = 2 * space.k_max
         arr = _random_array_symbol(np.random.default_rng(8), cap, space.level_dim)
-        dense = kam._materialize(space, arr)
+        dense = _materialize(space, arr)
         ell, nk = space.level_dim, 2 * space.k_max + 1
         for k1 in range(nk):
             for k2 in range(nk):
                 blk = dense[k1 * ell : (k1 + 1) * ell, k2 * ell : (k2 + 1) * ell]
                 assert np.array_equal(blk, arr[k1 - k2 + cap])
         # offsets beyond a smaller cap are zero
-        small = kam._materialize(space, arr[cap - 3 : cap + 4])
+        small = _materialize(space, arr[cap - 3 : cap + 4])
         assert not np.any(small[: ell, 4 * ell : 5 * ell])
         assert np.array_equal(small[: ell, 3 * ell : 4 * ell], arr[cap - 3])
+
+
+class TestSymbolNorm:
+    """kam._sym_norm: sup_theta ||S(theta)||, the norm of the whole
+    block-Laurent operator, as the max over the engine's theta grid."""
+
+    @staticmethod
+    def _banded(k_max, ell, band, seed):
+        """A symbol of the engine's cap, 6 k_max, with blocks |q| <= band."""
+        return _random_array_symbol(np.random.default_rng(seed), 6 * k_max, ell, band=band)
+
+    def test_constant_symbol_is_its_block_norm(self):
+        sym = np.zeros((13, 5, 5), dtype=complex)
+        sym[6] = np.random.default_rng(2).normal(size=(5, 5)) + 1j
+        assert kam._sym_norm(sym) == pytest.approx(np.linalg.norm(sym[6], 2), rel=1e-15)
+        assert kam._sym_norm(np.zeros_like(sym)) == 0.0
+
+    @pytest.mark.parametrize("k_max, ell, band", [(2, 3, 1), (4, 1, 2), (4, 4, 2), (8, 6, 2)])
+    def test_bounds_the_dense_window(self, k_max, ell, band):
+        """The window is a compression of the operator, so its norm is
+        below sup_theta; the grid max sits above it on banded symbols."""
+        sp = FloquetMatrixSpace(k_max=k_max, levels=tuple((0.5 + n, 1) for n in range(ell)), omega=GOLDEN)
+        for seed in range(5):
+            sym = self._banded(k_max, ell, band, seed)
+            assert kam._sym_norm(sym) >= np.linalg.norm(_materialize(sp, sym), 2)
+
+    @pytest.mark.parametrize("k_max, ell", [(8, 1), (8, 6), (12, 4)])
+    def test_close_to_the_sup(self, k_max, ell):
+        """On V-like symbols (band 2) the grid max is within 1e-3 of the
+        max over a 16 times finer grid, and never above it."""
+        for seed in range(5):
+            sym = self._banded(k_max, ell, 2, seed)
+            n_fine = 16 * kam._grid_size(kam._cap(sym))
+            fine = np.linalg.norm(kam._to_grid(sym, n_fine), 2, axis=(-2, -1)).max()
+            got = kam._sym_norm(sym)
+            assert fine * (1 - 1e-3) <= got <= fine * (1 + 1e-15)
 
 
 class TestPointwiseAd:
@@ -599,17 +711,31 @@ class TestPointwiseAd:
 
 class TestPinnedGolden:
     """kam_golden and kam_resonant against the values the dict-and-series
-    engine printed before the array core replaced it."""
+    engine printed before the array core replaced it. The history
+    residuals are sup_theta norms on the engine's grid."""
 
     G_DIAG = (5.169917173119521e-08, -1.766725487897953e-05, -1.050776979265276e-06,
               -6.823197454573142e-05)
+    # (offdiag, conj, herm_g, antiherm_a, unitary_w) per record
+    HISTORY = (
+        (4.3230703405004316e-04, 0.0, 0.0, 1.916251500205591e-19, 0.0),
+        (7.324568195752592e-08, 1.865443073287072e-19, 4.4461573253306235e-23,
+         1.8771238922399546e-23, 4.44141561974888e-16),
+        (1.9056872335523836e-15, 2.169739792406009e-19, 4.44615732169252e-23, 0.0,
+         6.661339154907187e-16),
+    )
 
     def test_golden(self):
         from floquet_lab.cli import shipped_config_path
         space, v, config = load_problem(json.loads(open(shipped_config_path("kam_golden.json")).read()))
         res = kam_iterate(space, v, config)
         assert res.status == "converged" and res.iterations == 2
-        assert res.message == "off-diagonal residual 1.777e-15 below tol after 2 iterations"
+        assert res.message == "off-diagonal residual 1.906e-15 below tol after 2 iterations"
+        got = [(st.offdiag_residual, st.conj_residual, st.herm_g_residual, st.antiherm_a_residual,
+                st.unitary_w_residual) for st in res.history]
+        assert len(got) == len(self.HISTORY)
+        for row, pinned in zip(got, self.HISTORY):
+            assert row == pytest.approx(pinned, rel=1e-12, abs=0.0)
         assert np.allclose(res.g_level, np.diag(self.G_DIAG), rtol=1e-12, atol=1e-20)
         assert res.w_weighted_norm == pytest.approx(1.0021580460579997, rel=1e-12)
         assert len(res.w_blocks) == 2 * 6 * space.k_max + 1
