@@ -14,7 +14,6 @@ from .drive_model import (
     eval_drive,
     floquet_scalar_derivs,
     floquet_scalars,
-    fourier_coefficient,
     is_resonant_period,
     mu_nu_sigma,
     phi12,
@@ -34,7 +33,6 @@ from .commutators import (
 from .errors import (
     DomainError,
     FloquetLabError,
-    IntegrationError,
     InvalidIntervalError,
     InvalidTruncationError,
     NotConvergedError,
@@ -42,7 +40,6 @@ from .errors import (
     ResonanceError,
     ResonantTimeError,
     SmallDenominatorError,
-    UnsupportedDriveError,
 )
 from .floquet import (
     Classification,
@@ -72,11 +69,8 @@ from .kam import (
 )
 from .oracle import EvolveResult, PeriodStepper, evolve_state, hamiltonian_at, integrate
 from .propagator import (
-    PropagatorFactors,
-    factored_factors,
     propagator_factored,
     propagator_single_exp,
-    single_exp_factors,
     split_forward,
     split_inverse,
 )

@@ -38,7 +38,6 @@ from .core_fock import (
 from .drive_model import DriveSpec, mu_nu_sigma, phi12, psi
 from .errors import (
     FloquetLabError,
-    IntegrationError,
     InvalidIntervalError,
     InvalidTruncationError,
     NotConvergedError,
@@ -46,7 +45,6 @@ from .errors import (
     ResonanceError,
     ResonantTimeError,
     SmallDenominatorError,
-    UnsupportedDriveError,
 )
 from .floquet import classify_monodromy, stability_scan
 from .oracle import integrate
@@ -603,7 +601,7 @@ def main(argv=None) -> int:
             return _emit_error(err, EXIT_SMALL_DENOM, held)
         except NotConvergedError as err:
             return _emit_error(err, EXIT_ITERATION_LIMIT, held)
-        except (NumericError, IntegrationError) as err:
+        except NumericError as err:
             return _emit_error(err, EXIT_NUMERIC, held)
         except (
             ValueError,
@@ -611,7 +609,6 @@ def main(argv=None) -> int:
             OSError,
             InvalidTruncationError,
             InvalidIntervalError,
-            UnsupportedDriveError,
             ResonanceError,
         ) as err:
             return _emit_error(err, EXIT_CONFIG, held)

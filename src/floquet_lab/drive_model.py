@@ -25,9 +25,9 @@ evaluated with a series branch for small |a tau| so near-resonant modes lose
 no precision.  The one nested integral (psi) is evaluated by composite
 Gauss-Legendre panels applied to the exact single-integral integrand, which
 is machine-accurate for trigonometric integrands of known bandwidth.
-Sampled drives are supported as a fallback via periodic spline interpolation
-and adaptive quadrature; they cannot provide the smooth Floquet scalars and
-are rejected where derivatives are required.
+A drive given as equally spaced samples of one period is turned into its
+trigonometric interpolant once, by one real FFT (DriveSpec.from_samples),
+so every drive is a Fourier series and every kernel here is exact for it.
 
 The Floquet-mode scalars xi(t), eta(t), phi(t), F1(t), F2(t), Phi(t) of the
 non-resonant decomposition are assembled here as well, together with the
@@ -43,15 +43,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core_fock import OscillatorParams
-from .errors import (
-    IntegrationError,
-    ResonanceError,
-    ResonantTimeError,
-    UnsupportedDriveError,
-)
+from .errors import ResonanceError, ResonantTimeError
 
 __all__ = [
     "DriveSpec",
@@ -63,7 +57,6 @@ __all__ = [
     "mu_nu_sigma",
     "floquet_scalars",
     "floquet_scalar_derivs",
-    "fourier_coefficient",
     "is_resonant_period",
     "split_elapsed",
 ]
@@ -77,24 +70,25 @@ _SERIES_CUT = 1e-4
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+def _check_period(period) -> None:
+    if not (period > 0.0 and np.isfinite(period)):
+        raise ValueError(f"period must be positive and finite, got {period}")
+
+
 @dataclass(frozen=True)
 class DriveSpec:
-    """A real T-periodic drive, canonically a finite Fourier series.
+    """A real T-periodic drive, a finite Fourier series.
 
     fourier holds (k, f_k) pairs sorted by k with f_{-k} = conj(f_k), so
-    f(t) = sum_k f_k exp(2 pi i k t / T) is real.  samples, when present,
-    define the drive instead: (t_i, f_i) nodes on [0, T] interpolated by a
-    periodic spline of the stated order.
+    f(t) = sum_k f_k exp(2 pi i k t / T) is real.  A drive given as samples
+    is stored as the series of its trigonometric interpolant (from_samples).
     """
 
     period: float
     fourier: tuple = ()
-    samples: tuple | None = None
-    sample_order: int = 3
 
     def __post_init__(self):
-        if not (self.period > 0.0 and np.isfinite(self.period)):
-            raise ValueError(f"period must be positive and finite, got {self.period}")
+        _check_period(self.period)
         coeffs = {}
         for k, c in self.fourier:
             coeffs[int(k)] = complex(c)
@@ -106,16 +100,6 @@ class DriveSpec:
         object.__setattr__(
             self, "fourier", tuple(sorted((k, coeffs[k]) for k in coeffs))
         )
-        if self.samples is not None:
-            ts = np.asarray(self.samples[0], dtype=float)
-            fs = np.asarray(self.samples[1], dtype=float)
-            if ts.ndim != 1 or ts.shape != fs.shape or ts.size < 4:
-                raise ValueError("samples need matching 1-d arrays with at least 4 nodes")
-            if not np.all(np.diff(ts) > 0):
-                raise ValueError("sample times must be strictly increasing")
-            if ts[0] < 0 or ts[-1] > self.period:
-                raise ValueError("sample times must lie in [0, period]")
-            object.__setattr__(self, "samples", (tuple(ts.tolist()), tuple(fs.tolist())))
 
     # -- constructors
 
@@ -139,14 +123,41 @@ class DriveSpec:
         return cls.from_fourier(period, {harmonic: c, -harmonic: np.conj(c)})
 
     @classmethod
-    def from_samples(cls, period: float, ts, fs, order: int = 3) -> "DriveSpec":
-        return cls(period=period, samples=(tuple(ts), tuple(fs)), sample_order=order)
+    def from_samples(cls, period: float, ts, fs) -> "DriveSpec":
+        """The trigonometric interpolant of N equally spaced samples of one period.
+
+        Needs N >= 4 finite samples at t_j = t_0 + j T/N, to 1e-12 T, with
+        t_0 in [0, T/N).  One real FFT gives the coefficients.  For even N the
+        Nyquist term is split evenly over k = +-N/2, so the series is real and
+        passes through every sample.  Coefficients with |f_k| <= 4 N eps
+        max|f_j|, the transform's own round-off, are dropped.
+        """
+        _check_period(period)
+        ts = np.asarray(ts, dtype=float)
+        fs = np.asarray(fs, dtype=float)
+        n = ts.size
+        if ts.ndim != 1 or ts.shape != fs.shape or n < 4:
+            raise ValueError("samples need matching 1-d arrays with at least 4 nodes")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(fs))):
+            raise ValueError("sample times and values must be finite")
+        step = period / n
+        if not 0.0 <= ts[0] < step:
+            raise ValueError(f"the first sample time must lie in [0, T/N) = [0, {step!r}), got {ts[0]!r}")
+        if np.abs(ts - (ts[0] + step * np.arange(n))).max() > 1e-12 * period:
+            raise ValueError(f"sample times must be equally spaced by T/N = {step!r} to 1e-12 T")
+        ks = np.arange(n // 2 + 1)
+        # the FFT is relative to t_0; the phase moves the series to t = 0
+        c = np.fft.rfft(fs) / n * np.exp(-2j * np.pi * ks * ts[0] / period)
+        if n % 2 == 0:
+            c[-1] *= 0.5
+        floor = 4 * n * np.finfo(float).eps * np.abs(fs).max()
+        coeffs = {}
+        for k in ks[np.abs(c) > floor]:
+            coeffs[-int(k)] = np.conj(c[k])
+            coeffs[int(k)] = c[k]
+        return cls.from_fourier(period, coeffs)
 
     # -- properties
-
-    @property
-    def is_fourier(self) -> bool:
-        return self.samples is None
 
     @property
     def base_frequency(self) -> float:
@@ -165,53 +176,33 @@ class DriveSpec:
                 return c
         return 0.0 + 0.0j
 
-    def _interpolator(self):
-        from scipy.interpolate import CubicSpline, make_interp_spline
-
-        ts = np.asarray(self.samples[0])
-        fs = np.asarray(self.samples[1])
-        # close the period so the spline wraps smoothly
-        if ts[0] > 0.0 or ts[-1] < self.period:
-            tgrid = np.concatenate(([ts[-1] - self.period], ts, [ts[0] + self.period]))
-            fgrid = np.concatenate(([fs[-1]], fs, [fs[0]]))
-        else:
-            tgrid, fgrid = ts, fs
-        if self.sample_order == 3 and abs(fgrid[0] - fgrid[-1]) < 1e-14:
-            return CubicSpline(tgrid, fgrid, bc_type="periodic")
-        return make_interp_spline(tgrid, fgrid, k=self.sample_order)
-
     # -- serialization (schema shared with the CLI)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "period": float(self.period),
             "fourier": [
                 {"k": int(k), "re": float(c.real), "im": float(c.imag)}
                 for k, c in self.fourier
             ],
         }
-        if self.samples is not None:
-            out["samples"] = {
-                "t": [float(t) for t in self.samples[0]],
-                "f": [float(f) for f in self.samples[1]],
-                "order": int(self.sample_order),
-            }
-        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DriveSpec":
+        """The drive of "period" and either a "fourier" list of {k, re, im}
+        or a "samples" block {t, f}, read as from_samples reads them."""
+        if "samples" in d:
+            block = d["samples"]
+            if "fourier" in d:
+                raise ValueError("a drive gives either fourier or samples, not both")
+            if "order" in block:
+                raise ValueError(
+                    "samples.order is not accepted: samples are read as their "
+                    "trigonometric interpolant, not a spline"
+                )
+            return cls.from_samples(float(d["period"]), block["t"], block["f"])
         coeffs = {int(e["k"]): complex(e["re"], e["im"]) for e in d.get("fourier", [])}
-        samples = None
-        order = 3
-        if d.get("samples"):
-            samples = (tuple(d["samples"]["t"]), tuple(d["samples"]["f"]))
-            order = int(d["samples"].get("order", 3))
-        return cls(
-            period=float(d["period"]),
-            fourier=tuple(coeffs.items()),
-            samples=samples,
-            sample_order=order,
-        )
+        return cls(period=float(d["period"]), fourier=tuple(coeffs.items()))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -262,58 +253,43 @@ def _m0(a: float, tau) -> np.ndarray:
 def eval_drive(spec: DriveSpec, t):
     """f(t); accepts scalars or arrays, returns real values."""
     tarr = np.asarray(t, dtype=float)
-    if spec.is_fourier:
-        acc = np.zeros(tarr.shape, dtype=complex)
-        w0 = spec.base_frequency
-        for k, c in spec.fourier:
-            acc += c * np.exp(1j * (w0 * k) * tarr)
-        resid = np.abs(acc.imag).max() if acc.size else 0.0
-        scale = max(np.abs(acc).max() if acc.size else 0.0, 1.0)
-        if resid > 1e-12 * scale:
-            raise ValueError(f"drive evaluated to non-real values (residue {resid:.2e})")
-        out = acc.real
-    else:
-        interp = spec._interpolator()
-        out = np.asarray(interp(np.mod(tarr, spec.period)), dtype=float)
+    acc = np.zeros(tarr.shape, dtype=complex)
+    w0 = spec.base_frequency
+    for k, c in spec.fourier:
+        acc += c * np.exp(1j * (w0 * k) * tarr)
+    resid = np.abs(acc.imag).max() if acc.size else 0.0
+    scale = max(np.abs(acc).max() if acc.size else 0.0, 1.0)
+    if resid > 1e-12 * scale:
+        raise ValueError(f"drive evaluated to non-real values (residue {resid:.2e})")
+    out = acc.real
     return out if out.ndim else float(out)
 
 
-def _chi_fourier(spec: DriveSpec, omega: float, t, s: float) -> np.ndarray:
-    """chi(t,s) = phi1 + i phi2 = e^{i omega (t-s)} sum_k f_k e^{i Omega_k s} M0(Omega_k - omega, t-s)."""
-    tarr = np.asarray(t, dtype=float)
-    tau = tarr - s
+def _mode_terms(spec: DriveSpec, omega: float, tau, s: float):
+    """The factors f_k e^{i Omega_k s} and M0(Omega_k - omega, tau), Omega_k =
+    2 pi k / T, of each term of the mode sum e^{-i omega tau} chi(s + tau, s).
+
+    Callers multiply and add them themselves: numpy rounds a complex product
+    of scalars and one of arrays differently in the last bit, so _chi (array
+    arithmetic) and mu_nu_sigma (scalar arithmetic) each keep their own.
+    """
     w0 = spec.base_frequency
-    acc = np.zeros(tarr.shape, dtype=complex)
     for k, c in spec.fourier:
-        a = w0 * k - omega
-        acc += (c * np.exp(1j * w0 * k * s)) * _m0(a, tau)
+        yield c * np.exp(1j * w0 * k * s), _m0(w0 * k - omega, tau)
+
+
+def _chi(spec: DriveSpec, omega: float, t, s: float) -> np.ndarray:
+    """chi(t,s) = phi1 + i phi2."""
+    tau = np.asarray(t, dtype=float) - s
+    acc = np.zeros(tau.shape, dtype=complex)
+    for coef, m0 in _mode_terms(spec, omega, tau, s):
+        acc += coef * m0
     return np.exp(1j * omega * tau) * acc
-
-
-def _chi(spec: DriveSpec, params: OscillatorParams, t, s: float) -> np.ndarray:
-    if spec.is_fourier:
-        return _chi_fourier(spec, params.omega, t, s)
-    # sampled fallback: straight adaptive quadrature per point
-    w = params.omega
-    interp = spec._interpolator()
-
-    def f_per(u):
-        return interp(np.mod(u, spec.period))
-
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty(tarr.shape, dtype=complex)
-    for i, ti in enumerate(tarr):
-        re, ere = quad(lambda u: np.cos(w * (ti - u)) * f_per(u), s, ti, limit=400)
-        im, eim = quad(lambda u: np.sin(w * (ti - u)) * f_per(u), s, ti, limit=400)
-        if max(ere, eim) > 1e-9:
-            raise IntegrationError(f"phi12 quadrature error {max(ere, eim):.2e} too large")
-        out[i] = re + 1j * im
-    return out if np.ndim(t) else out[0]
 
 
 def phi12(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> tuple[float, float]:
     """(phi1, phi2) at (t, s)."""
-    c = _chi(spec, params, float(t), float(s))
+    c = _chi(spec, params.omega, float(t), float(s))
     return float(np.real(c)), float(np.imag(c))
 
 
@@ -340,23 +316,13 @@ def psi(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> float:
     s = float(s)
     if t == s:
         return 0.0
-    if spec.is_fourier:
-        max_freq = 2.0 * (spec.max_frequency + params.omega)
+    max_freq = 2.0 * (spec.max_frequency + params.omega)
 
-        def integrand(v):
-            c = _chi_fourier(spec, params.omega, v, s)
-            return 0.5 * np.real(c * c)
+    def integrand(v):
+        c = _chi(spec, params.omega, v, s)
+        return 0.5 * np.real(c * c)
 
-        return _gauss_panels(integrand, s, t, max_freq)
-    # sampled drives: nested adaptive quadrature
-    def inner(v):
-        c = _chi(spec, params, v, s)
-        return 0.5 * float(np.real(c * c))
-
-    val, err = quad(inner, s, t, limit=400)
-    if err > 1e-10 * max(1.0, abs(val)):
-        raise IntegrationError(f"psi quadrature error {err:.2e} too large")
-    return float(val)
+    return _gauss_panels(integrand, s, t, max_freq)
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +377,13 @@ def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -
     half = 0.5 * w * tau
     sin_half = math.sin(half)
 
-    # common mode sum: int_s^t e^{-i omega u} f(u) du shifted to the midpoint
-    if spec.is_fourier:
-        w0 = spec.base_frequency
-        acc = 0.0 + 0.0j
-        for k, c in spec.fourier:
-            a = w0 * k - w
-            acc += c * np.exp(1j * w0 * k * s) * complex(_m0(a, tau))
-        full = np.exp(1j * half) * acc
-        i_sin = float(np.imag(full))
-        i_cos = float(np.real(full))
-    else:
-        interp = spec._interpolator()
-
-        def f_per(u):
-            return interp(np.mod(u, spec.period))
-
-        mid = 0.5 * (t + s)
-        i_sin, e1 = quad(lambda u: np.sin(w * (mid - u)) * f_per(u), s, t, limit=400)
-        i_cos, e2 = quad(lambda u: np.cos(w * (mid - u)) * f_per(u), s, t, limit=400)
-        if max(e1, e2) > 1e-9:
-            raise IntegrationError("mu/nu quadrature error too large")
+    # the mode sum of chi, rotated to the midpoint (t + s) / 2
+    acc = 0.0 + 0.0j
+    for coef, m0 in _mode_terms(spec, w, tau, s):
+        acc += coef * complex(m0)
+    full = np.exp(1j * half) * acc
+    i_sin = float(np.imag(full))
+    i_cos = float(np.real(full))
 
     pref = w * delta / (2.0 * sin_half)
     mu = pref * i_sin
@@ -454,11 +406,6 @@ def is_resonant_period(params: OscillatorParams, rel_tol: float = RESONANCE_REL_
     """True when the drive period is an integer multiple of 2 pi / omega."""
     r = params.period_T / params.oscillator_period
     return abs(r - round(r)) < rel_tol
-
-
-def _require_fourier(spec: DriveSpec, what: str):
-    if not spec.is_fourier:
-        raise UnsupportedDriveError(f"{what} requires a Fourier drive, got samples")
 
 
 def _p123(u: float) -> tuple[float, float, float]:
@@ -528,7 +475,6 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
 def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float, float]:
     """(F1, F1', F2', Phi') at time t: all that S_F(t) needs, from one
     phi12(t, 0) and no psi quadrature."""
-    _require_fourier(spec, "floquet_scalar_derivs")
     t = float(t)
     w = params.omega
     big_t = params.period_T
@@ -560,19 +506,6 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[fl
 
 
 def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float]:
-    """(F1', F2', Phi') at time t, exact for Fourier drives."""
+    """(F1', F2', Phi') at time t, exact."""
     return _sf_scalars(spec, params, t)[1:]
 
-
-def fourier_coefficient(spec: DriveSpec, k: int) -> complex:
-    """f_k = (1/T) int_0^T exp(-2 pi i k t / T) f(t) dt, by quadrature."""
-    w0 = spec.base_frequency
-    maxf = (spec.max_frequency if spec.is_fourier else 8.0 * w0) + abs(k) * w0
-
-    def integrand(ts):
-        vals = eval_drive(spec, ts)
-        return np.asarray(vals) * np.exp(-1j * w0 * k * np.asarray(ts))
-
-    re = _gauss_panels(lambda ts: np.real(integrand(ts)), 0.0, spec.period, maxf)
-    im = _gauss_panels(lambda ts: np.imag(integrand(ts)), 0.0, spec.period, maxf)
-    return complex(re, im) / spec.period

@@ -15,14 +15,6 @@ class NumericError(FloquetLabError):
     """A numerical routine produced NaN/Inf or failed to converge."""
 
 
-class IntegrationError(NumericError):
-    """Quadrature failed to reach the requested tolerance."""
-
-
-class UnsupportedDriveError(FloquetLabError, ValueError):
-    """The requested operation needs a Fourier drive but got samples only."""
-
-
 class ResonantTimeError(FloquetLabError, ValueError):
     """Elapsed time hit a multiple of the oscillator period where the
     single-exponential propagator form is undefined."""

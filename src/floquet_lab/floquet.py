@@ -57,10 +57,9 @@ from .drive_model import (
     _sf_scalars,
     eval_drive,
     floquet_scalars,
-    fourier_coefficient,
     is_resonant_period,
 )
-from .errors import InvalidIntervalError, NumericError, UnsupportedDriveError
+from .errors import InvalidIntervalError, NumericError
 from .oracle import evolve_state, hamiltonian_at
 from .propagator import propagator_factored
 
@@ -111,7 +110,7 @@ def classify_monodromy(spec: DriveSpec, params: OscillatorParams) -> Classificat
     n = round(params.period_T / params.oscillator_period)
     if n < 1:
         return Classification.NON_RESONANT
-    weight = abs(fourier_coefficient(spec, n)) + abs(fourier_coefficient(spec, -n))
+    weight = abs(spec.coefficient(n)) + abs(spec.coefficient(-n))
     if weight <= _IDENTITY_COEFF_TOL:
         return Classification.RESONANT_IDENTITY_MULTIPLE
     return Classification.RESONANT_ABSOLUTELY_CONTINUOUS
@@ -163,16 +162,8 @@ def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
-def _require_sf(spec: DriveSpec):
-    if not spec.is_fourier:
-        raise UnsupportedDriveError(
-            "S_F needs exact scalar derivatives, available only for Fourier drives"
-        )
-
-
 def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
     """S_F at each time in ts, in order, sharing one x and p."""
-    _require_sf(spec)
     omega = params.omega
     x, p = xp_operators(omega, dim)
     eye = np.eye(dim)
@@ -416,7 +407,6 @@ def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, s
     truncation, and the truncated x has a spectrum symmetric about 0, so
     ||S_F|| = |c| + sqrt(F1'^2 + F2'^2) ||x||: no matrix is formed.
     """
-    _require_sf(spec)
     omega = params.omega
     x_nrm = x_norm(omega, trunc.n_keep)
     sup = 0.0

@@ -24,11 +24,10 @@ theta, acts on the blocks themselves. A norm is that of the whole
 block-Laurent operator, ||L(S)|| = sup_theta ||S(theta)|| (ibid.), taken
 as the max over the same grid; no dense k window is ever formed.
 
-The recursion (G_{-1} = 0, G_0 = V_0, Phi(x) = (1/x)(e^x - (e^x-1)/x)):
+The recursion (G_{-1} = 0, G_0 = V, Phi(x) = (1/x)(e^x - (e^x-1)/x)):
 
     [A_s, K_0 + D(G_s)] = -(1-D)(G_s - G_{s-1}),
-    G_{s+1} = G_s + exp(ad_{A_s}) ... exp(ad_{A_0})(V_{s+1} - V_s)
-              + ad_{A_s} Phi(ad_{A_s})(1-D)(G_s - G_{s-1}),
+    G_{s+1} = G_s + ad_{A_s} Phi(ad_{A_s})(1-D)(G_s - G_{s-1}),
     W_s = e^{A_{s-1}} ... e^{A_0},
 
 drives ||(1-D)(W_s(K_0+V)W_s^+ - K_0)|| to zero unless a small
@@ -445,8 +444,14 @@ def _solve_sym(
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
-    """A finite number of the given kind; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    """A number of the given kind that converts to a finite float; a bool is
+    not a number here."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -454,13 +459,10 @@ class KamConfig:
     max_iters: int = 20
     tol: float = 1e-10
     min_denom_guard: float | None = None
-    schedule: str = "constant"
     r_weight: float = 2.0
     nu_weight: float = 1.0
 
     def __post_init__(self):
-        if self.schedule not in ("constant", "fourier_cutoff"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if not (_is_number(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (_is_number(self.tol) and self.tol > 0):
@@ -548,25 +550,6 @@ class KamResult:
         return reconstruct_propagator(self.space, self.w_blocks, self.g_level, t, s)
 
 
-def _schedule_symbol(
-    space: FloquetMatrixSpace, v_sym: np.ndarray, config: KamConfig, s: int
-) -> np.ndarray:
-    """V_s: V itself, or under the Fourier cutoff schedule its |q| <= k_s part."""
-    if config.schedule == "constant":
-        return v_sym
-    cuts, c = [], 1
-    while c < space.k_max:
-        cuts.append(c)
-        c *= 2
-    q = np.abs(np.arange(len(v_sym)) - _cap(v_sym))[:, None, None]
-    return np.where(q <= (cuts[s] if s < len(cuts) else space.k_max), v_sym, 0.0)
-
-
-def _conjugate(w_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W X W^+ for W given by its grid values and X by its symbol."""
-    return _from_grid(w_vals @ _to_grid(x, len(w_vals)) @ _dagger(w_vals), _cap(x))
-
-
 class _PointwiseAd:
     """Functions of ad_A for an anti-Hermitian symbol A, applied pointwise.
 
@@ -595,21 +578,17 @@ class _PointwiseAd:
         return (self.u * np.expm1(-1j * self.mu)[:, None, :]) @ self.uh @ vals
 
 
-def _kam_step(a_sym, n_grid, w_sym, g, dv, rhs, c, k0_gaps) -> tuple:
-    """Conjugate by e^{A_s}: (W_{s+1}, G_{s+1}, c_{s+1}) from W_s, G_s, c_s,
-    V_{s+1} - V_s and the homological right-hand side (1-D)(G_s - G_{s-1}).
+def _kam_step(a_sym, n_grid, w_sym, g, rhs, c, k0_gaps) -> tuple:
+    """Conjugate by e^{A_s}: (W_{s+1}, G_{s+1}, c_{s+1}) from W_s, G_s, c_s
+    and the homological right-hand side (1-D)(G_s - G_{s-1}).
 
     A function of its own so that its grid arrays are freed before the
     next record grids its residuals (peak memory)."""
     ad = _PointwiseAd(a_sym, n_grid)
     # W_{s+1} = e^{A_s} W_s. Only the step goes through the grid, so the
     # transform's round-off scales with A_s, not with the identity in W.
-    w_vals = _to_grid(w_sym, n_grid)
-    w_step = ad.expm1_times(w_vals)
-    # G_{s+1} = G_s + exp(ad_{A_s}) ... exp(ad_{A_0}) (V_{s+1} - V_s)
-    #           + ad_{A_s} Phi(ad_{A_s}) (1-D)(G_s - G_{s-1})
-    if np.any(dv):
-        g = g + _conjugate(w_vals + w_step, dv)
+    w_step = ad.expm1_times(_to_grid(w_sym, n_grid))
+    # G_{s+1} = G_s + ad_{A_s} Phi(ad_{A_s}) (1-D)(G_s - G_{s-1})
     g = g + ad.apply((ad.exp - ad.e1, rhs))
     # for X = K_0 + c: e^A X e^{-A} = K_0 + exp(ad_A) c + E1(ad_A) B, B = -ad_{K_0} A
     c = ad.apply((ad.exp, c), (ad.e1, -k0_gaps * a_sym))
@@ -653,10 +632,7 @@ def kam_iterate(
         float(np.linalg.norm(blk, 2)) for q, blk in v_dict.items() if abs(q) == space.k_max
     )
 
-    def v_s(s: int) -> np.ndarray:
-        return _schedule_symbol(space, v_sym, config, s)
-
-    g = v_s(0)                      # G_0 = V_0
+    g = v_sym                       # G_0 = V
     delta_g = g                     # G_s - G_{s-1}, with G_{-1} = 0
     w_sym = np.zeros_like(v_sym)
     w_sym[cap] = np.eye(ell)
@@ -670,11 +646,6 @@ def kam_iterate(
         a_sym = np.zeros_like(g) if a_sym is None else a_sym
         wt = np.tensordot(w_phases, w_sym, axes=1)
         w_unit = float(np.linalg.norm(wt @ _dagger(wt) - np.eye(ell), 2, axis=(-2, -1)).max())
-        # conjugation identity for the schedule operator V_s
-        c_sched = c
-        dv = v_s(s) - v_sym
-        if np.any(dv):
-            c_sched = c + _conjugate(_to_grid(w_sym, n_grid), dv)
         target = _sym_d(space, g) + _sym_offd(space, delta_g)
         history.append(
             KamState(
@@ -682,7 +653,7 @@ def kam_iterate(
                 offdiag_residual=offdiag,
                 min_denominator=min_denom,
                 eps_v=eps_v,
-                conj_residual=_sym_norm(c_sched - target),
+                conj_residual=_sym_norm(c - target),
                 herm_g_residual=_sym_norm(g - _adjoint(g)),
                 antiherm_a_residual=_sym_norm(a_sym + _adjoint(a_sym)),
                 unitary_w_residual=w_unit,
@@ -737,7 +708,7 @@ def kam_iterate(
             )
         _record(s, a_sym, offdiag, min_denom)
 
-        w_sym, g_next, c = _kam_step(a_sym, n_grid, w_sym, g, v_s(s + 1) - v_s(s), rhs, c, k0_gaps)
+        w_sym, g_next, c = _kam_step(a_sym, n_grid, w_sym, g, rhs, c, k0_gaps)
         delta_g = g_next - g
         g = g_next
 
@@ -802,7 +773,6 @@ def problem_to_json_dict(
         "V_blocks": v.to_json_list(),
         "r": float(config.r_weight),
         "nu": float(config.nu_weight),
-        "schedule": config.schedule,
         "max_iters": config.max_iters,
         "tol": float(config.tol),
     }
@@ -822,12 +792,13 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
         omega=_real_field(data["omega"], "omega"),
     )
     v = BlockPerturbation.from_json_list(data.get("V_blocks", []))
+    if data.get("schedule", "constant") != "constant":
+        raise ValueError(f"schedule must be \"constant\" or absent, got {data['schedule']!r}")
     guard = data.get("min_denom_guard")
     config = KamConfig(
         max_iters=_integer_field(data.get("max_iters", 20), "max_iters"),
         tol=_real_field(data.get("tol", 1e-10), "tol"),
         min_denom_guard=None if guard is None else _real_field(guard, "min_denom_guard"),
-        schedule=data.get("schedule", "constant"),
         r_weight=_real_field(data.get("r", 2.0), "r_weight"),
         nu_weight=_real_field(data.get("nu", 1.0), "nu_weight"),
     )

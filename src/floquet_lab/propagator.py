@@ -22,7 +22,6 @@ series branches where naive evaluation would cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +33,21 @@ from .core_fock import (
     number_basis_energies,
     xp_operators,
 )
-from .drive_model import _SERIES_CUT, DriveSpec, MuNuSigma, _lambda_factor, mu_nu_sigma, phi12, psi
+from .drive_model import (
+    _SERIES_CUT,
+    DriveSpec,
+    MuNuSigma,
+    _lambda_factor,
+    _p123,
+    mu_nu_sigma,
+    phi12,
+    psi,
+)
 from .errors import DomainError
 
 __all__ = [
     "split_forward",
     "split_inverse",
-    "PropagatorFactors",
-    "factored_factors",
-    "single_exp_factors",
     "propagator_factored",
     "propagator_single_exp",
 ]
@@ -76,9 +81,7 @@ def split_forward(mu: float, nu: float, t: float, omega: float) -> tuple[float, 
         c3 = (4.0 / 3.0) * u - (4.0 / 15.0) * u**3 + (8.0 / 315.0) * u**5
         phase = -(c1 * mu * mu + c2 * mu * nu + c3 * nu * nu) / (4.0 * omega)
     else:
-        p1 = 2.0 * u - 4.0 * math.sin(u) + math.sin(2.0 * u)
-        p2 = 2.0 - 4.0 * math.cos(u) + 2.0 * math.cos(2.0 * u)
-        p3 = 2.0 * u - math.sin(2.0 * u)
+        p1, p2, p3 = _p123(u)
         phase = -(p1 * mu * mu + p2 * mu * nu + p3 * nu * nu) / (4.0 * omega * u * u)
     return xi, eta, phase
 
@@ -110,71 +113,27 @@ def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float,
     return mu, nu, phase
 
 
-@dataclass(frozen=True)
-class PropagatorFactors:
-    """Scalar data of a closed-form propagator over [s, t].
-
-    form is "factored" or "single_exp"; the fields not used by a form are
-    zero.  phase enters as exp(i phase) multiplying the operator part.
-    """
-
-    form: str
-    t: float
-    s: float
-    phi1: float = 0.0
-    phi2: float = 0.0
-    psi: float = 0.0
-    mu: float = 0.0
-    nu: float = 0.0
-    sigma: float = 0.0
-    whole_periods: int = 0
-    delta: float = 0.0
-
-
-def factored_factors(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> PropagatorFactors:
-    p1, p2 = phi12(spec, params, t, s)
-    ps = psi(spec, params, t, s)
-    return PropagatorFactors(form="factored", t=t, s=s, phi1=p1, phi2=p2, psi=ps)
-
-
-def single_exp_factors(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> PropagatorFactors:
-    mns: MuNuSigma = mu_nu_sigma(spec, params, t, s)
-    return PropagatorFactors(
-        form="single_exp",
-        t=t,
-        s=s,
-        mu=mns.mu,
-        nu=mns.nu,
-        sigma=mns.sigma,
-        whole_periods=mns.whole_periods,
-        delta=mns.delta,
-    )
-
-
 def _factored_matrix(
-    params: OscillatorParams, factors: PropagatorFactors, dim: int
+    params: OscillatorParams, phi1: float, phi2: float, psi_ts: float, tau: float, dim: int
 ) -> np.ndarray:
     x, p = xp_operators(params.omega, dim)
     energies = number_basis_energies(params.omega, dim)
-    tau = factors.t - factors.s
-    diag = np.exp(-1j * tau * energies - 1j * factors.psi)
-    left = matrix_exp(-1j * factors.phi1 * x)
-    midl = matrix_exp(1j * (factors.phi2 / params.omega) * p)
+    diag = np.exp(-1j * tau * energies - 1j * psi_ts)
+    left = matrix_exp(-1j * phi1 * x)
+    midl = matrix_exp(1j * (phi2 / params.omega) * p)
     return left @ midl @ np.diag(diag)
 
 
-def _single_exp_matrix(
-    params: OscillatorParams, factors: PropagatorFactors, dim: int
-) -> np.ndarray:
+def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:
     x, p = xp_operators(params.omega, dim)
     h = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
     gen = (
-        -1j * factors.delta * h
-        + 1j * (factors.mu / params.omega) * p
-        + 1j * factors.nu * x
-        + 1j * factors.sigma * np.eye(dim)
+        -1j * mns.delta * h
+        + 1j * (mns.mu / params.omega) * p
+        + 1j * mns.nu * x
+        + 1j * mns.sigma * np.eye(dim)
     )
-    sign = -1.0 if factors.whole_periods % 2 else 1.0
+    sign = -1.0 if mns.whole_periods % 2 else 1.0
     return sign * matrix_exp(gen)
 
 
@@ -182,8 +141,8 @@ def propagator_factored(
     spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float, s: float
 ) -> TruncatedOperator:
     """U(t,s) in the factored form, built at n_keep + n_pad and trimmed."""
-    factors = factored_factors(spec, params, t, s)
-    full = _factored_matrix(params, factors, trunc.dim)
+    p1, p2 = phi12(spec, params, t, s)
+    full = _factored_matrix(params, p1, p2, psi(spec, params, t, s), t - s, trunc.dim)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
@@ -192,7 +151,6 @@ def propagator_single_exp(
 ) -> TruncatedOperator:
     """U(t,s) as a single displaced exponential; resonant elapsed times are
     rejected upstream with ResonantTimeError."""
-    factors = single_exp_factors(spec, params, t, s)
-    full = _single_exp_matrix(params, factors, trunc.dim)
+    full = _single_exp_matrix(params, mu_nu_sigma(spec, params, t, s), trunc.dim)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 

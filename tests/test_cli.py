@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from test_acceptance import _run_cli
 
+import floquet_lab
 from floquet_lab import NumericError, cli
 from floquet_lab.cli import main, shipped_config_path
 
@@ -459,10 +464,14 @@ class TestKam:
             ("omega", math.inf, "omega"),
             ("tol", True, "tol"),
             ("r", "2", "r_weight"),
+            ("max_iters", 10**400, "max_iters"),
+            ("r", 10**400, "r_weight"),
+            ("schedule", "fourier_cutoff", "schedule"),
         ],
         ids=["tol_inf", "tol_nan", "tol_zero", "tol_text", "max_iters_text", "max_iters_fraction",
              "max_iters_zero", "max_iters_bool", "k_max_fraction", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null",
-             "omega_bool", "omega_text", "omega_null", "omega_inf", "tol_bool", "r_numeric_text"],
+             "omega_bool", "omega_text", "omega_null", "omega_inf", "tol_bool", "r_numeric_text",
+             "max_iters_huge_int", "r_huge_int", "schedule_not_constant"],
     )
     def test_bad_numeric_field_is_a_config_error(self, tmp_path, capsys, key, value, field):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
@@ -535,3 +544,88 @@ class TestVerify:
         assert rc == 1
         assert "FAIL appendix.factored_vs_integrator_halfblock" in out
         assert "verify: FAILED" in out
+
+
+def test_import_loads_no_quadrature_or_interpolation():
+    """Every drive is a Fourier series, so the package needs neither."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, floquet_lab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _assert_same_to(a: str, b: str, tol: float):
+    """The same text between the numbers, and numbers that agree to tol."""
+    assert _NUMBER.split(a) == _NUMBER.split(b)
+    x = np.array([float(v) for v in _NUMBER.findall(a)])
+    y = np.array([float(v) for v in _NUMBER.findall(b)])
+    assert np.abs(x - y).max() <= tol
+
+
+_SAMPLES = json.loads(open(shipped_config_path("sampled_nonresonant.json")).read())["drive"]["samples"]
+
+
+class TestSampledConfig:
+    """The shipped nonresonant drive given as 32 samples runs every command
+    the Fourier config runs, with the same results."""
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["propagate", "{cfg}", "--t", "20.3", "--s", "0.7", "--form", "all", "--out", "{out}.json"],
+             [".json"]),
+            (["stability", "{cfg}", "--periods", "20", "--samples", "4", "--out-csv", "{out}.csv"],
+             [".csv", ".verdict.json"]),
+        ],
+        ids=["propagate", "stability"],
+    )
+    def test_outputs_match_the_fourier_config(self, tmp_path, argv, outputs):
+        texts = {}
+        for name in ("nonresonant", "sampled_nonresonant"):
+            out = str(tmp_path / name)
+            args = [a.format(cfg=shipped_config_path(name + ".json"), out=out) for a in argv]
+            assert main(args) == 0
+            texts[name] = [open(out + suffix).read() for suffix in outputs]
+        for a, b in zip(texts["nonresonant"], texts["sampled_nonresonant"]):
+            _assert_same_to(a, b, 1e-12)
+
+    def test_floquet_suite_passes(self, capsys):
+        """The deviations verify prints include a finite-difference quotient
+        with a 1e-6 step, whose own round-off is ~1e-9, so only the checks'
+        names and verdicts are compared."""
+        lines = {}
+        for name in ("nonresonant", "sampled_nonresonant"):
+            assert main(["verify", "--suite", "floquet", "--config", shipped_config_path(name + ".json")]) == 0
+            lines[name] = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()]
+        assert lines["sampled_nonresonant"] == lines["nonresonant"]
+        assert lines["nonresonant"][-1] == "verify: OK"
+
+    @pytest.mark.parametrize(
+        "samples_update, drive_update, cause",
+        [
+            ({"t": [t + 1e-6 * (i == 3) for i, t in enumerate(_SAMPLES["t"])]}, {}, "equally spaced"),
+            ({"t": _SAMPLES["t"][:3], "f": _SAMPLES["f"][:3]}, {}, "at least 4"),
+            ({"f": [None] + _SAMPLES["f"][1:]}, {}, "finite"),
+            ({"order": 3}, {}, "samples.order"),
+            ({}, {"fourier": []}, "not both"),
+        ],
+        ids=["uneven", "three", "null_value", "order", "fourier_too"],
+    )
+    def test_bad_samples_are_a_config_error(self, tmp_path, capsys, samples_update, drive_update, cause):
+        data = json.loads(open(shipped_config_path("sampled_nonresonant.json")).read())
+        data["drive"]["samples"].update(samples_update)
+        data["drive"].update(drive_update)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["propagate", str(path), "--t", "1.0", "--out", str(tmp_path / "u.json")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert cause in err["message"]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import floquet_lab
 from floquet_lab import (
     DriveSpec,
-    IntegrationError,
     OscillatorParams,
     ResonanceError,
     ResonantTimeError,
@@ -18,7 +17,6 @@ from floquet_lab import (
     eval_drive,
     floquet_scalar_derivs,
     floquet_scalars,
-    fourier_coefficient,
     is_resonant_period,
     mu_nu_sigma,
     phi12,
@@ -68,11 +66,85 @@ class TestDriveSpec:
         assert np.allclose(eval_drive(back, probe), eval_drive(spec, probe), atol=1e-12)
 
     def test_fourier_coefficient_recovers_inputs(self):
+        """N > 6 samples of a drive with harmonics up to 3, on a grid shifted
+        by offset T/N, give back its coefficients and no others."""
         spec = two_harmonic_drive()
-        for k in (-3, -1, 0, 1, 2, 3):
-            assert fourier_coefficient(spec, k) == pytest.approx(
-                spec.coefficient(k), abs=1e-10
-            )
+        for n in (7, 8, 16, 33):
+            for offset in (0.0, 0.6):
+                ts = (np.arange(n) + offset) * T0 / n
+                back = DriveSpec.from_samples(T0, ts, eval_drive(spec, ts))
+                assert [k for k, _ in back.fourier] == [k for k, _ in spec.fourier]
+                for k, c in spec.fourier:
+                    assert back.coefficient(k) == pytest.approx(c, abs=1e-15)
+
+
+class TestSamples:
+    """The rules of DriveSpec.from_samples and of the JSON samples block."""
+
+    @pytest.mark.parametrize("n", [4, 5, 32])
+    def test_interpolant_is_real_and_passes_through_every_sample(self, n):
+        rng = np.random.default_rng(n)
+        ts = (np.arange(n) + 0.25) * T0 / n
+        fs = rng.standard_normal(n)
+        spec = DriveSpec.from_samples(T0, ts, fs)
+        assert max(abs(k) for k, _ in spec.fourier) == n // 2
+        # eval_drive raises on a non-real series
+        assert np.abs(eval_drive(spec, ts) - fs).max() <= 1e-13 * np.abs(fs).max()
+
+    def test_even_count_splits_the_nyquist_term(self):
+        ts = np.arange(8) * T0 / 8
+        spec = DriveSpec.from_samples(T0, ts, (-1.0) ** np.arange(8))
+        assert dict(spec.fourier) == {-4: 0.5, 4: 0.5}
+
+    def test_round_off_coefficients_are_dropped(self):
+        ts = np.arange(32) * T0 / 32
+        spec = DriveSpec.from_samples(T0, ts, eval_drive(DriveSpec.sine(T0, 0.05), ts))
+        assert [k for k, _ in spec.fourier] == [-1, 1]
+        assert DriveSpec.from_samples(T0, ts, np.zeros(32)).fourier == ()
+
+    @pytest.mark.parametrize(
+        "ts, fs, cause",
+        [
+            (np.arange(3) * T0 / 3, np.ones(3), "at least 4 nodes"),
+            (np.arange(8) * T0 / 8, np.ones(7), "at least 4 nodes"),
+            (np.arange(8) * T0 / 8, np.r_[np.ones(7), np.nan], "finite"),
+            (np.r_[np.arange(7) * T0 / 8, np.inf], np.ones(8), "finite"),
+            ((np.arange(8) - 0.5) * T0 / 8, np.ones(8), "first sample time"),
+            ((np.arange(8) + 1.0) * T0 / 8, np.ones(8), "first sample time"),
+            (np.arange(8) * T0 / 8 + np.r_[np.zeros(7), 1e-9], np.ones(8), "equally spaced"),
+            (np.linspace(0.0, T0, 8), np.ones(8), "equally spaced"),
+        ],
+        ids=["three", "mismatched", "nan_value", "inf_time", "negative_start", "start_past_step",
+             "uneven", "closed_period"],
+    )
+    def test_bad_samples_are_rejected(self, ts, fs, cause):
+        with pytest.raises(ValueError, match=cause):
+            DriveSpec.from_samples(T0, ts, fs)
+
+    def test_spacing_tolerance_is_relative_to_the_period(self):
+        ts = np.arange(8) * T0 / 8 + np.r_[np.zeros(7), 0.5e-12 * T0]
+        DriveSpec.from_samples(T0, ts, np.ones(8))
+
+    @staticmethod
+    def _samples_doc() -> dict:
+        ts = np.arange(8) * T0 / 8
+        return {"period": T0, "samples": {"t": ts.tolist(), "f": np.sin(ts).tolist()}}
+
+    def test_json_samples_block(self):
+        doc = self._samples_doc()
+        spec = DriveSpec.from_json_dict(doc)
+        assert spec == DriveSpec.from_samples(T0, doc["samples"]["t"], doc["samples"]["f"])
+
+    def test_json_drive_gives_fourier_or_samples_not_both(self):
+        doc = dict(self._samples_doc(), fourier=[])
+        with pytest.raises(ValueError, match="not both"):
+            DriveSpec.from_json_dict(doc)
+
+    def test_json_samples_order_is_rejected(self):
+        doc = self._samples_doc()
+        doc["samples"]["order"] = 3
+        with pytest.raises(ValueError, match="samples.order"):
+            DriveSpec.from_json_dict(doc)
 
 
 class TestKernelQuadratureOracle:
@@ -245,18 +317,6 @@ class TestMonodromyMemo:
         for _ in range(2):
             with pytest.raises(ResonanceError):
                 floquet_scalars(spec, resonant, 0.5)
-        assert drive_model._monodromy_scalars.cache_info().currsize == 0
-
-    def test_integration_error_is_not_cached(self, monkeypatch):
-        period = self.params.period_T
-        ts = np.linspace(0.0, period, 32, endpoint=False)
-        sampled = DriveSpec.from_samples(period, ts, eval_drive(DriveSpec.sine(period, 0.05), ts))
-        calls = self._count_mu_nu_sigma(monkeypatch)
-        drive_model._monodromy_scalars.cache_clear()
-        for _ in range(2):
-            with pytest.raises(IntegrationError):
-                floquet_scalars(sampled, self.params, 0.5)
-        assert len(calls) == 2
         assert drive_model._monodromy_scalars.cache_info().currsize == 0
 
 

@@ -12,12 +12,12 @@ from floquet_lab import (
     OscillatorParams,
     ResonanceError,
     Truncation,
-    UnsupportedDriveError,
     build_HF,
     build_SF,
     build_UF,
     classify_monodromy,
     energy_bound_constant,
+    eval_drive,
     floquet_scalar_derivs,
     floquet_scalars,
     hamiltonian_at,
@@ -52,6 +52,12 @@ class TestClassification:
             classify_monodromy(drive_identity, params_res)
             is Classification.RESONANT_IDENTITY_MULTIPLE
         )
+
+    def test_strong_decoupled_drive_is_an_identity_multiple(self, params_res):
+        """f_{+-1} is exactly 0 however strong the second harmonic; a
+        quadrature of f_{+-1} would leave noise above the 1e-12 tolerance."""
+        spec = DriveSpec.sine(params_res.period_T, amplitude=1e5, harmonic=2)
+        assert classify_monodromy(spec, params_res) is Classification.RESONANT_IDENTITY_MULTIPLE
 
     def test_period_mismatch_rejected(self, drive_nonres):
         bad = OscillatorParams(omega=1.0, period_T=3.0)
@@ -148,13 +154,15 @@ class TestDecomposition:
         sf = build_SF(drive_nonres, params_nonres, Truncation(dim, 0), t0).entries
         assert np.linalg.norm((approx - sf)[:half, :half], 2) <= 1e-5
 
-    def test_sampled_drive_unsupported(self, params_nonres, trunc48):
+    def test_sampled_drive_matches_fourier(self, drive_nonres, params_nonres, trunc48):
         big_t = params_nonres.period_T
         ts = np.linspace(0.0, big_t, 64, endpoint=False)
         fs = 0.05 * np.sin(2 * math.pi * ts / big_t)
         sampled = DriveSpec.from_samples(big_t, ts, fs)
-        with pytest.raises(UnsupportedDriveError):
-            build_SF(sampled, params_nonres, trunc48, 0.1)
+        for build in (build_HF, lambda *a: build_SF(*a, 0.1), lambda *a: build_UF(*a, 0.7 * big_t)):
+            want = build(drive_nonres, params_nonres, trunc48).entries
+            got = build(sampled, params_nonres, trunc48).entries
+            assert np.linalg.norm(got - want, 2) <= 1e-12
 
     def test_bundle(self, drive_nonres, params_nonres):
         """The scalars behind H_F, U_F and S_F: F1 = F2 = Phi = 0 at t = 0,
@@ -407,12 +415,14 @@ class TestSFAgainstReference:
         got = _sup_sf_norm(spec, params, Truncation(n_keep=n_keep))
         assert got == pytest.approx(_reference_sup_sf(spec, params, n_keep), rel=1e-14)
 
-    def test_sampled_drive_unsupported(self, params_nonres, trunc48):
-        big_t = params_nonres.period_T
-        ts = np.linspace(0.0, big_t, 64, endpoint=False)
-        sampled = DriveSpec.from_samples(big_t, ts, 0.05 * np.sin(2 * math.pi * ts / big_t))
-        with pytest.raises(UnsupportedDriveError, match="S_F needs exact scalar derivatives"):
-            _sup_sf_norm(sampled, params_nonres, trunc48)
+    def test_sampled_drive_matches_fourier(self):
+        """Each drive given as 16 samples (a shifted grid, 3 harmonics at
+        most, so the interpolant is the drive) has the same sup ||S_F||."""
+        trunc = Truncation(n_keep=32)
+        for spec, params in (_sf_case(*c) for c in SF_CASES):
+            ts = (np.arange(16) + 0.3) * params.period_T / 16
+            sampled = DriveSpec.from_samples(params.period_T, ts, eval_drive(spec, ts))
+            assert _sup_sf_norm(sampled, params, trunc) == pytest.approx(_sup_sf_norm(spec, params, trunc), rel=1e-12)
 
     @pytest.mark.parametrize("n_keep", [32, 48])
     def test_energy_bound_constant(self, case, n_keep, ground_state):

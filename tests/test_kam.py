@@ -392,18 +392,14 @@ class TestIteration:
         assert res.status == "iteration_limit"
         assert not res.converged
 
-    def test_fourier_cutoff_schedule_same_limit(self, space, rough_v, golden_result):
-        res = kam_iterate(
-            space, rough_v, KamConfig(max_iters=14, tol=1e-10, schedule="fourier_cutoff")
-        )
-        assert res.converged
-        assert np.linalg.norm(res.g_level - golden_result.g_level, 2) <= 1e-8
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            KamConfig(schedule="annealed")
-        with pytest.raises(ValueError):
             KamConfig(max_iters=0)
+        # an int beyond the float range is not a finite number
+        with pytest.raises(ValueError, match="max_iters"):
+            KamConfig(max_iters=10**400)
+        with pytest.raises(ValueError, match="r_weight"):
+            KamConfig(r_weight=10**400)
         with pytest.raises(ValueError):
             KamConfig(tol=0.0)
         for guard in (0.0, -1.0, math.nan, math.inf, "abc"):
@@ -507,7 +503,7 @@ class TestPropagator:
 
 class TestSerialization:
     def test_problem_round_trip(self, space, rough_v):
-        cfg = KamConfig(max_iters=9, tol=1e-9, min_denom_guard=1e-6, schedule="fourier_cutoff")
+        cfg = KamConfig(max_iters=9, tol=1e-9, min_denom_guard=1e-6)
         doc = problem_to_json_dict(space, rough_v, cfg)
         text = json.dumps(doc)
         sp2, v2, cfg2 = load_problem(text)
@@ -516,6 +512,14 @@ class TestSerialization:
         assert "min_denom_guard" not in problem_to_json_dict(space, rough_v, KamConfig())
         for key, blk in rough_v.blocks.items():
             assert np.allclose(v2.blocks[key], blk, atol=1e-15)
+
+    @pytest.mark.parametrize("schedule", ["fourier_cutoff", None])
+    def test_schedule_is_constant_or_absent(self, space, rough_v, schedule):
+        doc = problem_to_json_dict(space, rough_v, KamConfig())
+        assert "schedule" not in doc
+        assert load_problem(dict(doc, schedule="constant"))[2] == load_problem(doc)[2]
+        with pytest.raises(ValueError, match="schedule"):
+            load_problem(dict(doc, schedule=schedule))
 
     def test_history_jsonl(self, golden_result):
         text = history_to_jsonl(golden_result.history)

@@ -10,12 +10,11 @@ from floquet_lab import (
     OscillatorParams,
     ResonantTimeError,
     Truncation,
-    factored_factors,
     integrate,
     matrix_exp,
+    mu_nu_sigma,
     propagator_factored,
     propagator_single_exp,
-    single_exp_factors,
     split_forward,
     split_inverse,
 )
@@ -124,10 +123,7 @@ class TestClosedForms:
         propagator_factored(SPEC, PARAMS, TRUNC, 3 * period, 0.0)
 
     def test_factor_records(self):
-        f = factored_factors(SPEC, PARAMS, 2.0, 0.5)
-        assert f.form == "factored" and f.t == 2.0 and f.s == 0.5
-        g = single_exp_factors(SPEC, PARAMS, 2.0, 0.5)
-        assert g.form == "single_exp"
+        g = mu_nu_sigma(SPEC, PARAMS, 2.0, 0.5)
         assert g.whole_periods == 0
         assert 0 < g.delta < 2 * math.pi / OMEGA
 
@@ -139,7 +135,7 @@ class TestClosedForms:
         u1 = propagator_factored(SPEC, PARAMS, TRUNC, t, 0.0).entries
         u2 = propagator_single_exp(SPEC, PARAMS, TRUNC, t, 0.0).entries
         half = TRUNC.n_keep // 2
-        assert single_exp_factors(SPEC, PARAMS, t, 0.0).whole_periods == 1
+        assert mu_nu_sigma(SPEC, PARAMS, t, 0.0).whole_periods == 1
         assert np.linalg.norm((u1 - u2)[:half, :half], 2) <= 1e-10
 
 
