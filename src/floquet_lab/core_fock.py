@@ -14,10 +14,25 @@ exponentiated at dimension n_keep + n_pad and results are trimmed back to
 n_keep, which keeps the basis-cutoff corruption inside the padding band.
 Every exponential the package forms has an anti-Hermitian generator, so
 matrix_exp accepts that kind only.
+
+The closed forms need only exponentials of x and of p, and both are
+functions of one real tridiagonal matrix, x_hat = a + a^dag = sqrt(2 omega) x.
+With P = diag(i^n), p/omega = -P^dag x P, so
+
+    e^{i a x} e^{i (b/omega) p} = V diag(e^{i a lam}) W diag(e^{-i b lam}) V^T P,
+
+where x_hat = V diag(lam_hat) V^T, lam = lam_hat / sqrt(2 omega) are the
+eigenvalues of x, and W = V^T P^dag V is a fixed overlap.  V, lam_hat and
+W depend on the dimension alone: _x_eigenbasis computes them once per
+dimension with dstevd, and _exp_x_exp_p then costs two real GEMMs on the
+stacked real and imaginary parts, with no eigensolve.  In the eigenbasis
+of x, x is diagonal and p is reached through W: the discrete-variable
+picture.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -41,6 +56,9 @@ __all__ = [
 
 # Relative tolerance used to classify generators as (anti-)Hermitian.
 _HERM_RTOL = 1e-12
+
+# Distinct working dimensions whose x eigenbasis stays cached.
+_X_BASIS_CACHE_SIZE = 8
 
 
 def _integer_field(value, name: str) -> int:
@@ -174,9 +192,11 @@ def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def xp_operators(omega: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum matrices at the given dimension."""
+    """Position and momentum matrices at the given dimension.  x is laid out
+    from x_off_diagonal, so the dense x and the band agree bit for bit."""
     a, ad = ladder(dim)
-    x = (a + ad) / np.sqrt(2.0 * omega)
+    off = x_off_diagonal(omega, dim)
+    x = (np.diag(off, 1) + np.diag(off, -1)).astype(complex)
     p = 1j * np.sqrt(omega / 2.0) * (ad - a)
     return x, p
 
@@ -261,3 +281,42 @@ def matrix_exp(m) -> np.ndarray:
         raise ValueError(f"matrix_exp generator is not anti-Hermitian: deviates by {dev:.3e} (scale {scale:.3e})")
     w, v = np.linalg.eigh(-1j * a)
     return (v * np.exp(1j * w)) @ v.conj().T
+
+
+@functools.lru_cache(maxsize=_X_BASIS_CACHE_SIZE)
+def _x_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lam_hat, V, W^T, i^n) at the given dimension: the eigenpairs of the
+    omega-free band x_hat = a + a^dag = V diag(lam_hat) V^T, the transpose of
+    the overlap W = V^T diag((-i)^n) V, and the diagonal of P = diag(i^n).
+    The arrays are shared between callers, so they are read-only."""
+    lam_hat, v = _dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+    # i^n from a table: numpy rounds 1j ** n from n = 100 on
+    p_diag = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
+    w_t = np.ascontiguousarray(((v.T * p_diag.conj()) @ v).T)
+    out = (lam_hat, v, w_t, p_diag)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _exp_x_exp_p(omega: float, dim: int, a: float, b: float) -> np.ndarray:
+    """e^{i a x} e^{i (b/omega) p} at the given dimension, from the cached
+    eigenbasis of x (module docstring): V X V^T P with
+    X = diag(e^{i a lam}) W diag(e^{-i b lam}).  X^T is formed directly, so
+    both products are real-by-complex GEMMs on a C-contiguous complex
+    matrix's float view, whose rows interleave re and im.
+
+    a = b = 0 gives the exact identity.  A non-finite a or b, or a phase
+    a lam or b lam that overflows, raises NumericError.
+    """
+    if a == 0.0 and b == 0.0:
+        return np.eye(dim, dtype=complex)
+    lam_hat, v, w_t, p_diag = _x_eigenbasis(dim)
+    lam = lam_hat / np.sqrt(2.0 * omega)
+    phase_a = a * lam
+    phase_b = b * lam
+    if not (np.all(np.isfinite(phase_a)) and np.all(np.isfinite(phase_b))):
+        raise NumericError(f"exponent of x or p is not finite: a = {a}, b = {b}")
+    x_t = (np.exp(-1j * phase_b)[:, None] * w_t) * np.exp(1j * phase_a)
+    y = (v @ x_t.view(float)).view(complex)  # V X^T, whose transpose is X V^T
+    return (v @ np.ascontiguousarray(y.T).view(float)).view(complex) * p_diag

@@ -389,7 +389,10 @@ def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -
     mu = pref * i_sin
     nu = -pref * i_cos
 
-    p1, p2 = phi12(spec, params, t, s)
+    # chi(t, s) = phi1 + i phi2 is the same mode sum, rotated by omega tau
+    chi = np.exp(1j * half) * full
+    p1 = float(np.real(chi))
+    p2 = float(np.imag(chi))
     sigma = (
         -psi(spec, params, t, s)
         + p1 * p2 / (2.0 * w)
@@ -436,10 +439,9 @@ def _monodromy_scalars(spec: DriveSpec, params: OscillatorParams) -> MuNuSigma:
     return mu_nu_sigma(spec, params, params.period_T, 0.0)
 
 
-def _xi_eta(mns: MuNuSigma, w: float, u: float) -> tuple[float, float]:
-    """xi and eta at phase u = omega t: the monodromy data rotated at omega."""
-    sin_u = math.sin(u)
-    cos_u = math.cos(u)
+def _xi_eta(mns: MuNuSigma, w: float, sin_u, cos_u):
+    """xi and eta at phase u = omega t, given sin u and cos u (scalars or
+    arrays): the monodromy data rotated at omega."""
     xi = (sin_u * mns.mu - (1.0 - cos_u) * mns.nu) / (w * mns.delta)
     eta = ((1.0 - cos_u) * mns.mu + sin_u * mns.nu) / (w * mns.delta)
     return xi, eta
@@ -460,7 +462,7 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     mu_t, nu_t, sigma_t, n_t, delta = mns.mu, mns.nu, mns.sigma, mns.whole_periods, mns.delta
 
     u = w * t
-    xi, eta = _xi_eta(mns, w, u)
+    xi, eta = _xi_eta(mns, w, math.sin(u), math.cos(u))
     q1, q2, q3 = _p123(u)
     phi = -(q1 * mu_t * mu_t + q2 * mu_t * nu_t + q3 * nu_t * nu_t) / (4.0 * w**3 * delta**2)
 
@@ -472,28 +474,29 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     return FloquetScalars(xi=xi, eta=eta, phi=phi, f1=f1, f2=f2, big_phi=big_phi)
 
 
-def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float, float]:
-    """(F1, F1', F2', Phi') at time t: all that S_F(t) needs, from one
-    phi12(t, 0) and no psi quadrature."""
-    t = float(t)
+def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarray, ...]:
+    """(F1, F1', F2', Phi') at each time of t, a scalar or an array: all that
+    S_F needs, from one chi(t, 0) over all the times and no psi quadrature."""
+    t = np.asarray(t, dtype=float)
     w = params.omega
     big_t = params.period_T
     mns = _monodromy_scalars(spec, params)
     mu_t, nu_t, sigma_t, n_t, delta = mns.mu, mns.nu, mns.sigma, mns.whole_periods, mns.delta
 
     u = w * t
-    sin_u = math.sin(u)
-    cos_u = math.cos(u)
-    xi, eta = _xi_eta(mns, w, u)
+    sin_u = np.sin(u)
+    cos_u = np.cos(u)
+    xi, eta = _xi_eta(mns, w, sin_u, cos_u)
     xi_dot = (cos_u * mu_t - sin_u * nu_t) / delta
     eta_dot = (sin_u * mu_t + cos_u * nu_t) / delta
     # d/du of the three polynomials in phi
-    q1d = 2.0 - 4.0 * cos_u + 2.0 * math.cos(2.0 * u)
-    q2d = 4.0 * sin_u - 4.0 * math.sin(2.0 * u)
-    q3d = 2.0 - 2.0 * math.cos(2.0 * u)
+    q1d = 2.0 - 4.0 * cos_u + 2.0 * np.cos(2.0 * u)
+    q2d = 4.0 * sin_u - 4.0 * np.sin(2.0 * u)
+    q3d = 2.0 - 2.0 * np.cos(2.0 * u)
     phi_dot = -(q1d * mu_t * mu_t + q2d * mu_t * nu_t + q3d * nu_t * nu_t) / (4.0 * w**2 * delta**2)
 
-    p1, p2 = phi12(spec, params, t, 0.0)
+    chi = _chi(spec, w, t, 0.0)
+    p1, p2 = chi.real, chi.imag
     ft = eval_drive(spec, t)
     f1_dot = w * p1 - xi_dot
     f2_dot = w * p2 - ft - eta_dot
@@ -507,5 +510,5 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[fl
 
 def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float]:
     """(F1', F2', Phi') at time t, exact."""
-    return _sf_scalars(spec, params, t)[1:]
+    return tuple(float(v) for v in _sf_scalars(spec, params, float(t))[1:])
 

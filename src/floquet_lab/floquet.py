@@ -46,7 +46,7 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    matrix_exp,
+    _exp_x_exp_p,
     number_basis_energies,
     x_norm,
     xp_operators,
@@ -150,9 +150,7 @@ def build_HF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> Tr
 
 def _uf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
     fs = floquet_scalars(spec, params, t)
-    x, p = xp_operators(params.omega, dim)
-    u = matrix_exp(1j * fs.f2 * x) @ matrix_exp(1j * (fs.f1 / params.omega) * p)
-    return np.exp(1j * fs.big_phi) * u
+    return np.exp(1j * fs.big_phi) * _exp_x_exp_p(params.omega, dim, fs.f2, fs.f1)
 
 
 def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float) -> TruncatedOperator:
@@ -163,14 +161,15 @@ def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
 
 
 def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
-    """S_F at each time in ts, in order, sharing one x and p."""
+    """S_F at each time in ts, in order, sharing one x and p and one
+    evaluation of the scalars."""
     omega = params.omega
+    f1, d1, d2, dphi = _sf_scalars(spec, params, np.asarray(ts, dtype=float))
     x, p = xp_operators(omega, dim)
     eye = np.eye(dim)
-    for t in ts:
-        f1, d1, d2, dphi = _sf_scalars(spec, params, t)
-        out = -(d1 / omega) * p - d2 * x
-        out += (f1 * d2 / omega - dphi) * eye
+    for j in range(f1.size):
+        out = -(d1[j] / omega) * p - d2[j] * x
+        out += (f1[j] * d2[j] / omega - dphi[j]) * eye
         yield out
 
 
@@ -409,11 +408,8 @@ def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, s
     """
     omega = params.omega
     x_nrm = x_norm(omega, trunc.n_keep)
-    sup = 0.0
-    for j in range(samples):
-        f1, d1, d2, dphi = _sf_scalars(spec, params, j * params.period_T / samples)
-        sup = max(sup, abs(f1 * d2 / omega - dphi) + math.hypot(d1, d2) * x_nrm)
-    return sup
+    f1, d1, d2, dphi = _sf_scalars(spec, params, np.arange(samples) * params.period_T / samples)
+    return float(np.max(np.abs(f1 * d2 / omega - dphi) + np.hypot(d1, d2) * x_nrm))
 
 
 class _Window(NamedTuple):

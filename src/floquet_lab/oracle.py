@@ -56,7 +56,6 @@ from .core_fock import (
     number_basis_energies,
     x_norm,
     x_off_diagonal,
-    xp_operators,
 )
 from .drive_model import DriveSpec, eval_drive
 from .errors import NumericError
@@ -80,10 +79,14 @@ SCHEMES = ("midpoint", "cf4")
 
 
 def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
-    """H(t) = H_omega + f(t) x at the given dimension."""
-    x, _ = xp_operators(params.omega, dim)
+    """H(t) = H_omega + f(t) x at the given dimension, dense, with f(t) x
+    written onto the two bands."""
     h = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
-    return h + float(eval_drive(spec, t)) * x
+    band = float(eval_drive(spec, t)) * x_off_diagonal(params.omega, dim)
+    n = np.arange(dim - 1)
+    h[n, n + 1] = band
+    h[n + 1, n] = band
+    return h
 
 
 def _step(h_builder, t0: float, h: float, scheme: str) -> np.ndarray:

@@ -12,6 +12,11 @@ propagator collapses to a single displaced-oscillator exponential
 
 using exp(-i (2 pi/omega) N H_omega) = (-1)^N, valid off resonance only.
 
+The factored form takes its x and p exponentials from the cached
+eigenbasis of x (core_fock._exp_x_exp_p) with no eigensolve; the single
+exponential goes through matrix_exp's dense eigensolve on purpose, so
+comparing the two forms compares two independent computations.
+
 The scalar conversions between the two forms are the Weyl-algebra splitting
 identities: split_forward maps the exponent data (mu, nu, t) of a combined
 exponential to the data (xi, eta, phase) of its ordered product form, and
@@ -29,6 +34,7 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
+    _exp_x_exp_p,
     matrix_exp,
     number_basis_energies,
     xp_operators,
@@ -116,12 +122,9 @@ def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float,
 def _factored_matrix(
     params: OscillatorParams, phi1: float, phi2: float, psi_ts: float, tau: float, dim: int
 ) -> np.ndarray:
-    x, p = xp_operators(params.omega, dim)
     energies = number_basis_energies(params.omega, dim)
     diag = np.exp(-1j * tau * energies - 1j * psi_ts)
-    left = matrix_exp(-1j * phi1 * x)
-    midl = matrix_exp(1j * (phi2 / params.omega) * p)
-    return left @ midl @ np.diag(diag)
+    return _exp_x_exp_p(params.omega, dim, -phi1, phi2) * diag
 
 
 def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:

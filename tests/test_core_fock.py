@@ -15,6 +15,7 @@ from floquet_lab import (
     matrix_exp,
 )
 from floquet_lab.core_fock import (
+    _exp_x_exp_p,
     ladder,
     number_basis_energies,
     tridiagonal_eigh,
@@ -198,6 +199,53 @@ class TestTridiagonalExp:
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
         with pytest.raises(NumericError, match="info = 3"):
             tridiagonal_eigh(np.ones(4), np.ones(3))
+
+
+class TestExpXExpP:
+    """e^{i a x} e^{i (b/omega) p} from the cached eigenbasis of x."""
+
+    PAIRS = ((3.5, -3.5), (-3.5, 3.5), (2.1, 0.4), (0.0, -2.7), (-1.3, 0.0))
+
+    @pytest.mark.parametrize("omega", [0.8, 1.0, 1.25])
+    @pytest.mark.parametrize("dim", [64, 96, 192])
+    def test_matches_the_matrix_exp_pair(self, dim, omega):
+        """The cache is keyed on the dimension alone, so each dimension is
+        met at three omega."""
+        x, p = xp_operators(omega, dim)
+        for a, b in self.PAIRS:
+            ref = matrix_exp(1j * a * x) @ matrix_exp(1j * (b / omega) * p)
+            assert np.abs(_exp_x_exp_p(omega, dim, a, b) - ref).max() <= 1e-13
+
+    def test_zero_exponents_give_the_exact_identity(self):
+        for a, b in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+            u = _exp_x_exp_p(1.3, 12, a, b)
+            assert u.dtype == complex
+            assert np.array_equal(u, np.eye(12))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NumericError):
+            _exp_x_exp_p(1.0, 16, bad, 0.5)
+        with pytest.raises(NumericError):
+            _exp_x_exp_p(1.0, 16, 0.5, bad)
+
+    def test_rejects_an_overflowing_phase(self):
+        """A finite exponent whose product with the eigenvalues of x overflows."""
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            _exp_x_exp_p(1.0, 16, 1e308, 0.0)
+
+    def test_p_is_x_conjugated_by_i_to_the_n(self):
+        """P^dag (a + a^dag) P = -i (a^dag - a) exactly for P = diag(i^n), so
+        p = -omega P^dag x P; the omega-scaled form agrees to the last bit,
+        since p carries sqrt(omega/2) where omega x carries omega/sqrt(2 omega)."""
+        dim = 130
+        p_diag = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
+        a, adag = ladder(dim)
+        assert np.array_equal(p_diag.conj()[:, None] * (a + adag) * p_diag, -1j * (adag - a))
+        for omega in (0.8, 1.0, 1.25):
+            x, p = xp_operators(omega, dim)
+            conj_x = -omega * (p_diag.conj()[:, None] * x * p_diag)
+            assert np.abs(conj_x - p).max() <= 2 * np.finfo(float).eps * np.abs(p).max()
 
 
 class TestExpPadded:

@@ -279,6 +279,20 @@ class TestFloquetScalars:
         with pytest.raises(ResonanceError):
             floquet_scalars(spec, OscillatorParams(omega=1.0, period_T=2 * math.pi), 0.5)
 
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.9])
+    def test_sf_scalars_over_an_array_match_each_time(self, omega):
+        """One call over every time gives each time's (F1, F1', F2', Phi') to
+        1e-15 of that quantity's size over the times."""
+        spec = two_harmonic_drive()
+        params = OscillatorParams(omega=omega, period_T=T0)
+        ts = np.arange(64) * T0 / 64 - 0.3
+        together = drive_model._sf_scalars(spec, params, ts)
+        apart = np.array([drive_model._sf_scalars(spec, params, t) for t in ts]).T
+        assert all(q.shape == ts.shape for q in together)
+        for got, want in zip(together, apart):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert floquet_scalar_derivs(spec, params, ts[5]) == tuple(apart[1:, 5])
+
 
 class TestMonodromyMemo:
     """The monodromy scalars are computed once per (spec, params); failures
@@ -344,6 +358,21 @@ class TestMuNuSigma:
         spec = two_harmonic_drive()
         with pytest.raises(ResonantTimeError):
             mu_nu_sigma(spec, self.params, 2 * math.pi, 0.0)
+
+    def test_sigma_takes_phi12_from_the_same_mode_sum(self):
+        """sigma is built from (phi1, phi2) of mu and nu's own mode sum; it
+        agrees with the one from phi12 and psi to rounding."""
+        spec = two_harmonic_drive()
+        w = self.params.omega
+        for t, s in ((9.0, 1.0), (2.5, 0.0), (20.3, 0.7), (-3.1, 4.4)):
+            res = mu_nu_sigma(spec, self.params, t, s)
+            p1, p2 = phi12(spec, self.params, t, s)
+            sigma = (
+                -psi(spec, self.params, t, s)
+                + p1 * p2 / (2.0 * w)
+                - drive_model._lambda_factor(w * res.delta) / w * (p1 * p1 + p2 * p2)
+            )
+            assert res.sigma == pytest.approx(sigma, rel=1e-13, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)

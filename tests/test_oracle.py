@@ -10,11 +10,12 @@ from floquet_lab import (
     OscillatorParams,
     PeriodStepper,
     Truncation,
+    eval_drive,
     evolve_state,
     integrate,
     propagator_factored,
 )
-from floquet_lab.core_fock import xp_operators
+from floquet_lab.core_fock import number_basis_energies, xp_operators
 from floquet_lab.oracle import hamiltonian_at, propagate_generic
 
 OMEGA = 1.0
@@ -106,6 +107,17 @@ def _sampled_drive() -> DriveSpec:
     ts = np.linspace(0.0, T_DRIVE, 32, endpoint=False)
     fs = 0.2 * np.sin(2 * np.pi * ts / T_DRIVE) + 0.1 * np.cos(4 * np.pi * ts / T_DRIVE)
     return DriveSpec.from_samples(T_DRIVE, ts, fs)
+
+
+@pytest.mark.parametrize("dim", [2, 17, 96])
+def test_hamiltonian_at_matches_the_dense_x_construction(dim):
+    """H(t) written onto the bands of x equals H_omega + f(t) x built from
+    the dense x of xp_operators."""
+    for spec in (SPEC, _sampled_drive(), DriveSpec.sine(T_DRIVE, amplitude=-0.7)):
+        for t in (0.0, 0.37, 2.9, -4.1):
+            x, _ = xp_operators(OMEGA, dim)
+            dense = np.diag(number_basis_energies(OMEGA, dim)).astype(complex) + float(eval_drive(spec, t)) * x
+            assert np.array_equal(hamiltonian_at(spec, PARAMS, t, dim), dense)
 
 
 class TestStructuredSegment:
