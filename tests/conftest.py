@@ -36,6 +36,22 @@ def drive_identity(params_res) -> DriveSpec:
     return DriveSpec.sine(params_res.period_T, amplitude=0.05, harmonic=2)
 
 
+@pytest.fixture
+def forbid_dense_eigh(monkeypatch):
+    """A call that makes numpy's dense eigh fail from then on, through either
+    of its names, so a test can build its references first."""
+    import numpy.linalg._linalg as linalg_impl
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh was called")
+
+    def forbid():
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(linalg_impl, "eigh", no_eigh)
+
+    return forbid
+
+
 @pytest.fixture(scope="session")
 def trunc48() -> Truncation:
     return Truncation(n_keep=48, n_pad=48)

@@ -359,21 +359,6 @@ class TestMuNuSigma:
         with pytest.raises(ResonantTimeError):
             mu_nu_sigma(spec, self.params, 2 * math.pi, 0.0)
 
-    def test_sigma_takes_phi12_from_the_same_mode_sum(self):
-        """sigma is built from (phi1, phi2) of mu and nu's own mode sum; it
-        agrees with the one from phi12 and psi to rounding."""
-        spec = two_harmonic_drive()
-        w = self.params.omega
-        for t, s in ((9.0, 1.0), (2.5, 0.0), (20.3, 0.7), (-3.1, 4.4)):
-            res = mu_nu_sigma(spec, self.params, t, s)
-            p1, p2 = phi12(spec, self.params, t, s)
-            sigma = (
-                -psi(spec, self.params, t, s)
-                + p1 * p2 / (2.0 * w)
-                - drive_model._lambda_factor(w * res.delta) / w * (p1 * p1 + p2 * p2)
-            )
-            assert res.sigma == pytest.approx(sigma, rel=1e-13, abs=1e-15)
-
 
 @settings(max_examples=40, deadline=None)
 @given(
