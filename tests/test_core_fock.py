@@ -236,7 +236,7 @@ class TestExpXExpP:
 
     def test_p_is_x_conjugated_by_i_to_the_n(self):
         """P^dag (a + a^dag) P = -i (a^dag - a) exactly for P = diag(i^n), so
-        p = -omega P^dag x P; the omega-scaled form agrees to the last bit,
+        p = -omega P^dag x P; the omega-scaled form agrees to 2 eps only,
         since p carries sqrt(omega/2) where omega x carries omega/sqrt(2 omega)."""
         dim = 130
         p_diag = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
