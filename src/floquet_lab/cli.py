@@ -171,7 +171,7 @@ def _build_form(form: str, spec, params, trunc, t: float, s: float, opts) -> np.
 
 def cmd_propagate(args) -> int:
     spec, params, trunc, opts, _ = _load_config(args.config)
-    t, s = float(args.t), float(args.s)
+    t, s = _real_field(args.t, "--t"), _real_field(args.s, "--s")
     forms = ["factored", "single-exp", "oracle"] if args.form == "all" else [args.form]
     mats = {form: _build_form(form, spec, params, trunc, t, s, opts) for form in forms}
 
@@ -322,8 +322,8 @@ def cmd_resonance_scan(args) -> int:
         raise ValueError(
             f"--omega-range must be 'lo:hi', got {args.omega_range!r}"
         ) from err
-    if not (0 < lo < hi):
-        raise ValueError(f"omega range must satisfy 0 < lo < hi, got {lo}:{hi}")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"omega range must be finite and satisfy 0 < lo < hi, got {lo}:{hi}")
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     grid = np.linspace(lo, hi, args.steps)

@@ -237,6 +237,11 @@ def _m0(a: float, tau) -> np.ndarray:
     """int_0^tau exp(i a u) du, stable for small |a tau| (series branch)."""
     tau = np.asarray(tau, dtype=float)
     z = a * tau
+    # One pass when no node is in the series branch; NaN fails the test and
+    # takes the masked path.  ravel keeps a 0-d tau on the array loops, which
+    # round as the masked path's do.
+    if np.abs(z).min(initial=np.inf) >= _SERIES_CUT:
+        return ((np.exp(1j * np.ravel(z)) - 1.0) / (1j * a)).reshape(tau.shape)
     small = np.abs(z) < _SERIES_CUT
     out = np.empty(tau.shape, dtype=complex)
     if np.any(~small):

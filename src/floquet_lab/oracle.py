@@ -37,12 +37,26 @@ Stepping happens at the padded dimension; trims are applied only at the
 end.  Multi-period evolutions compose the one-period propagator instead of
 re-stepping every period, which is exact for T-periodic Hamiltonians up to
 floating-point reassociation.
+
+integrate and evolve_state share one process-wide LRU of PeriodSteppers,
+keyed on (spec, params, trunc, steps_per_period, scheme), so a repeated
+evolution on one setup reuses the segments, the monodromy included, that an
+earlier call stepped, and still gets the bits a fresh stepper would give it
+(PeriodStepper.segment).  The cache keeps at most _STEPPER_CACHE_SIZE = 8
+steppers and _SEGMENT_CACHE_BYTES = 16 MiB of their segments, evicting the
+least recently used after each call; a stepper over the byte cap on its own
+is not kept, and a call that raises adds or reorders no stepper.  The
+sub-period remainder of u_from_zero is used once per t, so it is stepped
+without being cached.  There is no lock: nothing runs the oracle on more
+than one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +90,12 @@ _CF4_C1 = 0.5 - _SQRT3 / 6.0
 _CF4_C2 = 0.5 + _SQRT3 / 6.0
 
 SCHEMES = ("midpoint", "cf4")
+
+# Bounds of the shared stepper cache: steppers kept, and the total bytes of
+# the segments they hold.
+_STEPPER_CACHE_SIZE = 8
+_SEGMENT_CACHE_BYTES = 16 * 2**20
+_STEPPERS: OrderedDict = OrderedDict()
 
 
 def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
@@ -123,6 +143,11 @@ class PeriodStepper:
 
     Exploits U(t + T, s + T) = U(t, s): propagators from time zero are the
     within-period partial product times powers of the monodromy.
+
+    Segments are cached read-only, because integrate and evolve_state share
+    one stepper per setup across calls (module docstring): a hit returns the
+    array an earlier call stepped, and skips the drive and phase checks that
+    ran on its step batch when it was built.
     """
 
     spec: DriveSpec
@@ -130,8 +155,10 @@ class PeriodStepper:
     trunc: Truncation
     steps_per_period: int = 128
     scheme: str = "cf4"
-    _monodromy: np.ndarray | None = field(default=None, repr=False)
-    _segment_cache: dict = field(default_factory=dict, repr=False)
+    # (folded start, span) -> segment, and (phase, span) to 12 digits in
+    # units of T -> segment; the shared cache empties the second per call
+    _segments: dict = field(default_factory=dict, repr=False)
+    _rounded: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.steps_per_period < 16:
@@ -153,11 +180,16 @@ class PeriodStepper:
         return x_off_diagonal(self.params.omega, self.dim), x_norm(self.params.omega, self.dim)
 
     def segment(self, start: float, span: float) -> np.ndarray:
-        """U(start + span, start), cached by (start mod T, span) in units of T.
+        """U(start + span, start), read-only, stepped once per stepper.
 
-        The start phase is folded into [0, T).  At start = k T, fmod can
-        return T less one ulp, whose key would round to 1.0: that key is
-        folded to 0.0, and a miss steps the segment from 0.0.
+        The start is folded into [0, T).  At start = k T, fmod can return T
+        less one ulp, whose phase would round to 1.0: that start is folded to
+        0.0.  A segment is kept under its exact folded start and span, so one
+        that an earlier call stepped holds the bits a fresh stepper would step
+        now.  Within one call (for a stepper used directly, over its life) a
+        request whose phase and span agree with an earlier one's to 12 digits
+        in units of T reuses that one's segment, as the starts of a time grid
+        at the same phase in later periods do.
         """
         if span == 0.0:
             return np.eye(self.dim, dtype=complex)
@@ -169,12 +201,18 @@ class PeriodStepper:
         if phase == 1.0:
             t_mod = phase = 0.0
         key = (phase, round(span / big_t, 12))
-        hit = self._segment_cache.get(key)
-        if hit is not None:
-            return hit
-        u = self._stepped(t_mod, t_mod + span, self._steps_for(span))
-        self._segment_cache[key] = u
+        u = self._rounded.get(key)
+        if u is None:
+            u = self._segments.get((t_mod, span))
+            if u is None:
+                u = self._stepped(t_mod, t_mod + span, self._steps_for(span))
+                u.setflags(write=False)
+                self._segments[(t_mod, span)] = u
+            self._rounded[key] = u
         return u
+
+    def _segment_bytes(self) -> int:
+        return sum(u.nbytes for u in self._segments.values())
 
     def _stepped(self, s: float, t: float, n_steps: int) -> np.ndarray:
         """propagate_generic(H, dim, s, t, n_steps, scheme) on the (diag, off)
@@ -228,19 +266,21 @@ class PeriodStepper:
         return (v @ a.view(float)).view(complex)
 
     def monodromy(self) -> np.ndarray:
-        if self._monodromy is None:
-            self._monodromy = self.segment(0.0, self.spec.period)
-        return self._monodromy
+        return self.segment(0.0, self.spec.period)
 
     def u_from_zero(self, t: float) -> np.ndarray:
-        """U(t, 0) at the padded dimension."""
+        """U(t, 0) at the padded dimension; the remainder past the whole
+        periods is stepped, not cached."""
         big_t = self.spec.period
         n = math.floor(t / big_t)
         tau = t - n * big_t
         if tau >= big_t:  # guard against floating rollover
             tau -= big_t
             n += 1
-        u = self.segment(0.0, tau) if tau > 0.0 else np.eye(self.dim, dtype=complex)
+        if tau > 0.0:
+            u = self._stepped(0.0, tau, self._steps_for(tau))
+        else:
+            u = np.eye(self.dim, dtype=complex)
         if n == 0:
             return u
         m = self.monodromy()
@@ -264,6 +304,33 @@ class PeriodStepper:
         return self.u_from_zero(t) @ self.u_from_zero(s).conj().T
 
 
+@contextlib.contextmanager
+def _shared_stepper(*key):
+    """The cached PeriodStepper of key = (spec, params, trunc,
+    steps_per_period, scheme), or a new one.  When the body returns, the
+    stepper becomes the most recently used and the cache bounds are applied;
+    when it raises, no stepper is added or reordered (a cached one keeps the
+    segments the call completed).  A key that does not hash, such as a 0-d
+    array step count, gets a stepper that is not shared."""
+    try:
+        stepper = _STEPPERS.get(key)
+    except TypeError:
+        yield PeriodStepper(*key)
+        return
+    if stepper is None:
+        stepper = PeriodStepper(*key)
+    stepper._rounded.clear()
+    yield stepper
+    _STEPPERS.pop(key, None)
+    if stepper._segment_bytes() <= _SEGMENT_CACHE_BYTES:
+        _STEPPERS[key] = stepper
+        while (
+            len(_STEPPERS) > _STEPPER_CACHE_SIZE
+            or sum(kept._segment_bytes() for kept in _STEPPERS.values()) > _SEGMENT_CACHE_BYTES
+        ):
+            _STEPPERS.popitem(last=False)
+
+
 def integrate(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -274,8 +341,12 @@ def integrate(
     scheme: str = "cf4",
 ) -> TruncatedOperator:
     """Brute-force U(t, s), trimmed to the kept block."""
-    stepper = PeriodStepper(spec, params, trunc, steps_per_period, scheme)
-    full = stepper.u(float(t), float(s))
+    t, s = float(t), float(s)
+    for name, value in (("t", t), ("s", s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    with _shared_stepper(spec, params, trunc, steps_per_period, scheme) as stepper:
+        full = stepper.u(t, s)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
@@ -315,28 +386,30 @@ def evolve_state(
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be a non-empty increasing 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("t_grid must hold finite times")
 
     psi = np.zeros(trunc.dim, dtype=complex)
     psi[: psi0.size] = psi0
     support = np.nonzero(np.abs(psi) > 1e-10)[0]
     edge_warning = bool(support.size and support[-1] > trunc.n_keep // 2)
 
-    stepper = PeriodStepper(spec, params, trunc, steps_per_period, scheme)
     states = np.empty((times.size, trunc.dim), dtype=complex)
     t_cur = 0.0
-    for i, ti in enumerate(times):
-        span = ti - t_cur
-        if span:
-            # whole periods advance via the monodromy, remainder via one segment
-            n_whole = int(math.floor(span / spec.period + 1e-12))
-            for _ in range(n_whole):
-                psi = stepper.segment(t_cur, spec.period) @ psi
-                t_cur += spec.period
-            rem = ti - t_cur
-            if abs(rem) > 1e-12 * max(1.0, abs(ti)):
-                psi = stepper.segment(t_cur, rem) @ psi
-            t_cur = ti
-        states[i] = psi
+    with _shared_stepper(spec, params, trunc, steps_per_period, scheme) as stepper:
+        for i, ti in enumerate(times):
+            span = ti - t_cur
+            if span:
+                # whole periods advance via the monodromy, remainder via one segment
+                n_whole = int(math.floor(span / spec.period + 1e-12))
+                for _ in range(n_whole):
+                    psi = stepper.segment(t_cur, spec.period) @ psi
+                    t_cur += spec.period
+                rem = ti - t_cur
+                if abs(rem) > 1e-12 * max(1.0, abs(ti)):
+                    psi = stepper.segment(t_cur, rem) @ psi
+                t_cur = ti
+            states[i] = psi
 
     norms = np.linalg.norm(states, axis=1)
     pad_pop = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)

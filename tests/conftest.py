@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from floquet_lab import DriveSpec, OscillatorParams, Truncation
+from floquet_lab import DriveSpec, OscillatorParams, Truncation, oracle
+
+
+@pytest.fixture(autouse=True)
+def _empty_stepper_cache():
+    """integrate and evolve_state share steppers across calls; each test
+    starts with none, so what it steps does not depend on earlier tests."""
+    oracle._STEPPERS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -137,6 +137,17 @@ class TestPropagate:
         assert rc == 2
         assert "period" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    @pytest.mark.parametrize("form", ["factored", "single-exp", "oracle", "all"])
+    @pytest.mark.parametrize("flag,value", [("--t", "inf"), ("--t", "nan"), ("--s", "-inf")])
+    def test_non_finite_time_is_a_config_error(self, small_config, tmp_path, capsys, form, flag, value):
+        argv = ["propagate", small_config, "--t", "2.5", "--form", form, "--out", str(tmp_path / "u.json")]
+        argv += [f"{flag}={value}"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"] == f"{flag} must be a finite number, got {float(value)!r}"
+        assert not (tmp_path / "u.json").exists()
+
     def test_deterministic_output(self, small_config, tmp_path):
         out1, out2 = tmp_path / "u1.json", tmp_path / "u2.json"
         main(["propagate", small_config, "--t", "3.1", "--form", "all", "--out", str(out1)])
@@ -393,6 +404,13 @@ class TestResonanceScan:
         capsys.readouterr()
         assert main(["resonance-scan", small_config, "--omega-range", "0.5:1.5",
                      "--steps", "1", "--out-csv", out]) == 2
+
+    @pytest.mark.parametrize("window", ["0.5:inf", "inf:inf", "nan:1.5", "0.5:nan"])
+    def test_non_finite_range_is_a_config_error(self, small_config, tmp_path, capsys, window):
+        assert main(["resonance-scan", small_config, f"--omega-range={window}", "--steps", "3",
+                     "--out-csv", str(tmp_path / "s.csv")]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("omega range must be finite and satisfy 0 < lo < hi")
 
 
 class TestKam:

@@ -200,6 +200,22 @@ class TestKernelQuadratureOracle:
         assert chi_ts == pytest.approx(chi_tr + cmath.exp(1j * w * (t - r)) * chi_rs, abs=1e-11)
 
 
+@pytest.mark.parametrize("a", [1.3, -0.7, 1e-3])
+def test_m0_whole_array_path_matches_the_masked_path(a):
+    """Without a node in the series branch, _m0 takes the exponential form on
+    the whole array; one series node sends it down the masked path, which
+    must give the same bits on the other nodes."""
+    tau = np.linspace(0.5, 9.0, 24)
+    small = drive_model._SERIES_CUT / (4 * abs(a))
+    whole = drive_model._m0(a, tau)
+    masked = drive_model._m0(a, np.append(tau, small))
+    assert np.array_equal(whole, masked[:-1])
+    for one in (tau[:1], tau[0]):  # a 1-element array and a 0-d one
+        got = drive_model._m0(a, one)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(one)
+        assert np.array_equal(got.ravel(), whole[:1])
+
+
 class TestSplitElapsed:
     params = OscillatorParams(omega=2.0, period_T=5.0)
 

@@ -28,6 +28,7 @@ from floquet_lab import (
     transition_bound_check,
 )
 import floquet_lab.floquet as floquet_module
+import floquet_lab.oracle as oracle_module
 from floquet_lab import cli
 from floquet_lab.cli import shipped_config_path
 from floquet_lab.core_fock import number_basis_energies, xp_operators
@@ -298,6 +299,41 @@ class TestStabilityScanWork:
                        "--samples", "8", "--out-csv", str(tmp_path / "s.csv")])
         assert rc == 0
         assert len(starts) == 8
+
+    def test_repeated_stability_steps_nothing(self, monkeypatch, tmp_path):
+        """The second run on one setup takes every segment from the shared
+        stepper and writes the same bytes."""
+        starts = _count_segment_builds(monkeypatch)
+        outs = []
+        for run in ("a", "b"):
+            csv = tmp_path / f"{run}.csv"
+            rc = cli.main(["stability", shipped_config_path("nonresonant.json"), "--periods", "10",
+                           "--samples", "8", "--out-csv", str(csv)])
+            assert rc == 0
+            outs.append((csv.read_bytes(), (tmp_path / f"{run}.verdict.json").read_bytes()))
+            if run == "a":
+                assert len(starts) == 8
+                starts.clear()
+        assert starts == []
+        assert outs[0] == outs[1]
+
+    def test_output_does_not_depend_on_earlier_runs(self, tmp_path):
+        """Grid starts of a 13-period and a 20-period run agree to 12 digits
+        but not bit for bit; a kept segment is reused only for the exact
+        start and span it was stepped for, so the 20-period run writes the
+        same bytes after the 13-period one as in a fresh process."""
+        cfg = shipped_config_path("resonant_growth.json")
+
+        def run(periods, name):
+            csv = tmp_path / f"{name}.csv"
+            assert cli.main(["stability", cfg, "--periods", str(periods), "--samples", "4",
+                             "--out-csv", str(csv)]) == 0
+            return csv.read_bytes()
+
+        fresh = run(20, "fresh")
+        oracle_module._STEPPERS.clear()
+        run(13, "earlier")
+        assert run(20, "after") == fresh
 
     def test_energies_match_dense_per_sample_reference(self, monkeypatch, ground_state):
         spec, params, trunc, opts = self._nonresonant()

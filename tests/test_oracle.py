@@ -16,6 +16,7 @@ from floquet_lab import (
     propagator_factored,
 )
 from floquet_lab.core_fock import number_basis_energies, xp_operators
+from floquet_lab import oracle
 from floquet_lab.oracle import hamiltonian_at, propagate_generic
 
 OMEGA = 1.0
@@ -78,6 +79,11 @@ class TestConvergenceOrder:
 
 
 class TestStepper:
+    @pytest.mark.parametrize("t,s,name", [(math.inf, 0.0, "t"), (math.nan, 0.0, "t"), (1.0, -math.inf, "s")])
+    def test_non_finite_time_rejected(self, t, s, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            integrate(SPEC, PARAMS, TRUNC, t, s)
+
     def test_unitarity(self):
         stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=64)
         u = stepper.u(3.7, 0.9)
@@ -211,6 +217,84 @@ class TestSegmentKey:
             PeriodStepper(SPEC, params, TRUNC, steps_per_period=32).segment(0.0, 1.0)
 
 
+def _spy_stepped(monkeypatch) -> list:
+    """Record (start, end) of every segment PeriodStepper actually steps."""
+    spans = []
+    real = PeriodStepper._stepped
+    monkeypatch.setattr(
+        PeriodStepper, "_stepped", lambda self, s, t, n: spans.append((s, t)) or real(self, s, t, n)
+    )
+    return spans
+
+
+class TestSharedStepper:
+    """integrate and evolve_state share one bounded LRU of steppers, keyed on
+    (spec, params, trunc, steps_per_period, scheme)."""
+
+    def test_repeated_integrate_steps_the_monodromy_once(self, monkeypatch):
+        spans = _spy_stepped(monkeypatch)
+        first = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
+        second = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
+        assert np.array_equal(first.entries, second.entries)
+        # the sub-period remainder is stepped on every call, never cached
+        assert spans.count((0.0, T_DRIVE)) == 1 and len(spans) == 3
+
+    def test_hit_matches_a_fresh_stepper(self):
+        psi0 = np.array([1.0 + 0j])
+        grid = np.linspace(0.0, 3 * T_DRIVE, 13)
+        first = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
+        again = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
+        oracle._STEPPERS.clear()
+        fresh = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
+        assert np.array_equal(first, again) and np.array_equal(first, fresh)
+
+    def test_steps_or_scheme_change_is_a_miss(self, monkeypatch):
+        spans = _spy_stepped(monkeypatch)
+        for steps, scheme in ((32, "cf4"), (33, "cf4"), (32, "midpoint"), (32, "cf4")):
+            integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=steps, scheme=scheme)
+        assert spans.count((0.0, T_DRIVE)) == 3
+        assert len(oracle._STEPPERS) == 3
+
+    def test_at_most_eight_steppers_least_recent_evicted(self):
+        keys = [(SPEC, PARAMS, TRUNC, steps, "cf4") for steps in range(16, 25)]
+        for key in keys:
+            integrate(*key[:3], 1.5 * T_DRIVE, 0.0, steps_per_period=key[3])
+        assert list(oracle._STEPPERS) == keys[1:]
+
+    def test_byte_cap_evicts_least_recent_and_refuses_an_oversized_stepper(self, monkeypatch):
+        segment_bytes = TRUNC.dim**2 * 16
+        monkeypatch.setattr(oracle, "_SEGMENT_CACHE_BYTES", 3 * segment_bytes // 2)
+        for steps in (16, 17):
+            integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=steps)
+        assert [key[3] for key in oracle._STEPPERS] == [17]
+        # three segments in one stepper: over the cap on its own, so not kept,
+        # and the stepper already kept stays
+        grid = np.linspace(0.0, 0.75 * T_DRIVE, 4)
+        evolve_state(SPEC, PARAMS, TRUNC, np.array([1.0 + 0j]), grid, steps_per_period=18)
+        assert [key[3] for key in oracle._STEPPERS] == [17]
+
+    def test_segments_are_read_only(self):
+        stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
+        for u in (stepper.segment(0.1, 0.3 * T_DRIVE), stepper.monodromy()):
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 0.0
+
+    def test_unhashable_arguments_are_stepped_unshared(self):
+        u = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=np.array(32))
+        assert np.array_equal(u.entries, integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0,
+                                                   steps_per_period=32).entries)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            integrate(SPEC, PARAMS, TRUNC, 1.0, 0.0, scheme=["cf4"])
+        assert list(oracle._STEPPERS) == [(SPEC, PARAMS, TRUNC, 32, "cf4")]
+
+    def test_failed_build_caches_nothing(self):
+        huge = DriveSpec.sine(T_DRIVE, amplitude=1e306)
+        for _ in range(2):
+            with pytest.raises(NumericError, match="step phase"):
+                integrate(huge, PARAMS, TRUNC, 5.0, 0.0, steps_per_period=32)
+            assert len(oracle._STEPPERS) == 0
+
+
 class TestNonFiniteDrive:
     """A drive whose f(t) x overflows fails with the typed NumericError."""
 
@@ -309,6 +393,12 @@ class TestEvolveState:
             evolve_state(SPEC, PARAMS, TRUNC, psi0, [0.0, 2.0, 1.0])
         with pytest.raises(ValueError):
             evolve_state(SPEC, PARAMS, TRUNC, psi0, [])
+
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [0.0, math.nan], [math.nan]],
+                             ids=["inf", "nan", "nan_only"])
+    def test_non_finite_time_rejected(self, grid):
+        with pytest.raises(ValueError, match="t_grid must hold finite times"):
+            evolve_state(SPEC, PARAMS, TRUNC, np.array([1.0 + 0j]), grid)
 
     def test_matches_propagator_column(self):
         psi0 = np.zeros(1, dtype=complex)
