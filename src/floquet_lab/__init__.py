@@ -21,10 +21,7 @@ from .drive_model import (
     split_elapsed,
 )
 from .commutators import (
-    FPolynomial,
     HigherOrderBoundReport,
-    ap_commute,
-    f_polynomial,
     higher_order_bound_check,
     sup_xn_norm,
     xn_operator,

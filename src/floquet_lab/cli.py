@@ -467,27 +467,19 @@ def _suite_floquet(config_path: str) -> list:
     return checks
 
 
-def _suite_commutators() -> list:
-    from .commutators import ap_commute, f_polynomial
+def _suite_commutators(config_path: str) -> list:
+    from .commutators import xn_operator, xn_operator_via_floquet
 
+    spec, params, trunc, _, _ = _load_config(config_path)
+    t, s = 0.63 * params.period_T, 0.21 * params.period_T
+    half = trunc.n_keep // 2
     checks = []
-    rng = np.random.default_rng(11)
-    for i in range(4):
-        dim = 12
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = 0.5 * (a + a.conj().T)
-        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for p in (2, 3, 4):
-            lhs = ap_commute(a, b, p).entries
-            rhs = np.linalg.matrix_power(a, p) @ b
-            dev = float(
-                np.linalg.norm(lhs - rhs, 2) / max(1.0, np.linalg.norm(rhs, 2))
-            )
-            checks.append((f"power_commutation_draw{i}_p{p}", dev <= 1e-10, dev))
-    f20 = f_polynomial(2, 0).coefficients()
-    checks.append(("f_poly_2_0", f20 == {(1,): 1, (0, 0): 1}, str(sorted(f20.items()))))
-    f21 = f_polynomial(2, 1).coefficients()
-    checks.append(("f_poly_2_1", f21 == {(0,): 2}, str(sorted(f21.items()))))
+    for n in range(5):
+        direct = xn_operator(spec, params, trunc, n, t, s).entries[:half, :half]
+        dual = xn_operator_via_floquet(spec, params, trunc, n, t, s).entries[:half, :half]
+        dev = float(np.linalg.norm(direct - dual, 2))
+        scale = max(1.0, float(np.linalg.norm(direct, 2)))
+        checks.append((f"xn_dual_routes_n{n}", dev <= 1e-8 * scale, dev))
     return checks
 
 
@@ -529,7 +521,7 @@ def cmd_verify(args) -> int:
     suites = {
         "appendix": lambda: _suite_appendix(config),
         "floquet": lambda: _suite_floquet(config),
-        "commutators": _suite_commutators,
+        "commutators": lambda: _suite_commutators(config),
         "kam": _suite_kam,
     }
     names = list(suites) if args.suite == "all" else [args.suite]

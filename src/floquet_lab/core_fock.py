@@ -166,15 +166,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trimmed(self, n: int) -> "TruncatedOperator":
-        """Top-left n x n block as a new operator."""
-        if n > self.dim:
-            raise InvalidTruncationError(f"cannot trim dim {self.dim} to {n}")
-        return TruncatedOperator(self.entries[:n, :n].copy(), basis_tag=self.basis_tag)
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.entries.conj().T.copy(), basis_tag=self.basis_tag)
-
     def __matmul__(self, other):
         if isinstance(other, TruncatedOperator):
             if other.basis_tag != self.basis_tag:

@@ -75,6 +75,14 @@ def _check_period(period) -> None:
         raise ValueError(f"period must be positive and finite, got {period}")
 
 
+def _check_finite(**times) -> None:
+    """Raise ValueError naming the first of the times, each a float or an
+    array of floats, that is not finite throughout."""
+    for name, value in times.items():
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """A real T-periodic drive, a finite Fourier series.
@@ -115,11 +123,6 @@ class DriveSpec:
     def sine(cls, period: float, amplitude: float = 1.0, harmonic: int = 1) -> "DriveSpec":
         """amplitude * sin(2 pi harmonic t / period)."""
         c = -0.5j * amplitude
-        return cls.from_fourier(period, {harmonic: c, -harmonic: np.conj(c)})
-
-    @classmethod
-    def cosine(cls, period: float, amplitude: float = 1.0, harmonic: int = 1) -> "DriveSpec":
-        c = 0.5 * amplitude + 0.0j
         return cls.from_fourier(period, {harmonic: c, -harmonic: np.conj(c)})
 
     @classmethod
@@ -207,10 +210,6 @@ class DriveSpec:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, s: str) -> "DriveSpec":
-        return cls.from_json_dict(json.loads(s))
-
 
 class MuNuSigma(NamedTuple):
     mu: float
@@ -294,7 +293,9 @@ def _chi(spec: DriveSpec, omega: float, t, s: float) -> np.ndarray:
 
 def phi12(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> tuple[float, float]:
     """(phi1, phi2) at (t, s)."""
-    c = _chi(spec, params.omega, float(t), float(s))
+    t, s = float(t), float(s)
+    _check_finite(t=t, s=s)
+    c = _chi(spec, params.omega, t, s)
     return float(np.real(c)), float(np.imag(c))
 
 
@@ -317,8 +318,8 @@ def _gauss_panels(fn, a: float, b: float, max_freq: float) -> float:
 
 def psi(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> float:
     """psi(t,s) = 1/2 int_s^t (phi1(v,s)^2 - phi2(v,s)^2) dv."""
-    t = float(t)
-    s = float(s)
+    t, s = float(t), float(s)
+    _check_finite(t=t, s=s)
     if t == s:
         return 0.0
     max_freq = 2.0 * (spec.max_frequency + params.omega)
@@ -374,8 +375,8 @@ def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -
     elapsed times at (near) integer multiples of the oscillator period,
     where Delta -> 0 and the form degenerates.
     """
-    t = float(t)
-    s = float(s)
+    t, s = float(t), float(s)
+    _check_finite(t=t, s=s)
     w = params.omega
     n, delta = split_elapsed(params, t - s)
     tau = t - s
@@ -461,6 +462,7 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     U_F(t) = e^{i Phi} e^{i F2 x} e^{i (F1/omega) p}.
     """
     t = float(t)
+    _check_finite(t=t)
     w = params.omega
     big_t = params.period_T
     mns = _monodromy_scalars(spec, params)
@@ -483,6 +485,7 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarra
     """(F1, F1', F2', Phi') at each time of t, a scalar or an array: all that
     S_F needs, from one chi(t, 0) over all the times and no psi quadrature."""
     t = np.asarray(t, dtype=float)
+    _check_finite(t=t)
     w = params.omega
     big_t = params.period_T
     mns = _monodromy_scalars(spec, params)

@@ -53,6 +53,7 @@ from .core_fock import (
 )
 from .drive_model import (
     DriveSpec,
+    _check_finite,
     _monodromy_scalars,
     _sf_scalars,
     eval_drive,
@@ -439,6 +440,8 @@ def _transition_window(
     and H(s) on the kept block, picks the eigenvalues in each closed
     interval (endpoint ties included) and takes the projected norm of U.
     """
+    t, s = float(t), float(s)
+    _check_finite(t=t, s=s)
     lo1, hi1 = float(interval_1[0]), float(interval_1[1])
     lo2, hi2 = float(interval_2[0]), float(interval_2[1])
     if not (lo1 <= hi1 and lo2 <= hi2):
@@ -450,12 +453,12 @@ def _transition_window(
         )
 
     n = trunc.n_keep
-    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, float(t), n))
-    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, float(s), n))
+    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n))
+    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n))
     idx_t = np.nonzero((vals_t >= lo1) & (vals_t <= hi1))[0]
     idx_s = np.nonzero((vals_s >= lo2) & (vals_s <= hi2))[0]
 
-    u = propagator_factored(spec, params, trunc, float(t), float(s)).entries
+    u = propagator_factored(spec, params, trunc, t, s).entries
     core = vecs_t.conj().T @ u @ vecs_s
     block = core[np.ix_(idx_t, idx_s)]
     lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0

@@ -112,10 +112,6 @@ class FloquetMatrixSpace:
         return sum(m for _, m in self.levels)
 
     @property
-    def total_dim(self) -> int:
-        return (2 * self.k_max + 1) * self.level_dim
-
-    @property
     def h_expanded(self) -> np.ndarray:
         """Level eigenvalue at each of the L level-space basis indices."""
         return np.repeat([h for h, _ in self.levels], [m for _, m in self.levels])
@@ -127,11 +123,6 @@ class FloquetMatrixSpace:
     def level_slice(self, n: int) -> slice:
         start = sum(m for _, m in self.levels[:n])
         return slice(start, start + self.levels[n][1])
-
-    @property
-    def delta_0(self) -> float:
-        hs = [h for h, _ in self.levels]
-        return min(abs(a - b) for i, a in enumerate(hs) for b in hs[i + 1 :]) if len(hs) > 1 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ from .core_fock import (
     x_norm,
     x_off_diagonal,
 )
-from .drive_model import DriveSpec, eval_drive
+from .drive_model import DriveSpec, _check_finite, eval_drive
 from .errors import NumericError
 
 __all__ = [
@@ -342,9 +342,7 @@ def integrate(
 ) -> TruncatedOperator:
     """Brute-force U(t, s), trimmed to the kept block."""
     t, s = float(t), float(s)
-    for name, value in (("t", t), ("s", s)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_finite(t=t, s=s)
     with _shared_stepper(spec, params, trunc, steps_per_period, scheme) as stepper:
         full = stepper.u(t, s)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())

@@ -27,13 +27,10 @@ from floquet_lab import (
     FloquetMatrixSpace,
     KamConfig,
     OscillatorParams,
-    TruncatedOperator,
     Truncation,
-    ap_commute,
     build_HF,
     build_SF,
     build_UF,
-    f_polynomial,
     higher_order_bound_check,
     kam_iterate,
     level_hamiltonian,
@@ -295,76 +292,6 @@ def test_06_transition_bounds():
     print(
         f"ACCEPTANCE 6: PASS - first- and second-order bounds hold on 3 "
         f"interval pairs, smallest rhs/lhs margin {loosest:.2e} ({elapsed:.1f}s)"
-    )
-
-
-def _expand_normal_ordered(p: int) -> dict:
-    """Oracle: push every A in (A + B)^p to the right, one factor at a time.
-
-    Words are tuples of adjoint orders; the result maps k to the
-    coefficient dictionary of the polynomial multiplying A^k.  Same
-    expansion as in test_commutators, kept local so this battery stands
-    alone.
-    """
-    terms = {((), 0): 1}
-    for _ in range(p):
-        nxt: dict = {}
-        for (word, m), coeff in terms.items():
-            key = (word, m + 1)
-            nxt[key] = nxt.get(key, 0) + coeff
-            for k in range(m + 1):
-                key = (word + (m - k,), k)
-                nxt[key] = nxt.get(key, 0) + coeff * math.comb(m, k)
-        terms = nxt
-    by_k: dict = {}
-    for (word, m), coeff in terms.items():
-        by_k.setdefault(m, {})[word] = coeff
-    return by_k
-
-
-def test_07_commutator_algebra():
-    start = time.monotonic()
-    rng = np.random.default_rng(21)
-    dim = 16
-    worst_apb = 0.0
-    worst_sum = 0.0
-    for _ in range(20):
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a = 0.5 * (raw + raw.conj().T)
-        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        symbols = [b]
-        for _ in range(5):
-            symbols.append(a @ symbols[-1] - symbols[-1] @ a)
-        for p in range(1, 6):
-            out = ap_commute(TruncatedOperator.hermitian_op(a), TruncatedOperator(b), p).entries
-            direct = np.linalg.matrix_power(a, p) @ b
-            worst_apb = max(
-                worst_apb, np.linalg.norm(out - direct) / max(np.linalg.norm(direct), 1.0)
-            )
-            total = np.zeros((dim, dim), dtype=complex)
-            a_pow = np.eye(dim, dtype=complex)
-            for k in range(p + 1):
-                total += f_polynomial(p, k).evaluate(symbols) @ a_pow
-                a_pow = a_pow @ a
-            direct_sum = np.linalg.matrix_power(a + b, p)
-            worst_sum = max(
-                worst_sum,
-                np.linalg.norm(total - direct_sum) / max(np.linalg.norm(direct_sum), 1.0),
-            )
-    assert worst_apb <= 1e-10
-    assert worst_sum <= 1e-10
-
-    for p in range(1, 5):
-        oracle = _expand_normal_ordered(p)
-        for k in range(p + 1):
-            assert f_polynomial(p, k).coefficients() == oracle.get(k, {})
-
-    elapsed = time.monotonic() - start
-    assert elapsed <= 10.0
-    print(
-        f"ACCEPTANCE 7: PASS - A^p B rel {worst_apb:.3e}, (A+B)^p rel "
-        f"{worst_sum:.3e} for p <= 5 on 20 pairs; coefficients exact for "
-        f"p <= 4 ({elapsed:.1f}s)"
     )
 
 

@@ -541,11 +541,31 @@ class TestKam:
 
 class TestVerify:
     def test_commutator_suite_passes(self, capsys):
+        for extra in ([], ["--config", shipped_config_path("sampled_nonresonant.json")]):
+            rc = main(["verify", "--suite", "commutators", *extra])
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert "verify: OK" in out
+            assert "FAIL" not in out
+            assert out.count("PASS commutators.xn_dual_routes_n") == 5
+
+    def test_perturbed_dual_route_fails_commutators(self, monkeypatch, capsys):
+        """1e-6 on one kept half-block entry of the Floquet route is seen."""
+        from floquet_lab import commutators
+
+        original = commutators.xn_operator_via_floquet
+
+        def perturbed(*args):
+            out = original(*args)
+            out.entries[1, 2] += 1e-6
+            return out
+
+        monkeypatch.setattr(commutators, "xn_operator_via_floquet", perturbed)
         rc = main(["verify", "--suite", "commutators"])
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "verify: OK" in out
-        assert "FAIL" not in out
+        assert rc == 1
+        assert "FAIL commutators.xn_dual_routes_n" in out
+        assert "verify: FAILED" in out
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

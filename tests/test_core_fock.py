@@ -291,12 +291,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             a @ b
 
-    def test_trim_grows_rejected(self):
-        a = TruncatedOperator(np.eye(4, dtype=complex))
-        with pytest.raises(InvalidTruncationError):
-            a.trimmed(8)
-        assert a.trimmed(2).dim == 2
-
 
 @settings(max_examples=30, deadline=None)
 @given(

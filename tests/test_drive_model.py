@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -41,11 +42,6 @@ class TestDriveSpec:
         ts = np.linspace(-3.0, 8.0, 41)
         assert np.allclose(eval_drive(spec, ts), 0.7 * np.sin(2 * 2 * np.pi * ts / T0), atol=1e-14)
 
-    def test_cosine_matches_pointwise(self):
-        spec = DriveSpec.cosine(3.0, amplitude=0.4)
-        ts = np.linspace(0.0, 9.0, 31)
-        assert np.allclose(eval_drive(spec, ts), 0.4 * np.cos(2 * np.pi * ts / 3.0), atol=1e-14)
-
     def test_real_valuedness_enforced(self):
         # f_{-k} must equal conj(f_k); a lone complex coefficient is rejected
         with pytest.raises(ValueError):
@@ -53,7 +49,7 @@ class TestDriveSpec:
 
     def test_json_round_trip_exact(self):
         spec = two_harmonic_drive()
-        back = DriveSpec.from_json(spec.to_json())
+        back = DriveSpec.from_json_dict(json.loads(spec.to_json()))
         assert back.period == spec.period
         assert dict(back.fourier) == dict(spec.fourier)
 
@@ -61,7 +57,7 @@ class TestDriveSpec:
         ts = np.linspace(0.0, 2.0, 32, endpoint=False)
         fs = np.sin(2 * np.pi * ts / 2.0) + 0.2 * np.cos(4 * np.pi * ts / 2.0)
         spec = DriveSpec.from_samples(2.0, ts, fs)
-        back = DriveSpec.from_json(spec.to_json())
+        back = DriveSpec.from_json_dict(json.loads(spec.to_json()))
         probe = np.linspace(0.0, 4.0, 17)
         assert np.allclose(eval_drive(back, probe), eval_drive(spec, probe), atol=1e-12)
 
@@ -388,3 +384,47 @@ def test_phi12_antisymmetric_under_swap_when_rotated(t, s):
     chi_ts = complex(*phi12(spec, params, t, s))
     chi_st = complex(*phi12(spec, params, s, t))
     assert abs(chi_st + cmath.exp(1j * params.omega * (s - t)) * chi_ts) <= 1e-10
+
+
+_NF_PARAMS = OscillatorParams(omega=1.0, period_T=T0)
+_NF_SPEC = DriveSpec.sine(T0, amplitude=0.3)
+_NF_TRUNC = Truncation(n_keep=8, n_pad=8)
+_NF_WINDOWS = ((0.0, 1.2), (4.0, 6.2))
+
+# every public closed form that takes a time, called at (t, s); the t-only
+# ones ignore s
+_TWO_TIMES = {
+    "phi12": lambda t, s: phi12(_NF_SPEC, _NF_PARAMS, t, s),
+    "psi": lambda t, s: psi(_NF_SPEC, _NF_PARAMS, t, s),
+    "mu_nu_sigma": lambda t, s: mu_nu_sigma(_NF_SPEC, _NF_PARAMS, t, s),
+    "propagator_factored": lambda t, s: floquet_lab.propagator_factored(_NF_SPEC, _NF_PARAMS, _NF_TRUNC, t, s),
+    "propagator_single_exp": lambda t, s: floquet_lab.propagator_single_exp(_NF_SPEC, _NF_PARAMS, _NF_TRUNC, t, s),
+    "transition_bound_check": lambda t, s: transition_bound_check(
+        _NF_SPEC, _NF_PARAMS, _NF_TRUNC, t, s, *_NF_WINDOWS
+    ),
+    "higher_order_bound_check": lambda t, s: floquet_lab.higher_order_bound_check(
+        _NF_SPEC, _NF_PARAMS, _NF_TRUNC, 2, t, s, *_NF_WINDOWS, c_p=1.0
+    ),
+    "xn_operator": lambda t, s: floquet_lab.xn_operator(_NF_SPEC, _NF_PARAMS, _NF_TRUNC, 1, t, s),
+    "xn_operator_via_floquet": lambda t, s: floquet_lab.xn_operator_via_floquet(
+        _NF_SPEC, _NF_PARAMS, _NF_TRUNC, 1, t, s
+    ),
+}
+_ONE_TIME = {
+    "floquet_scalars": lambda t, s: floquet_scalars(_NF_SPEC, _NF_PARAMS, t),
+    "floquet_scalar_derivs": lambda t, s: floquet_scalar_derivs(_NF_SPEC, _NF_PARAMS, t),
+    "build_UF": lambda t, s: floquet_lab.build_UF(_NF_SPEC, _NF_PARAMS, _NF_TRUNC, t),
+    "build_SF": lambda t, s: floquet_lab.build_SF(_NF_SPEC, _NF_PARAMS, _NF_TRUNC, t),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "name, arg",
+    [(name, arg) for name in _TWO_TIMES for arg in ("t", "s")] + [(name, "t") for name in _ONE_TIME],
+)
+def test_non_finite_time_is_a_value_error_naming_it(name, arg, bad):
+    call = {**_TWO_TIMES, **_ONE_TIME}[name]
+    t, s = (bad, 0.3) if arg == "t" else (1.1, bad)
+    with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+        call(t, s)

@@ -46,8 +46,7 @@ class TestSpace:
     def test_dimensions(self, space):
         assert space.n_levels == 4
         assert space.level_dim == 4
-        assert space.total_dim == 17 * 4
-        assert space.delta_0 == pytest.approx(1.0)
+        assert (2 * space.k_max + 1) * space.level_dim == 17 * 4
 
     def test_multiplicities(self):
         sp = FloquetMatrixSpace(k_max=1, levels=((0.0, 2), (1.0, 3)), omega=1.0)
@@ -422,7 +421,7 @@ class TestIteration:
         finally:
             tracemalloc.stop()
         assert res.converged and res.iterations >= 2
-        assert held < sp.total_dim**2 * 16
+        assert held < ((2 * sp.k_max + 1) * sp.level_dim) ** 2 * 16
 
 
     def test_no_svd_wider_than_the_level_space(self, monkeypatch):
@@ -561,7 +560,7 @@ def _materialize(space, sym):
     for q in range(-min(cap, nk - 1), min(cap, nk - 1) + 1):
         k1 = np.arange(max(q, 0), nk + min(q, 0))
         out[k1, :, k1 - q] = sym[q + cap]
-    return out.reshape(space.total_dim, space.total_dim)
+    return out.reshape(nk * ell, nk * ell)
 
 
 def _anti_hermitian(sym):

@@ -1,7 +1,10 @@
-"""Every public name is used by the program, not only by its tests.
+"""Every public name and public class member is used by the program, not
+only by its tests.
 
 A public name is one in a module's ``__all__`` or one that
-``floquet_lab/__init__.py`` re-exports.  It counts as used when code in
+``floquet_lab/__init__.py`` re-exports; a public class member is a ``def``
+(a property included) in the body of a public class whose name has no
+leading underscore.  Either counts as used when code in
 ``src/``, ``bench/`` or ``scripts/`` refers to it, as a ``Name`` or an
 ``Attribute`` node, outside its own definition, or when ``bench/tracing.py``
 names it in ``LAYERS``, whose entries the tracer wraps by string.  The files
@@ -17,9 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "floquet_lab"
 PROGRAM_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
 
-# public names that only tests use, each kept for a reason
+# public names and class members that only tests use, each kept for a reason
 ALLOWED_UNUSED = {
-    "xn_operator_via_floquet": "independent reference that tests compare xn_operator against",
+    "KamResult.propagator": "the converged-only entry to reconstruct_propagator, which raises NotConvergedError",
     "level_hamiltonian": "independent reference that tests compare the KAM reconstruction against",
     "problem_to_json_dict": "writes the problem format that load_problem reads",
     "tridiagonal_eigh": "the checked public entry to the dstevd core that the oracle calls directly",
@@ -44,6 +47,19 @@ def _public_names() -> dict[str, str]:
                 for alias in node.names:
                     names[alias.asname or alias.name] = "floquet_lab/__init__.py"
     return names
+
+
+def _public_members() -> dict[str, str]:
+    """Each public member of a public class, as "Class.member" -> member name."""
+    public = _public_names()
+    members = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        members[f"{node.name}.{item.name}"] = item.name
+    return members
 
 
 class _References(ast.NodeVisitor):
@@ -73,12 +89,14 @@ class _References(ast.NodeVisitor):
 
 
 def _traced_names() -> set[str]:
-    """Every dotted part of the function names in bench/tracing.py LAYERS."""
+    """Every dotted part of the function names in bench/tracing.py LAYERS.
+    The keys, module names, are not names the program uses."""
     for node in _parse(ROOT / "bench" / "tracing.py").body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
             return {
                 part
-                for const in ast.walk(node.value)
+                for value in node.value.values
+                for const in ast.walk(value)
                 if isinstance(const, ast.Constant) and isinstance(const.value, str)
                 for part in const.value.split(".")
             }
@@ -103,8 +121,23 @@ def test_every_public_name_is_used_by_the_program():
     assert not unused, "public but used only by tests: " + ", ".join(unused)
 
 
+def test_every_public_class_member_is_used_by_the_program():
+    """The rule matches by member name, not by class: a member counts as used
+    when the program names that spelling anywhere, whichever class it means."""
+    used = _program_references()
+    unused = sorted(
+        member
+        for member, name in _public_members().items()
+        if name not in used and member not in ALLOWED_UNUSED
+    )
+    assert not unused, "public class members used only by tests: " + ", ".join(unused)
+
+
 def test_allowlist_is_current():
-    """Each allowed name is still public and still unused by the program."""
-    public, used = _public_names(), _program_references()
-    stale = sorted(name for name in ALLOWED_UNUSED if name not in public or name in used)
+    """Each allowed entry is still public and still unused by the program."""
+    spelled = {name: name for name in _public_names()} | _public_members()
+    used = _program_references()
+    stale = sorted(
+        entry for entry in ALLOWED_UNUSED if entry not in spelled or spelled[entry] in used
+    )
     assert not stale, "allowlist entries to drop: " + ", ".join(stale)
