@@ -30,6 +30,7 @@ from .core_fock import (
     OscillatorParams,
     Truncation,
     _integer_field,
+    _padded_state,
     _real_field,
     matrix_exp,
     number_basis_energies,
@@ -47,8 +48,8 @@ from .errors import (
     SmallDenominatorError,
 )
 from .floquet import classify_monodromy, stability_scan
-from .oracle import integrate
-from .propagator import propagator_factored, propagator_single_exp
+from .oracle import evolve_state, integrate
+from .propagator import _factored_states, propagator_factored, propagator_single_exp
 
 __all__ = ["main"]
 
@@ -162,10 +163,7 @@ def _build_form(form: str, spec, params, trunc, t: float, s: float, opts) -> np.
     if form == "single-exp":
         return propagator_single_exp(spec, params, trunc, t, s).entries
     if form == "oracle":
-        return integrate(
-            spec, params, trunc, t, s, steps_per_period=opts["steps_per_period"],
-            scheme=opts["scheme"],
-        ).entries
+        return integrate(spec, params, trunc, t, s, opts["steps_per_period"], opts["scheme"]).entries
     raise ValueError(f"unknown propagator form {form!r}")
 
 
@@ -262,22 +260,13 @@ def _verdict_sidecar_path(out_csv: str) -> str:
 
 
 def cmd_stability(args) -> int:
-    spec, params, trunc, opts, _ = _load_config(args.config)
+    spec, params, trunc, _, _ = _load_config(args.config)
     if args.periods < 1:
         raise ValueError(f"--periods must be >= 1, got {args.periods}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     psi0 = _parse_state(args.state, trunc)
-    report = stability_scan(
-        spec,
-        params,
-        trunc,
-        psi0,
-        n_periods=args.periods,
-        samples_per_period=args.samples,
-        steps_per_period=opts["steps_per_period"],
-        scheme=opts["scheme"],
-    )
+    report = stability_scan(spec, params, trunc, psi0, n_periods=args.periods, samples_per_period=args.samples)
     _write_text(args.out_csv, report.to_csv_text())
     _write_text(_verdict_sidecar_path(args.out_csv), _json_dumps(report.to_json_dict()))
     return EXIT_OK
@@ -287,21 +276,12 @@ def cmd_stability(args) -> int:
 # resonance scan
 
 
-def _scan_row(spec, params, trunc, opts, omega: float) -> str:
+def _scan_row(spec, params, trunc, omega: float) -> str:
     p = OscillatorParams(omega=omega, period_T=params.period_T)
     classification = classify_monodromy(spec, p)
     vec = np.zeros(1, dtype=complex)
     vec[0] = 1.0
-    report = stability_scan(
-        spec,
-        p,
-        trunc,
-        vec,
-        n_periods=24,
-        samples_per_period=4,
-        steps_per_period=min(96, opts["steps_per_period"]),
-        scheme=opts["scheme"],
-    )
+    report = stability_scan(spec, p, trunc, vec, n_periods=24, samples_per_period=4)
     sup_energy = float(np.max(report.energy_norms))
     return ",".join(
         [
@@ -314,7 +294,7 @@ def _scan_row(spec, params, trunc, opts, omega: float) -> str:
 
 
 def cmd_resonance_scan(args) -> int:
-    spec, params, trunc, opts, _ = _load_config(args.config)
+    spec, params, trunc, _, _ = _load_config(args.config)
     try:
         lo_s, hi_s = args.omega_range.split(":", 1)
         lo, hi = float(lo_s), float(hi_s)
@@ -327,7 +307,7 @@ def cmd_resonance_scan(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     grid = np.linspace(lo, hi, args.steps)
-    rows = [_scan_row(spec, params, trunc, opts, w) for w in grid]
+    rows = [_scan_row(spec, params, trunc, w) for w in grid]
     text = "omega,classification,growth_exponent,sup_energy\n" + "\n".join(rows) + "\n"
     _write_text(args.out_csv, text)
     return EXIT_OK
@@ -385,13 +365,18 @@ def _suite_appendix(config_path: str) -> list:
     if debug.get("flip_psi_sign"):
         psi_val = psi(spec, params, t_probe, 0.0)
         u_fact = u_fact * cmath.exp(2j * psi_val)
-    u_orc = integrate(
-        spec, params, trunc, t_probe, 0.0, steps_per_period=opts["steps_per_period"],
-        scheme=opts["scheme"],
-    ).entries
+    u_orc = integrate(spec, params, trunc, t_probe, 0.0, opts["steps_per_period"], opts["scheme"]).entries
     half = trunc.n_keep // 2
     dev = float(np.linalg.norm(u_fact[:half, :half] - u_orc[:half, :half], 2))
     checks.append(("factored_vs_integrator_halfblock", dev <= 1e-6, dev))
+
+    # the closed-form trajectory of stability against the stepped one
+    t_grid = np.linspace(0.0, 6 * params.period_T, 25)
+    psi0, _ = _padded_state(np.ones(1, dtype=complex), trunc)
+    closed = _factored_states(spec, params, psi0, t_grid)
+    stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"]).states
+    dev = float(np.linalg.norm(closed - stepped, axis=1).max())
+    checks.append(("stability_closed_form_vs_oracle", dev <= 1e-6, dev))
 
     # operator identity: displaced exponential refactored through x and p
     from .propagator import split_forward, split_inverse

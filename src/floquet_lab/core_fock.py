@@ -25,9 +25,12 @@ where x_hat = V diag(lam_hat) V^T, lam = lam_hat / sqrt(2 omega) are the
 eigenvalues of x, and W = V^T P^dag V is a fixed overlap.  V, lam_hat and
 W depend on the dimension alone: _x_eigenbasis computes them once per
 dimension with dstevd, and _exp_x_exp_p then costs two real GEMMs on the
-stacked real and imaginary parts, with no eigensolve.  In the eigenbasis
-of x, x is diagonal and p is reached through W: the discrete-variable
-picture.
+stacked real and imaginary parts, with no eigensolve.
+_exp_x_exp_p_columns applies a different pair to each of many states
+without forming one.  In the eigenbasis of x, x is diagonal and p is
+reached through W: the discrete-variable picture.  A phase a lam or b lam
+of 2^52 rad or more keeps no digit and raises NumericError, as the
+oracle's step phase does.
 """
 
 from __future__ import annotations
@@ -290,6 +293,23 @@ def _x_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return out
 
 
+def _x_phases(omega: float, lam_hat: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The phases a lam and b lam, for scalars a and b or, as (dim, n)
+    arrays, for 1-d arrays of them; NumericError if one is not finite or
+    reaches 1/eps = 2^52 rad (module docstring)."""
+    lam = lam_hat / np.sqrt(2.0 * omega)
+    phase_a = np.multiply.outer(lam, a)
+    phase_b = np.multiply.outer(lam, b)
+    limit = 1.0 / np.finfo(float).eps
+    # the negated comparison also refuses NaN
+    if not (np.abs(phase_a).max() < limit and np.abs(phase_b).max() < limit):
+        raise NumericError(
+            f"exponent of x or p is not finite or reaches 2^52 rad (max |a| = {np.abs(a).max():.3e}, "
+            f"max |b| = {np.abs(b).max():.3e}): no digit of the exponential survives"
+        )
+    return phase_a, phase_b
+
+
 def _exp_x_exp_p(omega: float, dim: int, a: float, b: float) -> np.ndarray:
     """e^{i a x} e^{i (b/omega) p} at the given dimension, from the cached
     eigenbasis of x (module docstring): V X V^T P with
@@ -297,17 +317,43 @@ def _exp_x_exp_p(omega: float, dim: int, a: float, b: float) -> np.ndarray:
     both products are real-by-complex GEMMs on a C-contiguous complex
     matrix's float view, whose rows interleave re and im.
 
-    a = b = 0 gives the exact identity.  A non-finite a or b, or a phase
-    a lam or b lam that overflows, raises NumericError.
+    a = b = 0 gives the exact identity.  _x_phases checks the phases.
     """
     if a == 0.0 and b == 0.0:
         return np.eye(dim, dtype=complex)
     lam_hat, v, w_t, p_diag = _x_eigenbasis(dim)
-    lam = lam_hat / np.sqrt(2.0 * omega)
-    phase_a = a * lam
-    phase_b = b * lam
-    if not (np.all(np.isfinite(phase_a)) and np.all(np.isfinite(phase_b))):
-        raise NumericError(f"exponent of x or p is not finite: a = {a}, b = {b}")
+    phase_a, phase_b = _x_phases(omega, lam_hat, a, b)
     x_t = (np.exp(-1j * phase_b)[:, None] * w_t) * np.exp(1j * phase_a)
     y = (v @ x_t.view(float)).view(complex)  # V X^T, whose transpose is X V^T
     return (v @ np.ascontiguousarray(y.T).view(float)).view(complex) * p_diag
+
+
+def _exp_x_exp_p_columns(omega: float, a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """e^{i a_k x} e^{i (b_k/omega) p} applied to column k of the (dim, n)
+    complex cols for every k, with no matrix formed: P, V^T, diag(e^{-i b_k
+    lam}), W, diag(e^{i a_k lam}) and V in turn, as two real GEMMs on float
+    views and one complex GEMM with W."""
+    lam_hat, v, w_t, p_diag = _x_eigenbasis(cols.shape[0])
+    phase_a, phase_b = _x_phases(omega, lam_hat, a, b)
+    y = np.ascontiguousarray(cols * p_diag[:, None])
+    y = (v.T @ y.view(float)).view(complex)
+    y *= np.exp(-1j * phase_b)
+    y = w_t.T @ y
+    y *= np.exp(1j * phase_a)
+    return (v @ y.view(float)).view(complex)
+
+
+def _padded_state(psi0, trunc: Truncation) -> tuple[np.ndarray, bool]:
+    """psi0 zero-padded to the working dimension, and whether its support
+    (entries above 1e-10) reaches past n_keep/2, near the truncation edge.
+    psi0 must be normalized and fit the working dimension (ValueError)."""
+    psi0 = np.asarray(psi0, dtype=complex).ravel()
+    if psi0.size > trunc.dim:
+        raise ValueError(f"psi0 has {psi0.size} components, working dimension is {trunc.dim}")
+    nrm = float(np.linalg.norm(psi0))
+    # the negated comparison also refuses a NaN norm
+    if not abs(nrm - 1.0) <= 1e-12:
+        raise ValueError(f"psi0 must be normalized, got norm {nrm}")
+    psi = np.zeros(trunc.dim, dtype=complex)
+    psi[: psi0.size] = psi0
+    return psi, bool(np.any(np.abs(psi[trunc.n_keep // 2 + 1 :]) > 1e-10))

@@ -299,36 +299,40 @@ def phi12(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> tupl
     return float(np.real(c)), float(np.imag(c))
 
 
-def _gauss_panels(fn, a: float, b: float, max_freq: float) -> float:
-    """Composite 24-node Gauss-Legendre; exact to machine precision for
-    band-limited integrands when panels keep max_freq * length <= ~6."""
-    if a == b:
-        return 0.0
-    length = abs(b - a)
-    n_panels = max(1, int(math.ceil(length * max(max_freq, 1e-12) / 6.0)))
-    edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = mid + half * _GL_NODES
-        total += half * float(np.dot(_GL_WEIGHTS, fn(pts)))
-    return total
+def _gauss_panels(fn, grid, max_freq: float) -> np.ndarray:
+    """int_{grid[0]}^{grid[i]} fn for every i, by composite 24-node
+    Gauss-Legendre: machine-accurate for band-limited integrands when each
+    interval's equal panels keep max_freq * length <= 6.  fn is called once,
+    on a (panels, 24) array of all the nodes; panel sums accumulate in order."""
+    grid = np.asarray(grid, dtype=float)
+    spans = np.diff(grid)
+    counts = np.maximum(1, np.ceil(np.abs(spans) * max(max_freq, 1e-12) / 6.0)).astype(int)
+    owner = np.repeat(np.arange(spans.size), counts)
+    ends = np.cumsum(counts)
+    # index of each panel within its interval
+    k = np.arange(owner.size) - np.repeat(ends - counts, counts)
+    half = 0.5 * spans[owner] / counts[owner]
+    mid = grid[owner] + (2 * k + 1) * half
+    panels = half * (fn(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+    return np.concatenate(([0.0], np.cumsum(panels)[ends - 1]))
+
+
+def _psi_from(spec: DriveSpec, params: OscillatorParams, grid) -> np.ndarray:
+    """psi(grid[i], grid[0]) for every i, from one quadrature over grid."""
+    s = float(grid[0])
+
+    def integrand(v):
+        c = _chi(spec, params.omega, v, s)
+        return 0.5 * np.real(c * c)
+
+    return _gauss_panels(integrand, grid, 2.0 * (spec.max_frequency + params.omega))
 
 
 def psi(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> float:
     """psi(t,s) = 1/2 int_s^t (phi1(v,s)^2 - phi2(v,s)^2) dv."""
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
-    if t == s:
-        return 0.0
-    max_freq = 2.0 * (spec.max_frequency + params.omega)
-
-    def integrand(v):
-        c = _chi(spec, params.omega, v, s)
-        return 0.5 * np.real(c * c)
-
-    return _gauss_panels(integrand, s, t, max_freq)
+    return float(_psi_from(spec, params, (s, t))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .core_fock import (
     TruncatedOperator,
     Truncation,
     _exp_x_exp_p,
+    _padded_state,
     number_basis_energies,
     x_norm,
     xp_operators,
@@ -61,8 +62,8 @@ from .drive_model import (
     is_resonant_period,
 )
 from .errors import InvalidIntervalError, NumericError
-from .oracle import evolve_state, hamiltonian_at
-from .propagator import propagator_factored
+from .oracle import hamiltonian_at
+from .propagator import _factored_states, propagator_factored
 
 __all__ = [
     "Classification",
@@ -283,16 +284,17 @@ def stability_scan(
     psi0: np.ndarray,
     n_periods: int,
     samples_per_period: int = 8,
-    steps_per_period: int = 128,
-    scheme: str = "cf4",
 ) -> StabilityReport:
     """Evolve psi0 and track ||H(t) psi_t|| and <H(t)> over n_periods.
 
-    The energies come from one drive evaluation on the whole time grid and
-    one product with the evolved states, H(t) psi = E psi + f(t) x psi;
-    no H(t) is formed.  Non-resonant drives additionally get the uniform
-    bound C_psi and the verdict compares sup ||H psi|| against it; resonant
-    drives are judged by the fitted growth exponent alone.
+    The states are exact at the working dimension: the factored form of
+    U(t, 0), valid at every t and omega, on the whole grid at once
+    (propagator._factored_states).  The energies come from one drive
+    evaluation on the grid and one product with the states, H(t) psi =
+    E psi + f(t) x psi.  leak_warning flips when psi0 reaches past n_keep/2
+    or the weight above the kept block exceeds 1e-6.  Non-resonant drives
+    also get the uniform bound C_psi and the verdict compares sup ||H psi||
+    against it; resonant drives are judged by the growth exponent alone.
     """
     _check_periods(spec, params)
     if n_periods < 1 or samples_per_period < 1:
@@ -302,9 +304,9 @@ def stability_scan(
     count = n_periods * samples_per_period + 1
     t_grid = np.linspace(0.0, n_periods * big_t, count)
 
-    evolved = evolve_state(spec, params, trunc, psi0, t_grid, steps_per_period, scheme)
-
-    states = evolved.states
+    psi, leak = _padded_state(psi0, trunc)
+    states = _factored_states(spec, params, psi, t_grid)
+    pad_pop = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)
     x, _ = xp_operators(params.omega, trunc.dim)
     f = eval_drive(spec, t_grid)
     h_states = number_basis_energies(params.omega, trunc.dim) * states + f[:, None] * (states @ x.T)
@@ -322,18 +324,17 @@ def stability_scan(
         paper_bound = None
         verdict = "growing" if exponent > 0.5 else "bounded"
 
-    leak = bool(evolved.edge_warning or evolved.pad_population.max() > 1e-6)
     return StabilityReport(
         t_grid=t_grid,
         energy_norms=energy_norms,
         mean_energy=mean_energy,
-        high_mode_population=evolved.pad_population,
+        high_mode_population=pad_pop,
         sup_bound=sup_bound,
         paper_bound=paper_bound,
         fit_exponent=exponent,
         verdict=verdict,
         classification=classification,
-        leak_warning=leak,
+        leak_warning=bool(leak or pad_pop.max() > 1e-6),
     )
 
 

@@ -36,27 +36,14 @@ dense matrix builder, through matrix_exp.
 Stepping happens at the padded dimension; trims are applied only at the
 end.  Multi-period evolutions compose the one-period propagator instead of
 re-stepping every period, which is exact for T-periodic Hamiltonians up to
-floating-point reassociation.
-
-integrate and evolve_state share one process-wide LRU of PeriodSteppers,
-keyed on (spec, params, trunc, steps_per_period, scheme), so a repeated
-evolution on one setup reuses the segments, the monodromy included, that an
-earlier call stepped, and still gets the bits a fresh stepper would give it
-(PeriodStepper.segment).  The cache keeps at most _STEPPER_CACHE_SIZE = 8
-steppers and _SEGMENT_CACHE_BYTES = 16 MiB of their segments, evicting the
-least recently used after each call; a stepper over the byte cap on its own
-is not kept, and a call that raises adds or reorders no stepper.  The
-sub-period remainder of u_from_zero is used once per t, so it is stepped
-without being cached.  There is no lock: nothing runs the oracle on more
-than one thread.
+floating-point reassociation.  integrate and evolve_state each step on a
+PeriodStepper of their own, which keeps its segments for that call only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +53,7 @@ from .core_fock import (
     TruncatedOperator,
     Truncation,
     _dstevd,
+    _padded_state,
     matrix_exp,
     number_basis_energies,
     x_norm,
@@ -90,12 +78,6 @@ _CF4_C1 = 0.5 - _SQRT3 / 6.0
 _CF4_C2 = 0.5 + _SQRT3 / 6.0
 
 SCHEMES = ("midpoint", "cf4")
-
-# Bounds of the shared stepper cache: steppers kept, and the total bytes of
-# the segments they hold.
-_STEPPER_CACHE_SIZE = 8
-_SEGMENT_CACHE_BYTES = 16 * 2**20
-_STEPPERS: OrderedDict = OrderedDict()
 
 
 def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
@@ -142,12 +124,9 @@ class PeriodStepper:
     """Stepping engine for one (drive, oscillator, truncation) triple.
 
     Exploits U(t + T, s + T) = U(t, s): propagators from time zero are the
-    within-period partial product times powers of the monodromy.
-
-    Segments are cached read-only, because integrate and evolve_state share
-    one stepper per setup across calls (module docstring): a hit returns the
-    array an earlier call stepped, and skips the drive and phase checks that
-    ran on its step batch when it was built.
+    within-period partial product times powers of the monodromy.  Segments
+    are kept read-only, so a repeated request returns the array stepped
+    first.
     """
 
     spec: DriveSpec
@@ -155,10 +134,8 @@ class PeriodStepper:
     trunc: Truncation
     steps_per_period: int = 128
     scheme: str = "cf4"
-    # (folded start, span) -> segment, and (phase, span) to 12 digits in
-    # units of T -> segment; the shared cache empties the second per call
+    # (phase, span) to 12 digits in units of T -> segment
     _segments: dict = field(default_factory=dict, repr=False)
-    _rounded: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.steps_per_period < 16:
@@ -184,12 +161,9 @@ class PeriodStepper:
 
         The start is folded into [0, T).  At start = k T, fmod can return T
         less one ulp, whose phase would round to 1.0: that start is folded to
-        0.0.  A segment is kept under its exact folded start and span, so one
-        that an earlier call stepped holds the bits a fresh stepper would step
-        now.  Within one call (for a stepper used directly, over its life) a
-        request whose phase and span agree with an earlier one's to 12 digits
-        in units of T reuses that one's segment, as the starts of a time grid
-        at the same phase in later periods do.
+        0.0.  A request whose phase and span agree with an earlier one's to
+        12 digits in units of T reuses that one's segment, as the starts of a
+        time grid at the same phase in later periods do.
         """
         if span == 0.0:
             return np.eye(self.dim, dtype=complex)
@@ -201,18 +175,12 @@ class PeriodStepper:
         if phase == 1.0:
             t_mod = phase = 0.0
         key = (phase, round(span / big_t, 12))
-        u = self._rounded.get(key)
+        u = self._segments.get(key)
         if u is None:
-            u = self._segments.get((t_mod, span))
-            if u is None:
-                u = self._stepped(t_mod, t_mod + span, self._steps_for(span))
-                u.setflags(write=False)
-                self._segments[(t_mod, span)] = u
-            self._rounded[key] = u
+            u = self._stepped(t_mod, t_mod + span, self._steps_for(span))
+            u.setflags(write=False)
+            self._segments[key] = u
         return u
-
-    def _segment_bytes(self) -> int:
-        return sum(u.nbytes for u in self._segments.values())
 
     def _stepped(self, s: float, t: float, n_steps: int) -> np.ndarray:
         """propagate_generic(H, dim, s, t, n_steps, scheme) on the (diag, off)
@@ -304,33 +272,6 @@ class PeriodStepper:
         return self.u_from_zero(t) @ self.u_from_zero(s).conj().T
 
 
-@contextlib.contextmanager
-def _shared_stepper(*key):
-    """The cached PeriodStepper of key = (spec, params, trunc,
-    steps_per_period, scheme), or a new one.  When the body returns, the
-    stepper becomes the most recently used and the cache bounds are applied;
-    when it raises, no stepper is added or reordered (a cached one keeps the
-    segments the call completed).  A key that does not hash, such as a 0-d
-    array step count, gets a stepper that is not shared."""
-    try:
-        stepper = _STEPPERS.get(key)
-    except TypeError:
-        yield PeriodStepper(*key)
-        return
-    if stepper is None:
-        stepper = PeriodStepper(*key)
-    stepper._rounded.clear()
-    yield stepper
-    _STEPPERS.pop(key, None)
-    if stepper._segment_bytes() <= _SEGMENT_CACHE_BYTES:
-        _STEPPERS[key] = stepper
-        while (
-            len(_STEPPERS) > _STEPPER_CACHE_SIZE
-            or sum(kept._segment_bytes() for kept in _STEPPERS.values()) > _SEGMENT_CACHE_BYTES
-        ):
-            _STEPPERS.popitem(last=False)
-
-
 def integrate(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -343,8 +284,7 @@ def integrate(
     """Brute-force U(t, s), trimmed to the kept block."""
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
-    with _shared_stepper(spec, params, trunc, steps_per_period, scheme) as stepper:
-        full = stepper.u(t, s)
+    full = PeriodStepper(spec, params, trunc, steps_per_period, scheme).u(t, s)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
@@ -374,40 +314,28 @@ def evolve_state(
     scheme: str = "cf4",
 ) -> EvolveResult:
     """Evolve a normalized state over an increasing time grid from t = 0."""
-    psi0 = np.asarray(psi0, dtype=complex).ravel()
-    if psi0.size > trunc.dim:
-        raise ValueError(f"psi0 has {psi0.size} components, working dimension is {trunc.dim}")
-    nrm = float(np.linalg.norm(psi0))
-    # the negated comparison also refuses a NaN norm
-    if not abs(nrm - 1.0) <= 1e-12:
-        raise ValueError(f"psi0 must be normalized, got norm {nrm}")
+    psi, edge_warning = _padded_state(psi0, trunc)
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be a non-empty increasing 1-d array")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("t_grid must hold finite times")
+    _check_finite(t_grid=times)
 
-    psi = np.zeros(trunc.dim, dtype=complex)
-    psi[: psi0.size] = psi0
-    support = np.nonzero(np.abs(psi) > 1e-10)[0]
-    edge_warning = bool(support.size and support[-1] > trunc.n_keep // 2)
-
+    stepper = PeriodStepper(spec, params, trunc, steps_per_period, scheme)
     states = np.empty((times.size, trunc.dim), dtype=complex)
     t_cur = 0.0
-    with _shared_stepper(spec, params, trunc, steps_per_period, scheme) as stepper:
-        for i, ti in enumerate(times):
-            span = ti - t_cur
-            if span:
-                # whole periods advance via the monodromy, remainder via one segment
-                n_whole = int(math.floor(span / spec.period + 1e-12))
-                for _ in range(n_whole):
-                    psi = stepper.segment(t_cur, spec.period) @ psi
-                    t_cur += spec.period
-                rem = ti - t_cur
-                if abs(rem) > 1e-12 * max(1.0, abs(ti)):
-                    psi = stepper.segment(t_cur, rem) @ psi
-                t_cur = ti
-            states[i] = psi
+    for i, ti in enumerate(times):
+        span = ti - t_cur
+        if span:
+            # whole periods advance via the monodromy, remainder via one segment
+            n_whole = int(math.floor(span / spec.period + 1e-12))
+            for _ in range(n_whole):
+                psi = stepper.segment(t_cur, spec.period) @ psi
+                t_cur += spec.period
+            rem = ti - t_cur
+            if abs(rem) > 1e-12 * max(1.0, abs(ti)):
+                psi = stepper.segment(t_cur, rem) @ psi
+            t_cur = ti
+        states[i] = psi
 
     norms = np.linalg.norm(states, axis=1)
     pad_pop = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)

@@ -178,6 +178,15 @@ class TestStability:
             )
             assert rc == 0
 
+    @pytest.mark.parametrize("level, leak", [(16, False), (17, True)])
+    def test_fock_state_past_half_the_kept_block_sets_leak_warning(self, small_config, tmp_path, level, leak):
+        """n_keep is 32: a state supported above level 16 starts near the edge."""
+        rc = main(["stability", small_config, "--periods", "2", "--samples", "2",
+                   "--state", f"fock:{level}", "--out-csv", str(tmp_path / "s.csv")])
+        assert rc == 0
+        verdict = json.loads((tmp_path / "s.verdict.json").read_text())
+        assert verdict["leak_warning"] is leak
+
     def test_bad_arguments(self, small_config, tmp_path, capsys):
         rc = main(
             ["stability", small_config, "--periods", "0", "--out-csv", str(tmp_path / "s.csv")]
@@ -310,6 +319,39 @@ def test_stability_huge_drive_exits_numeric(tmp_path, capsys):
     assert rc == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NumericError"
+
+
+def _scaled_shipped_config(tmp_path, name: str, amplitude: float) -> str:
+    """A shipped first-harmonic config with its drive amplitude set."""
+    data = json.loads(open(shipped_config_path(name + ".json")).read())
+    for entry in data["drive"]["fourier"]:
+        entry["im"] = math.copysign(0.5 * amplitude, entry["im"])
+    path = tmp_path / f"{name}_{amplitude:g}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("amplitude", [1e150, 1e300])
+def test_stability_phase_without_digits_exits_numeric_at_resonance(tmp_path, capsys, amplitude):
+    """On a resonant drive no H_F is built, so the closed-form phase check
+    alone stops a drive whose x and p exponents keep no digit: exit 4."""
+    cfg = _scaled_shipped_config(tmp_path, "resonant_growth", amplitude)
+    rc = main(["stability", cfg, "--periods", "2", "--samples", "2", "--out-csv", str(tmp_path / "s.csv")])
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "NumericError"
+    assert "2^52" in err["message"]
+
+
+def test_factored_phase_without_digits_exits_numeric(tmp_path, capsys):
+    """phi1 of about 1e17 puts the x exponent's phase past 2^52 rad."""
+    cfg = _scaled_shipped_config(tmp_path, "nonresonant", 1e17)
+    rc = main(["propagate", cfg, "--t", "2.5", "--form", "factored", "--out", str(tmp_path / "u.json")])
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "NumericError"
+    assert "2^52" in err["message"]
+    assert not (tmp_path / "u.json").exists()
 
 
 def test_oracle_step_phase_limit_exits_numeric(tmp_path, capsys):
@@ -571,6 +613,30 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("config", ["sampled_nonresonant.json", "resonant_growth.json"])
+    def test_appendix_passes(self, capsys, config):
+        rc = main(["verify", "--suite", "appendix", "--config", shipped_config_path(config)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "PASS appendix.stability_closed_form_vs_oracle" in out
+        assert "verify: OK" in out
+
+    def test_perturbed_trajectory_fails_appendix(self, monkeypatch, capsys):
+        """1e-5 on one entry of one closed-form state is seen."""
+        original = cli._factored_states
+
+        def perturbed(*args):
+            out = original(*args)
+            out[3, 1] += 1e-5
+            return out
+
+        monkeypatch.setattr(cli, "_factored_states", perturbed)
+        rc = main(["verify", "--suite", "appendix"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL appendix.stability_closed_form_vs_oracle" in out
+        assert "verify: FAILED" in out
 
     def test_corrupted_kernel_fails_appendix(self, tmp_path, capsys):
         cfg_path = tmp_path / "flip.json"

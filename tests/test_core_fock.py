@@ -16,6 +16,7 @@ from floquet_lab import (
 )
 from floquet_lab.core_fock import (
     _exp_x_exp_p,
+    _exp_x_exp_p_columns,
     ladder,
     number_basis_energies,
     tridiagonal_eigh,
@@ -233,6 +234,36 @@ class TestExpXExpP:
         """A finite exponent whose product with the eigenvalues of x overflows."""
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             _exp_x_exp_p(1.0, 16, 1e308, 0.0)
+
+    @pytest.mark.parametrize("factor, raises", [(0.99, False), (1.01, True)])
+    def test_rejects_a_phase_of_2_to_the_52(self, factor, raises):
+        """A finite phase of 2^52 rad or more keeps no digit of its exponential."""
+        a = factor * 2.0**52 / x_norm(1.0, 16)
+        for pair in ((a, 0.5), (0.5, a)):
+            if raises:
+                with pytest.raises(NumericError, match="2\\^52"):
+                    _exp_x_exp_p(1.0, 16, *pair)
+            else:
+                assert np.all(np.isfinite(_exp_x_exp_p(1.0, 16, *pair)))
+
+    @pytest.mark.parametrize("omega", [0.8, 1.25])
+    def test_columns_match_the_matrix_pair(self, omega):
+        dim = 64
+        a, b = np.array(self.PAIRS).T
+        rng = np.random.default_rng(7)
+        cols = rng.normal(size=(dim, a.size)) + 1j * rng.normal(size=(dim, a.size))
+        out = _exp_x_exp_p_columns(omega, a, b, cols)
+        for k in range(a.size):
+            ref = _exp_x_exp_p(omega, dim, a[k], b[k]) @ cols[:, k]
+            assert np.abs(out[:, k] - ref).max() <= 1e-13 * np.abs(cols).max()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0**60])
+    def test_columns_reject_one_bad_exponent(self, bad):
+        a = np.array([0.5, bad, 0.5])
+        cols = np.ones((16, 3), dtype=complex)
+        for pair in ((a, np.zeros(3)), (np.zeros(3), a)):
+            with pytest.raises(NumericError):
+                _exp_x_exp_p_columns(1.0, *pair, cols)
 
     def test_p_is_x_conjugated_by_i_to_the_n(self):
         """P^dag (a + a^dag) P = -i (a^dag - a) exactly for P = diag(i^n), so

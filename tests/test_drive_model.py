@@ -184,6 +184,21 @@ class TestKernelQuadratureOracle:
         want = scipy.integrate.quad(inner, s, t, limit=200, epsabs=1e-11)[0]
         assert psi(spec, self.params, t, s) == pytest.approx(want, abs=1e-9)
 
+    def test_psi_on_a_grid_matches_psi_per_time(self, monkeypatch):
+        """One quadrature over a grid, with one integrand call, gives psi at
+        every grid time from the first, in either direction."""
+        spec = two_harmonic_drive()
+        calls = []
+        real = drive_model._chi
+        monkeypatch.setattr(drive_model, "_chi", lambda *a: calls.append(a) or real(*a))
+        for grid in (np.linspace(0.0, 5 * T0, 21), np.array([2.0, 1.0, -0.5, -0.5, 3.0])):
+            calls.clear()
+            got = drive_model._psi_from(spec, self.params, grid)
+            assert len(calls) == 1
+            want = [psi(spec, self.params, t, grid[0]) for t in grid]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+            assert got[0] == 0.0
+
     def test_phi12_additivity(self):
         # phi_i(t,s) = phi_i(t,r) + rotation of phi_i(r,s): check through the
         # complex kernel chi = phi1 + i phi2, chi(t,s) = chi(t,r) + e^{iw(t-r)} chi(r,s)

@@ -28,12 +28,12 @@ from floquet_lab import (
     transition_bound_check,
 )
 import floquet_lab.floquet as floquet_module
-import floquet_lab.oracle as oracle_module
 from floquet_lab import cli
 from floquet_lab.cli import shipped_config_path
-from floquet_lab.core_fock import number_basis_energies, xp_operators
+from floquet_lab.core_fock import _padded_state, number_basis_energies, xp_operators
 from floquet_lab.floquet import _sup_sf_norm
 from floquet_lab.oracle import PeriodStepper, evolve_state
+from floquet_lab.propagator import _factored_states
 
 P12 = 13  # projector onto the lowest 13 number states
 
@@ -277,8 +277,11 @@ def _count_segment_builds(monkeypatch) -> list:
 
 
 class TestStabilityScanWork:
-    """On T = 2 pi sqrt(2) (the shipped nonresonant period), fmod(9 T, T)
-    returns T less an ulp; that start must reuse the segment from 0."""
+    """stability and resonance-scan step nothing: their states come from the
+    factored form.  The oracle's segment reuse is counted through
+    evolve_state on the grids they use.  On T = 2 pi sqrt(2) (the shipped
+    nonresonant period), fmod(9 T, T) returns T less an ulp; that start must
+    reuse the segment from 0."""
 
     def _nonresonant(self):
         spec, params, trunc, opts, _ = cli._load_config(shipped_config_path("nonresonant.json"))
@@ -286,23 +289,27 @@ class TestStabilityScanWork:
         assert round(math.fmod(9 * big_t, big_t) / big_t, 12) == 1.0
         return spec, params, trunc, opts
 
-    def test_resonance_scan_row_builds_each_segment_once(self, monkeypatch):
-        spec, params, trunc, opts = self._nonresonant()
+    def test_resonance_scan_row_builds_each_segment_once(self, monkeypatch, ground_state):
+        """The omega = 0.9 row grid: 24 periods, 4 samples each, 96 steps."""
+        spec, params, trunc, _ = self._nonresonant()
+        row_params = OscillatorParams(omega=0.9, period_T=params.period_T)
         starts = _count_segment_builds(monkeypatch)
-        cli._scan_row(spec, params, trunc, opts, 0.9)  # 24 periods, 4 samples each
+        evolve_state(spec, row_params, trunc, ground_state, np.linspace(0.0, 24 * params.period_T, 97), 96)
         assert len(starts) == 4
         assert starts[0] == 0.0
 
-    def test_stability_builds_each_segment_once(self, monkeypatch, tmp_path):
+    def test_stability_builds_each_segment_once(self, monkeypatch, ground_state):
+        """The grid of stability --periods 10 --samples 8."""
+        spec, params, trunc, opts = self._nonresonant()
         starts = _count_segment_builds(monkeypatch)
-        rc = cli.main(["stability", shipped_config_path("nonresonant.json"), "--periods", "10",
-                       "--samples", "8", "--out-csv", str(tmp_path / "s.csv")])
-        assert rc == 0
+        evolve_state(spec, params, trunc, ground_state, np.linspace(0.0, 10 * params.period_T, 81),
+                     opts["steps_per_period"])
         assert len(starts) == 8
 
     def test_repeated_stability_steps_nothing(self, monkeypatch, tmp_path):
-        """The second run on one setup takes every segment from the shared
-        stepper and writes the same bytes."""
+        """Neither stability nor a resonance-scan row steps a segment, and a
+        second stability run writes the same bytes."""
+        spec, params, trunc, _ = self._nonresonant()
         starts = _count_segment_builds(monkeypatch)
         outs = []
         for run in ("a", "b"):
@@ -311,17 +318,13 @@ class TestStabilityScanWork:
                            "--samples", "8", "--out-csv", str(csv)])
             assert rc == 0
             outs.append((csv.read_bytes(), (tmp_path / f"{run}.verdict.json").read_bytes()))
-            if run == "a":
-                assert len(starts) == 8
-                starts.clear()
+        cli._scan_row(spec, params, trunc, 0.9)
         assert starts == []
         assert outs[0] == outs[1]
 
     def test_output_does_not_depend_on_earlier_runs(self, tmp_path):
-        """Grid starts of a 13-period and a 20-period run agree to 12 digits
-        but not bit for bit; a kept segment is reused only for the exact
-        start and span it was stepped for, so the 20-period run writes the
-        same bytes after the 13-period one as in a fresh process."""
+        """A 20-period run writes the same bytes after a 13-period one as
+        on its own."""
         cfg = shipped_config_path("resonant_growth.json")
 
         def run(periods, name):
@@ -331,26 +334,41 @@ class TestStabilityScanWork:
             return csv.read_bytes()
 
         fresh = run(20, "fresh")
-        oracle_module._STEPPERS.clear()
         run(13, "earlier")
         assert run(20, "after") == fresh
 
     def test_energies_match_dense_per_sample_reference(self, monkeypatch, ground_state):
-        spec, params, trunc, opts = self._nonresonant()
+        spec, params, trunc, _ = self._nonresonant()
         grids = []
         real = floquet_module.eval_drive
         monkeypatch.setattr(floquet_module, "eval_drive", lambda sp, t: grids.append(t) or real(sp, t))
-        report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4,
-                                steps_per_period=opts["steps_per_period"])
+        report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4)
         assert len(grids) == 1 and np.shape(grids[0]) == report.t_grid.shape
-        states = evolve_state(spec, params, trunc, ground_state, report.t_grid,
-                              opts["steps_per_period"]).states
+        states = _factored_states(spec, params, _padded_state(ground_state, trunc)[0], report.t_grid)
         x, _ = xp_operators(params.omega, trunc.dim)
         h0 = np.diag(number_basis_energies(params.omega, trunc.dim)).astype(complex)
         for i, ti in enumerate(report.t_grid):
             v = (h0 + float(real(spec, ti)) * x) @ states[i]
             assert report.energy_norms[i] == pytest.approx(np.linalg.norm(v), rel=1e-12)
             assert report.mean_energy[i] == pytest.approx(np.real(np.vdot(states[i], v)), rel=1e-12)
+
+
+class TestStabilityScanAgainstOracle:
+    """The closed-form report against one computed from evolve_state's
+    states at 768 steps per period, where the oracle's CF4 error is about
+    1e-12 of the energies."""
+
+    @pytest.mark.parametrize("name", ["nonresonant", "resonant_identity", "resonant_growth"])
+    def test_energies_match_the_oracle(self, name, ground_state):
+        spec, params, trunc, _, _ = cli._load_config(shipped_config_path(name + ".json"))
+        report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4)
+        states = evolve_state(spec, params, trunc, ground_state, report.t_grid, 768).states
+        x, _ = xp_operators(params.omega, trunc.dim)
+        f = eval_drive(spec, report.t_grid)
+        h_states = number_basis_energies(params.omega, trunc.dim) * states + f[:, None] * (states @ x.T)
+        np.testing.assert_allclose(report.energy_norms, np.linalg.norm(h_states, axis=1), rtol=1e-11, atol=0)
+        mean = np.real(np.sum(states.conj() * h_states, axis=1))
+        np.testing.assert_allclose(report.mean_energy, mean, rtol=1e-11, atol=0)
 
 
 class TestTransitionBound:

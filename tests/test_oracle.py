@@ -16,7 +16,6 @@ from floquet_lab import (
     propagator_factored,
 )
 from floquet_lab.core_fock import number_basis_energies, xp_operators
-from floquet_lab import oracle
 from floquet_lab.oracle import hamiltonian_at, propagate_generic
 
 OMEGA = 1.0
@@ -228,50 +227,24 @@ def _spy_stepped(monkeypatch) -> list:
 
 
 class TestSharedStepper:
-    """integrate and evolve_state share one bounded LRU of steppers, keyed on
-    (spec, params, trunc, steps_per_period, scheme)."""
+    """One PeriodStepper serves every segment of one integrate or
+    evolve_state call, and no other call."""
 
-    def test_repeated_integrate_steps_the_monodromy_once(self, monkeypatch):
+    def test_each_call_steps_on_a_fresh_stepper(self, monkeypatch):
         spans = _spy_stepped(monkeypatch)
         first = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
         second = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
         assert np.array_equal(first.entries, second.entries)
-        # the sub-period remainder is stepped on every call, never cached
-        assert spans.count((0.0, T_DRIVE)) == 1 and len(spans) == 3
-
-    def test_hit_matches_a_fresh_stepper(self):
+        assert spans.count((0.0, T_DRIVE)) == 2 and len(spans) == 4
+        spans.clear()
         psi0 = np.array([1.0 + 0j])
         grid = np.linspace(0.0, 3 * T_DRIVE, 13)
         first = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
+        # the three periods reuse the four quarter-period segments of the first
+        assert len(spans) == 4
         again = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
-        oracle._STEPPERS.clear()
-        fresh = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
-        assert np.array_equal(first, again) and np.array_equal(first, fresh)
-
-    def test_steps_or_scheme_change_is_a_miss(self, monkeypatch):
-        spans = _spy_stepped(monkeypatch)
-        for steps, scheme in ((32, "cf4"), (33, "cf4"), (32, "midpoint"), (32, "cf4")):
-            integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=steps, scheme=scheme)
-        assert spans.count((0.0, T_DRIVE)) == 3
-        assert len(oracle._STEPPERS) == 3
-
-    def test_at_most_eight_steppers_least_recent_evicted(self):
-        keys = [(SPEC, PARAMS, TRUNC, steps, "cf4") for steps in range(16, 25)]
-        for key in keys:
-            integrate(*key[:3], 1.5 * T_DRIVE, 0.0, steps_per_period=key[3])
-        assert list(oracle._STEPPERS) == keys[1:]
-
-    def test_byte_cap_evicts_least_recent_and_refuses_an_oversized_stepper(self, monkeypatch):
-        segment_bytes = TRUNC.dim**2 * 16
-        monkeypatch.setattr(oracle, "_SEGMENT_CACHE_BYTES", 3 * segment_bytes // 2)
-        for steps in (16, 17):
-            integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=steps)
-        assert [key[3] for key in oracle._STEPPERS] == [17]
-        # three segments in one stepper: over the cap on its own, so not kept,
-        # and the stepper already kept stays
-        grid = np.linspace(0.0, 0.75 * T_DRIVE, 4)
-        evolve_state(SPEC, PARAMS, TRUNC, np.array([1.0 + 0j]), grid, steps_per_period=18)
-        assert [key[3] for key in oracle._STEPPERS] == [17]
+        assert len(spans) == 8
+        assert np.array_equal(first, again)
 
     def test_segments_are_read_only(self):
         stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
@@ -279,20 +252,12 @@ class TestSharedStepper:
             with pytest.raises(ValueError, match="read-only"):
                 u[0, 0] = 0.0
 
-    def test_unhashable_arguments_are_stepped_unshared(self):
-        u = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=np.array(32))
-        assert np.array_equal(u.entries, integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0,
-                                                   steps_per_period=32).entries)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            integrate(SPEC, PARAMS, TRUNC, 1.0, 0.0, scheme=["cf4"])
-        assert list(oracle._STEPPERS) == [(SPEC, PARAMS, TRUNC, 32, "cf4")]
-
     def test_failed_build_caches_nothing(self):
-        huge = DriveSpec.sine(T_DRIVE, amplitude=1e306)
+        stepper = PeriodStepper(DriveSpec.sine(T_DRIVE, amplitude=1e306), PARAMS, TRUNC, steps_per_period=32)
         for _ in range(2):
             with pytest.raises(NumericError, match="step phase"):
-                integrate(huge, PARAMS, TRUNC, 5.0, 0.0, steps_per_period=32)
-            assert len(oracle._STEPPERS) == 0
+                stepper.segment(0.0, T_DRIVE)
+            assert stepper._segments == {}
 
 
 class TestNonFiniteDrive:
@@ -397,7 +362,7 @@ class TestEvolveState:
     @pytest.mark.parametrize("grid", [[0.0, math.inf], [0.0, math.nan], [math.nan]],
                              ids=["inf", "nan", "nan_only"])
     def test_non_finite_time_rejected(self, grid):
-        with pytest.raises(ValueError, match="t_grid must hold finite times"):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
             evolve_state(SPEC, PARAMS, TRUNC, np.array([1.0 + 0j]), grid)
 
     def test_matches_propagator_column(self):
