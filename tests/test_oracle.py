@@ -230,13 +230,17 @@ class TestSharedStepper:
     """One PeriodStepper serves every segment of one integrate or
     evolve_state call, and no other call."""
 
-    def test_each_call_steps_on_a_fresh_stepper(self, monkeypatch):
+    def test_repeated_integrate_steps_the_monodromy_once(self, monkeypatch):
         spans = _spy_stepped(monkeypatch)
         first = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
+        assert spans.count((0.0, T_DRIVE)) == 1 and len(spans) == 2
         second = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
-        assert np.array_equal(first.entries, second.entries)
+        # a repeat call steps on its own stepper: the monodromy once more, same bits
         assert spans.count((0.0, T_DRIVE)) == 2 and len(spans) == 4
-        spans.clear()
+        assert np.array_equal(first.entries, second.entries)
+
+    def test_hit_matches_a_fresh_stepper(self, monkeypatch):
+        spans = _spy_stepped(monkeypatch)
         psi0 = np.array([1.0 + 0j])
         grid = np.linspace(0.0, 3 * T_DRIVE, 13)
         first = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
@@ -244,7 +248,14 @@ class TestSharedStepper:
         assert len(spans) == 4
         again = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
         assert len(spans) == 8
-        assert np.array_equal(first, again)
+        stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
+        psi = np.zeros(TRUNC.dim, dtype=complex)
+        psi[0] = 1.0
+        fresh = [psi]
+        for s, t in zip(grid[:-1], grid[1:]):
+            psi = stepper.segment(s, t - s) @ psi
+            fresh.append(psi)
+        assert np.array_equal(first, again) and np.array_equal(first, np.array(fresh))
 
     def test_segments_are_read_only(self):
         stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
