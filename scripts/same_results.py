@@ -20,9 +20,11 @@ exit codes of the commands are: they are part of the record.
 and the text between them. Any difference in the text, in the file set or
 in the count of numbers is a failure (exit 1). Numbers may move; the
 worst absolute and relative deviation and the number of moved values are
-printed. With ``--exact`` a moved number is a failure too: two runs of
-one revision must be byte-identical, or a diff between two revisions
-says nothing.
+printed. A relative deviation is the move over the largest |number| in
+that file, so a round-off-level number near zero cannot dominate it.
+With ``--exact`` a moved number is a failure too: two runs of one
+revision must be byte-identical, or a diff between two revisions says
+nothing.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ def cmd_compare(args) -> int:
             failures.append(f"{name}: text outside numbers differs")
             continue
         total += len(a_nums)
+        scale = max((abs(float(v)) for v in a_nums + b_nums), default=0.0)
         file_moved, file_abs, file_rel = 0, 0.0, 0.0
         for x_s, y_s in zip(a_nums, b_nums):
             if x_s == y_s:
@@ -125,7 +128,6 @@ def cmd_compare(args) -> int:
             file_moved += 1
             x, y = float(x_s), float(y_s)
             dev = abs(x - y)
-            scale = max(abs(x), abs(y))
             rel = dev / scale if scale else 0.0
             file_abs, file_rel = max(file_abs, dev), max(file_rel, rel)
             where = f" ({name}: {x_s} -> {y_s})"

@@ -34,10 +34,11 @@ survives.  propagate_generic keeps stepping any Hamiltonian given as a
 dense matrix builder, through matrix_exp.
 
 Stepping happens at the padded dimension; trims are applied only at the
-end.  Multi-period evolutions compose the one-period propagator instead of
-re-stepping every period, which is exact for T-periodic Hamiltonians up to
-floating-point reassociation.  integrate and evolve_state each step on a
-PeriodStepper of their own, which keeps its segments for that call only.
+end.  U(t, s) is stepped from s: the span past the whole periods once, and
+the whole periods as powers of the monodromy at s's phase, U(s + T, s),
+which is exact for T-periodic Hamiltonians up to floating-point
+reassociation.  integrate and evolve_state each step on a PeriodStepper of
+their own, which keeps its segments for that call only.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ def propagate_generic(h_builder, dim: int, s: float, t: float, n_steps: int, sch
 class PeriodStepper:
     """Stepping engine for one (drive, oscillator, truncation) triple.
 
-    Exploits U(t + T, s + T) = U(t, s): propagators from time zero are the
-    within-period partial product times powers of the monodromy.  Segments
-    are kept read-only, so a repeated request returns the array stepped
-    first.
+    Exploits U(t + T, s + T) = U(t, s): U(t, s) is the partial product
+    from s past the whole periods times a power of the monodromy at s's
+    phase.  Segments are kept read-only, so a repeated request returns the
+    array stepped first.
     """
 
     spec: DriveSpec
@@ -233,30 +234,29 @@ class PeriodStepper:
             a *= np.exp(-1j * w)[:, None]
         return (v @ a.view(float)).view(complex)
 
-    def monodromy(self) -> np.ndarray:
-        return self.segment(0.0, self.spec.period)
-
-    def u_from_zero(self, t: float) -> np.ndarray:
-        """U(t, 0) at the padded dimension; the remainder past the whole
-        periods is stepped, not cached."""
+    def u(self, t: float, s: float) -> np.ndarray:
+        """U(t, s) at the padded dimension, stepped from s: the remainder
+        past the whole periods times the power of M = U(s + T, s), the
+        monodromy at s's phase.  t < s gives the adjoint of U(s, t)."""
+        if t < s:
+            return self.u(s, t).conj().T
         big_t = self.spec.period
-        n = math.floor(t / big_t)
-        tau = t - n * big_t
+        phi = math.fmod(s, big_t)
+        if phi < 0.0:  # % folds a sum that rounds up to T back to 0
+            phi = (phi + big_t) % big_t
+        n = math.floor((t - s) / big_t)
+        tau = (t - s) - n * big_t
         if tau >= big_t:  # guard against floating rollover
             tau -= big_t
             n += 1
         if tau > 0.0:
-            u = self._stepped(0.0, tau, self._steps_for(tau))
+            u = self._stepped(phi, phi + tau, self._steps_for(tau))
         else:
             u = np.eye(self.dim, dtype=complex)
         if n == 0:
             return u
-        m = self.monodromy()
-        if n < 0:
-            m = m.conj().T
-            n = -n
         acc = np.eye(self.dim, dtype=complex)
-        base = m
+        base = self.segment(phi, big_t)
         # binary powering keeps 200-period runs cheap and deterministic
         while n:
             if n & 1:
@@ -264,12 +264,6 @@ class PeriodStepper:
             base = base @ base
             n >>= 1
         return u @ acc
-
-    def u(self, t: float, s: float) -> np.ndarray:
-        """U(t, s) = U(t, 0) U(s, 0)^dagger at the padded dimension."""
-        if s == 0.0:
-            return self.u_from_zero(t)
-        return self.u_from_zero(t) @ self.u_from_zero(s).conj().T
 
 
 def integrate(
@@ -281,7 +275,8 @@ def integrate(
     steps_per_period: int = 128,
     scheme: str = "cf4",
 ) -> TruncatedOperator:
-    """Brute-force U(t, s), trimmed to the kept block."""
+    """Brute-force U(t, s), trimmed to the kept block: stepped from s, with
+    whole periods taken as powers of the monodromy at s's phase."""
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
     full = PeriodStepper(spec, params, trunc, steps_per_period, scheme).u(t, s)
@@ -290,18 +285,10 @@ def integrate(
 
 @dataclass
 class EvolveResult:
-    """States on a time grid, kept at the padded dimension.
-
-    pad_population[i] is the probability weight sitting above the kept
-    block at times[i]; edge_warning flips when the initial support starts
-    near the truncation edge or the pad weight ever exceeds 1e-6.
-    """
+    """States on a time grid, kept at the padded dimension."""
 
     times: np.ndarray
     states: np.ndarray
-    norms: np.ndarray
-    pad_population: np.ndarray
-    edge_warning: bool
 
 
 def evolve_state(
@@ -314,7 +301,7 @@ def evolve_state(
     scheme: str = "cf4",
 ) -> EvolveResult:
     """Evolve a normalized state over an increasing time grid from t = 0."""
-    psi, edge_warning = _padded_state(psi0, trunc)
+    psi, _ = _padded_state(psi0, trunc)
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be a non-empty increasing 1-d array")
@@ -336,11 +323,4 @@ def evolve_state(
                 psi = stepper.segment(t_cur, rem) @ psi
             t_cur = ti
         states[i] = psi
-
-    norms = np.linalg.norm(states, axis=1)
-    pad_pop = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)
-    if pad_pop.size and pad_pop.max() > 1e-6:
-        edge_warning = True
-    return EvolveResult(
-        times=times, states=states, norms=norms, pad_population=pad_pop, edge_warning=edge_warning
-    )
+    return EvolveResult(times=times, states=states)

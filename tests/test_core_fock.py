@@ -17,6 +17,7 @@ from floquet_lab import (
 from floquet_lab.core_fock import (
     _exp_x_exp_p,
     _exp_x_exp_p_columns,
+    _padded_state,
     ladder,
     number_basis_energies,
     tridiagonal_eigh,
@@ -321,6 +322,18 @@ class TestValidation:
         b = TruncatedOperator(np.eye(2, dtype=complex), basis_tag="levels")
         with pytest.raises(ValueError):
             a @ b
+
+
+class TestPaddedState:
+    def test_edge_state_warns(self):
+        """Support past n_keep/2 is near the truncation edge."""
+        trunc = Truncation(n_keep=24, n_pad=24)
+        for level, edge in ((0, False), (12, False), (13, True), (22, True)):
+            psi0 = np.zeros(trunc.dim, dtype=complex)
+            psi0[level] = 1.0
+            psi, warns = _padded_state(psi0, trunc)
+            assert warns is edge
+            assert np.array_equal(psi, psi0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -217,11 +217,11 @@ class TestSegmentKey:
 
 
 def _spy_stepped(monkeypatch) -> list:
-    """Record (start, end) of every segment PeriodStepper actually steps."""
+    """Record (start, end, steps) of every segment PeriodStepper actually steps."""
     spans = []
     real = PeriodStepper._stepped
     monkeypatch.setattr(
-        PeriodStepper, "_stepped", lambda self, s, t, n: spans.append((s, t)) or real(self, s, t, n)
+        PeriodStepper, "_stepped", lambda self, s, t, n: spans.append((s, t, n)) or real(self, s, t, n)
     )
     return spans
 
@@ -233,10 +233,10 @@ class TestSharedStepper:
     def test_repeated_integrate_steps_the_monodromy_once(self, monkeypatch):
         spans = _spy_stepped(monkeypatch)
         first = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
-        assert spans.count((0.0, T_DRIVE)) == 1 and len(spans) == 2
+        assert spans.count((0.0, T_DRIVE, 32)) == 1 and len(spans) == 2
         second = integrate(SPEC, PARAMS, TRUNC, 1.5 * T_DRIVE, 0.0, steps_per_period=32)
         # a repeat call steps on its own stepper: the monodromy once more, same bits
-        assert spans.count((0.0, T_DRIVE)) == 2 and len(spans) == 4
+        assert spans.count((0.0, T_DRIVE, 32)) == 2 and len(spans) == 4
         assert np.array_equal(first.entries, second.entries)
 
     def test_hit_matches_a_fresh_stepper(self, monkeypatch):
@@ -259,7 +259,7 @@ class TestSharedStepper:
 
     def test_segments_are_read_only(self):
         stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
-        for u in (stepper.segment(0.1, 0.3 * T_DRIVE), stepper.monodromy()):
+        for u in (stepper.segment(0.1, 0.3 * T_DRIVE), stepper.segment(0.0, T_DRIVE)):
             with pytest.raises(ValueError, match="read-only"):
                 u[0, 0] = 0.0
 
@@ -269,6 +269,48 @@ class TestSharedStepper:
             with pytest.raises(NumericError, match="step phase"):
                 stepper.segment(0.0, T_DRIVE)
             assert stepper._segments == {}
+
+
+class TestSteppedFromS:
+    """U(t, s) is stepped from s: one span from s past the whole periods,
+    and the monodromy at s's phase, U(s + T, s), for the periods."""
+
+    def test_within_a_period_steps_one_span_from_s(self, monkeypatch):
+        spans = _spy_stepped(monkeypatch)
+        integrate(SPEC, PARAMS, TRUNC, 0.75 * T_DRIVE, 0.27 * T_DRIVE, steps_per_period=32)
+        assert len(spans) == 1
+        start, end, steps = spans[0]
+        assert start == pytest.approx(0.27 * T_DRIVE, abs=1e-12)
+        assert end == pytest.approx(0.75 * T_DRIVE, abs=1e-12)
+        assert steps == math.ceil(32 * 0.48)
+
+    def test_periods_step_the_monodromy_at_s_once(self, monkeypatch):
+        spans = _spy_stepped(monkeypatch)
+        integrate(SPEC, PARAMS, TRUNC, 2.4 * T_DRIVE, 0.3 * T_DRIVE, steps_per_period=32)
+        assert len(spans) == 2
+        (rem_start, rem_end, rem_steps), (m_start, m_end, m_steps) = spans
+        assert rem_start == pytest.approx(0.3 * T_DRIVE, abs=1e-12)
+        assert rem_end - rem_start == pytest.approx(0.1 * T_DRIVE, abs=1e-12)
+        assert rem_steps == math.ceil(32 * 0.1)
+        assert m_start == pytest.approx(0.3 * T_DRIVE, abs=1e-12)
+        assert m_end - m_start == pytest.approx(T_DRIVE, abs=1e-12) and m_steps == 32
+
+    @pytest.mark.parametrize(
+        "t, s",
+        [(0.4, 2.7), (0.6, -1.3), (-0.2, -2.55), (6.9, 5.2), (9.35, 4.1)],
+        ids=["backward_across_periods", "negative_s", "both_negative", "s_past_five_periods", "many_periods_from_s"],
+    )
+    def test_matches_closed_form(self, t, s):
+        t, s = t * T_DRIVE, s * T_DRIVE
+        u_num = integrate(SPEC, PARAMS, TRUNC, t, s, steps_per_period=256).entries
+        u_ref = propagator_factored(SPEC, PARAMS, TRUNC, t, s).entries
+        half = TRUNC.n_keep // 2
+        assert np.linalg.norm((u_num - u_ref)[:half, :half], 2) <= 1e-8
+
+    @pytest.mark.parametrize("t", [0.0, 2.9, 7.3 * T_DRIVE, -3.1])
+    def test_equal_times_give_the_identity(self, t):
+        u = integrate(SPEC, PARAMS, TRUNC, t, t, steps_per_period=32).entries
+        assert np.array_equal(u, np.eye(TRUNC.n_keep))
 
 
 class TestNonFiniteDrive:
@@ -341,15 +383,9 @@ class TestEvolveState:
         res = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid)
         assert res.times.shape == (9,)
         assert res.states.shape == (9, TRUNC.dim)
-        assert np.allclose(res.norms, 1.0, atol=1e-10)
-        assert res.pad_population.max() < 1e-12
-        assert not res.edge_warning
-
-    def test_edge_state_warns(self):
-        psi0 = np.zeros(TRUNC.dim, dtype=complex)
-        psi0[TRUNC.n_keep - 2] = 1.0
-        res = evolve_state(SPEC, PARAMS, TRUNC, psi0, [0.0, 0.5])
-        assert res.edge_warning
+        assert np.allclose(np.linalg.norm(res.states, axis=1), 1.0, atol=1e-10)
+        pad_weight = np.sum(np.abs(res.states[:, TRUNC.n_keep :]) ** 2, axis=1)
+        assert pad_weight.max() < 1e-12
 
     def test_unnormalized_rejected(self):
         psi0 = np.zeros(4, dtype=complex)

@@ -32,6 +32,16 @@ def test_moved_numbers_pass_and_are_reported(same_results, tmp_path, capsys):
     assert "worst absolute deviation 2.168e-19" in out
 
 
+def test_near_zero_move_is_relative_to_the_file_scale(same_results, tmp_path, capsys):
+    """A 5.6e-10 move of a 4e-9 difference is small beside the file's 2.5."""
+    a = _write(tmp_path / "a", {"x.json": '{"u": 2.5, "diff": 4.0e-9}\n'})
+    b = _write(tmp_path / "b", {"x.json": '{"u": 2.5, "diff": 3.44e-9}\n'})
+    assert same_results.main(["compare", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "1 moved" in out
+    assert "worst relative deviation 2.240e-10" in out
+
+
 def test_exact_fails_on_a_moved_number(same_results, tmp_path, capsys):
     a = _write(tmp_path / "a", {"x.csv": "omega,v\n0.8,1.25e-3\n"})
     b = _write(tmp_path / "b", {"x.csv": "omega,v\n0.8,1.2500000000000002e-3\n"})
