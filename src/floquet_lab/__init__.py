@@ -14,6 +14,7 @@ from .drive_model import (
     eval_drive,
     floquet_scalar_derivs,
     floquet_scalars,
+    hamiltonian_at,
     is_resonant_period,
     mu_nu_sigma,
     phi12,
@@ -64,7 +65,7 @@ from .kam import (
     reconstruct_propagator,
     weighted_block_norm,
 )
-from .oracle import EvolveResult, PeriodStepper, evolve_state, hamiltonian_at, integrate
+from .oracle import PeriodStepper, evolve_state, integrate
 from .propagator import (
     propagator_factored,
     propagator_single_exp,

@@ -36,7 +36,7 @@ from .core_fock import (
     number_basis_energies,
     xp_operators,
 )
-from .drive_model import DriveSpec, mu_nu_sigma, phi12, psi
+from .drive_model import DriveSpec, hamiltonian_at, mu_nu_sigma, phi12, psi
 from .errors import (
     FloquetLabError,
     InvalidIntervalError,
@@ -101,13 +101,20 @@ def _load_json_file(path: str) -> dict:
         raise ValueError(f"malformed JSON in {path}: {err}") from err
 
 
+def _object(value, name: str) -> dict:
+    """A config block read as a JSON object; ValueError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _parse_config(data: dict):
     try:
         system = data["system"]
         params = OscillatorParams(
             omega=_real_field(system["omega"], "omega"), period_T=_real_field(system["period"], "period")
         )
-        spec = DriveSpec.from_json_dict(data["drive"])
+        spec = DriveSpec.from_json_dict(_object(data["drive"], "drive"))
         tr = data["truncation"]
         trunc = Truncation(
             n_keep=_integer_field(tr["n_keep"], "n_keep"), n_pad=_integer_field(tr["n_pad"], "n_pad")
@@ -118,13 +125,12 @@ def _parse_config(data: dict):
         raise ValueError(
             f"drive period {spec.period} does not match system period {params.period_T}"
         )
-    tol = data.get("tolerances", {})
+    tol = _object(data.get("tolerances", {}), "tolerances")
     opts = {
         "steps_per_period": _integer_field(tol.get("steps_per_period", 128), "steps_per_period"),
         "scheme": str(tol.get("scheme", "cf4")),
     }
-    debug = data.get("debug", {})
-    return spec, params, trunc, opts, debug
+    return spec, params, trunc, opts, _object(data.get("debug", {}), "debug")
 
 
 def _load_config(path: str):
@@ -230,28 +236,37 @@ def cmd_propagate(args) -> int:
 
 
 def _parse_state(text: str, trunc: Truncation) -> np.ndarray:
+    """The --state value, ground, fock:n or coherent:a, as a normalized
+    vector; ValueError naming the flag otherwise."""
     if text == "ground":
         vec = np.zeros(1, dtype=complex)
         vec[0] = 1.0
         return vec
-    if text.startswith("fock:"):
-        n = int(text.split(":", 1)[1])
-        if n < 0 or n >= trunc.n_keep:
-            raise ValueError(f"fock level {n} outside the kept block")
-        vec = np.zeros(n + 1, dtype=complex)
-        vec[n] = 1.0
+    kind, _, arg = text.partition(":")
+    if kind not in ("fock", "coherent"):
+        raise ValueError(f"--state must be ground, fock:n or coherent:a, got {text!r}")
+    try:
+        value = int(arg) if kind == "fock" else complex(arg)
+    except ValueError as err:
+        raise ValueError(f"--state {text!r}: {err}") from err
+    if kind == "fock":
+        if value < 0 or value >= trunc.n_keep:
+            raise ValueError(f"--state {text!r}: fock level {value} outside the kept block")
+        vec = np.zeros(value + 1, dtype=complex)
+        vec[value] = 1.0
         return vec
-    if text.startswith("coherent:"):
-        alpha = complex(text.split(":", 1)[1])
-        n_max = max(1, trunc.n_keep // 4)
-        vec = np.zeros(n_max, dtype=complex)
-        term = 1.0 + 0j
-        for n in range(n_max):
-            vec[n] = term
-            term = term * alpha / math.sqrt(n + 1)
-        vec /= np.linalg.norm(vec)
-        return vec
-    raise ValueError(f"unknown state spec {text!r} (use ground, fock:n, coherent:a)")
+    n_max = max(1, trunc.n_keep // 4)
+    vec = np.zeros(n_max, dtype=complex)
+    term = 1.0 + 0j
+    for n in range(n_max):
+        vec[n] = term
+        term = term * value / math.sqrt(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        nrm = float(np.linalg.norm(vec))
+    if not math.isfinite(nrm):
+        raise ValueError(f"--state {text!r}: the amplitude is not finite or overflows, so no normalized state")
+    vec /= nrm
+    return vec
 
 
 def _verdict_sidecar_path(out_csv: str) -> str:
@@ -374,7 +389,7 @@ def _suite_appendix(config_path: str) -> list:
     t_grid = np.linspace(0.0, 6 * params.period_T, 25)
     psi0, _ = _padded_state(np.ones(1, dtype=complex), trunc)
     closed = _factored_states(spec, params, psi0, t_grid)
-    stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"]).states
+    stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"])
     dev = float(np.linalg.norm(closed - stepped, axis=1).max())
     checks.append(("stability_closed_form_vs_oracle", dev <= 1e-6, dev))
 
@@ -407,7 +422,6 @@ def _suite_appendix(config_path: str) -> list:
 
 def _suite_floquet(config_path: str) -> list:
     from .floquet import build_HF, build_SF, build_UF
-    from .oracle import hamiltonian_at
 
     spec, params, trunc, opts, _ = _load_config(config_path)
     h_f = build_HF(spec, params, trunc).entries

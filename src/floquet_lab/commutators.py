@@ -13,21 +13,19 @@ checks one against the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_fock import OscillatorParams, TruncatedOperator, Truncation, matrix_exp
-from .drive_model import DriveSpec, _check_finite
+from .drive_model import DriveSpec, _check_finite, hamiltonian_at
 from .floquet import (
-    _BLOCK_NOTE,
     _hf_matrix,
     _sf_matrix,
     _sup_sf_norm,
     _transition_window,
     _uf_matrix,
 )
-from .oracle import hamiltonian_at
 from .propagator import propagator_factored
 
 __all__ = [
@@ -142,25 +140,6 @@ class HigherOrderBoundReport:
     rhs: float
     ok: bool
     first_order_rhs: float | None
-    block_note: str = field(default=_BLOCK_NOTE)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "t": float(self.t),
-            "s": float(self.s),
-            "interval_1": [float(v) for v in self.interval_1],
-            "interval_2": [float(v) for v in self.interval_2],
-            "dist": float(self.dist),
-            "lhs": float(self.lhs),
-            "c_p": float(self.c_p),
-            "rhs": float(self.rhs),
-            "ok": self.ok,
-            "first_order_rhs": None
-            if self.first_order_rhs is None
-            else float(self.first_order_rhs),
-            "block_note": self.block_note,
-        }
 
 
 def higher_order_bound_check(

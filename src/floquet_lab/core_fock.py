@@ -89,6 +89,14 @@ def _real_field(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _objects_field(value, name: str) -> list:
+    """A config field read as a list of JSON objects; anything else raises
+    ValueError naming the field."""
+    if isinstance(value, list) and all(isinstance(v, dict) for v in value):
+        return value
+    raise ValueError(f"{name} must be a list of objects")
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Oscillator frequency and drive period, natural units."""
@@ -136,15 +144,9 @@ class Truncation:
 
 @dataclass
 class TruncatedOperator:
-    """A dense operator block in the truncated Fock basis.
-
-    entries: complex (dim, dim) array
-    basis_tag: label of the basis the entries refer to ("fock" everywhere
-        in this package; carried so mixed-basis bugs fail loudly)
-    """
+    """A dense operator block, a complex (dim, dim) array of entries."""
 
     entries: np.ndarray
-    basis_tag: str = "fock"
     hermitian: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -161,20 +163,9 @@ class TruncatedOperator:
         self.entries = m
 
     @classmethod
-    def hermitian_op(cls, entries: np.ndarray, basis_tag: str = "fock") -> "TruncatedOperator":
+    def hermitian_op(cls, entries: np.ndarray) -> "TruncatedOperator":
         """Construct with the Hermiticity check enabled."""
-        return cls(entries, basis_tag=basis_tag, hermitian=True)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            if other.basis_tag != self.basis_tag:
-                raise ValueError(f"basis mismatch: {self.basis_tag} vs {other.basis_tag}")
-            return TruncatedOperator(self.entries @ other.entries, basis_tag=self.basis_tag)
-        return self.entries @ other
+        return cls(entries, hermitian=True)
 
 
 def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:

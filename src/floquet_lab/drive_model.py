@@ -44,7 +44,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_fock import OscillatorParams
+from .core_fock import (
+    OscillatorParams,
+    _integer_field,
+    _objects_field,
+    _real_field,
+    number_basis_energies,
+    x_off_diagonal,
+)
 from .errors import ResonanceError, ResonantTimeError
 
 __all__ = [
@@ -52,6 +59,7 @@ __all__ = [
     "MuNuSigma",
     "FloquetScalars",
     "eval_drive",
+    "hamiltonian_at",
     "phi12",
     "psi",
     "mu_nu_sigma",
@@ -114,10 +122,6 @@ class DriveSpec:
     @classmethod
     def from_fourier(cls, period: float, coeffs: dict) -> "DriveSpec":
         return cls(period=period, fourier=tuple(coeffs.items()))
-
-    @classmethod
-    def zero(cls, period: float) -> "DriveSpec":
-        return cls(period=period)
 
     @classmethod
     def sine(cls, period: float, amplitude: float = 1.0, harmonic: int = 1) -> "DriveSpec":
@@ -193,7 +197,9 @@ class DriveSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DriveSpec":
         """The drive of "period" and either a "fourier" list of {k, re, im}
-        or a "samples" block {t, f}, read as from_samples reads them."""
+        or a "samples" block {t, f}, read as from_samples reads them.  A bad
+        period, k, re or im raises ValueError naming its field."""
+        period = _real_field(d["period"], "drive.period")
         if "samples" in d:
             block = d["samples"]
             if "fourier" in d:
@@ -203,9 +209,12 @@ class DriveSpec:
                     "samples.order is not accepted: samples are read as their "
                     "trigonometric interpolant, not a spline"
                 )
-            return cls.from_samples(float(d["period"]), block["t"], block["f"])
-        coeffs = {int(e["k"]): complex(e["re"], e["im"]) for e in d.get("fourier", [])}
-        return cls(period=float(d["period"]), fourier=tuple(coeffs.items()))
+            return cls.from_samples(period, block["t"], block["f"])
+        coeffs = {}
+        for i, e in enumerate(_objects_field(d.get("fourier", []), "drive.fourier")):
+            k = _integer_field(e["k"], f"drive.fourier[{i}].k")
+            coeffs[k] = complex(*(_real_field(e[f], f"drive.fourier[{i}].{f}") for f in ("re", "im")))
+        return cls(period=period, fourier=tuple(coeffs.items()))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -267,6 +276,17 @@ def eval_drive(spec: DriveSpec, t):
         raise ValueError(f"drive evaluated to non-real values (residue {resid:.2e})")
     out = acc.real
     return out if out.ndim else float(out)
+
+
+def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
+    """H(t) = H_omega + f(t) x at the given dimension, dense, with f(t) x
+    written onto the two bands."""
+    h = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
+    band = float(eval_drive(spec, t)) * x_off_diagonal(params.omega, dim)
+    n = np.arange(dim - 1)
+    h[n, n + 1] = band
+    h[n + 1, n] = band
+    return h
 
 
 def _mode_terms(spec: DriveSpec, omega: float, tau, s: float):

@@ -30,7 +30,9 @@ of the identity when f_N = f_{-N} = 0 and has purely absolutely
 continuous spectrum otherwise.
 
 All norm-based bound checks quote the kept-block operator norm of S_F,
-which is unbounded on the full space; reports carry that caveat.
+which is unbounded on the full space, so they are finite-dimensional
+surrogates.  The stability verdict carries that caveat as its block_note;
+the transition-bound reports carry no copy of it.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ from .drive_model import (
     _sf_scalars,
     eval_drive,
     floquet_scalars,
+    hamiltonian_at,
     is_resonant_period,
 )
 from .errors import InvalidIntervalError, NumericError
-from .oracle import hamiltonian_at
 from .propagator import _factored_states, propagator_factored
 
 __all__ = [
@@ -372,31 +374,6 @@ class TransitionBoundReport:
     pair_lhs: np.ndarray
     pair_rhs: np.ndarray
     pair_ok: bool
-    block_note: str = field(default=_BLOCK_NOTE)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": float(self.t),
-            "s": float(self.s),
-            "interval_1": [float(v) for v in self.interval_1],
-            "interval_2": [float(v) for v in self.interval_2],
-            "dist": float(self.dist),
-            "lhs": float(self.lhs),
-            "sup_sf_norm": float(self.sup_sf_norm),
-            "rhs": float(self.rhs),
-            "ok": self.ok,
-            "pair_ok": self.pair_ok,
-            "pairs": [
-                {
-                    "energy_t": float(self.pair_energies_t[i]),
-                    "energy_s": float(self.pair_energies_s[i]),
-                    "lhs": float(self.pair_lhs[i]),
-                    "rhs": float(self.pair_rhs[i]),
-                }
-                for i in range(self.pair_lhs.size)
-            ],
-            "block_note": self.block_note,
-        }
 
 
 def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, samples: int = 64) -> float:

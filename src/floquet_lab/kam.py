@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .core_fock import TruncatedOperator, _integer_field, _real_field, matrix_exp
+from .core_fock import TruncatedOperator, _integer_field, _objects_field, _real_field, matrix_exp
 from .errors import NotConvergedError, NumericError, SmallDenominatorError
 
 __all__ = [
@@ -305,11 +305,30 @@ class BlockPerturbation:
 
     @classmethod
     def from_json_list(cls, items: list) -> "BlockPerturbation":
+        """The blocks of a list of {k, n, m, re, im} objects: integer k, n, m
+        and re, im matrices of finite numbers of one shape, or ValueError
+        naming the field."""
         blocks = {}
-        for it in items:
-            blk = np.asarray(it["re"], dtype=float) + 1j * np.asarray(it["im"], dtype=float)
-            blocks[(int(it["k"]), int(it["n"]), int(it["m"]))] = blk
+        for i, it in enumerate(_objects_field(items, "V_blocks")):
+            name = f"V_blocks[{i}]"
+            key = tuple(_integer_field(it[f], f"{name}.{f}") for f in ("k", "n", "m"))
+            real, imag = (_matrix_field(it[f], f"{name}.{f}") for f in ("re", "im"))
+            if real.shape != imag.shape:
+                raise ValueError(f"{name}.im must have the shape {real.shape} of {name}.re, got {imag.shape}")
+            blocks[key] = real + 1j * imag
         return cls(blocks=blocks)
+
+
+def _matrix_field(value, name: str) -> np.ndarray:
+    """A problem field read as a real matrix of finite numbers; anything else
+    raises ValueError naming the field."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = np.array(np.nan)
+    if out.ndim != 2 or not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be a matrix of finite numbers")
+    return out
 
 
 def random_perturbation(
@@ -749,7 +768,7 @@ def reconstruct_propagator(
     h_eff = np.diag(space.h_expanded).astype(complex) + g_level
     core = matrix_exp(-1j * (float(t) - float(s)) * h_eff)
     u = _w_at(space, w_blocks, t).conj().T @ core @ _w_at(space, w_blocks, s)
-    return TruncatedOperator(u, basis_tag="levels")
+    return TruncatedOperator(u)
 
 
 def problem_to_json_dict(
@@ -778,7 +797,8 @@ def load_problem(source) -> tuple[FloquetMatrixSpace, BlockPerturbation, KamConf
     space = FloquetMatrixSpace(
         k_max=_integer_field(data["k_max"], "k_max"),
         levels=tuple(
-            (_real_field(lv["h"], "h"), _integer_field(lv.get("mult", 1), "mult")) for lv in data["levels"]
+            (_real_field(lv["h"], "h"), _integer_field(lv.get("mult", 1), "mult"))
+            for lv in _objects_field(data["levels"], "levels")
         ),
         omega=_real_field(data["omega"], "omega"),
     )

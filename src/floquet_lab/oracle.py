@@ -37,8 +37,14 @@ Stepping happens at the padded dimension; trims are applied only at the
 end.  U(t, s) is stepped from s: the span past the whole periods once, and
 the whole periods as powers of the monodromy at s's phase, U(s + T, s),
 which is exact for T-periodic Hamiltonians up to floating-point
-reassociation.  integrate and evolve_state each step on a PeriodStepper of
-their own, which keeps its segments for that call only.
+reassociation.  Both are segments, and PeriodStepper.segment is the one
+place that folds a start into [0, T) and keys a span, so on one stepper
+U(t + kT, s + kT) reuses the segments of U(t, s).  integrate and
+evolve_state each step on a PeriodStepper of their own, which keeps its
+segments for that call only.
+
+The closed forms do not import this module: only the CLI and the package
+namespace do, so the check stays independent of what it checks.
 """
 
 from __future__ import annotations
@@ -64,11 +70,9 @@ from .drive_model import DriveSpec, _check_finite, eval_drive
 from .errors import NumericError
 
 __all__ = [
-    "hamiltonian_at",
     "propagate_generic",
     "PeriodStepper",
     "integrate",
-    "EvolveResult",
     "evolve_state",
 ]
 
@@ -79,17 +83,6 @@ _CF4_C1 = 0.5 - _SQRT3 / 6.0
 _CF4_C2 = 0.5 + _SQRT3 / 6.0
 
 SCHEMES = ("midpoint", "cf4")
-
-
-def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
-    """H(t) = H_omega + f(t) x at the given dimension, dense, with f(t) x
-    written onto the two bands."""
-    h = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
-    band = float(eval_drive(spec, t)) * x_off_diagonal(params.omega, dim)
-    n = np.arange(dim - 1)
-    h[n, n + 1] = band
-    h[n + 1, n] = band
-    return h
 
 
 def _step(h_builder, t0: float, h: float, scheme: str) -> np.ndarray:
@@ -235,28 +228,23 @@ class PeriodStepper:
         return (v @ a.view(float)).view(complex)
 
     def u(self, t: float, s: float) -> np.ndarray:
-        """U(t, s) at the padded dimension, stepped from s: the remainder
-        past the whole periods times the power of M = U(s + T, s), the
-        monodromy at s's phase.  t < s gives the adjoint of U(s, t)."""
+        """U(t, s) at the padded dimension, stepped from s: the segment from s
+        past the whole periods times the power of M = segment(s, T), the
+        monodromy at s's phase.  t < s gives the adjoint of U(s, t).  Within
+        one period the result is the segment itself, which is read-only."""
         if t < s:
             return self.u(s, t).conj().T
         big_t = self.spec.period
-        phi = math.fmod(s, big_t)
-        if phi < 0.0:  # % folds a sum that rounds up to T back to 0
-            phi = (phi + big_t) % big_t
         n = math.floor((t - s) / big_t)
         tau = (t - s) - n * big_t
         if tau >= big_t:  # guard against floating rollover
             tau -= big_t
             n += 1
-        if tau > 0.0:
-            u = self._stepped(phi, phi + tau, self._steps_for(tau))
-        else:
-            u = np.eye(self.dim, dtype=complex)
+        u = self.segment(s, tau)
         if n == 0:
             return u
         acc = np.eye(self.dim, dtype=complex)
-        base = self.segment(phi, big_t)
+        base = self.segment(s, big_t)
         # binary powering keeps 200-period runs cheap and deterministic
         while n:
             if n & 1:
@@ -283,14 +271,6 @@ def integrate(
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
-@dataclass
-class EvolveResult:
-    """States on a time grid, kept at the padded dimension."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-
 def evolve_state(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -299,8 +279,11 @@ def evolve_state(
     t_grid,
     steps_per_period: int = 128,
     scheme: str = "cf4",
-) -> EvolveResult:
-    """Evolve a normalized state over an increasing time grid from t = 0."""
+) -> np.ndarray:
+    """The states U(t_i, 0) psi0 on an increasing time grid, as a
+    (len(t_grid), dim) array at the padded dimension.  Each state is the
+    last one carried by U(t_i, t_{i-1}), on one PeriodStepper, so grid
+    steps at the same phase in later periods reuse their segments."""
     psi, _ = _padded_state(psi0, trunc)
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
@@ -309,18 +292,9 @@ def evolve_state(
 
     stepper = PeriodStepper(spec, params, trunc, steps_per_period, scheme)
     states = np.empty((times.size, trunc.dim), dtype=complex)
-    t_cur = 0.0
-    for i, ti in enumerate(times):
-        span = ti - t_cur
-        if span:
-            # whole periods advance via the monodromy, remainder via one segment
-            n_whole = int(math.floor(span / spec.period + 1e-12))
-            for _ in range(n_whole):
-                psi = stepper.segment(t_cur, spec.period) @ psi
-                t_cur += spec.period
-            rem = ti - t_cur
-            if abs(rem) > 1e-12 * max(1.0, abs(ti)):
-                psi = stepper.segment(t_cur, rem) @ psi
-            t_cur = ti
+    t_prev = 0.0
+    for i, ti in enumerate(times.tolist()):
+        psi = stepper.u(ti, t_prev) @ psi
         states[i] = psi
-    return EvolveResult(times=times, states=states)
+        t_prev = ti
+    return states

@@ -46,7 +46,8 @@ from floquet_lab import (
 )
 from floquet_lab.core_fock import number_basis_energies, xp_operators
 from floquet_lab.cli import shipped_config_path
-from floquet_lab.oracle import hamiltonian_at, integrate, propagate_generic
+from floquet_lab.drive_model import hamiltonian_at
+from floquet_lab.oracle import integrate, propagate_generic
 
 P12 = 13  # projector onto Fock levels 0..12
 

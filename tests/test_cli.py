@@ -212,6 +212,27 @@ class TestStability:
         assert not csv_path.exists()
 
 
+class TestStateFlag:
+    """Every --state that cannot be read fails with one JSON error naming
+    the flag (exit 2), and an overflowing amplitude raises no warning."""
+
+    @pytest.mark.parametrize(
+        "state", ["fock:abc", "fock:99", "coherent:zz", "coherent:1e200", "squeezed:1"],
+        ids=["fock_text", "fock_outside", "coherent_text", "coherent_overflow", "unknown"],
+    )
+    def test_bad_state_names_the_flag(self, small_config, tmp_path, capsys, state):
+        csv_path = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["stability", small_config, "--periods", "2", "--state", state, "--out-csv", str(csv_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("--state")
+        assert "warnings" not in err
+        assert not csv_path.exists()
+
+
 class TestConfigIntegers:
     """Integer fields of an oscillator config: an integral float is read as
     that integer; a fraction, a bool or a non-number is refused, naming the
@@ -288,6 +309,47 @@ class TestConfigReals:
             assert main(["propagate", path, "--t", "1.0", "--form", "factored", "--out", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+class TestConfigBlocks:
+    """The drive block goes through the typed readers, and drive, tolerances
+    and debug must be objects: a bad value fails with one JSON error naming
+    its field (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "update, field",
+        [
+            ({"drive": []}, "drive"),
+            ({"tolerances": []}, "tolerances"),
+            ({"debug": []}, "debug"),
+            ({"drive": {"period": "abc", "fourier": []}}, "drive.period"),
+            ({"drive": {"fourier": [{"k": 1.5, "re": 0.0, "im": -0.1}, {"k": -1.5, "re": 0.0, "im": 0.1}]}},
+             "drive.fourier[0].k"),
+            ({"drive": {"fourier": [{"k": True, "re": 0.0, "im": -0.1}]}}, "drive.fourier[0].k"),
+            ({"drive": {"fourier": [{"k": 1, "re": math.nan, "im": -0.1}, {"k": -1, "re": math.nan, "im": 0.1}]}},
+             "drive.fourier[0].re"),
+            ({"drive": {"fourier": [{"k": 1, "re": 0.0, "im": "x"}]}}, "drive.fourier[0].im"),
+            ({"drive": {"fourier": {}}}, "drive.fourier"),
+        ],
+        ids=["drive_list", "tolerances_list", "debug_list", "period_text", "k_fraction", "k_bool", "re_nan",
+             "im_text", "fourier_object"],
+    )
+    def test_bad_block_is_a_config_error(self, small_config, tmp_path, capsys, update, field):
+        data = json.loads(open(small_config).read())
+        for key, value in update.items():
+            if isinstance(value, dict) and isinstance(data[key], dict):
+                data[key].update(value)
+            else:
+                data[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "u.json"
+        rc = main(["propagate", str(cfg), "--t", "1.0", "--form", "factored", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(field + " must be")
+        assert not out.exists()
 
 
 class TestNonFiniteDrive:
@@ -527,11 +589,16 @@ class TestKam:
             ("max_iters", 10**400, "max_iters"),
             ("r", 10**400, "r_weight"),
             ("schedule", "fourier_cutoff", "schedule"),
+            ("levels", [1.0, 2.0], "levels"),
+            ("V_blocks", {"a": 1}, "V_blocks"),
+            ("V_blocks", [1, 2], "V_blocks"),
+            ("V_blocks", {}, "V_blocks"),
         ],
         ids=["tol_inf", "tol_nan", "tol_zero", "tol_text", "max_iters_text", "max_iters_fraction",
              "max_iters_zero", "max_iters_bool", "k_max_fraction", "r_nan", "r_negative", "r_text", "nu_inf", "nu_null",
              "omega_bool", "omega_text", "omega_null", "omega_inf", "tol_bool", "r_numeric_text",
-             "max_iters_huge_int", "r_huge_int", "schedule_not_constant"],
+             "max_iters_huge_int", "r_huge_int", "schedule_not_constant", "levels_numbers", "blocks_object",
+             "blocks_numbers", "blocks_empty_object"],
     )
     def test_bad_numeric_field_is_a_config_error(self, tmp_path, capsys, key, value, field):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
@@ -570,6 +637,24 @@ class TestKam:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["message"].startswith("mult must be an integer")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "0"), ("k", 1.5), ("re", [[math.nan]]), ("im", [[math.inf]]), ("re", "abc"), ("im", [[0.0, 0.0]])],
+        ids=["n_text", "k_fraction", "re_nan", "im_inf", "re_text", "im_shape"],
+    )
+    def test_bad_block_field_is_a_config_error(self, tmp_path, capsys, key, value):
+        problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
+        problem["V_blocks"][0][key] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        result = tmp_path / "result.json"
+        rc = main(["kam", str(path), "--out-history", str(tmp_path / "h.jsonl"), "--out-result", str(result)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"V_blocks[0].{key}")
+        assert not result.exists()
 
     def test_integral_max_iters_is_accepted(self, tmp_path):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())

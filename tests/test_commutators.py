@@ -95,11 +95,3 @@ class TestHigherOrderBound:
             )
         with pytest.raises(ValueError, match="grid_points"):
             sup_xn_norm(SPEC, PARAMS, TRUNC, 1, grid_points=count)
-
-    def test_json_payload(self):
-        report = higher_order_bound_check(
-            SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, self.IV1, self.IV2, c_p=3.0
-        )
-        d = report.to_json_dict()
-        assert d["p"] == 2 and d["ok"] == report.ok
-        assert d["first_order_rhs"] is None

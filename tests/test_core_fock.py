@@ -317,12 +317,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             TruncatedOperator.hermitian_op(m)
 
-    def test_basis_mismatch_rejected(self):
-        a = TruncatedOperator(np.eye(2, dtype=complex), basis_tag="fock")
-        b = TruncatedOperator(np.eye(2, dtype=complex), basis_tag="levels")
-        with pytest.raises(ValueError):
-            a @ b
-
 
 class TestPaddedState:
     def test_edge_state_warns(self):

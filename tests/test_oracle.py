@@ -16,7 +16,8 @@ from floquet_lab import (
     propagator_factored,
 )
 from floquet_lab.core_fock import number_basis_energies, xp_operators
-from floquet_lab.oracle import hamiltonian_at, propagate_generic
+from floquet_lab.drive_model import hamiltonian_at
+from floquet_lab.oracle import propagate_generic
 
 OMEGA = 1.0
 T_DRIVE = 2 * math.pi * math.sqrt(2)
@@ -208,6 +209,21 @@ class TestSegmentKey:
         assert stepper.segment(-T_DRIVE, 0.25 * T_DRIVE) is first
         assert starts == [0.0]
 
+    @pytest.mark.parametrize("periods", [9, 13])
+    @pytest.mark.parametrize("x", [0.3, 2.3])
+    def test_span_from_a_whole_period_is_the_span_from_zero(self, monkeypatch, periods, x):
+        """u folds s = kT through segment, as segment folds a start: U(kT + x, kT)
+        is U(x, 0) bit for bit and steps nothing new, though fmod(kT, T) is T
+        less an ulp here."""
+        s, x = periods * T_DRIVE, x * T_DRIVE
+        assert round(math.fmod(s, T_DRIVE) / T_DRIVE, 12) == 1.0
+        spans = _spy_stepped(monkeypatch)
+        stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
+        from_zero = stepper.u(x, 0.0)
+        stepped = len(spans)
+        assert np.array_equal(stepper.u(s + x, s), from_zero)
+        assert len(spans) == stepped
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_diagonal_is_a_numeric_error(self):
         """The batch check still sees every band: here omega (n + 1/2) overflows."""
@@ -243,10 +259,10 @@ class TestSharedStepper:
         spans = _spy_stepped(monkeypatch)
         psi0 = np.array([1.0 + 0j])
         grid = np.linspace(0.0, 3 * T_DRIVE, 13)
-        first = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
+        first = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32)
         # the three periods reuse the four quarter-period segments of the first
         assert len(spans) == 4
-        again = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32).states
+        again = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid, steps_per_period=32)
         assert len(spans) == 8
         stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
         psi = np.zeros(TRUNC.dim, dtype=complex)
@@ -380,11 +396,10 @@ class TestEvolveState:
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1.0
         grid = np.linspace(0.0, 2 * T_DRIVE, 9)
-        res = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid)
-        assert res.times.shape == (9,)
-        assert res.states.shape == (9, TRUNC.dim)
-        assert np.allclose(np.linalg.norm(res.states, axis=1), 1.0, atol=1e-10)
-        pad_weight = np.sum(np.abs(res.states[:, TRUNC.n_keep :]) ** 2, axis=1)
+        states = evolve_state(SPEC, PARAMS, TRUNC, psi0, grid)
+        assert states.shape == (9, TRUNC.dim)
+        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-10)
+        pad_weight = np.sum(np.abs(states[:, TRUNC.n_keep :]) ** 2, axis=1)
         assert pad_weight.max() < 1e-12
 
     def test_unnormalized_rejected(self):
@@ -416,8 +431,8 @@ class TestEvolveState:
         psi0 = np.zeros(1, dtype=complex)
         psi0[0] = 1.0
         t = 0.9 * T_DRIVE
-        res = evolve_state(SPEC, PARAMS, TRUNC, psi0, [0.0, t], steps_per_period=256)
+        states = evolve_state(SPEC, PARAMS, TRUNC, psi0, [0.0, t], steps_per_period=256)
         u = propagator_factored(SPEC, PARAMS, TRUNC, t, 0.0).entries
         half = TRUNC.n_keep // 2
-        dev = np.linalg.norm(res.states[1][:half] - u[:half, 0])
+        dev = np.linalg.norm(states[1][:half] - u[:half, 0])
         assert dev <= 1e-8

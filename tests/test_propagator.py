@@ -111,7 +111,7 @@ class TestClosedForms:
             assert np.linalg.norm((u1 - u2)[:half, :half], 2) <= 1e-10
 
     def test_zero_drive_is_free_evolution(self):
-        spec0 = DriveSpec.zero(T_DRIVE)
+        spec0 = DriveSpec(period=T_DRIVE)
         t = 1.9
         u = propagator_factored(spec0, PARAMS, TRUNC, t, 0.0).entries
         expect = np.diag(np.exp(-1j * t * number_basis_energies(OMEGA, TRUNC.n_keep)))

@@ -1,6 +1,10 @@
 """Every public name and public class member is used by the program, not
 only by its tests.
 
+It also holds two import rules: only ``cli.py`` and ``__init__.py`` import
+``oracle``, so the independent check stays a leaf that no closed form
+depends on; and no module imports a name it never uses.
+
 A public name is one in a module's ``__all__`` or one that
 ``floquet_lab/__init__.py`` re-exports; a public class member is a ``def``
 (a property included) in the body of a public class whose name has no
@@ -141,3 +145,51 @@ def test_allowlist_is_current():
         entry for entry in ALLOWED_UNUSED if entry not in spelled or spelled[entry] in used
     )
     assert not stale, "allowlist entries to drop: " + ", ".join(stale)
+
+
+# the modules that may import the oracle: the CLI runs it, the package re-exports it
+ORACLE_IMPORTERS = {"cli.py", "__init__.py"}
+
+
+def _imports_oracle(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level == 1 and node.module is None or node.module == "floquet_lab"
+            if node.module == "oracle" and node.level == 1 or node.module == "floquet_lab.oracle":
+                return True
+            if package and any(alias.name == "oracle" for alias in node.names):
+                return True
+        if isinstance(node, ast.Import) and any(alias.name == "floquet_lab.oracle" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_and_the_package_import_the_oracle():
+    importers = {path.name for path in PACKAGE.glob("*.py") if _imports_oracle(_parse(path))}
+    assert importers <= ORACLE_IMPORTERS, "oracle imported by " + ", ".join(sorted(importers - ORACLE_IMPORTERS))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports, anywhere in it, and never names again; a
+    string in __all__ counts as a use."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """__init__.py is exempt: its imports are the package's re-exports."""
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(_parse(path)))
+    }
+    assert not unused, f"imported but never used: {unused}"
