@@ -45,7 +45,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .core_fock import TruncatedOperator, _integer_field, _objects_field, _real_field, matrix_exp
 from .errors import NotConvergedError, NumericError, SmallDenominatorError
@@ -148,12 +147,12 @@ def _to_grid(sym: np.ndarray, n_grid: int) -> np.ndarray:
     padded = np.zeros((n_grid,) + sym.shape[1:], dtype=complex)
     padded[: cap + 1] = sym[cap:]
     padded[n_grid - cap :] = sym[:cap]
-    return sp_fft.ifft(padded, axis=0, norm="forward")
+    return np.fft.ifft(padded, axis=0, norm="forward")
 
 def _from_grid(vals: np.ndarray, cap: int) -> np.ndarray:
     """Fourier blocks |q| <= cap of grid values; exact for a product of two
     cap-band symbols when the grid has at least 3 cap + 1 points."""
-    coef = sp_fft.fft(vals, axis=0, norm="forward")
+    coef = np.fft.fft(vals, axis=0, norm="forward")
     return np.concatenate([coef[len(coef) - cap :], coef[: cap + 1]])
 
 def _dagger(vals: np.ndarray) -> np.ndarray:
@@ -164,7 +163,17 @@ def _adjoint(sym: np.ndarray) -> np.ndarray:
     return _dagger(sym[::-1])
 
 def _grid_size(cap: int) -> int:
-    return sp_fft.next_fast_len(3 * cap + 1)
+    """The smallest n >= 3 cap + 1 whose prime factors are all in
+    {2, 3, 5, 7, 11}, a length pocketfft transforms fast."""
+    n = 3 * cap + 1
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 def _denominators(space: FloquetMatrixSpace, cap: int, d: np.ndarray) -> np.ndarray:
     """q omega + d_a - d_b for every q in [-cap, cap]."""
@@ -493,8 +502,7 @@ class KamState:
     offdiag_residual, conj_residual, herm_g_residual and
     antiherm_a_residual are norms of the whole block-Laurent operators,
     sup_theta ||S(theta)||, taken as the max of the spectral norm of
-    S(theta_j) over the engine's grid of next_fast_len(3 cap + 1)
-    angles. unitary_w_residual is the worst level-space defect
+    S(theta_j) over the engine's grid of _grid_size(cap) angles. unitary_w_residual is the worst level-space defect
     ||W_s(t) W_s(t)^+ - 1|| at 24 times over a period.
     """
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from floquet_lab import (
     reconstruct_propagator,
     weighted_block_norm,
 )
+import floquet_lab
 from floquet_lab import kam
 from floquet_lab.kam import history_to_jsonl, problem_to_json_dict
 from floquet_lab.oracle import propagate_generic
@@ -584,6 +588,23 @@ class TestArraySymbols:
         # one point fewer aliases the product's |q| = 2 cap tail onto q = -+cap
         short = kam._from_grid(kam._to_grid(a, 3 * cap) @ kam._to_grid(b, 3 * cap), cap)
         assert np.abs(short[0] - ref[0]).max() > 1e3 * tol
+
+    def test_grid_size_is_scipys_next_fast_len(self):
+        """The grid length is scipy.fft.next_fast_len(3 cap + 1), computed
+        without importing scipy.fft."""
+        from scipy.fft import next_fast_len
+
+        assert [kam._grid_size(cap) for cap in range(2000)] == [next_fast_len(3 * cap + 1) for cap in range(2000)]
+
+    def test_cli_import_leaves_scipy_fft_out(self):
+        """numpy's FFT is the package's only one: a fresh import of the CLI
+        does not load scipy.fft."""
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        probe = "import sys, floquet_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_array_dict_round_trip(self, space):
         sym = _random_symbol(space, np.random.default_rng(4), [-3, 0, 2, 5])
