@@ -22,7 +22,8 @@ from |q| > 2 cap, far below round-off for the small generators of a KAM
 step, for a function of ad_A. Only ad_{K_0}, which differentiates in
 theta, acts on the blocks themselves. A norm is that of the whole
 block-Laurent operator, ||L(S)|| = sup_theta ||S(theta)|| (ibid.), taken
-as the max over the same grid; no dense k window is ever formed.
+as the max over the same grid (for the Hermitian residuals, of the
+largest |eigenvalue|); no dense k window is ever formed.
 
 The recursion (G_{-1} = 0, G_0 = V, Phi(x) = (1/x)(e^x - (e^x-1)/x)):
 
@@ -196,14 +197,22 @@ def _sym_d(space: FloquetMatrixSpace, x: np.ndarray) -> np.ndarray:
 def _sym_offd(space: FloquetMatrixSpace, x: np.ndarray) -> np.ndarray:
     return x - _sym_d(space, x)
 
+def _hermitian_norm(vals: np.ndarray) -> float:
+    """Largest spectral norm over a stack of the Hermitian parts
+    (M + M^+) / 2, the largest |eigenvalue|, from one batched eigvalsh;
+    overwrites vals. For a Hermitian M it is ||M|| to round-off."""
+    vals += _dagger(vals)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(vals)).max())
+
 def _sym_norm(sym: np.ndarray) -> float:
-    """sup_theta ||S(theta)||, the norm of the block-Laurent operator of the
-    symbol, as the max over the engine's theta grid; one batched norm of
-    the grid values, and 0.0 for an exactly zero symbol."""
+    """sup_theta ||S(theta)||, the norm of the block-Laurent operator of a
+    Hermitian symbol, as the max over the engine's theta grid of the
+    Hermitian part's largest |eigenvalue|; 0.0 for an exactly zero
+    symbol. Every caller passes a Hermitian symbol (a round-off-level
+    non-Hermitian part is dropped); a general one needs an SVD."""
     if not np.any(sym):
         return 0.0
-    vals = _to_grid(sym, _grid_size(_cap(sym)))
-    return float(np.linalg.norm(vals, 2, axis=(-2, -1)).max())
+    return _hermitian_norm(_to_grid(sym, _grid_size(_cap(sym))))
 
 def _spectral_norms(mats: list) -> list:
     """Spectral norms of matrices or stacks of matrices (the last two axes).
@@ -500,10 +509,15 @@ class KamState:
     """Residuals after iteration s, W_s = e^{A_{s-1}} ... e^{A_0}.
 
     offdiag_residual, conj_residual, herm_g_residual and
-    antiherm_a_residual are norms of the whole block-Laurent operators,
-    sup_theta ||S(theta)||, taken as the max of the spectral norm of
-    S(theta_j) over the engine's grid of _grid_size(cap) angles. unitary_w_residual is the worst level-space defect
-    ||W_s(t) W_s(t)^+ - 1|| at 24 times over a period.
+    antiherm_a_residual are norms of the whole block-Laurent operators of
+    Hermitian symbols, sup_theta ||S(theta)||: the max over the engine's
+    grid of _grid_size(cap) angles of the largest |eigenvalue| of the
+    Hermitian part (S(theta_j) + S(theta_j)^+) / 2, from one batched
+    eigvalsh. With c = W_s(K_0+V)W_s^+ - K_0 the symbols are (1-D)c,
+    c - D(G_s) - (1-D)(G_s - G_{s-1}), i(G_s - G_s^+) and A_s + A_s^+.
+    unitary_w_residual is the worst level-space defect
+    ||W_s(t) W_s(t)^+ - 1|| at 24 times over a period, from the same
+    eigvalsh.
     """
 
     s: int
@@ -663,7 +677,7 @@ def kam_iterate(
     def _record(s: int, a_sym: np.ndarray | None, offdiag: float, min_denom: float):
         a_sym = np.zeros_like(g) if a_sym is None else a_sym
         wt = np.tensordot(w_phases, w_sym, axes=1)
-        w_unit = float(np.linalg.norm(wt @ _dagger(wt) - np.eye(ell), 2, axis=(-2, -1)).max())
+        w_unit = _hermitian_norm(wt @ _dagger(wt) - np.eye(ell))
         target = _sym_d(space, g) + _sym_offd(space, delta_g)
         history.append(
             KamState(
@@ -672,7 +686,7 @@ def kam_iterate(
                 min_denominator=min_denom,
                 eps_v=eps_v,
                 conj_residual=_sym_norm(c - target),
-                herm_g_residual=_sym_norm(g - _adjoint(g)),
+                herm_g_residual=_sym_norm(1j * (g - _adjoint(g))),
                 antiherm_a_residual=_sym_norm(a_sym + _adjoint(a_sym)),
                 unitary_w_residual=w_unit,
             )

@@ -429,27 +429,35 @@ class TestIteration:
 
 
     def test_no_svd_wider_than_the_level_space(self, monkeypatch):
-        """Every norm a run takes is of a level-space block or of a stack of
-        them: no SVD of a (2 k_max + 1) L window on a 12-level, k_max = 12
-        arena."""
+        """Every residual a run reports is the eigvalsh of a stack of level-
+        space blocks, and no residual takes an SVD: on a 12-level, k_max =
+        12 arena, whose 1 x 1 blocks take their modulus in the block norms,
+        the run takes no SVD at all."""
         import numpy.linalg._linalg as linalg_impl
 
         omega = GOLDEN * 1.01
         levels = tuple((0.5 + (GOLDEN - 1) * omega * n, 1) for n in range(12))
         sp = FloquetMatrixSpace(k_max=12, levels=levels, omega=omega)
         v = random_perturbation(sp, np.random.default_rng(12), k_band=2, r=2.0, eps_target=0.002)
-        shapes = []
-        svd = linalg_impl.svd
+        svd_shapes, eig_shapes = [], []
+        svd, eigvalsh = linalg_impl.svd, np.linalg.eigvalsh
 
         def recording_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            svd_shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
+        def recording_eigvalsh(a, *args, **kwargs):
+            eig_shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(linalg_impl, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         res = kam_iterate(sp, v, KamConfig(max_iters=8, tol=1e-10))
         assert res.converged and res.iterations >= 2
-        assert shapes, "the residual norms no longer go through numpy's svd; the guard is blind"
-        assert max(max(shape[-2:]) for shape in shapes) <= sp.level_dim
+        assert eig_shapes, "the residual norms no longer go through numpy's eigvalsh; the guard is blind"
+        n_grid, ell = kam._grid_size(6 * sp.k_max), sp.level_dim
+        assert set(eig_shapes) == {(n_grid, ell, ell), (24, ell, ell)}
+        assert svd_shapes == []
 
 
 class TestPropagator:
@@ -630,19 +638,42 @@ class TestArraySymbols:
 
 
 class TestSymbolNorm:
-    """kam._sym_norm: sup_theta ||S(theta)||, the norm of the whole
-    block-Laurent operator, as the max over the engine's theta grid."""
+    """kam._sym_norm: sup_theta ||S(theta)|| of a Hermitian symbol, the norm
+    of the whole block-Laurent operator, as the max over the engine's theta
+    grid of the largest |eigenvalue|."""
 
     @staticmethod
     def _banded(k_max, ell, band, seed):
-        """A symbol of the engine's cap, 6 k_max, with blocks |q| <= band."""
-        return _random_array_symbol(np.random.default_rng(seed), 6 * k_max, ell, band=band)
+        """A Hermitian symbol of the engine's cap, 6 k_max, with blocks
+        |q| <= band: a random symbol plus its adjoint."""
+        sym = _random_array_symbol(np.random.default_rng(seed), 6 * k_max, ell, band=band)
+        return sym + kam._adjoint(sym)
+
+    @staticmethod
+    def _svd_grid_max(sym):
+        """The batched-SVD grid max the norm took before it assumed a
+        Hermitian symbol."""
+        vals = kam._to_grid(sym, kam._grid_size(kam._cap(sym)))
+        return float(np.linalg.norm(vals, 2, axis=(-2, -1)).max())
 
     def test_constant_symbol_is_its_block_norm(self):
         sym = np.zeros((13, 5, 5), dtype=complex)
-        sym[6] = np.random.default_rng(2).normal(size=(5, 5)) + 1j
+        blk = np.random.default_rng(2).normal(size=(5, 5)) + 1j
+        sym[6] = blk + blk.conj().T
         assert kam._sym_norm(sym) == pytest.approx(np.linalg.norm(sym[6], 2), rel=1e-15)
         assert kam._sym_norm(np.zeros_like(sym)) == 0.0
+
+    @pytest.mark.parametrize("k_max, ell, band", [(2, 1, 1), (2, 3, 1), (4, 4, 2), (8, 6, 2), (12, 12, 2)])
+    def test_equals_the_svd_grid_max(self, k_max, ell, band):
+        """On Hermitian symbols, and on i times anti-Hermitian ones (the
+        herm_g residual's i(G - G^+)), the eigvalsh norm is the batched-SVD
+        grid max to 1e-14 relative."""
+        for seed in range(5):
+            sym = self._banded(k_max, ell, band, seed)
+            assert kam._sym_norm(sym) == pytest.approx(self._svd_grid_max(sym), rel=1e-14, abs=0.0)
+            raw = _random_array_symbol(np.random.default_rng(100 + seed), 6 * k_max, ell, band=band)
+            anti = raw - kam._adjoint(raw)
+            assert kam._sym_norm(1j * anti) == pytest.approx(self._svd_grid_max(anti), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("k_max, ell, band", [(2, 3, 1), (4, 1, 2), (4, 4, 2), (8, 6, 2)])
     def test_bounds_the_dense_window(self, k_max, ell, band):
@@ -740,12 +771,18 @@ class TestPinnedGolden:
 
     G_DIAG = (5.169917173119521e-08, -1.766725487897953e-05, -1.050776979265276e-06,
               -6.823197454573142e-05)
-    # (offdiag, conj, herm_g, antiherm_a, unitary_w) per record
+    # (offdiag, conj, herm_g, antiherm_a, unitary_w) per record. The norms
+    # assume Hermitian symbols (eigvalsh of the Hermitian part); against
+    # the earlier batched SVD, three round-off-level values moved:
+    # conj 1.865443073287072e-19 -> 1.710100197116133e-19 (s = 1) and
+    # 2.169739792406009e-19 -> 2.097112583314967e-19 (s = 2), where c - target
+    # has a non-Hermitian part at the round-off floor, and the last offdiag
+    # 1.9056872335523836e-15 -> 1.9056872313991782e-15 (2.2e-24 absolute).
     HISTORY = (
         (4.3230703405004316e-04, 0.0, 0.0, 1.916251500205591e-19, 0.0),
-        (7.324568195752592e-08, 1.865443073287072e-19, 4.4461573253306235e-23,
+        (7.324568195752592e-08, 1.710100197116133e-19, 4.4461573253306235e-23,
          1.8771238922399546e-23, 4.44141561974888e-16),
-        (1.9056872335523836e-15, 2.169739792406009e-19, 4.44615732169252e-23, 0.0,
+        (1.9056872313991782e-15, 2.097112583314967e-19, 4.44615732169252e-23, 0.0,
          6.661339154907187e-16),
     )
 
