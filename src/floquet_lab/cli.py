@@ -121,6 +121,12 @@ def _parse_config(data: dict):
         )
     except (KeyError, TypeError) as err:
         raise ValueError(f"config missing or malformed field: {err}") from err
+    # every command forms dense complex dim x dim matrices
+    if 16 * trunc.dim**2 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"the working dimension n_keep + n_pad = {trunc.dim} is too large: "
+            "a dense complex matrix of that size exceeds numpy's index range"
+        )
     if abs(spec.period - params.period_T) > 1e-12 * params.period_T:
         raise ValueError(
             f"drive period {spec.period} does not match system period {params.period_T}"
@@ -594,6 +600,9 @@ def main(argv=None) -> int:
             return _emit_error(err, EXIT_ITERATION_LIMIT, held)
         except NumericError as err:
             return _emit_error(err, EXIT_NUMERIC, held)
+        except MemoryError as err:
+            # numpy names the shape that the config's sizes asked for
+            return _emit_error(MemoryError(f"out of memory, the config's sizes are too large: {err}"), EXIT_CONFIG, held)
         except (
             ValueError,
             KeyError,

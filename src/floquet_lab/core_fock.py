@@ -65,13 +65,15 @@ _X_BASIS_CACHE_SIZE = 8
 
 
 def _integer_field(value, name: str) -> int:
-    """A config field read as an int.  An integral float such as 20.0 is
-    read as 20; a fraction, a bool or a non-number raises ValueError naming
-    the field."""
+    """A config field read as an int64.  An integral float such as 20.0 is
+    read as 20; a fraction, a bool, a non-number or an integer outside the
+    int64 range raises ValueError naming the field."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+        if -(2**63) <= value < 2**63:
+            return int(value)
+        raise ValueError(f"{name} must be an integer in the int64 range [-2**63, 2**63)")
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -87,6 +89,14 @@ def _real_field(value, name: str) -> float:
         if np.isfinite(out):
             return out
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _reals_field(value, name: str) -> list:
+    """A config field read as a list of finite floats; anything else raises
+    ValueError naming the field, or the entry of it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
+    return [_real_field(v, f"{name}[{i}]") for i, v in enumerate(value)]
 
 
 def _objects_field(value, name: str) -> list:

@@ -49,6 +49,7 @@ from .core_fock import (
     _integer_field,
     _objects_field,
     _real_field,
+    _reals_field,
     number_basis_energies,
     x_off_diagonal,
 )
@@ -197,8 +198,9 @@ class DriveSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DriveSpec":
         """The drive of "period" and either a "fourier" list of {k, re, im}
-        or a "samples" block {t, f}, read as from_samples reads them.  A bad
-        period, k, re or im raises ValueError naming its field."""
+        or a "samples" block {t, f} of lists of numbers, read as from_samples
+        reads them.  A bad period, k, re, im, t or f, or a k given twice,
+        raises ValueError naming its field."""
         period = _real_field(d["period"], "drive.period")
         if "samples" in d:
             block = d["samples"]
@@ -209,10 +211,14 @@ class DriveSpec:
                     "samples.order is not accepted: samples are read as their "
                     "trigonometric interpolant, not a spline"
                 )
-            return cls.from_samples(period, block["t"], block["f"])
+            return cls.from_samples(
+                period, *(_reals_field(block[f], f"drive.samples.{f}") for f in ("t", "f"))
+            )
         coeffs = {}
         for i, e in enumerate(_objects_field(d.get("fourier", []), "drive.fourier")):
             k = _integer_field(e["k"], f"drive.fourier[{i}].k")
+            if k in coeffs:
+                raise ValueError(f"drive.fourier[{i}].k must not repeat an earlier k, got {k} again")
             coeffs[k] = complex(*(_real_field(e[f], f"drive.fourier[{i}].{f}") for f in ("re", "im")))
         return cls(period=period, fourier=tuple(coeffs.items()))
 

@@ -246,8 +246,11 @@ class TestConfigIntegers:
             ("truncation", "n_pad", True),
             ("tolerances", "steps_per_period", 64.9),
             ("tolerances", "steps_per_period", None),
+            ("truncation", "n_pad", 10**400),
+            ("truncation", "n_keep", 1e300),
         ],
-        ids=["n_keep_fraction", "n_keep_text", "n_pad_bool", "steps_fraction", "steps_null"],
+        ids=["n_keep_fraction", "n_keep_text", "n_pad_bool", "steps_fraction", "steps_null", "n_pad_huge_int",
+             "n_keep_huge_float"],
     )
     def test_bad_integer_is_a_config_error(self, small_config, tmp_path, capsys, section, key, value):
         data = json.loads(open(small_config).read())
@@ -260,6 +263,35 @@ class TestConfigIntegers:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
         assert err["message"].startswith(key + " must be an integer")
+        assert not out.exists()
+
+    def test_working_dimension_beyond_numpy_is_a_config_error(self, small_config, tmp_path, capsys):
+        """n_pad = 2**40 fits in int64, but a dense complex matrix of the
+        working dimension does not fit numpy's index range: one JSON error
+        naming the dimension (exit 2), before any array is made."""
+        data = json.loads(open(small_config).read())
+        data["truncation"]["n_pad"] = 2**40
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "u.json"
+        assert main(["propagate", str(cfg), "--t", "1.0", "--form", "factored", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert f"working dimension n_keep + n_pad = {2**40 + 32}" in err["message"]
+        assert not out.exists()
+
+    def test_out_of_memory_is_a_config_error(self, small_config, tmp_path, capsys, monkeypatch):
+        """A size that numpy cannot allocate is the config's: one JSON error
+        (exit 2), not a traceback."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000048, 1000048)")
+
+        monkeypatch.setattr(cli, "propagator_factored", no_memory)
+        out = tmp_path / "u.json"
+        assert main(["propagate", small_config, "--t", "1.0", "--form", "factored", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "MemoryError"
+        assert "shape (1000048, 1000048)" in err["message"]
         assert not out.exists()
 
     def test_integral_floats_are_read_as_integers(self, small_config, tmp_path):
@@ -350,6 +382,22 @@ class TestConfigBlocks:
         assert err["type"] == "ValueError"
         assert err["message"].startswith(field + " must be")
         assert not out.exists()
+
+
+def test_repeated_fourier_k_is_a_config_error(tmp_path, capsys):
+    """The shipped nonresonant drive with its two entries given three times
+    is refused, naming the first repeat (exit 2): no entry overwrites
+    another."""
+    data = json.loads(open(shipped_config_path("nonresonant.json")).read())
+    data["drive"]["fourier"] = data["drive"]["fourier"] * 3
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "u.json"
+    assert main(["propagate", str(cfg), "--t", "1.0", "--form", "factored", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("drive.fourier[2].k must not repeat")
+    assert not out.exists()
 
 
 class TestNonFiniteDrive:
@@ -805,8 +853,10 @@ class TestSampledConfig:
             ({"f": [None] + _SAMPLES["f"][1:]}, {}, "finite"),
             ({"order": 3}, {}, "samples.order"),
             ({}, {"fourier": []}, "not both"),
+            ({"t": "abc"}, {}, "drive.samples.t must be a list of finite numbers"),
+            ({"f": ["x"] * len(_SAMPLES["f"])}, {}, "drive.samples.f[0] must be a finite number"),
         ],
-        ids=["uneven", "three", "null_value", "order", "fourier_too"],
+        ids=["uneven", "three", "null_value", "order", "fourier_too", "times_text", "values_text"],
     )
     def test_bad_samples_are_a_config_error(self, tmp_path, capsys, samples_update, drive_update, cause):
         data = json.loads(open(shipped_config_path("sampled_nonresonant.json")).read())
