@@ -602,7 +602,8 @@ def main(argv=None) -> int:
             return _emit_error(err, EXIT_NUMERIC, held)
         except MemoryError as err:
             # numpy names the shape that the config's sizes asked for
-            return _emit_error(MemoryError(f"out of memory, the config's sizes are too large: {err}"), EXIT_CONFIG, held)
+            too_large = MemoryError(f"out of memory, the config's sizes are too large: {err}")
+            return _emit_error(too_large, EXIT_CONFIG, held)
         except (
             ValueError,
             KeyError,

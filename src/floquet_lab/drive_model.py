@@ -218,7 +218,7 @@ class DriveSpec:
         for i, e in enumerate(_objects_field(d.get("fourier", []), "drive.fourier")):
             k = _integer_field(e["k"], f"drive.fourier[{i}].k")
             if k in coeffs:
-                raise ValueError(f"drive.fourier[{i}].k must not repeat an earlier k, got {k} again")
+                raise ValueError(f"drive.fourier[{i}].k must be unique, got {k} again")
             coeffs[k] = complex(*(_real_field(e[f], f"drive.fourier[{i}].{f}") for f in ("re", "im")))
         return cls(period=period, fourier=tuple(coeffs.items()))
 

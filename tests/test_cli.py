@@ -362,9 +362,12 @@ class TestConfigBlocks:
              "drive.fourier[0].re"),
             ({"drive": {"fourier": [{"k": 1, "re": 0.0, "im": "x"}]}}, "drive.fourier[0].im"),
             ({"drive": {"fourier": {}}}, "drive.fourier"),
+            # two entries given three times: no entry may overwrite another
+            ({"drive": {"fourier": [{"k": 1, "re": 0.0, "im": -0.025}, {"k": -1, "re": 0.0, "im": 0.025}] * 3}},
+             "drive.fourier[2].k"),
         ],
         ids=["drive_list", "tolerances_list", "debug_list", "period_text", "k_fraction", "k_bool", "re_nan",
-             "im_text", "fourier_object"],
+             "im_text", "fourier_object", "k_repeated"],
     )
     def test_bad_block_is_a_config_error(self, small_config, tmp_path, capsys, update, field):
         data = json.loads(open(small_config).read())
@@ -382,22 +385,6 @@ class TestConfigBlocks:
         assert err["type"] == "ValueError"
         assert err["message"].startswith(field + " must be")
         assert not out.exists()
-
-
-def test_repeated_fourier_k_is_a_config_error(tmp_path, capsys):
-    """The shipped nonresonant drive with its two entries given three times
-    is refused, naming the first repeat (exit 2): no entry overwrites
-    another."""
-    data = json.loads(open(shipped_config_path("nonresonant.json")).read())
-    data["drive"]["fourier"] = data["drive"]["fourier"] * 3
-    cfg = tmp_path / "repeated.json"
-    cfg.write_text(json.dumps(data))
-    out = tmp_path / "u.json"
-    assert main(["propagate", str(cfg), "--t", "1.0", "--form", "factored", "--out", str(out)]) == 2
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "ValueError"
-    assert err["message"].startswith("drive.fourier[2].k must not repeat")
-    assert not out.exists()
 
 
 class TestNonFiniteDrive:
