@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import floquet_lab
 from floquet_lab import (
     BlockPerturbation,
     FloquetMatrixSpace,
@@ -22,7 +23,6 @@ from floquet_lab import (
     reconstruct_propagator,
     weighted_block_norm,
 )
-import floquet_lab
 from floquet_lab import kam
 from floquet_lab.kam import history_to_jsonl, problem_to_json_dict
 from floquet_lab.oracle import propagate_generic
@@ -429,10 +429,10 @@ class TestIteration:
 
 
     def test_no_svd_wider_than_the_level_space(self, monkeypatch):
-        """Every residual a run reports is the eigvalsh of a stack of level-
-        space blocks, and no residual takes an SVD: on a 12-level, k_max =
-        12 arena, whose 1 x 1 blocks take their modulus in the block norms,
-        the run takes no SVD at all."""
+        """Every residual a run reports comes from one eigvalsh of a stack
+        of level-space blocks, and none from an SVD. On a 12-level,
+        k_max = 12 arena, whose 1 x 1 blocks take their modulus in the block
+        norms, the run takes no SVD at all."""
         import numpy.linalg._linalg as linalg_impl
 
         omega = GOLDEN * 1.01
