@@ -22,7 +22,6 @@ from .drive_model import DriveSpec, _check_finite, hamiltonian_at
 from .floquet import (
     _hf_matrix,
     _sf_matrix,
-    _sup_sf_norm,
     _transition_window,
     _uf_matrix,
 )
@@ -139,7 +138,6 @@ class HigherOrderBoundReport:
     c_p: float
     rhs: float
     ok: bool
-    first_order_rhs: float | None
 
 
 def higher_order_bound_check(
@@ -157,8 +155,8 @@ def higher_order_bound_check(
     """Order-p decay of transition amplitudes between spectral windows.
 
     Pass a precomputed c_p to reuse one grid sup across several interval
-    pairs. At p = 1 the first-order bound 2 sup||S_F||/dist is reported
-    alongside for comparison.
+    pairs.  The first-order bound 2 sup||S_F||/dist is
+    transition_bound_check's.
     """
     if not 1 <= p <= 4:
         raise ValueError("p is limited to 1..4 at desk scale")
@@ -169,9 +167,6 @@ def higher_order_bound_check(
     if c_p is None:
         c_p = sup_xn_norm(spec, params, trunc, p, grid_points)
     rhs = c_p / win.dist**p
-    first_order = None
-    if p == 1:
-        first_order = 2.0 * _sup_sf_norm(spec, params, trunc) / win.dist
     return HigherOrderBoundReport(
         p=p,
         t=float(t),
@@ -183,5 +178,4 @@ def higher_order_bound_check(
         c_p=float(c_p),
         rhs=float(rhs),
         ok=win.lhs <= rhs * (1.0 + 1e-6),
-        first_order_rhs=first_order,
     )

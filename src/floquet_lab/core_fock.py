@@ -24,8 +24,10 @@ With P = diag(i^n), p/omega = -P^dag x P, so
 where x_hat = V diag(lam_hat) V^T, lam = lam_hat / sqrt(2 omega) are the
 eigenvalues of x, and W = V^T P^dag V is a fixed overlap.  V, lam_hat and
 W depend on the dimension alone: _x_eigenbasis computes them once per
-dimension with dstevd, and _exp_x_exp_p then costs two real GEMMs on the
-stacked real and imaginary parts, with no eigensolve.
+dimension with numpy's eigh of the band, and _exp_x_exp_p then costs two
+real GEMMs on the stacked real and imaginary parts, with no eigensolve.
+x_norm reads the largest lam from the same cached basis, so the module
+needs numpy alone.
 _exp_x_exp_p_columns applies a different pair to each of many states
 without forming one.  In the eigenbasis of x, x is diagonal and p is
 reached through W: the discrete-variable picture.  A phase a lam or b lam
@@ -40,7 +42,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import InvalidTruncationError, NumericError
 
@@ -54,7 +55,6 @@ __all__ = [
     "x_off_diagonal",
     "x_norm",
     "matrix_exp",
-    "tridiagonal_eigh",
 ]
 
 # Relative tolerance used to classify generators as (anti-)Hermitian.
@@ -208,50 +208,15 @@ def x_off_diagonal(omega: float, dim: int) -> np.ndarray:
 
 def x_norm(omega: float, dim: int) -> float:
     """Spectral norm of the truncated x at the given dimension: its largest
-    eigenvalue, since its spectrum is symmetric about 0."""
-    top = dim - 1
-    return float(
-        eigvalsh_tridiagonal(np.zeros(dim), x_off_diagonal(omega, dim), select="i", select_range=(top, top))[0]
-    )
+    eigenvalue, since its spectrum is symmetric about 0, read from the
+    cached eigenbasis of x."""
+    return float(_x_eigenbasis(dim)[0][-1] / np.sqrt(2.0 * omega))
 
 
 def _as_matrix(m) -> np.ndarray:
     if isinstance(m, TruncatedOperator):
         return m.entries
     return np.asarray(m, dtype=complex)
-
-
-def tridiagonal_eigh(diag, off) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of the real symmetric tridiagonal T with the given
-    diagonal (length n >= 2) and off-diagonal (length n - 1), so that
-    T = V diag(w) V^T with real orthogonal V and exp(-i T) = V diag(e^{-i w}) V^T.
-
-    Calls LAPACK dstevd, the driver scipy.linalg.eigh_tridiagonal picks for
-    all eigenpairs, directly: the same eigenpairs without the wrapper's
-    validation cost.  Non-finite input, overflowing eigenvalues and a
-    solver failure (info != 0) raise NumericError.
-    """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
-    if d.size < 2 or e.shape != (d.size - 1,):
-        raise ValueError(f"need n >= 2 diagonal and n - 1 off-diagonal entries, got {d.size} and {e.size}")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise NumericError("tridiagonal input contains NaN or Inf")
-    return _dstevd(d, e)
-
-
-def _dstevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dstevd core of tridiagonal_eigh for bands the caller has already
-    checked: float arrays of n >= 2 and n - 1 finite entries.  Still raises
-    NumericError on a solver failure (info != 0) or an overflowing
-    eigenvalue, which no check of the input can rule out.
-    """
-    w, v, info = lapack.dstevd(d, e)
-    if info != 0:
-        raise NumericError(f"tridiagonal eigensolver dstevd failed with info = {info}")
-    if not np.all(np.isfinite(w)):
-        raise NumericError("tridiagonal eigenvalues overflowed")
-    return w, v
 
 
 def matrix_exp(m) -> np.ndarray:
@@ -283,8 +248,9 @@ def _x_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     """(lam_hat, V, W^T, i^n) at the given dimension: the eigenpairs of the
     omega-free band x_hat = a + a^dag = V diag(lam_hat) V^T, the transpose of
     the overlap W = V^T diag((-i)^n) V, and the diagonal of P = diag(i^n).
-    The arrays are shared between callers, so they are read-only."""
-    lam_hat, v = _dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+    The arrays are shared between callers, so they are read-only.  numpy's
+    eigh of the upper band gives the same eigenpairs as LAPACK dstevd."""
+    lam_hat, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")
     # i^n from a table: numpy rounds 1j ** n from n = 100 on
     p_diag = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
     w_t = np.ascontiguousarray(((v.T * p_diag.conj()) @ v).T)

@@ -108,6 +108,8 @@ class DriveSpec:
         _check_period(self.period)
         coeffs = {}
         for k, c in self.fourier:
+            if int(k) in coeffs:
+                raise ValueError(f"fourier k must be unique, got k={int(k)} again")
             coeffs[int(k)] = complex(c)
         scale = max((abs(c) for c in coeffs.values()), default=0.0)
         for k, c in coeffs.items():
@@ -135,14 +137,17 @@ class DriveSpec:
         """The trigonometric interpolant of N equally spaced samples of one period.
 
         Needs N >= 4 finite samples at t_j = t_0 + j T/N, to 1e-12 T, with
-        t_0 in [0, T/N).  One real FFT gives the coefficients.  For even N the
+        t_0 in [0, T/N), given as integers or floats: strings, bools and
+        complex numbers raise ValueError, as in the JSON samples block.  One real FFT gives the coefficients.  For even N the
         Nyquist term is split evenly over k = +-N/2, so the series is real and
         passes through every sample.  Coefficients with |f_k| <= 4 N eps
         max|f_j|, the transform's own round-off, are dropped.
         """
         _check_period(period)
-        ts = np.asarray(ts, dtype=float)
-        fs = np.asarray(fs, dtype=float)
+        ts, fs = np.asarray(ts), np.asarray(fs)
+        if ts.dtype.kind not in "iuf" or fs.dtype.kind not in "iuf":
+            raise ValueError(f"sample times and values must be real numbers, got dtypes {ts.dtype} and {fs.dtype}")
+        ts, fs = ts.astype(float), fs.astype(float)
         n = ts.size
         if ts.ndim != 1 or ts.shape != fs.shape or n < 4:
             raise ValueError("samples need matching 1-d arrays with at least 4 nodes")

@@ -16,11 +16,10 @@ PeriodStepper.segment steps on the structure of H(t) = H_omega + f(t) x:
 every step generator, for either scheme, is c H_omega + g x with real c
 and g, a real symmetric tridiagonal matrix.  A segment evaluates the drive
 once, vectorised over all its nodes, checks all its generators once, and
-takes each exponential's real eigenpairs from the LAPACK dstevd core of
-core_fock.tridiagonal_eigh; no dense H(t) and no step exponential is ever
-formed.  The product is carried in the current
-eigenbasis instead: with E_j = V_j diag(e^{-i w_j}) V_j^T in order of
-action,
+takes each exponential's real eigenpairs from LAPACK dstevd (_dstevd); no
+dense H(t) and no step exponential is ever formed.  The product is carried
+in the current eigenbasis instead: with E_j = V_j diag(e^{-i w_j}) V_j^T
+in order of action,
 
     a_1 = diag(e^{-i w_1}) V_1^T,
     a_j = diag(e^{-i w_j}) (V_j^T V_{j-1}) a_{j-1},
@@ -44,7 +43,9 @@ evolve_state each step on a PeriodStepper of their own, which keeps its
 segments for that call only.
 
 The closed forms do not import this module: only the CLI and the package
-namespace do, so the check stays independent of what it checks.
+namespace do, so the check stays independent of what it checks.  It is
+also the package's one user of scipy, for dstevd, which _dstevd imports
+on its first call, so no command but the oracle's loads scipy.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    _dstevd,
     _padded_state,
     matrix_exp,
     number_basis_energies,
@@ -95,6 +95,25 @@ def _step(h_builder, t0: float, h: float, scheme: str) -> np.ndarray:
         second = matrix_exp(-1j * h * (_CF4_A1 * h1 + _CF4_A2 * h2))
         return second @ first
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+
+
+def _dstevd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, so that exp(-i T) = V diag(e^{-i w}) V^T,
+    from LAPACK dstevd, the driver scipy.linalg.eigh_tridiagonal picks for
+    all eigenpairs, without the wrapper's validation cost.  The caller has
+    checked the bands: float arrays of n >= 2 and n - 1 finite entries.  A
+    solver failure (info != 0) or an overflowing eigenvalue, which no check
+    of the input can rule out, raises NumericError.
+    """
+    from scipy.linalg import lapack
+
+    w, v, info = lapack.dstevd(d, e)
+    if info != 0:
+        raise NumericError(f"tridiagonal eigensolver dstevd failed with info = {info}")
+    if not np.all(np.isfinite(w)):
+        raise NumericError("tridiagonal eigenvalues overflowed")
+    return w, v
 
 
 def propagate_generic(h_builder, dim: int, s: float, t: float, n_steps: int, scheme: str = "cf4") -> np.ndarray:
@@ -188,7 +207,7 @@ class PeriodStepper:
 
         The whole batch of generators is checked once, for a finite drive, a
         step phase below 2^52 and finite bands; each eigensolve then goes to
-        the dstevd core, which still checks info and the eigenvalues.  The
+        _dstevd, which still checks info and the eigenvalues.  The
         exponentials, flattened in order of action, are chained in their
         eigenbases (module docstring).  Each real-by-complex product is one
         real GEMM on a.view(float), whose rows interleave re and im.

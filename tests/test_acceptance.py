@@ -276,11 +276,23 @@ def test_06_transition_bounds():
         ((0.2, 2.2), (4.0, 6.2)),
         ((1.3, 2.8), (7.0, 9.5)),
     ]
+    n = trunc.n_keep
+    vals_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n))[0]
+    vals_s = np.linalg.eigh(hamiltonian_at(spec, params, 0.0, n))[0]
     margins = []
     c_p = None
+    level_pairs = 0
     for iv1, iv2 in pairs:
         first = transition_bound_check(spec, params, trunc, t, 0.0, iv1, iv2)
-        assert first.ok and first.pair_ok
+        assert first.ok
+        # the eigenvalue-resolved form: one check per pair E_n(t) in D1,
+        # E_m(s) in D2, on the point intervals of the two eigenvalues; a
+        # nonzero lhs shows that each point interval picked its level
+        for e_n in vals_t[(vals_t >= iv1[0]) & (vals_t <= iv1[1])]:
+            for e_m in vals_s[(vals_s >= iv2[0]) & (vals_s <= iv2[1])]:
+                level = transition_bound_check(spec, params, trunc, t, 0.0, (e_n, e_n), (e_m, e_m))
+                assert level.ok and level.lhs > 0.0
+                level_pairs += 1
         second = higher_order_bound_check(
             spec, params, trunc, 2, t, 0.0, iv1, iv2, grid_points=16, c_p=c_p
         )
@@ -289,10 +301,12 @@ def test_06_transition_bounds():
         margins.append((first.rhs / max(first.lhs, 1e-300), second.rhs / max(second.lhs, 1e-300)))
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0
+    assert level_pairs > 0
     loosest = min(min(m) for m in margins)
     print(
         f"ACCEPTANCE 6: PASS - first- and second-order bounds hold on 3 "
-        f"interval pairs, smallest rhs/lhs margin {loosest:.2e} ({elapsed:.1f}s)"
+        f"interval pairs and {level_pairs} level pairs, smallest rhs/lhs margin "
+        f"{loosest:.2e} ({elapsed:.1f}s)"
     )
 
 

@@ -770,17 +770,26 @@ class TestVerify:
         assert "verify: FAILED" in out
 
 
-def test_import_loads_no_quadrature_or_interpolation():
-    """Every drive is a Fourier series, so the package needs neither."""
+def test_import_loads_no_quadrature_or_interpolation(tmp_path):
+    """Every drive is a Fourier series, so the package needs neither, and
+    scipy serves the oracle alone: a fresh process that imports the CLI and
+    runs stability and kam loads no scipy module at all (numpy's FFT is
+    the package's only one)."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    stability = ["stability", shipped_config_path("nonresonant.json"), "--periods", "4", "--samples", "2",
+                 "--out-csv", str(tmp_path / "s.csv")]
+    kam = ["kam", shipped_config_path("kam_golden.json"),
+           "--out-history", str(tmp_path / "h.csv"), "--out-result", str(tmp_path / "r.json")]
     code = (
-        "import sys, floquet_lab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+        "import contextlib, io, sys, floquet_lab.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main({stability!r}), cli.main({kam!r})]\n"
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[0, 0] []"
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")

@@ -61,14 +61,13 @@ class TestHigherOrderBound:
         )
         assert report.ok
         assert report.rhs == pytest.approx(report.c_p / report.dist**2)
-        assert report.first_order_rhs is None
 
-    def test_first_order_reports_comparison(self):
+    def test_first_order(self):
         report = higher_order_bound_check(
             SPEC, PARAMS, TRUNC, 1, 0.8 * T_DRIVE, 0.0, self.IV1, self.IV2, grid_points=8
         )
         assert report.ok
-        assert report.first_order_rhs is not None and report.first_order_rhs > 0.0
+        assert report.rhs == pytest.approx(report.c_p / report.dist)
 
     def test_precomputed_constant_is_used(self):
         report = higher_order_bound_check(

@@ -18,13 +18,14 @@ from floquet_lab.core_fock import (
     _exp_x_exp_p,
     _exp_x_exp_p_columns,
     _padded_state,
+    _x_eigenbasis,
     ladder,
     number_basis_energies,
-    tridiagonal_eigh,
     x_norm,
     x_off_diagonal,
     xp_operators,
 )
+from floquet_lab.oracle import _dstevd
 
 
 class TestLadder:
@@ -136,8 +137,8 @@ class TestMatrixExp:
 
 
 def _exp_from_eigh(diag, off) -> np.ndarray:
-    """exp(-i T) as V diag(e^{-i w}) V^T from the checked eigensolver."""
-    w, v = tridiagonal_eigh(diag, off)
+    """exp(-i T) as V diag(e^{-i w}) V^T from the oracle's eigensolver."""
+    w, v = _dstevd(diag, off)
     return (v * np.exp(-1j * w)) @ v.T
 
 
@@ -161,7 +162,7 @@ class TestTridiagonalExp:
         rng = np.random.default_rng(11)
         d, e = rng.standard_normal(30), rng.standard_normal(29)
         t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        w, v = tridiagonal_eigh(d, e)
+        w, v = _dstevd(d, e)
         assert v.dtype == np.float64
         assert np.linalg.norm(v.T @ v - np.eye(30), 2) <= 1e-12
         assert np.abs((v * w) @ v.T - t).max() <= 1e-12
@@ -173,25 +174,16 @@ class TestTridiagonalExp:
         """dstevd is the driver eigh_tridiagonal picks for all eigenpairs."""
         rng = np.random.default_rng(12)
         d, e = rng.standard_normal(25), rng.standard_normal(24)
-        w, v = tridiagonal_eigh(d, e)
+        w, v = _dstevd(d, e)
         w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e)
         assert np.array_equal(w, w_ref)
         assert np.array_equal(v, v_ref)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            tridiagonal_eigh(np.ones(4), np.array([1.0, np.inf, 0.0]))
-        with pytest.raises(NumericError):
-            tridiagonal_eigh(np.array([0.0, np.nan, 1.0]), np.ones(2))
-        # finite input whose eigenvalues overflow
+        """Finite input whose eigenvalues overflow; the oracle refuses a
+        non-finite band before it reaches the solver."""
         with pytest.raises(NumericError, match="overflowed"):
-            tridiagonal_eigh(np.array([1e308, 1e308]), np.array([1e308]))
-
-    def test_rejects_mismatched_bands(self):
-        with pytest.raises(ValueError):
-            tridiagonal_eigh(np.ones(4), np.ones(4))
-        with pytest.raises(ValueError):
-            tridiagonal_eigh(np.ones(1), np.ones(0))
+            _dstevd(np.array([1e308, 1e308]), np.array([1e308]))
 
     def test_eigensolver_failure_is_numeric_error(self, monkeypatch):
         def failing(d, e, **_kwargs):
@@ -200,7 +192,17 @@ class TestTridiagonalExp:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
         with pytest.raises(NumericError, match="info = 3"):
-            tridiagonal_eigh(np.ones(4), np.ones(3))
+            _dstevd(np.ones(4), np.ones(3))
+
+    @pytest.mark.parametrize("dim", [2, 3, 17, 96, 192])
+    def test_x_eigenbasis_is_dstevds(self, dim):
+        """The closed forms' numpy eigh of the x band gives the eigenpairs
+        of dstevd bit for bit, and x_norm is its largest eigenvalue."""
+        lam_hat, v, _, _ = _x_eigenbasis(dim)
+        w_ref, v_ref = _dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+        assert np.array_equal(lam_hat, w_ref)
+        assert np.array_equal(v, v_ref)
+        assert x_norm(2.0, dim) == lam_hat[-1] / 2.0
 
 
 class TestExpXExpP:

@@ -47,6 +47,12 @@ class TestDriveSpec:
         with pytest.raises(ValueError):
             DriveSpec.from_fourier(T0, {1: 0.3 + 0.2j})
 
+    def test_repeated_k_is_refused(self):
+        """The constructor refuses a k given twice, as the JSON reader does,
+        rather than keeping the last pair."""
+        with pytest.raises(ValueError, match="k=1 again"):
+            DriveSpec(period=2.0, fourier=((1, 0.1j), (-1, -0.1j), (1, 0.1j), (-1, -0.1j)))
+
     def test_json_round_trip_exact(self):
         spec = two_harmonic_drive()
         back = DriveSpec.from_json_dict(json.loads(spec.to_json()))
@@ -109,9 +115,14 @@ class TestSamples:
             ((np.arange(8) + 1.0) * T0 / 8, np.ones(8), "first sample time"),
             (np.arange(8) * T0 / 8 + np.r_[np.zeros(7), 1e-9], np.ones(8), "equally spaced"),
             (np.linspace(0.0, T0, 8), np.ones(8), "equally spaced"),
+            # library callers meet the JSON route's rule: real numbers only
+            ([str(t) for t in np.arange(4) * T0 / 4], np.ones(4), "real numbers"),
+            (np.arange(4) * T0 / 4, ["0.0", "1.0", "0.0", "-1.0"], "real numbers"),
+            (np.arange(4) * T0 / 4, [False, True, False, True], "real numbers"),
+            (np.arange(4) * T0 / 4, [0.0, 1.0j, 0.0, -1.0j], "real numbers"),
         ],
         ids=["three", "mismatched", "nan_value", "inf_time", "negative_start", "start_past_step",
-             "uneven", "closed_period"],
+             "uneven", "closed_period", "string_times", "string_values", "bool_values", "complex_values"],
     )
     def test_bad_samples_are_rejected(self, ts, fs, cause):
         with pytest.raises(ValueError, match=cause):

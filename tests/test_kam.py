@@ -1,14 +1,10 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import floquet_lab
 from floquet_lab import (
     BlockPerturbation,
     FloquetMatrixSpace,
@@ -603,16 +599,6 @@ class TestArraySymbols:
         from scipy.fft import next_fast_len
 
         assert [kam._grid_size(cap) for cap in range(2000)] == [next_fast_len(3 * cap + 1) for cap in range(2000)]
-
-    def test_cli_import_leaves_scipy_fft_out(self):
-        """numpy's FFT is the package's only one: a fresh import of the CLI
-        does not load scipy.fft."""
-        env = dict(os.environ)
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        probe = "import sys, floquet_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "[]"
 
     def test_array_dict_round_trip(self, space):
         sym = _random_symbol(space, np.random.default_rng(4), [-3, 0, 2, 5])

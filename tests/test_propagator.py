@@ -20,7 +20,7 @@ from floquet_lab import (
     split_forward,
     split_inverse,
 )
-from floquet_lab.core_fock import number_basis_energies, xp_operators
+from floquet_lab.core_fock import _x_eigenbasis, number_basis_energies, xp_operators
 
 OMEGA = 1.0
 T_DRIVE = 2 * math.pi * math.sqrt(2)
@@ -37,7 +37,9 @@ def test_factored_form_makes_no_dense_eigensolve(forbid_dense_eigh):
     """The factored form takes its x and p exponentials from the cached
     eigenbasis of x and matches the product of dense exponentials; the
     single exponential still goes through matrix_exp's dense eigh, so
-    comparing the two forms compares two independent computations."""
+    comparing the two forms compares two independent computations.  The
+    basis is one eigh of the x band per dimension, made here before the
+    guard, so the test does not depend on the tests run before it."""
     x, p = xp_operators(OMEGA, TRUNC.dim)
     n = TRUNC.n_keep
     cases = ((3.1, 0.4), (0.4, 3.1), (17.5, -2.0))
@@ -47,6 +49,7 @@ def test_factored_form_makes_no_dense_eigensolve(forbid_dense_eigh):
         diag = np.exp(-1j * (t - s) * number_basis_energies(OMEGA, TRUNC.dim) - 1j * psi(SPEC, PARAMS, t, s))
         u = matrix_exp(-1j * p1 * x) @ matrix_exp(1j * (p2 / OMEGA) * p) @ np.diag(diag)
         refs.append(u[:n, :n])
+    _x_eigenbasis(TRUNC.dim)
 
     forbid_dense_eigh()
     for (t, s), ref in zip(cases, refs):

@@ -29,7 +29,6 @@ ALLOWED_UNUSED = {
     "KamResult.propagator": "the converged-only entry to reconstruct_propagator, which raises NotConvergedError",
     "level_hamiltonian": "independent reference that tests compare the KAM reconstruction against",
     "problem_to_json_dict": "writes the problem format that load_problem reads",
-    "tridiagonal_eigh": "the checked public entry to the dstevd core that the oracle calls directly",
 }
 
 
