@@ -22,7 +22,6 @@ from .drive_model import (
     split_elapsed,
 )
 from .commutators import (
-    HigherOrderBoundReport,
     higher_order_bound_check,
     sup_xn_norm,
     xn_operator,

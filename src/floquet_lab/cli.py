@@ -47,7 +47,7 @@ from .errors import (
     ResonantTimeError,
     SmallDenominatorError,
 )
-from .floquet import classify_monodromy, stability_scan
+from .floquet import stability_scan
 from .oracle import evolve_state, integrate
 from .propagator import _factored_states, propagator_factored, propagator_single_exp
 
@@ -261,7 +261,8 @@ def _parse_state(text: str, trunc: Truncation) -> np.ndarray:
         vec = np.zeros(value + 1, dtype=complex)
         vec[value] = 1.0
         return vec
-    n_max = max(1, trunc.n_keep // 4)
+    # levels 0..n_keep/2, the support _padded_state treats as leak-free
+    n_max = trunc.n_keep // 2 + 1
     vec = np.zeros(n_max, dtype=complex)
     term = 1.0 + 0j
     for n in range(n_max):
@@ -269,8 +270,16 @@ def _parse_state(text: str, trunc: Truncation) -> np.ndarray:
         term = term * value / math.sqrt(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         nrm = float(np.linalg.norm(vec))
-    if not math.isfinite(nrm):
+    if not (math.isfinite(nrm) and cmath.isfinite(value)):
         raise ValueError(f"--state {text!r}: the amplitude is not finite or overflows, so no normalized state")
+    # the full coherent state has norm^2 exp(|a|^2); the kept levels hold
+    # nrm^2 of it, and the tolerance is _padded_state's on the norm
+    left_out = -math.expm1(2.0 * math.log(nrm) - abs(value) * abs(value))
+    if left_out > 1e-12:
+        raise ValueError(
+            f"--state {text!r}: {left_out:.3g} of the coherent state's weight lies above level "
+            f"{n_max - 1} = n_keep/2, so it would be a different state; lower |a| or raise n_keep"
+        )
     vec /= nrm
     return vec
 
@@ -299,17 +308,15 @@ def cmd_stability(args) -> int:
 
 def _scan_row(spec, params, trunc, omega: float) -> str:
     p = OscillatorParams(omega=omega, period_T=params.period_T)
-    classification = classify_monodromy(spec, p)
     vec = np.zeros(1, dtype=complex)
     vec[0] = 1.0
     report = stability_scan(spec, p, trunc, vec, n_periods=24, samples_per_period=4)
-    sup_energy = float(np.max(report.energy_norms))
     return ",".join(
         [
             str(float(omega)),
-            classification.value,
+            report.classification.value,
             str(float(report.fit_exponent)),
-            str(float(sup_energy)),
+            str(float(report.sup_bound)),
         ]
     )
 

@@ -13,16 +13,16 @@ checks one against the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core_fock import OscillatorParams, TruncatedOperator, Truncation, matrix_exp
 from .drive_model import DriveSpec, _check_finite, hamiltonian_at
 from .floquet import (
+    TransitionBoundReport,
     _hf_matrix,
     _sf_matrix,
-    _transition_window,
+    _transition_bound,
     _uf_matrix,
 )
 from .propagator import propagator_factored
@@ -31,7 +31,6 @@ __all__ = [
     "xn_operator",
     "xn_operator_via_floquet",
     "sup_xn_norm",
-    "HigherOrderBoundReport",
     "higher_order_bound_check",
 ]
 
@@ -123,23 +122,6 @@ def sup_xn_norm(
     return sup
 
 
-@dataclass
-class HigherOrderBoundReport:
-    """||P(t,D1) U(t,s) P(s,D2)|| <= C_p / dist^p, with C_p the max of
-    ||X_p|| on sup_xn_norm's [0,T)^2 grid: a lower estimate of sup ||X_p||."""
-
-    p: int
-    t: float
-    s: float
-    interval_1: tuple[float, float]
-    interval_2: tuple[float, float]
-    dist: float
-    lhs: float
-    c_p: float
-    rhs: float
-    ok: bool
-
-
 def higher_order_bound_check(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -150,32 +132,16 @@ def higher_order_bound_check(
     interval_1: tuple[float, float],
     interval_2: tuple[float, float],
     grid_points: int = 16,
-    c_p: float | None = None,
-) -> HigherOrderBoundReport:
-    """Order-p decay of transition amplitudes between spectral windows.
-
-    Pass a precomputed c_p to reuse one grid sup across several interval
-    pairs.  The first-order bound 2 sup||S_F||/dist is
-    transition_bound_check's.
+) -> TransitionBoundReport:
+    """Order-p decay of transition amplitudes between spectral windows, with
+    C_p = sup_xn_norm(p, grid_points).  The first-order bound
+    2 sup||S_F||/dist is transition_bound_check's.
     """
     if not 1 <= p <= 4:
         raise ValueError("p is limited to 1..4 at desk scale")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    win = _transition_window(spec, params, trunc, t, s, interval_1, interval_2)
-
-    if c_p is None:
-        c_p = sup_xn_norm(spec, params, trunc, p, grid_points)
-    rhs = c_p / win.dist**p
-    return HigherOrderBoundReport(
-        p=p,
-        t=float(t),
-        s=float(s),
-        interval_1=win.interval_1,
-        interval_2=win.interval_2,
-        dist=win.dist,
-        lhs=win.lhs,
-        c_p=float(c_p),
-        rhs=float(rhs),
-        ok=win.lhs <= rhs * (1.0 + 1e-6),
+    return _transition_bound(
+        spec, params, trunc, p, t, s, interval_1, interval_2,
+        lambda: sup_xn_norm(spec, params, trunc, p, grid_points),
     )

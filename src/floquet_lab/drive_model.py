@@ -127,23 +127,28 @@ class DriveSpec:
         return cls(period=period, fourier=tuple(coeffs.items()))
 
     @classmethod
-    def sine(cls, period: float, amplitude: float = 1.0, harmonic: int = 1) -> "DriveSpec":
-        """amplitude * sin(2 pi harmonic t / period)."""
+    def sine(cls, period: float, amplitude: float = 1.0) -> "DriveSpec":
+        """amplitude * sin(2 pi t / period)."""
         c = -0.5j * amplitude
-        return cls.from_fourier(period, {harmonic: c, -harmonic: np.conj(c)})
+        return cls.from_fourier(period, {1: c, -1: np.conj(c)})
 
     @classmethod
     def from_samples(cls, period: float, ts, fs) -> "DriveSpec":
         """The trigonometric interpolant of N equally spaced samples of one period.
 
         Needs N >= 4 finite samples at t_j = t_0 + j T/N, to 1e-12 T, with
-        t_0 in [0, T/N), given as integers or floats: strings, bools and
-        complex numbers raise ValueError, as in the JSON samples block.  One real FFT gives the coefficients.  For even N the
+        t_0 in [0, T/N), given as integers or floats: strings, bools (one
+        among floats too) and complex numbers raise ValueError, as in the JSON
+        samples block.  One real FFT gives the coefficients.  For even N the
         Nyquist term is split evenly over k = +-N/2, so the series is real and
         passes through every sample.  Coefficients with |f_k| <= 4 N eps
         max|f_j|, the transform's own round-off, are dropped.
         """
         _check_period(period)
+        # numpy promotes a bool among floats to a float, so look at each entry
+        for name, values in (("times", ts), ("values", fs)):
+            if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+                raise ValueError(f"sample {name} must be real numbers, got a bool")
         ts, fs = np.asarray(ts), np.asarray(fs)
         if ts.dtype.kind not in "iuf" or fs.dtype.kind not in "iuf":
             raise ValueError(f"sample times and values must be real numbers, got dtypes {ts.dtype} and {fs.dtype}")
@@ -446,10 +451,11 @@ def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -
 # Floquet-mode scalars of the non-resonant decomposition
 
 
-def is_resonant_period(params: OscillatorParams, rel_tol: float = RESONANCE_REL_TOL) -> bool:
-    """True when the drive period is an integer multiple of 2 pi / omega."""
+def is_resonant_period(params: OscillatorParams) -> bool:
+    """True when the drive period is within RESONANCE_REL_TOL oscillator
+    periods of an integer multiple of 2 pi / omega."""
     r = params.period_T / params.oscillator_period
-    return abs(r - round(r)) < rel_tol
+    return abs(r - round(r)) < RESONANCE_REL_TOL
 
 
 def _p123(u: float) -> tuple[float, float, float]:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -355,17 +355,26 @@ def _interval_dist(i1: tuple[float, float], i2: tuple[float, float]) -> float:
 
 @dataclass
 class TransitionBoundReport:
-    """Check of ||P(t, D1) U(t,s) P(s, D2)|| <= 2 sup ||S_F|| / dist(D1, D2),
-    norms kept-block.  The point intervals D1 = (E_n, E_n) and
-    D2 = (E_m, E_m) of two eigenvalues give the eigenvalue-resolved form
-    |<n(t)| U(t,s) |m(s)>| <= 2 sup ||S_F|| / |E_n - E_m|."""
+    """Check of the order-p transition bound
 
+        ||P(t, D1) U(t,s) P(s, D2)|| <= C_p / dist(D1, D2)^p,
+
+    norms kept-block.  transition_bound_check gives p = 1 with
+    C_1 = 2 sup ||S_F|| over 64 points of one period;
+    commutators.higher_order_bound_check gives p in 1..4 with C_p the max of
+    ||X_p|| on sup_xn_norm's [0,T)^2 grid, a lower estimate of sup ||X_p||.
+    The point intervals D1 = (E_n, E_n) and D2 = (E_m, E_m) of two
+    eigenvalues give the eigenvalue-resolved form
+    |<n(t)| U(t,s) |m(s)>| <= C_p / |E_n - E_m|^p."""
+
+    p: int
     t: float
     s: float
     interval_1: tuple[float, float]
     interval_2: tuple[float, float]
     dist: float
     lhs: float
+    c_p: float
     rhs: float
     ok: bool
 
@@ -385,28 +394,26 @@ def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, s
     return float(np.max(np.abs(f1 * d2 / omega - dphi) + np.hypot(d1, d2) * x_nrm))
 
 
-class _Window(NamedTuple):
-    interval_1: tuple[float, float]
-    interval_2: tuple[float, float]
-    dist: float
-    lhs: float  # ||P(t, D1) U(t, s) P(s, D2)||
-
-
-def _transition_window(
+def _transition_bound(
     spec: DriveSpec,
     params: OscillatorParams,
     trunc: Truncation,
+    p: int,
     t: float,
     s: float,
     interval_1: tuple[float, float],
     interval_2: tuple[float, float],
-) -> _Window:
-    """The left-hand side shared by the transition-bound checks.
+    c_p: Callable[[], float],
+) -> TransitionBoundReport:
+    """The order-p check behind both public ones.
 
-    Checks that the intervals are ordered and apart, diagonalizes H(t)
-    and H(s) on the kept block, picks the eigenvalues in each closed
-    interval (endpoint ties included) and takes the projected norm of U.
+    Checks the periods, the times and the intervals (ordered and apart),
+    diagonalizes H(t) and H(s) on the kept block, picks the eigenvalues in
+    each closed interval (endpoint ties included) and takes the projected
+    norm of U.  Only then does it call c_p, so a bad input never pays for
+    the constant.
     """
+    _check_periods(spec, params)
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
     lo1, hi1 = float(interval_1[0]), float(interval_1[1])
@@ -429,7 +436,21 @@ def _transition_window(
     core = vecs_t.conj().T @ u @ vecs_s
     block = core[np.ix_(idx_t, idx_s)]
     lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
-    return _Window((lo1, hi1), (lo2, hi2), dist, lhs)
+
+    constant = c_p()
+    rhs = constant / dist**p
+    return TransitionBoundReport(
+        p=p,
+        t=t,
+        s=s,
+        interval_1=(lo1, hi1),
+        interval_2=(lo2, hi2),
+        dist=dist,
+        lhs=lhs,
+        c_p=constant,
+        rhs=rhs,
+        ok=lhs <= rhs * (1.0 + 1e-6),
+    )
 
 
 def transition_bound_check(
@@ -440,27 +461,15 @@ def transition_bound_check(
     s: float,
     interval_1: tuple[float, float],
     interval_2: tuple[float, float],
-    sf_samples: int = 64,
 ) -> TransitionBoundReport:
-    """Evaluate the spectral-projector transition bound between two times.
+    """The first-order transition bound between two times: p = 1 and
+    C_1 = 2 sup_tau ||S_F(tau)|| over 64 points of one period.
 
     Diagonalizes H(t) and H(s) on the kept block, builds the interval
     projectors (closed intervals, endpoint ties included) and compares
-    ||P1 U P2|| against 2 sup_tau ||S_F(tau)|| / dist.
+    ||P1 U P2|| against C_1 / dist.
     """
-    _check_periods(spec, params)
-    if sf_samples < 1:
-        raise ValueError(f"sf_samples must be >= 1, got {sf_samples}")
-    win = _transition_window(spec, params, trunc, t, s, interval_1, interval_2)
-    rhs = 2.0 * _sup_sf_norm(spec, params, trunc, sf_samples) / win.dist
-    return TransitionBoundReport(
-        t=float(t),
-        s=float(s),
-        interval_1=win.interval_1,
-        interval_2=win.interval_2,
-        dist=win.dist,
-        lhs=win.lhs,
-        rhs=rhs,
-        ok=win.lhs <= rhs * (1.0 + 1e-6),
+    return _transition_bound(
+        spec, params, trunc, 1, t, s, interval_1, interval_2,
+        lambda: 2.0 * _sup_sf_norm(spec, params, trunc),
     )
-

@@ -33,7 +33,7 @@ def drive_res(params_res) -> DriveSpec:
 @pytest.fixture(scope="session")
 def drive_identity(params_res) -> DriveSpec:
     """Second-harmonic drive: f_{+-1} = 0, monodromy is a phase times I."""
-    return DriveSpec.sine(params_res.period_T, amplitude=0.05, harmonic=2)
+    return DriveSpec.from_fourier(params_res.period_T, {2: -0.025j, -2: 0.025j})
 
 
 @pytest.fixture

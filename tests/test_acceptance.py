@@ -280,7 +280,6 @@ def test_06_transition_bounds():
     vals_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n))[0]
     vals_s = np.linalg.eigh(hamiltonian_at(spec, params, 0.0, n))[0]
     margins = []
-    c_p = None
     level_pairs = 0
     for iv1, iv2 in pairs:
         first = transition_bound_check(spec, params, trunc, t, 0.0, iv1, iv2)
@@ -293,11 +292,8 @@ def test_06_transition_bounds():
                 level = transition_bound_check(spec, params, trunc, t, 0.0, (e_n, e_n), (e_m, e_m))
                 assert level.ok and level.lhs > 0.0
                 level_pairs += 1
-        second = higher_order_bound_check(
-            spec, params, trunc, 2, t, 0.0, iv1, iv2, grid_points=16, c_p=c_p
-        )
+        second = higher_order_bound_check(spec, params, trunc, 2, t, 0.0, iv1, iv2, grid_points=16)
         assert second.ok
-        c_p = second.c_p  # one grid sup serves every pair
         margins.append((first.rhs / max(first.lhs, 1e-300), second.rhs / max(second.lhs, 1e-300)))
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0

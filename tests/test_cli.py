@@ -232,6 +232,29 @@ class TestStateFlag:
         assert "warnings" not in err
         assert not csv_path.exists()
 
+    def test_coherent_state_past_half_the_kept_block_is_refused(self, tmp_path, capsys):
+        """n_keep is 48: coherent:5 puts 0.53 of its weight above level 24,
+        where it would be cut off and the rest renormalized."""
+        csv_path = tmp_path / "s.csv"
+        rc = main(["stability", shipped_config_path("nonresonant.json"), "--periods", "2",
+                   "--state", "coherent:5", "--out-csv", str(csv_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("--state 'coherent:5': 0.527 of the coherent state's weight")
+        assert not csv_path.exists()
+
+    def test_coherent_state_inside_half_the_kept_block_runs(self, tmp_path):
+        """The drive is 0 at t = 0, so <H(0)> is the coherent state's
+        omega (|a|^2 + 1/2) = 0.79."""
+        csv_path = tmp_path / "s.csv"
+        rc = main(["stability", shipped_config_path("nonresonant.json"), "--periods", "2", "--samples", "2",
+                   "--state", "coherent:0.5+0.2j", "--out-csv", str(csv_path)])
+        assert rc == 0
+        first = csv_path.read_text().splitlines()[1].split(",")
+        assert float(first[2]) == pytest.approx(0.79, rel=1e-14)
+        assert json.loads((tmp_path / "s.verdict.json").read_text())["leak_warning"] is False
+
 
 class TestConfigIntegers:
     """Integer fields of an oscillator config: an integral float is read as

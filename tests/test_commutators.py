@@ -13,6 +13,7 @@ from floquet_lab import (
     xn_operator,
     xn_operator_via_floquet,
 )
+from floquet_lab import commutators
 
 OMEGA = 1.0
 T_DRIVE = 2 * math.pi * math.sqrt(2)
@@ -69,22 +70,27 @@ class TestHigherOrderBound:
         assert report.ok
         assert report.rhs == pytest.approx(report.c_p / report.dist)
 
-    def test_precomputed_constant_is_used(self):
-        report = higher_order_bound_check(
-            SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, self.IV1, self.IV2, c_p=7.5
-        )
-        assert report.c_p == 7.5
-        assert report.rhs == pytest.approx(7.5 / report.dist**2)
-
     def test_interval_validation(self):
         with pytest.raises(InvalidIntervalError):
-            higher_order_bound_check(
-                SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, (0.0, 2.0), (1.5, 3.0), c_p=1.0
-            )
+            higher_order_bound_check(SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, (0.0, 2.0), (1.5, 3.0))
         with pytest.raises(ValueError):
-            higher_order_bound_check(
-                SPEC, PARAMS, TRUNC, 0, 1.0, 0.0, self.IV1, self.IV2, c_p=1.0
-            )
+            higher_order_bound_check(SPEC, PARAMS, TRUNC, 0, 1.0, 0.0, self.IV1, self.IV2)
+
+    def test_bad_input_is_refused_before_the_grid_sup(self, monkeypatch):
+        """The periods, the times and the intervals are checked, in that
+        order, before C_p is computed."""
+
+        def no_sup(*args):
+            raise AssertionError("sup_xn_norm was called")
+
+        monkeypatch.setattr(commutators, "sup_xn_norm", no_sup)
+        other_period = OscillatorParams(omega=OMEGA, period_T=1.5 * T_DRIVE)
+        with pytest.raises(ValueError, match="disagree"):
+            higher_order_bound_check(SPEC, other_period, TRUNC, 2, math.nan, 0.0, (0.0, 2.0), (1.5, 3.0))
+        with pytest.raises(ValueError, match="^t must be finite"):
+            higher_order_bound_check(SPEC, PARAMS, TRUNC, 2, math.nan, 0.0, (0.0, 2.0), (1.5, 3.0))
+        with pytest.raises(InvalidIntervalError):
+            higher_order_bound_check(SPEC, PARAMS, TRUNC, 2, 1.0, 0.0, (0.0, 2.0), (1.5, 3.0))
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_grid_points_must_be_positive(self, count):

@@ -38,9 +38,9 @@ def two_harmonic_drive() -> DriveSpec:
 
 class TestDriveSpec:
     def test_sine_matches_pointwise(self):
-        spec = DriveSpec.sine(T0, amplitude=0.7, harmonic=2)
+        spec = DriveSpec.sine(T0, amplitude=0.7)
         ts = np.linspace(-3.0, 8.0, 41)
-        assert np.allclose(eval_drive(spec, ts), 0.7 * np.sin(2 * 2 * np.pi * ts / T0), atol=1e-14)
+        assert np.allclose(eval_drive(spec, ts), 0.7 * np.sin(2 * np.pi * ts / T0), atol=1e-14)
 
     def test_real_valuedness_enforced(self):
         # f_{-k} must equal conj(f_k); a lone complex coefficient is rejected
@@ -119,10 +119,12 @@ class TestSamples:
             ([str(t) for t in np.arange(4) * T0 / 4], np.ones(4), "real numbers"),
             (np.arange(4) * T0 / 4, ["0.0", "1.0", "0.0", "-1.0"], "real numbers"),
             (np.arange(4) * T0 / 4, [False, True, False, True], "real numbers"),
+            (np.arange(4) * T0 / 4, [0.0, True, 0.0, -1.0], "real numbers"),
             (np.arange(4) * T0 / 4, [0.0, 1.0j, 0.0, -1.0j], "real numbers"),
         ],
         ids=["three", "mismatched", "nan_value", "inf_time", "negative_start", "start_past_step",
-             "uneven", "closed_period", "string_times", "string_values", "bool_values", "complex_values"],
+             "uneven", "closed_period", "string_times", "string_values", "bool_values", "bool_among_floats",
+             "complex_values"],
     )
     def test_bad_samples_are_rejected(self, ts, fs, cause):
         with pytest.raises(ValueError, match=cause):
@@ -429,7 +431,7 @@ _TWO_TIMES = {
         _NF_SPEC, _NF_PARAMS, _NF_TRUNC, t, s, *_NF_WINDOWS
     ),
     "higher_order_bound_check": lambda t, s: floquet_lab.higher_order_bound_check(
-        _NF_SPEC, _NF_PARAMS, _NF_TRUNC, 2, t, s, *_NF_WINDOWS, c_p=1.0
+        _NF_SPEC, _NF_PARAMS, _NF_TRUNC, 2, t, s, *_NF_WINDOWS
     ),
     "xn_operator": lambda t, s: floquet_lab.xn_operator(_NF_SPEC, _NF_PARAMS, _NF_TRUNC, 1, t, s),
     "xn_operator_via_floquet": lambda t, s: floquet_lab.xn_operator_via_floquet(

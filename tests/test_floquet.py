@@ -56,7 +56,7 @@ class TestClassification:
     def test_strong_decoupled_drive_is_an_identity_multiple(self, params_res):
         """f_{+-1} is exactly 0 however strong the second harmonic; a
         quadrature of f_{+-1} would leave noise above the 1e-12 tolerance."""
-        spec = DriveSpec.sine(params_res.period_T, amplitude=1e5, harmonic=2)
+        spec = DriveSpec.from_fourier(params_res.period_T, {2: -5e4j, -2: 5e4j})
         assert classify_monodromy(spec, params_res) is Classification.RESONANT_IDENTITY_MULTIPLE
 
     def test_period_mismatch_rejected(self, drive_nonres):
@@ -524,6 +524,8 @@ class TestSFAgainstReference:
         assert (report.t, report.s, report.dist) == (t, s, dist)
         assert (report.interval_1, report.interval_2) == (iv1, iv2)
         assert report.lhs == lhs
+        assert (report.p, report.c_p) == (1, 2.0 * _sup_sf_norm(spec, params, trunc))
+        assert report.rhs == report.c_p / dist
         assert report.rhs == pytest.approx(rhs, rel=1e-14)
         assert report.ok is (lhs <= rhs * (1.0 + 1e-6))
 
@@ -532,22 +534,10 @@ class TestSampleCounts:
     """A sup over no sample points is not a bound; each count is checked."""
 
     @pytest.mark.parametrize("count", [0, -5])
-    def test_transition_bound(self, drive_nonres, params_nonres, trunc48, count):
-        with pytest.raises(ValueError, match="sf_samples"):
-            transition_bound_check(
-                drive_nonres, params_nonres, trunc48, 1.0, 0.0, (0.0, 1.2), (2.3, 3.6), sf_samples=count
-            )
-
-    @pytest.mark.parametrize("count", [0, -5])
     def test_energy_bound_constant(self, drive_nonres, params_nonres, trunc48, ground_state, count):
         with pytest.raises(ValueError, match="sup_samples"):
             energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state, count)
 
     def test_one_sample_is_accepted(self, drive_nonres, params_nonres, trunc48, ground_state):
-        report = transition_bound_check(
-            drive_nonres, params_nonres, trunc48, 1.0, 0.0, (0.0, 1.2), (2.3, 3.6), sf_samples=1
-        )
-        sup = float(np.linalg.norm(_reference_sf(drive_nonres, params_nonres, 0.0, 48), 2))
-        assert report.rhs == pytest.approx(2.0 * sup / report.dist, rel=1e-14)
         assert math.isfinite(energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state, 1))
 

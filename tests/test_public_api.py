@@ -13,11 +13,17 @@ leading underscore.  Either counts as used when code in
 ``Attribute`` node, outside its own definition, or when ``bench/tracing.py``
 names it in ``LAYERS``, whose entries the tracer wraps by string.  The files
 are read with ``ast``; nothing is imported.
+
+Against knob creep, every defaulted parameter of a public function or
+public class member is set, by keyword or by position, by some call in
+``src/``, ``bench/`` or ``scripts/`` outside its own definition.  Calls
+match by the callee's name, like the rules above.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +35,11 @@ ALLOWED_UNUSED = {
     "KamResult.propagator": "the converged-only entry to reconstruct_propagator, which raises NotConvergedError",
     "level_hamiltonian": "independent reference that tests compare the KAM reconstruction against",
     "problem_to_json_dict": "writes the problem format that load_problem reads",
+}
+
+# defaulted parameters that no program call sets, each kept for a reason
+ALLOWED_UNSET = {
+    "propagate_generic.scheme": "selects the midpoint scheme, which goes with the next change to the benchmark",
 }
 
 
@@ -136,13 +147,89 @@ def test_every_public_class_member_is_used_by_the_program():
     assert not unused, "public class members used only by tests: " + ", ".join(unused)
 
 
+def _defaulted(func: ast.FunctionDef, label: str, bound: bool) -> dict[str, tuple[str, str, int | None]]:
+    """Each defaulted parameter of func, as label.param -> (function name,
+    parameter, index among a call's positional arguments, None for a
+    keyword-only one).  A bound method's first parameter is not among a
+    call's arguments."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0 :]
+    first = len(positional) - len(args.defaults)
+    out = {f"{label}.{a.arg}": (func.name, a.arg, i) for i, a in enumerate(positional) if i >= first}
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            out[f"{label}.{a.arg}"] = (func.name, a.arg, None)
+    return out
+
+
+def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """Each defaulted parameter of a public function, as "function.param",
+    or of a public class member, as "Class.member.param"."""
+    public = _public_names()
+    params = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                params |= _defaulted(node, node.name, bound=False)
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                        params |= _defaulted(item, f"{node.name}.{item.name}", bound=not static)
+    return params
+
+
+class _Calls(_References):
+    """Per callee name, the keywords and the most positional arguments of
+    its calls, each outside the callee's definition.  A *args or **kwargs
+    counts as setting every parameter it could reach."""
+
+    def __init__(self):
+        super().__init__()
+        self.keywords: dict[str, set] = {}
+        self.positions: dict[str, float] = {}
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is not None and name not in self._inside:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            reach = math.inf if starred else len(node.args)
+            self.positions[name] = max(self.positions.get(name, 0), reach)
+            self.keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+        self.generic_visit(node)
+
+
+def _unset_parameters() -> list[str]:
+    calls = _Calls()
+    for top in PROGRAM_DIRS:
+        for path in sorted(top.rglob("*.py")):
+            calls.visit(_parse(path))
+    unset = []
+    for label, (func, param, index) in _defaulted_parameters().items():
+        keywords = calls.keywords.get(func, set())
+        by_position = index is not None and calls.positions.get(func, 0) > index
+        if not (by_position or param in keywords or None in keywords):
+            unset.append(label)
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    """A default that no program call overrides is a constant: an option
+    only tests set doubles what the tests must cover for no caller."""
+    unset = [label for label in _unset_parameters() if label not in ALLOWED_UNSET]
+    assert not unset, "defaulted parameters no program call sets: " + ", ".join(unset)
+
+
 def test_allowlist_is_current():
-    """Each allowed entry is still public and still unused by the program."""
+    """Each allowed entry is still public and still unused by the program,
+    and each allowed parameter is still defaulted and still unset."""
     spelled = {name: name for name in _public_names()} | _public_members()
     used = _program_references()
     stale = sorted(
         entry for entry in ALLOWED_UNUSED if entry not in spelled or spelled[entry] in used
     )
+    stale += sorted(set(ALLOWED_UNSET) - set(_unset_parameters()))
     assert not stale, "allowlist entries to drop: " + ", ".join(stale)
 
 
