@@ -8,9 +8,11 @@ processes and writes, into DIR, every file they write plus each command's
 stdout, stderr and exit code. The commands: ``propagate --form all`` at
 t = 2.5 and at t = 20.3 with s = 0.7, ``stability`` and
 ``resonance-scan --omega-range 0.8:1.2 --steps 3`` on each shipped
-oscillator config, ``kam`` on each shipped KAM problem (writing its
-history and result files; ``kam_resonant`` exits 5 by design), and
-``verify --suite all``. ``--src`` names the source
+oscillator config, ``stability --state coherent:0.5+0.2j`` on
+``nonresonant`` (a state spread over many levels, so H_F, S_F and C_psi
+are seen beyond the ground state), ``kam`` on each shipped KAM problem
+(writing its history and result files; ``kam_resonant`` exits 5 by
+design), and ``verify --suite all``. ``--src`` names the source
 tree whose ``floquet_lab`` runs (default: this checkout's ``src``), so one
 copy of the script can run two revisions. The commands run on one BLAS
 thread, so that a rerun of one revision is byte-identical. ``run`` exits 0 whatever the
@@ -59,6 +61,9 @@ def _cases(configs: dict[str, str]) -> list[tuple[str, list[str]]]:
             (f"{name}.resonance_scan", ["resonance-scan", cfg, "--omega-range", "0.8:1.2", "--steps", "3",
                                         "--out-csv", f"{name}.resonance_scan.csv"]),
         ]
+    cases.append(("nonresonant.stability_coherent",
+                  ["stability", configs["nonresonant"], "--periods", "20", "--samples", "4",
+                   "--state", "coherent:0.5+0.2j", "--out-csv", "nonresonant.stability_coherent.csv"]))
     for name in KAM_PROBLEMS:
         cases.append((f"{name}.kam", ["kam", configs[name], "--out-history", f"{name}.kam_history.jsonl",
                                       "--out-result", f"{name}.kam_result.json"]))

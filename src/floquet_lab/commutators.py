@@ -21,7 +21,7 @@ from .drive_model import DriveSpec, _check_finite, hamiltonian_at
 from .floquet import (
     TransitionBoundReport,
     _hf_matrix,
-    _sf_matrix,
+    _sf_matrices,
     _transition_bound,
     _uf_matrix,
 )
@@ -87,8 +87,7 @@ def xn_operator_via_floquet(
     nk = trunc.n_keep
     hf = _hf_matrix(spec, params, trunc.dim)
     z = matrix_exp(-1j * (t - s) * hf)
-    sf_t = _sf_matrix(spec, params, t, trunc.dim)
-    sf_s = _sf_matrix(spec, params, s, trunc.dim)
+    sf_t, sf_s = _sf_matrices(spec, params, (t, s), trunc.dim)
     for _ in range(n):
         z = (hf @ z - z @ hf) + sf_t @ z - z @ sf_s
     uf_t = _uf_matrix(spec, params, t, trunc.dim)

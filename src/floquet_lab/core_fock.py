@@ -9,9 +9,13 @@ a[n-1, n] = sqrt(n), and
     H_omega = diag(omega (n + 1/2)).
 
 H_omega is built spectrally rather than from x and p so its diagonal is exact
-at every truncation.  Truncation policy: operators are assembled and
-exponentiated at dimension n_keep + n_pad and results are trimmed back to
-n_keep, which keeps the basis-cutoff corruption inside the padding band.
+at every truncation.  Every operator the closed forms assemble (H(t), H_F,
+S_F(t), the single-exponential generator) lies in span{H_omega, x, p, 1},
+and _oscillator_op writes any member of it onto its diagonal and two bands,
+using p[n-1, n] = -i omega x[n-1, n].  Truncation policy: operators are
+assembled and exponentiated at dimension n_keep + n_pad and results are
+trimmed back to n_keep, which keeps the basis-cutoff corruption inside the
+padding band.
 Every exponential the package forms has an anti-Hermitian generator, so
 matrix_exp accepts that kind only.
 
@@ -49,7 +53,6 @@ __all__ = [
     "OscillatorParams",
     "Truncation",
     "TruncatedOperator",
-    "ladder",
     "xp_operators",
     "number_basis_energies",
     "x_off_diagonal",
@@ -178,22 +181,24 @@ class TruncatedOperator:
         return cls(entries, hermitian=True)
 
 
-def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation matrices at the given dimension."""
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a, a.conj().T
+def _oscillator_op(omega: float, dim: int, h=0.0, x=0.0, p=0.0, one=0.0) -> np.ndarray:
+    """h H_omega + x x + p p + one 1 at the given dimension, dense, for real
+    or complex coefficients: the diagonal h omega (n + 1/2) + one and the
+    bands (x -+ i omega p) x[n-1, n] above and below it."""
+    out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
+    off = x_off_diagonal(omega, dim)
+    iwp = 1j * omega * p
+    flat[:: dim + 1] = h * number_basis_energies(omega, dim) + one
+    flat[1 :: dim + 1] = (x - iwp) * off
+    flat[dim :: dim + 1] = (x + iwp) * off
+    return out
 
 
 def xp_operators(omega: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum matrices at the given dimension.  x is laid out
     from x_off_diagonal, so the dense x and the band agree bit for bit."""
-    a, ad = ladder(dim)
-    off = x_off_diagonal(omega, dim)
-    x = (np.diag(off, 1) + np.diag(off, -1)).astype(complex)
-    p = 1j * np.sqrt(omega / 2.0) * (ad - a)
-    return x, p
+    return _oscillator_op(omega, dim, x=1.0), _oscillator_op(omega, dim, p=1.0)
 
 
 def number_basis_energies(omega: float, dim: int) -> np.ndarray:

@@ -22,9 +22,12 @@ integrals reduces to sums of the elementary moment
     M0(a, tau) = int_0^tau exp(i a u) du,
 
 evaluated with a series branch for small |a tau| so near-resonant modes lose
-no precision.  The one nested integral (psi) is evaluated by composite
-Gauss-Legendre panels applied to the exact single-integral integrand, which
-is machine-accurate for trigonometric integrands of known bandwidth.
+no precision.  The sum over the drive's modes is formed in one place, for
+chi = phi1 + i phi2 (_chi); the integrals of mu and nu are chi rotated back
+to the midpoint by e^{-i omega (t-s)/2}.  The one nested integral (psi) is
+evaluated by composite Gauss-Legendre panels applied to the exact
+single-integral integrand, which is machine-accurate for trigonometric
+integrands of known bandwidth.
 A drive given as equally spaced samples of one period is turned into its
 trigonometric interpolant once, by one real FFT (DriveSpec.from_samples),
 so every drive is a Fourier series and every kernel here is exact for it.
@@ -48,10 +51,9 @@ from .core_fock import (
     OscillatorParams,
     _integer_field,
     _objects_field,
+    _oscillator_op,
     _real_field,
     _reals_field,
-    number_basis_energies,
-    x_off_diagonal,
 )
 from .errors import ResonanceError, ResonantTimeError
 
@@ -297,33 +299,21 @@ def eval_drive(spec: DriveSpec, t):
 def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
     """H(t) = H_omega + f(t) x at the given dimension, dense, with f(t) x
     written onto the two bands."""
-    h = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
-    band = float(eval_drive(spec, t)) * x_off_diagonal(params.omega, dim)
-    n = np.arange(dim - 1)
-    h[n, n + 1] = band
-    h[n + 1, n] = band
-    return h
-
-
-def _mode_terms(spec: DriveSpec, omega: float, tau, s: float):
-    """The factors f_k e^{i Omega_k s} and M0(Omega_k - omega, tau), Omega_k =
-    2 pi k / T, of each term of the mode sum e^{-i omega tau} chi(s + tau, s).
-
-    Callers multiply and add them themselves: numpy rounds a complex product
-    of scalars and one of arrays differently in the last bit, so _chi (array
-    arithmetic) and mu_nu_sigma (scalar arithmetic) each keep their own.
-    """
-    w0 = spec.base_frequency
-    for k, c in spec.fourier:
-        yield c * np.exp(1j * w0 * k * s), _m0(w0 * k - omega, tau)
+    return _oscillator_op(params.omega, dim, h=1.0, x=float(eval_drive(spec, t)))
 
 
 def _chi(spec: DriveSpec, omega: float, t, s: float) -> np.ndarray:
-    """chi(t,s) = phi1 + i phi2."""
+    """chi(t,s) = phi1 + i phi2 for a scalar t or an array of them, the
+    package's one sum over the drive's modes:
+
+        chi(s + tau, s) = e^{i omega tau} sum_k f_k e^{i Omega_k s} M0(Omega_k - omega, tau),
+
+    Omega_k = 2 pi k / T."""
     tau = np.asarray(t, dtype=float) - s
+    w0 = spec.base_frequency
     acc = np.zeros(tau.shape, dtype=complex)
-    for coef, m0 in _mode_terms(spec, omega, tau, s):
-        acc += coef * m0
+    for k, c in spec.fourier:
+        acc += c * np.exp(1j * w0 * k * s) * _m0(w0 * k - omega, tau)
     return np.exp(1j * omega * tau) * acc
 
 
@@ -419,26 +409,17 @@ def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -
     _check_finite(t=t, s=s)
     w = params.omega
     n, delta = split_elapsed(params, t - s)
-    tau = t - s
-    half = 0.5 * w * tau
+    half = 0.5 * w * (t - s)
     sin_half = math.sin(half)
 
-    # the mode sum of chi, rotated to the midpoint (t + s) / 2
-    acc = 0.0 + 0.0j
-    for coef, m0 in _mode_terms(spec, w, tau, s):
-        acc += coef * complex(m0)
-    full = np.exp(1j * half) * acc
-    i_sin = float(np.imag(full))
-    i_cos = float(np.real(full))
-
+    chi = complex(_chi(spec, w, t, s))
+    p1, p2 = chi.real, chi.imag
+    # the integrals of mu and nu are chi rotated back to the midpoint (t + s) / 2
+    mid = np.exp(-1j * half) * chi
     pref = w * delta / (2.0 * sin_half)
-    mu = pref * i_sin
-    nu = -pref * i_cos
+    mu = pref * float(np.imag(mid))
+    nu = -pref * float(np.real(mid))
 
-    # chi(t, s) = phi1 + i phi2 is the same mode sum, rotated by omega tau
-    chi = np.exp(1j * half) * full
-    p1 = float(np.real(chi))
-    p2 = float(np.imag(chi))
     sigma = (
         -psi(spec, params, t, s)
         + p1 * p2 / (2.0 * w)
@@ -486,6 +467,16 @@ def _monodromy_scalars(spec: DriveSpec, params: OscillatorParams) -> MuNuSigma:
     return mu_nu_sigma(spec, params, params.period_T, 0.0)
 
 
+def _quasi_energy_shift(mns: MuNuSigma, params: OscillatorParams) -> float:
+    """pi N (mu^2 + nu^2) / (omega^3 Delta^2 T) of the monodromy scalars: the
+    part of H_F's constant beyond -sigma/T.  The denominator is formed as
+    (omega Delta)^2 (omega T), both bounded off resonance, and the squares
+    as products, so a drive too large gives inf, not OverflowError."""
+    mu, nu, w = mns.mu, mns.nu, params.omega
+    w_delta = w * mns.delta
+    return math.pi * mns.whole_periods * (mu * mu + nu * nu) / (w_delta * w_delta * (w * params.period_T))
+
+
 def _xi_eta(mns: MuNuSigma, w: float, sin_u, cos_u):
     """xi and eta at phase u = omega t, given sin u and cos u (scalars or
     arrays): the monodromy data rotated at omega."""
@@ -507,7 +498,7 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     w = params.omega
     big_t = params.period_T
     mns = _monodromy_scalars(spec, params)
-    mu_t, nu_t, sigma_t, n_t, delta = mns.mu, mns.nu, mns.sigma, mns.whole_periods, mns.delta
+    mu_t, nu_t, sigma_t, delta = mns.mu, mns.nu, mns.sigma, mns.delta
 
     u = w * t
     xi, eta = _xi_eta(mns, w, math.sin(u), math.cos(u))
@@ -517,7 +508,7 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     p1, p2 = phi12(spec, params, t, 0.0)
     f1 = p2 - xi
     f2 = -p1 - eta
-    rot = math.pi * n_t * (mu_t * mu_t + nu_t * nu_t) / (w**3 * delta**2 * big_t)
+    rot = _quasi_energy_shift(mns, params)
     big_phi = -psi(spec, params, t, 0.0) + phi - sigma_t * t / big_t + rot * t - p2 * eta / w
     return FloquetScalars(xi=xi, eta=eta, phi=phi, f1=f1, f2=f2, big_phi=big_phi)
 
@@ -530,7 +521,7 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarra
     w = params.omega
     big_t = params.period_T
     mns = _monodromy_scalars(spec, params)
-    mu_t, nu_t, sigma_t, n_t, delta = mns.mu, mns.nu, mns.sigma, mns.whole_periods, mns.delta
+    mu_t, nu_t, sigma_t, delta = mns.mu, mns.nu, mns.sigma, mns.delta
 
     u = w * t
     sin_u = np.sin(u)
@@ -550,7 +541,7 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarra
     f1_dot = w * p1 - xi_dot
     f2_dot = w * p2 - ft - eta_dot
     psi_dot = 0.5 * (p1 * p1 - p2 * p2)
-    rot = math.pi * n_t * (mu_t * mu_t + nu_t * nu_t) / (w**3 * delta**2 * big_t)
+    rot = _quasi_energy_shift(mns, params)
     big_phi_dot = (
         -psi_dot + phi_dot - sigma_t / big_t + rot - (w * p1 * eta + p2 * eta_dot) / w
     )

@@ -49,6 +49,7 @@ from .core_fock import (
     TruncatedOperator,
     Truncation,
     _exp_x_exp_p,
+    _oscillator_op,
     _padded_state,
     number_basis_energies,
     x_norm,
@@ -58,6 +59,7 @@ from .drive_model import (
     DriveSpec,
     _check_finite,
     _monodromy_scalars,
+    _quasi_energy_shift,
     _sf_scalars,
     eval_drive,
     floquet_scalars,
@@ -122,24 +124,14 @@ def classify_monodromy(spec: DriveSpec, params: OscillatorParams) -> Classificat
 
 def _hf_matrix(spec: DriveSpec, params: OscillatorParams, dim: int) -> np.ndarray:
     mns = _monodromy_scalars(spec, params)
-    omega, big_t = params.omega, params.period_T
-    n_whole, delta = mns.whole_periods, mns.delta
-    try:
-        shift = -mns.sigma / big_t + (
-            math.pi * n_whole * (mns.mu**2 + mns.nu**2) / (omega**3 * delta**2 * big_t)
-        )
-    except OverflowError:  # float ** raises where float * would give inf
-        shift = math.inf
+    shift = -mns.sigma / params.period_T + _quasi_energy_shift(mns, params)
     if not all(math.isfinite(c) for c in (mns.mu, mns.nu, shift)):
         raise NumericError(
             f"H_F is not finite: mu = {mns.mu}, nu = {mns.nu}, shift = {shift}"
         )
-    x, p = xp_operators(omega, dim)
-    out = np.diag(number_basis_energies(omega, dim)).astype(complex)
-    out -= (mns.mu / (omega * delta)) * p
-    out -= (mns.nu / delta) * x
-    out += shift * np.eye(dim)
-    return out
+    return _oscillator_op(
+        params.omega, dim, h=1.0, x=-mns.nu / mns.delta, p=-mns.mu / (params.omega * mns.delta), one=shift
+    )
 
 
 def build_HF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> TruncatedOperator:
@@ -165,26 +157,18 @@ def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
 
 
 def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
-    """S_F at each time in ts, in order, sharing one x and p and one
-    evaluation of the scalars."""
+    """S_F at each time in ts, in order, from one evaluation of the scalars."""
     omega = params.omega
     f1, d1, d2, dphi = _sf_scalars(spec, params, np.asarray(ts, dtype=float))
-    x, p = xp_operators(omega, dim)
-    eye = np.eye(dim)
     for j in range(f1.size):
-        out = -(d1[j] / omega) * p - d2[j] * x
-        out += (f1[j] * d2[j] / omega - dphi[j]) * eye
-        yield out
-
-
-def _sf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
-    return next(_sf_matrices(spec, params, (t,), dim))
+        yield _oscillator_op(omega, dim, x=-d2[j], p=-d1[j] / omega, one=f1[j] * d2[j] / omega - dphi[j])
 
 
 def build_SF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float) -> TruncatedOperator:
     """Co-rotating generator S_F(t) = i U_F^{-1} dU_F/dt on the kept block."""
     _check_periods(spec, params)
-    return TruncatedOperator.hermitian_op(_sf_matrix(spec, params, float(t), trunc.n_keep))
+    (s_f,) = _sf_matrices(spec, params, (float(t),), trunc.n_keep)
+    return TruncatedOperator.hermitian_op(s_f)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +184,19 @@ def energy_bound_constant(
 ) -> float:
     """C_psi = ||H_F psi|| + sup_t ||S_F(t)(H_F + i)^{-1}|| ||(H_F + i) psi||.
 
-    Evaluated on the kept/2 block; the sup runs over sup_samples points of
-    one period. Finite for every normalized psi supported there.
+    Evaluated on the block of levels 0..n_keep/2, the support _padded_state
+    treats as leak-free; the sup runs over sup_samples points of one period.
+    psi0 must be normalized and supported there (ValueError otherwise).
     """
     if sup_samples < 1:
         raise ValueError(f"sup_samples must be >= 1, got {sup_samples}")
-    m = trunc.n_keep // 2
-    psi = np.zeros(m, dtype=complex)
-    src = np.asarray(psi0, dtype=complex).ravel()
-    take = min(m, src.size)
-    psi[:take] = src[:take]
+    psi, leak = _padded_state(psi0, trunc)
+    if leak:
+        raise ValueError(
+            f"psi0 has support past level n_keep/2 = {trunc.n_keep // 2}, outside the block C_psi is evaluated on"
+        )
+    m = trunc.n_keep // 2 + 1
+    psi = psi[:m]
     hf = _hf_matrix(spec, params, m)
     shifted = hf + 1j * np.eye(m)
     inv_shifted = np.linalg.inv(shifted)
@@ -227,7 +214,8 @@ class StabilityReport:
     verdict is "bounded" or "growing"; fit_exponent is the least-squares
     slope of log mean energy against log t over the last half of the
     grid. paper_bound is None for resonant drives, where the uniform
-    bound does not apply.
+    bound does not apply, and for a psi0 reaching past level n_keep/2,
+    outside the block C_psi is evaluated on.
     """
 
     t_grid: np.ndarray
@@ -295,8 +283,9 @@ def stability_scan(
     evaluation on the grid and one product with the states, H(t) psi =
     E psi + f(t) x psi.  leak_warning flips when psi0 reaches past n_keep/2
     or the weight above the kept block exceeds 1e-6.  Non-resonant drives
-    also get the uniform bound C_psi and the verdict compares sup ||H psi||
-    against it; resonant drives are judged by the growth exponent alone.
+    with psi0 inside levels 0..n_keep/2 also get the uniform bound C_psi and
+    the verdict compares sup ||H psi|| against it; resonant drives, and
+    states reaching past n_keep/2, are judged by the growth exponent alone.
     """
     _check_periods(spec, params)
     if n_periods < 1 or samples_per_period < 1:
@@ -318,7 +307,7 @@ def stability_scan(
     sup_bound = float(energy_norms.max())
     exponent = _fit_exponent(t_grid, mean_energy)
 
-    if classification is Classification.NON_RESONANT:
+    if classification is Classification.NON_RESONANT and not leak:
         paper_bound = energy_bound_constant(spec, params, trunc, psi0, samples_per_period + 1)
         bounded = sup_bound <= paper_bound * (1.0 + 1e-6)
         verdict = "bounded" if bounded else ("growing" if exponent > 0.5 else "bounded")

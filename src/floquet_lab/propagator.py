@@ -36,9 +36,9 @@ from .core_fock import (
     Truncation,
     _exp_x_exp_p,
     _exp_x_exp_p_columns,
+    _oscillator_op,
     matrix_exp,
     number_basis_energies,
-    xp_operators,
 )
 from .drive_model import (
     _SERIES_CUT,
@@ -144,13 +144,8 @@ def _factored_states(spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray
 
 
 def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:
-    x, p = xp_operators(params.omega, dim)
-    h = np.diag(number_basis_energies(params.omega, dim)).astype(complex)
-    gen = (
-        -1j * mns.delta * h
-        + 1j * (mns.mu / params.omega) * p
-        + 1j * mns.nu * x
-        + 1j * mns.sigma * np.eye(dim)
+    gen = _oscillator_op(
+        params.omega, dim, h=-1j * mns.delta, x=1j * mns.nu, p=1j * (mns.mu / params.omega), one=1j * mns.sigma
     )
     sign = -1.0 if mns.whole_periods % 2 else 1.0
     return sign * matrix_exp(gen)

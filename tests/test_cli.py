@@ -187,6 +187,31 @@ class TestStability:
         verdict = json.loads((tmp_path / "s.verdict.json").read_text())
         assert verdict["leak_warning"] is leak
 
+    def _shipped_fock_verdict(self, tmp_path, level: int) -> dict:
+        rc = main(["stability", shipped_config_path("nonresonant.json"), "--periods", "20", "--samples", "4",
+                   "--state", f"fock:{level}", "--out-csv", str(tmp_path / "s.csv")])
+        assert rc == 0
+        return json.loads((tmp_path / "s.verdict.json").read_text())
+
+    def test_fock_state_at_half_the_kept_block_gets_the_bound(self, tmp_path):
+        """n_keep is 48: level 24 lies in the block C_psi is evaluated on,
+        so the bound holds at least ||H_F psi0|| and bounds the energies."""
+        verdict = self._shipped_fock_verdict(tmp_path, 24)
+        spec, params, trunc, _, _ = cli._load_config(shipped_config_path("nonresonant.json"))
+        hf_psi0 = float(np.linalg.norm(floquet_lab.build_HF(spec, params, trunc).entries[:, 24]))
+        assert verdict["leak_warning"] is False
+        assert verdict["paper_bound"] >= hf_psi0 > 24.0
+        assert verdict["paper_bound"] >= verdict["sup_bound"]
+        assert verdict["verdict"] == "bounded"
+
+    def test_fock_state_past_half_the_kept_block_gets_no_bound(self, tmp_path):
+        """Level 30 lies outside that block: no bound is quoted, and the
+        verdict is the growth exponent's, as for a resonant drive."""
+        verdict = self._shipped_fock_verdict(tmp_path, 30)
+        assert verdict["leak_warning"] is True
+        assert verdict["paper_bound"] is None
+        assert verdict["verdict"] == ("growing" if verdict["fit_exponent"] > 0.5 else "bounded")
+
     def test_bad_arguments(self, small_config, tmp_path, capsys):
         rc = main(
             ["stability", small_config, "--periods", "0", "--out-csv", str(tmp_path / "s.csv")]

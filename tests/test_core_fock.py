@@ -17,9 +17,9 @@ from floquet_lab import (
 from floquet_lab.core_fock import (
     _exp_x_exp_p,
     _exp_x_exp_p_columns,
+    _oscillator_op,
     _padded_state,
     _x_eigenbasis,
-    ladder,
     number_basis_energies,
     x_norm,
     x_off_diagonal,
@@ -28,26 +28,50 @@ from floquet_lab.core_fock import (
 from floquet_lab.oracle import _dstevd
 
 
-class TestLadder:
-    def test_shapes_and_entries(self):
-        a, adag = ladder(6)
-        assert a.shape == (6, 6)
-        # a|n> = sqrt(n)|n-1>
-        for n in range(1, 6):
-            assert a[n - 1, n] == pytest.approx(math.sqrt(n))
-        assert np.array_equal(adag, a.conj().T)
+def _ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation matrices, a[n-1, n] = sqrt(n)."""
+    a = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a, a.conj().T
 
-    def test_number_operator(self):
-        a, adag = ladder(8)
-        n_op = adag @ a
-        assert np.allclose(n_op, np.diag(np.arange(8.0)))
 
-    def test_commutator_holds_except_last_state(self):
-        # truncation necessarily breaks [a, a+] = 1 in the last basis state
-        a, adag = ladder(10)
-        comm = a @ adag - adag @ a
-        assert np.allclose(comm[:9, :9], np.eye(9))
-        assert comm[9, 9] == pytest.approx(-9.0)
+def _span_reference(omega, dim, h, x, p, one) -> np.ndarray:
+    """h H_omega + x x + p p + one 1 summed densely, with x and p from a and
+    a^dag and H_omega from its spectrum."""
+    a, adag = _ladder(dim)
+    x_op = (a + adag) / np.sqrt(2.0 * omega)
+    p_op = 1j * np.sqrt(omega / 2.0) * (adag - a)
+    h_op = np.diag(omega * (np.arange(dim) + 0.5))
+    return h * h_op + x * x_op + p * p_op + one * np.eye(dim)
+
+
+class TestOscillatorOp:
+    """The one builder of span{H_omega, x, p, 1} against the dense sum."""
+
+    REAL = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, -0.37, 0.81, 2.5))
+    COMPLEX = ((-1.3j, 0.6j, -0.45j, 0.2j), (0.7 - 0.2j, 1.1 + 0.3j, -0.5 + 0.9j, -0.25 + 0.1j))
+
+    @pytest.mark.parametrize("omega", [0.8, 1.0, 1.25])
+    @pytest.mark.parametrize("dim", [2, 3, 17, 96])
+    def test_matches_the_ladder_sum(self, dim, omega):
+        for h, x, p, one in self.REAL + self.COMPLEX:
+            got = _oscillator_op(omega, dim, h=h, x=x, p=p, one=one)
+            ref = _span_reference(omega, dim, h, x, p, one)
+            assert got.dtype == complex
+            assert np.abs(got - ref).max() <= 2 * np.finfo(float).eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", [2, 17])
+    def test_hermitian_and_anti_hermitian_exactly(self, dim):
+        """Real coefficients give an exactly Hermitian matrix, imaginary
+        ones an exactly anti-Hermitian one, as the bound checks and
+        matrix_exp require."""
+        for h, x, p, one in self.REAL:
+            herm = _oscillator_op(1.3, dim, h=h, x=x, p=p, one=one)
+            assert np.array_equal(herm, herm.conj().T)
+        h, x, p, one = self.COMPLEX[0]
+        skew = _oscillator_op(1.3, dim, h=h, x=x, p=p, one=one)
+        assert np.array_equal(skew, -skew.conj().T)
 
 
 class TestXPH:
@@ -270,16 +294,15 @@ class TestExpXExpP:
 
     def test_p_is_x_conjugated_by_i_to_the_n(self):
         """P^dag (a + a^dag) P = -i (a^dag - a) exactly for P = diag(i^n), so
-        p = -omega P^dag x P; the omega-scaled form agrees to 2 eps only,
-        since p carries sqrt(omega/2) where omega x carries omega/sqrt(2 omega)."""
+        p = -omega P^dag x P, exactly too: the builder writes p's band as
+        -i omega times x's."""
         dim = 130
         p_diag = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
-        a, adag = ladder(dim)
+        a, adag = _ladder(dim)
         assert np.array_equal(p_diag.conj()[:, None] * (a + adag) * p_diag, -1j * (adag - a))
         for omega in (0.8, 1.0, 1.25):
             x, p = xp_operators(omega, dim)
-            conj_x = -omega * (p_diag.conj()[:, None] * x * p_diag)
-            assert np.abs(conj_x - p).max() <= 2 * np.finfo(float).eps * np.abs(p).max()
+            assert np.array_equal(-omega * (p_diag.conj()[:, None] * x * p_diag), p)
 
 
 class TestExpPadded:

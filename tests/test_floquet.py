@@ -261,6 +261,22 @@ class TestStabilityScan:
         c = energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state)
         assert math.isfinite(c) and c > 0.0
 
+    def test_energy_bound_constant_block_is_levels_0_to_half(self, drive_nonres, params_nonres, trunc48):
+        """Level n_keep/2 = 24 is in the block, with ||H_F psi0|| at least
+        its energy; a support past it is refused, never dropped."""
+        psi0 = np.zeros(25, dtype=complex)
+        psi0[24] = 1.0
+        assert energy_bound_constant(drive_nonres, params_nonres, trunc48, psi0) > 24.5
+        psi0 = np.zeros(26, dtype=complex)
+        psi0[0], psi0[25] = math.sqrt(1.0 - 1e-18), 1e-9
+        with pytest.raises(ValueError, match="psi0"):
+            energy_bound_constant(drive_nonres, params_nonres, trunc48, psi0)
+        # below _padded_state's 1e-10 an entry is no support
+        psi0[0], psi0[25] = 1.0, 1e-11
+        assert energy_bound_constant(drive_nonres, params_nonres, trunc48, psi0) == energy_bound_constant(
+            drive_nonres, params_nonres, trunc48, psi0[:1]
+        )
+
 
 def _count_segment_builds(monkeypatch) -> list:
     """Record the start of every segment PeriodStepper actually steps."""
@@ -489,7 +505,7 @@ class TestSFAgainstReference:
     def test_energy_bound_constant(self, case, n_keep, ground_state):
         spec, params = case
         trunc = Truncation(n_keep=n_keep)
-        m = n_keep // 2
+        m = n_keep // 2 + 1  # levels 0..n_keep/2
         samples = 9
         psi = np.zeros(m, dtype=complex)
         psi[0] = 1.0
