@@ -10,7 +10,10 @@ t = 2.5 and at t = 20.3 with s = 0.7, ``stability`` and
 ``resonance-scan --omega-range 0.8:1.2 --steps 3`` on each shipped
 oscillator config, ``stability --state coherent:0.5+0.2j`` on
 ``nonresonant`` (a state spread over many levels, so H_F, S_F and C_psi
-are seen beyond the ground state), ``kam`` on each shipped KAM problem
+are seen beyond the ground state), ``stability --periods 200 --samples 4``
+on ``resonant_growth`` (``resonant_growth.stability_long``: a horizon where
+the state outgrows the working space, so the record holds the full-space
+verdict "growing"), ``kam`` on each shipped KAM problem
 (writing its history and result files; ``kam_resonant`` exits 5 by
 design), and ``verify --suite all``. ``--src`` names the source
 tree whose ``floquet_lab`` runs (default: this checkout's ``src``), so one
@@ -64,6 +67,9 @@ def _cases(configs: dict[str, str]) -> list[tuple[str, list[str]]]:
     cases.append(("nonresonant.stability_coherent",
                   ["stability", configs["nonresonant"], "--periods", "20", "--samples", "4",
                    "--state", "coherent:0.5+0.2j", "--out-csv", "nonresonant.stability_coherent.csv"]))
+    cases.append(("resonant_growth.stability_long",
+                  ["stability", configs["resonant_growth"], "--periods", "200", "--samples", "4",
+                   "--out-csv", "resonant_growth.stability_long.csv"]))
     for name in KAM_PROBLEMS:
         cases.append((f"{name}.kam", ["kam", configs[name], "--out-history", f"{name}.kam_history.jsonl",
                                       "--out-result", f"{name}.kam_result.json"]))

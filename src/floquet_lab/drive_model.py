@@ -503,7 +503,8 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     u = w * t
     xi, eta = _xi_eta(mns, w, math.sin(u), math.cos(u))
     q1, q2, q3 = _p123(u)
-    phi = -(q1 * mu_t * mu_t + q2 * mu_t * nu_t + q3 * nu_t * nu_t) / (4.0 * w**3 * delta**2)
+    w_delta = w * delta  # products, not float powers: a huge value gives inf, not OverflowError
+    phi = -(q1 * mu_t * mu_t + q2 * mu_t * nu_t + q3 * nu_t * nu_t) / (4.0 * w * w_delta * w_delta)
 
     p1, p2 = phi12(spec, params, t, 0.0)
     f1 = p2 - xi
@@ -533,7 +534,8 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarra
     q1d = 2.0 - 4.0 * cos_u + 2.0 * np.cos(2.0 * u)
     q2d = 4.0 * sin_u - 4.0 * np.sin(2.0 * u)
     q3d = 2.0 - 2.0 * np.cos(2.0 * u)
-    phi_dot = -(q1d * mu_t * mu_t + q2d * mu_t * nu_t + q3d * nu_t * nu_t) / (4.0 * w**2 * delta**2)
+    w_delta = w * delta  # products, not float powers, as in floquet_scalars
+    phi_dot = -(q1d * mu_t * mu_t + q2d * mu_t * nu_t + q3d * nu_t * nu_t) / (4.0 * w_delta * w_delta)
 
     chi = _chi(spec, w, t, 0.0)
     p1, p2 = chi.real, chi.imag

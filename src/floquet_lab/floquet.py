@@ -29,6 +29,20 @@ oscillator frequency: with T = 2 pi N/omega, the monodromy is a multiple
 of the identity when f_N = f_{-N} = 0 and has purely absolutely
 continuous spectrum otherwise.
 
+The stability energies need no propagator.  With chi(t, 0) = phi1 + i phi2
+and f = f(t), conjugating H(t) = H_omega + f x through the factored form of
+U(t, 0) (propagator module) gives, on the full space,
+
+    U(t, 0)^dag H(t) U(t, 0) = K(t) = H_omega + A(t) x + B(t) p + C(t),
+    g = f - omega phi2,
+    A = g cos(omega t) + omega phi1 sin(omega t),
+    B = (g/omega) sin(omega t) - phi1 cos(omega t),
+    C = (phi1^2 + phi2^2)/2 - f phi2/omega.
+
+The phase psi cancels, so ||H(t) psi_t|| = ||K(t) psi_0|| and
+<psi_t, H(t) psi_t> = <psi_0, K(t) psi_0>: exact on the full space, from
+H_omega, x and p applied to psi_0 once.
+
 All norm-based bound checks quote the kept-block operator norm of S_F,
 which is unbounded on the full space, so they are finite-dimensional
 surrogates.  The stability verdict carries that caveat as its block_note;
@@ -58,6 +72,7 @@ from .core_fock import (
 from .drive_model import (
     DriveSpec,
     _check_finite,
+    _chi,
     _monodromy_scalars,
     _quasi_energy_shift,
     _sf_scalars,
@@ -209,13 +224,16 @@ def energy_bound_constant(
 
 @dataclass
 class StabilityReport:
-    """Energy diagnostics along an evolved trajectory.
+    """Energy diagnostics of psi_t = U(t, 0) psi0 on a uniform time grid.
 
-    verdict is "bounded" or "growing"; fit_exponent is the least-squares
-    slope of log mean energy against log t over the last half of the
-    grid. paper_bound is None for resonant drives, where the uniform
-    bound does not apply, and for a psi0 reaching past level n_keep/2,
-    outside the block C_psi is evaluated on.
+    energy_norms and mean_energy are ||H(t) psi_t|| and <H(t)> on the full
+    space (module docstring); high_mode_population is the weight of the
+    truncated state above the kept block, the leak meter.  verdict is
+    "bounded" or "growing"; fit_exponent is the least-squares slope of log
+    mean energy against log t over the last half of the grid. paper_bound
+    is None for resonant drives, where the uniform bound does not apply,
+    and for a psi0 reaching past level n_keep/2, outside the block C_psi is
+    evaluated on.
     """
 
     t_grid: np.ndarray
@@ -255,6 +273,51 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
+def _time_grid(params: OscillatorParams, n_periods: int, samples_per_period: int) -> np.ndarray:
+    """samples_per_period uniform times per period over n_periods, both ends in."""
+    return np.linspace(0.0, n_periods * params.period_T, n_periods * samples_per_period + 1)
+
+
+def _exact_energies(
+    spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(||K(t) psi0||, <psi0, K(t) psi0>) at each time of t_grid: the
+    full-space ||H(t) psi_t|| and <H(t)> (module docstring), from one chi and
+    one drive evaluation over the grid.  K is tridiagonal, so for psi0 on m
+    levels K psi0 lives on m + 1, where H_omega, x and p applied to psi0 are
+    exact; no propagator, padding or psi quadrature is involved.
+    NumericError if an energy is not finite."""
+    omega = params.omega
+    psi = np.zeros(np.size(psi0) + 1, dtype=complex)
+    psi[:-1] = np.ravel(psi0)
+    x, p = xp_operators(omega, psi.size)
+    images = np.stack([number_basis_energies(omega, psi.size) * psi, x @ psi, p @ psi, psi])
+    chi = _chi(spec, omega, t_grid, 0.0)
+    phi1, phi2 = chi.real, chi.imag
+    f = eval_drive(spec, t_grid)
+    cos_u, sin_u = np.cos(omega * t_grid), np.sin(omega * t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        g = f - omega * phi2
+        coeffs = np.stack(
+            [
+                np.ones_like(f),
+                g * cos_u + omega * phi1 * sin_u,
+                (g / omega) * sin_u - phi1 * cos_u,
+                0.5 * (phi1 * phi1 + phi2 * phi2) - f * phi2 / omega,
+            ],
+            axis=1,
+        )
+        k_psi = coeffs @ images
+        energy_norms = np.linalg.norm(k_psi, axis=1)
+        mean_energy = np.real(k_psi @ psi.conj())
+    if not (np.all(np.isfinite(energy_norms)) and np.all(np.isfinite(mean_energy))):
+        raise NumericError(
+            f"the energies are not finite (drive up to {np.abs(f).max():.3e}, "
+            f"|chi| up to {np.abs(chi).max():.3e}): the drive is too large"
+        )
+    return energy_norms, mean_energy
+
+
 def _fit_exponent(t: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(max(value, 1e-14)) vs log t, last half."""
     half = t.size // 2
@@ -275,34 +338,30 @@ def stability_scan(
     n_periods: int,
     samples_per_period: int = 8,
 ) -> StabilityReport:
-    """Evolve psi0 and track ||H(t) psi_t|| and <H(t)> over n_periods.
+    """Track ||H(t) psi_t|| and <H(t)> over n_periods.
 
-    The states are exact at the working dimension: the factored form of
-    U(t, 0), valid at every t and omega, on the whole grid at once
-    (propagator._factored_states).  The energies come from one drive
-    evaluation on the grid and one product with the states, H(t) psi =
-    E psi + f(t) x psi.  leak_warning flips when psi0 reaches past n_keep/2
-    or the weight above the kept block exceeds 1e-6.  Non-resonant drives
-    with psi0 inside levels 0..n_keep/2 also get the uniform bound C_psi and
-    the verdict compares sup ||H psi|| against it; resonant drives, and
-    states reaching past n_keep/2, are judged by the growth exponent alone.
+    The energies are the full-space values ||K(t) psi0|| and
+    <psi0, K(t) psi0> (module docstring, _exact_energies), so they do not
+    saturate when psi_t outgrows the working space.  The truncated state,
+    the factored form of U(t, 0) psi0 at the working dimension on the whole
+    grid (propagator._factored_states), is only the leak meter:
+    high_mode_population is its weight above the kept block, and
+    leak_warning flips when psi0 reaches past n_keep/2 or that weight
+    exceeds 1e-6.  Non-resonant drives with psi0 inside levels 0..n_keep/2
+    also get the uniform bound C_psi and the verdict compares sup ||H psi||
+    against it; resonant drives, and states reaching past n_keep/2, are
+    judged by the growth exponent alone.
     """
     _check_periods(spec, params)
     if n_periods < 1 or samples_per_period < 1:
         raise ValueError("n_periods and samples_per_period must be >= 1")
     classification = classify_monodromy(spec, params)
-    big_t = params.period_T
-    count = n_periods * samples_per_period + 1
-    t_grid = np.linspace(0.0, n_periods * big_t, count)
+    t_grid = _time_grid(params, n_periods, samples_per_period)
 
     psi, leak = _padded_state(psi0, trunc)
     states = _factored_states(spec, params, psi, t_grid)
     pad_pop = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)
-    x, _ = xp_operators(params.omega, trunc.dim)
-    f = eval_drive(spec, t_grid)
-    h_states = number_basis_energies(params.omega, trunc.dim) * states + f[:, None] * (states @ x.T)
-    energy_norms = np.linalg.norm(h_states, axis=1)
-    mean_energy = np.real(np.sum(states.conj() * h_states, axis=1))
+    energy_norms, mean_energy = _exact_energies(spec, params, psi0, t_grid)
 
     sup_bound = float(energy_norms.max())
     exponent = _fit_exponent(t_grid, mean_energy)

@@ -212,6 +212,19 @@ class TestStability:
         assert verdict["paper_bound"] is None
         assert verdict["verdict"] == ("growing" if verdict["fit_exponent"] > 0.5 else "bounded")
 
+    def test_resonant_growth_over_200_periods_is_growing(self, tmp_path):
+        """The truncated state fills the working space within these 200
+        periods; the full-space energies keep growing like t^2."""
+        out = tmp_path / "long.csv"
+        rc = main(["stability", shipped_config_path("resonant_growth.json"), "--periods", "200",
+                   "--samples", "4", "--out-csv", str(out)])
+        assert rc == 0
+        verdict = json.loads((tmp_path / "long.verdict.json").read_text())
+        assert verdict["verdict"] == "growing"
+        assert abs(verdict["fit_exponent"] - 2.0) <= 0.05
+        assert verdict["sup_bound"] == pytest.approx(494.48, rel=1e-3)
+        assert verdict["leak_warning"]
+
     def test_bad_arguments(self, small_config, tmp_path, capsys):
         rc = main(
             ["stability", small_config, "--periods", "0", "--out-csv", str(tmp_path / "s.csv")]
@@ -592,6 +605,18 @@ class TestResonanceScan:
         assert main(["resonance-scan", small_config, "--omega-range", "0.5:1.5",
                      "--steps", "1", "--out-csv", out]) == 2
 
+    @pytest.mark.parametrize("amplitude", [1e150, 1e200])
+    def test_huge_drive_exits_numeric(self, tmp_path, capsys, amplitude):
+        """The energies overflow: one JSON error and exit 4, never a row of inf or nan."""
+        cfg = _write_config(tmp_path / "huge.json", amplitude=amplitude)
+        out = tmp_path / "s.csv"
+        assert main(["resonance-scan", cfg, "--omega-range", "0.8:1.2", "--steps", "3",
+                     "--out-csv", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "NumericError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("window", ["0.5:inf", "inf:inf", "nan:1.5", "0.5:nan"])
     def test_non_finite_range_is_a_config_error(self, small_config, tmp_path, capsys, window):
         assert main(["resonance-scan", small_config, f"--omega-range={window}", "--steps", "3",
@@ -788,6 +813,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS appendix.stability_closed_form_vs_oracle" in out
+        assert "PASS appendix.stability_exact_vs_truncated" in out
         assert "verify: OK" in out
 
     def test_perturbed_trajectory_fails_appendix(self, monkeypatch, capsys):

@@ -26,7 +26,9 @@ from floquet_lab import (
     stability_scan,
     transition_bound_check,
 )
+import floquet_lab.drive_model as drive_model_module
 import floquet_lab.floquet as floquet_module
+import floquet_lab.propagator as propagator_module
 from floquet_lab import cli
 from floquet_lab.cli import shipped_config_path
 from floquet_lab.core_fock import _padded_state, _x_eigenbasis, number_basis_energies, xp_operators
@@ -80,6 +82,18 @@ class TestQuasiEnergy:
         huge = DriveSpec.sine(params_nonres.period_T, amplitude=1e200)
         with pytest.raises(NumericError):
             build_HF(huge, params_nonres, trunc48)
+
+    def test_huge_frequency_is_no_overflow_error(self):
+        """omega = 1e103 puts omega^3 past the float range; the U_F phase
+        takes 4 omega (omega Delta)^2 as products, so build_UF returns or
+        fails typed, never with OverflowError."""
+        params = OscillatorParams(omega=1e103, period_T=1.37e-100)
+        spec = DriveSpec.sine(params.period_T, amplitude=0.05)
+        assert classify_monodromy(spec, params) is Classification.NON_RESONANT
+        try:
+            build_UF(spec, params, Truncation(n_keep=8, n_pad=8), 0.3e-100)
+        except NumericError:
+            pass
 
     def test_monodromy_eigenphases(self, drive_nonres, params_nonres, trunc48):
         """U(T, 0) and exp(-i T H_F) share their kept-block spectrum.
@@ -292,11 +306,12 @@ def _count_segment_builds(monkeypatch) -> list:
 
 
 class TestStabilityScanWork:
-    """stability and resonance-scan step nothing: their states come from the
-    factored form.  The oracle's segment reuse is counted through
-    evolve_state on the grids they use.  On T = 2 pi sqrt(2) (the shipped
-    nonresonant period), fmod(9 T, T) returns T less an ulp; that start must
-    reuse the segment from 0."""
+    """stability and resonance-scan step nothing: their energies are the
+    full-space closed forms, stability's leak meter takes its states from the
+    factored form, and a resonance-scan row evolves no state at all.  The
+    oracle's segment reuse is counted through evolve_state on the grids they
+    use.  On T = 2 pi sqrt(2) (the shipped nonresonant period), fmod(9 T, T)
+    returns T less an ulp; that start must reuse the segment from 0."""
 
     def _nonresonant(self):
         spec, params, trunc, opts, _ = cli._load_config(shipped_config_path("nonresonant.json"))
@@ -333,9 +348,26 @@ class TestStabilityScanWork:
                            "--samples", "8", "--out-csv", str(csv)])
             assert rc == 0
             outs.append((csv.read_bytes(), (tmp_path / f"{run}.verdict.json").read_bytes()))
-        cli._scan_row(spec, params, trunc, 0.9)
+        cli._scan_row(spec, params, 0.9)
         assert starts == []
         assert outs[0] == outs[1]
+
+    def test_resonance_scan_row_evolves_no_state(self, monkeypatch):
+        """A row needs no state, no psi quadrature and no C_psi."""
+        spec, params, _, _ = self._nonresonant()
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        for module, name in [(floquet_module, "_factored_states"), (cli, "_factored_states"),
+                             (propagator_module, "_psi_from"), (drive_model_module, "_psi_from"),
+                             (floquet_module, "energy_bound_constant")]:
+            monkeypatch.setattr(module, name, forbidden(name))
+        for omega in (0.9, 1.0 / math.sqrt(2), 1.0):
+            row = cli._scan_row(spec, params, omega).split(",")
+            assert len(row) == 4 and all(math.isfinite(float(v)) for v in (row[0], row[2], row[3]))
 
     def test_output_does_not_depend_on_earlier_runs(self, tmp_path):
         """A 20-period run writes the same bytes after a 13-period one as
@@ -366,6 +398,34 @@ class TestStabilityScanWork:
             v = (h0 + float(real(spec, ti)) * x) @ states[i]
             assert report.energy_norms[i] == pytest.approx(np.linalg.norm(v), rel=1e-12)
             assert report.mean_energy[i] == pytest.approx(np.real(np.vdot(states[i], v)), rel=1e-12)
+
+
+class TestExactEnergies:
+    """The full-space energies ||K(t) psi0|| and <psi0, K(t) psi0> against
+    H(t) psi_t of the truncated factored states, which agree while the
+    states stay inside the working space."""
+
+    @pytest.mark.parametrize("state", ["ground", "fock:5", "coherent:1.2+0.7j"])
+    @pytest.mark.parametrize("name", ["nonresonant", "resonant_identity", "resonant_growth"])
+    def test_match_the_truncated_states(self, name, state):
+        spec, params, trunc, _, _ = cli._load_config(shipped_config_path(name + ".json"))
+        psi0 = cli._parse_state(state, trunc)
+        report = stability_scan(spec, params, trunc, psi0, n_periods=20, samples_per_period=4)
+        energy_norms, mean_energy = floquet_module._exact_energies(spec, params, psi0, report.t_grid)
+        np.testing.assert_array_equal(report.energy_norms, energy_norms)
+        np.testing.assert_array_equal(report.mean_energy, mean_energy)
+        states = _factored_states(spec, params, _padded_state(psi0, trunc)[0], report.t_grid)
+        pad_population = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1).max()
+        assert pad_population <= 1e-20, (
+            f"{name} {state}: the truncated state leaks {pad_population:.3g} into the pad, "
+            "so it is no longer a reference for the full-space energies"
+        )
+        h_states = np.array(
+            [hamiltonian_at(spec, params, t, trunc.dim) @ v for t, v in zip(report.t_grid, states)]
+        )
+        np.testing.assert_allclose(energy_norms, np.linalg.norm(h_states, axis=1), rtol=1e-13, atol=0)
+        mean = np.real(np.sum(states.conj() * h_states, axis=1))
+        np.testing.assert_allclose(mean_energy, mean, rtol=0, atol=1e-12)
 
 
 class TestStabilityScanAgainstOracle:
