@@ -35,7 +35,7 @@ from .core_fock import (
     _real_field,
     matrix_exp,
 )
-from .drive_model import DriveSpec, hamiltonian_at, mu_nu_sigma, phi12, psi
+from .drive_model import DriveSpec, _psi_from, hamiltonian_at, mu_nu_sigma, phi12, psi
 from .errors import FloquetLabError, NumericError, ResonantTimeError
 from .floquet import _exact_energies, _fit_exponent, _time_grid, classify_monodromy, stability_scan
 from .oracle import evolve_state, integrate
@@ -58,7 +58,7 @@ def _emit_error(exc: BaseException, code: int, held: list) -> int:
     if held:
         payload["error"]["warnings"] = [f"{w.category.__name__}: {w.message}" for w in held]
     if isinstance(exc, ResonantTimeError):
-        payload["error"]["elapsed"] = float(exc.elapsed) if exc.elapsed is not None else None
+        payload["error"]["elapsed"] = float(exc.elapsed)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 
@@ -388,10 +388,11 @@ def _suite_appendix(config_path: str) -> list:
     dev = float(np.linalg.norm(u_fact[:half, :half] - u_orc[:half, :half], 2))
     checks.append(("factored_vs_integrator_halfblock", dev <= 1e-6, dev))
 
-    # the closed-form trajectory of stability against the stepped one
+    # the closed-form trajectory of stability, with its global phase, against the stepped one
     t_grid = np.linspace(0.0, 6 * params.period_T, 25)
     psi0, _ = _padded_state(np.ones(1, dtype=complex), trunc)
-    closed = _factored_states(spec, params, psi0, t_grid)
+    phase = np.exp(-1j * _psi_from(spec, params, np.concatenate(([0.0], t_grid)))[1:])
+    closed = _factored_states(spec, params, psi0, t_grid) * phase[:, None]
     stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"])
     dev = float(np.linalg.norm(closed - stepped, axis=1).max())
     checks.append(("stability_closed_form_vs_oracle", dev <= 1e-6, dev))

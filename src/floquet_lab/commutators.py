@@ -4,15 +4,17 @@
 
 stay bounded for the driven oscillator, and compressing them between
 spectral projectors of H(t) and H(s) yields transition bounds that decay
-like dist(Delta_1, Delta_2)^{-p}.  X_n is built two independent ways: by
-the binomial sum above (xn_operator) and through the Floquet
-decomposition (xn_operator_via_floquet); verify's commutators suite
-checks one against the other.
+like dist(Delta_1, Delta_2)^{-p}.  Left and right multiplication commute,
+so the sum is X_n = (L_{H(t)} - R_{H(s)})^n U(t,s), the n-th step of
+X_{k+1} = H(t) X_k - X_k H(s) from X_0 = U(t,s).  X_n is built two
+independent ways, both by that two-sided recursion: from H(t), H(s) and
+the factored U on the kept block (xn_operator), and in the co-rotating
+frame as Z_{k+1} = K_F(t) Z_k - Z_k K_F(s) with K_F = H_F + S_F
+(xn_operator_via_floquet).  verify's commutators suite checks one
+against the other.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -47,23 +49,17 @@ def xn_operator(
     t: float,
     s: float,
 ) -> TruncatedOperator:
-    """X_n(t,s) = sum_k (n choose k)(-1)^k H(t)^{n-k} U(t,s) H(s)^k on the
-    kept block."""
+    """X_n(t,s) = (L_{H(t)} - R_{H(s)})^n U(t,s) on the kept block: n steps
+    of X_{k+1} = H(t) X_k - X_k H(s) from the factored X_0 = U(t,s)."""
     if not 0 <= n <= 4:
         raise ValueError("n is limited to 0..4 at desk scale")
     nk = trunc.n_keep
-    u = propagator_factored(spec, params, trunc, float(t), float(s)).entries
+    x = propagator_factored(spec, params, trunc, float(t), float(s)).entries
     h_t = hamiltonian_at(spec, params, float(t), nk)
     h_s = hamiltonian_at(spec, params, float(s), nk)
-    ht_pows = [np.eye(nk, dtype=complex)]
-    hs_pows = [np.eye(nk, dtype=complex)]
     for _ in range(n):
-        ht_pows.append(ht_pows[-1] @ h_t)
-        hs_pows.append(hs_pows[-1] @ h_s)
-    out = np.zeros((nk, nk), dtype=complex)
-    for k in range(n + 1):
-        out += math.comb(n, k) * ((-1) ** k) * (ht_pows[n - k] @ u @ hs_pows[k])
-    return TruncatedOperator(out)
+        x = h_t @ x - x @ h_s
+    return TruncatedOperator(x)
 
 
 def xn_operator_via_floquet(
@@ -75,25 +71,27 @@ def xn_operator_via_floquet(
     s: float,
 ) -> TruncatedOperator:
     """Dual construction X_n = U_F(t) Z_n U_F(s)^{-1} with the recursion
-    Z_{n+1} = ad_{H_F} Z_n + S_F(t) Z_n - Z_n S_F(s), Z_0 = e^{-i(t-s)H_F}.
+    Z_{k+1} = K_F(t) Z_k - Z_k K_F(s), Z_0 = e^{-i(t-s)H_F}, where
+    K_F(tau) = H_F + S_F(tau) = U_F(tau)^{-1} H(tau) U_F(tau): the recursion
+    of xn_operator in the co-rotating frame.
 
-    Independent of the direct binomial assembly except for the shared
-    scalar kernels; used as its cross-check.
+    Independent of xn_operator except for the shared scalar kernels; used
+    as its cross-check.
     """
     if not 0 <= n <= 4:
         raise ValueError("n is limited to 0..4 at desk scale")
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
-    nk = trunc.n_keep
     hf = _hf_matrix(spec, params, trunc.dim)
     z = matrix_exp(-1j * (t - s) * hf)
     sf_t, sf_s = _sf_matrices(spec, params, (t, s), trunc.dim)
+    k_t, k_s = hf + sf_t, hf + sf_s
     for _ in range(n):
-        z = (hf @ z - z @ hf) + sf_t @ z - z @ sf_s
+        z = k_t @ z - z @ k_s
     uf_t = _uf_matrix(spec, params, t, trunc.dim)
     uf_s = _uf_matrix(spec, params, s, trunc.dim)
     full = uf_t @ z @ np.linalg.inv(uf_s)
-    return TruncatedOperator(full[:nk, :nk].copy())
+    return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 
 def sup_xn_norm(

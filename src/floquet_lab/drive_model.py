@@ -382,7 +382,6 @@ def split_elapsed(params: OscillatorParams, elapsed: float) -> tuple[int, float]
         raise ResonantTimeError(
             f"elapsed time {elapsed} is within {RESONANCE_REL_TOL} oscillator periods of resonance",
             elapsed=elapsed,
-            period=t_osc,
         )
     n = math.ceil(r - 0.5)
     delta = (r - n) * t_osc

@@ -19,10 +19,9 @@ class ResonantTimeError(FloquetLabError, ValueError):
     """Elapsed time hit a multiple of the oscillator period where the
     single-exponential propagator form is undefined."""
 
-    def __init__(self, message: str, elapsed: float, period: float):
+    def __init__(self, message: str, elapsed: float):
         super().__init__(message)
         self.elapsed = elapsed
-        self.period = period
 
 
 class ResonanceError(FloquetLabError, ValueError):
@@ -53,8 +52,3 @@ class SmallDenominatorError(FloquetLabError):
 
 class NotConvergedError(FloquetLabError):
     """An iterative scheme exhausted its iteration budget."""
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual

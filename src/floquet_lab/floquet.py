@@ -344,13 +344,13 @@ def stability_scan(
     <psi0, K(t) psi0> (module docstring, _exact_energies), so they do not
     saturate when psi_t outgrows the working space.  The truncated state,
     the factored form of U(t, 0) psi0 at the working dimension on the whole
-    grid (propagator._factored_states), is only the leak meter:
-    high_mode_population is its weight above the kept block, and
-    leak_warning flips when psi0 reaches past n_keep/2 or that weight
-    exceeds 1e-6.  Non-resonant drives with psi0 inside levels 0..n_keep/2
-    also get the uniform bound C_psi and the verdict compares sup ||H psi||
-    against it; resonant drives, and states reaching past n_keep/2, are
-    judged by the growth exponent alone.
+    grid without its global phase (propagator._factored_states), is only
+    the leak meter: high_mode_population is its weight above the kept
+    block, and leak_warning flips when psi0 reaches past n_keep/2 or that
+    weight exceeds 1e-6.  Non-resonant drives with psi0 inside levels
+    0..n_keep/2 also get the uniform bound C_psi and the verdict compares
+    sup ||H psi|| against it; resonant drives, and states reaching past
+    n_keep/2, are judged by the growth exponent alone.
     """
     _check_periods(spec, params)
     if n_periods < 1 or samples_per_period < 1:
@@ -390,15 +390,6 @@ def stability_scan(
 
 # ---------------------------------------------------------------------------
 # the transition-probability bound
-
-
-def _interval_dist(i1: tuple[float, float], i2: tuple[float, float]) -> float:
-    (a0, a1), (b0, b1) = i1, i2
-    if a1 < b0:
-        return b0 - a1
-    if b1 < a0:
-        return a0 - b1
-    return 0.0
 
 
 @dataclass
@@ -468,7 +459,7 @@ def _transition_bound(
     lo2, hi2 = float(interval_2[0]), float(interval_2[1])
     if not (lo1 <= hi1 and lo2 <= hi2):
         raise InvalidIntervalError("intervals must satisfy lo <= hi")
-    dist = _interval_dist((lo1, hi1), (lo2, hi2))
+    dist = max(lo2 - hi1, lo1 - hi2, 0.0)
     if dist <= 0.0:
         raise InvalidIntervalError(
             f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch"

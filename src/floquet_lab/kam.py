@@ -574,11 +574,7 @@ class KamResult:
 
     def propagator(self, t: float, s: float) -> TruncatedOperator:
         if not self.converged:
-            raise NotConvergedError(
-                f"cannot reconstruct a propagator from status {self.status!r}",
-                iterations=self.iterations,
-                residual=self.final_residual,
-            )
+            raise NotConvergedError(f"cannot reconstruct a propagator from status {self.status!r}")
         return reconstruct_propagator(self.space, self.w_blocks, self.g_level, t, s)
 
 
@@ -726,7 +722,7 @@ def kam_iterate(
         try:
             a_sym, min_denom = _solve_sym(space, _block_diag(space, g[cap]), rhs, guard)
         except SmallDenominatorError as err:
-            _record(s, None, offdiag, abs(err.gap) if err.gap is not None else math.nan)
+            _record(s, None, offdiag, abs(err.gap))
             return KamResult(
                 status="small_denominator_abort",
                 space=space,

@@ -47,7 +47,6 @@ from .drive_model import (
     _chi,
     _lambda_factor,
     _p123,
-    _psi_from,
     mu_nu_sigma,
     phi12,
     psi,
@@ -131,16 +130,15 @@ def _factored_matrix(
 
 
 def _factored_states(spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid) -> np.ndarray:
-    """U(t, 0) psi0 in the factored form at each time of t_grid, one row per
-    time, at psi0's dimension, from one chi and one psi quadrature over the
-    grid; the factors act on the states as batched products
-    (core_fock._exp_x_exp_p_columns), so no propagator is formed."""
+    """U(t, 0) psi0 without its global phase e^{-i psi(t, 0)}, in the
+    factored form at each time of t_grid, one row per time, at psi0's
+    dimension, from one chi over the grid; the factors act on the states as
+    batched products (core_fock._exp_x_exp_p_columns), so no propagator is
+    formed."""
     chi = _chi(spec, params.omega, t_grid, 0.0)
     energies = number_basis_energies(params.omega, psi0.size)
     cols = psi0[:, None] * np.exp(-1j * np.multiply.outer(energies, t_grid))
-    cols = _exp_x_exp_p_columns(params.omega, -chi.real, chi.imag, cols)
-    cols *= np.exp(-1j * _psi_from(spec, params, np.concatenate(([0.0], t_grid)))[1:])
-    return cols.T
+    return _exp_x_exp_p_columns(params.omega, -chi.real, chi.imag, cols).T
 
 
 def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:

@@ -23,9 +23,9 @@ TRUNC = Truncation(n_keep=32, n_pad=32)
 
 
 class TestXnOperators:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_dual_routes_agree(self, n):
-        """Binomial assembly against the co-rotating recursion."""
+        """The kept-block recursion against the co-rotating one."""
         t, s = 0.9, 0.2
         half = TRUNC.n_keep // 2
         direct = xn_operator(SPEC, PARAMS, TRUNC, n, t, s).entries

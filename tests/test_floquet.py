@@ -362,12 +362,25 @@ class TestStabilityScanWork:
             return call
 
         for module, name in [(floquet_module, "_factored_states"), (cli, "_factored_states"),
-                             (propagator_module, "_psi_from"), (drive_model_module, "_psi_from"),
+                             (cli, "_psi_from"), (drive_model_module, "_psi_from"),
                              (floquet_module, "energy_bound_constant")]:
             monkeypatch.setattr(module, name, forbidden(name))
         for omega in (0.9, 1.0 / math.sqrt(2), 1.0):
             row = cli._scan_row(spec, params, omega).split(",")
             assert len(row) == 4 and all(math.isfinite(float(v)) for v in (row[0], row[2], row[3]))
+
+    def test_stability_runs_no_psi_quadrature(self, monkeypatch, ground_state):
+        """The leak meter reads only |psi_t|^2, from which the global phase
+        e^{-i psi(t, 0)} drops out."""
+        spec, params, trunc, _ = self._nonresonant()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("_psi_from was called")
+
+        for module in (drive_model_module, propagator_module, floquet_module):
+            monkeypatch.setattr(module, "_psi_from", forbidden, raising=False)
+        report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4)
+        assert np.all(np.isfinite(report.high_mode_population))
 
     def test_output_does_not_depend_on_earlier_runs(self, tmp_path):
         """A 20-period run writes the same bytes after a 13-period one as
