@@ -13,9 +13,9 @@ at every truncation.  Every operator the closed forms assemble (H(t), H_F,
 S_F(t), the single-exponential generator) lies in span{H_omega, x, p, 1},
 and _oscillator_op writes any member of it onto its diagonal and two bands,
 using p[n-1, n] = -i omega x[n-1, n].  Truncation policy: operators are
-assembled and exponentiated at dimension n_keep + n_pad and results are
-trimmed back to n_keep, which keeps the basis-cutoff corruption inside the
-padding band.
+assembled and exponentiated at dimension n_keep + n_pad and only the
+n_keep block of a result is kept, which keeps the basis-cutoff corruption
+inside the padding band.
 Every exponential the package forms has an anti-Hermitian generator, so
 matrix_exp accepts that kind only.
 
@@ -30,6 +30,10 @@ eigenvalues of x, and W = V^T P^dag V is a fixed overlap.  V, lam_hat and
 W depend on the dimension alone: _x_eigenbasis computes them once per
 dimension with numpy's eigh of the band, and _exp_x_exp_p then costs two
 real GEMMs on the stacked real and imaginary parts, with no eigensolve.
+It forms only the leading keep x keep block, for which both GEMMs need
+only the kept rows of V, so a closed form at n_keep + n_pad never forms
+the padded product it would trim; for 1-d arrays of a and b the same two
+GEMMs give a stack of such blocks, one per pair.
 x_norm reads the largest lam from the same cached basis, so the module
 needs numpy alone.
 _exp_x_exp_p_columns applies a different pair to each of many states
@@ -282,22 +286,27 @@ def _x_phases(omega: float, lam_hat: np.ndarray, a, b) -> tuple[np.ndarray, np.n
     return phase_a, phase_b
 
 
-def _exp_x_exp_p(omega: float, dim: int, a: float, b: float) -> np.ndarray:
-    """e^{i a x} e^{i (b/omega) p} at the given dimension, from the cached
-    eigenbasis of x (module docstring): V X V^T P with
-    X = diag(e^{i a lam}) W diag(e^{-i b lam}).  X^T is formed directly, so
-    both products are real-by-complex GEMMs on a C-contiguous complex
-    matrix's float view, whose rows interleave re and im.
+def _exp_x_exp_p(omega: float, dim: int, a, b, keep: int) -> np.ndarray:
+    """The leading keep x keep block of e^{i a x} e^{i (b/omega) p} at the
+    given dimension, from the cached eigenbasis of x (module docstring):
+    V_k X V_k^T P_k with V_k the first keep rows of V, P_k the first keep
+    entries of P and X = diag(e^{i a lam}) W diag(e^{-i b lam}).  X^T is
+    formed directly, so both products are real-by-complex GEMMs of V_k on a
+    C-contiguous complex matrix's float view, whose rows interleave re and
+    im.  For 1-d arrays a and b the result is a (len(a), keep, keep) stack,
+    one block per pair.
 
-    a = b = 0 gives the exact identity.  _x_phases checks the phases.
+    A pair a = b = 0 gives the exact identity.  _x_phases checks the phases.
     """
-    if a == 0.0 and b == 0.0:
-        return np.eye(dim, dtype=complex)
     lam_hat, v, w_t, p_diag = _x_eigenbasis(dim)
     phase_a, phase_b = _x_phases(omega, lam_hat, a, b)
-    x_t = (np.exp(-1j * phase_b)[:, None] * w_t) * np.exp(1j * phase_a)
-    y = (v @ x_t.view(float)).view(complex)  # V X^T, whose transpose is X V^T
-    return (v @ np.ascontiguousarray(y.T).view(float)).view(complex) * p_diag
+    x_t = (np.exp(-1j * phase_b).T[..., :, None] * w_t) * np.exp(1j * phase_a).T[..., None, :]
+    v_keep = v[:keep]
+    y = (v_keep @ np.ascontiguousarray(x_t).view(float)).view(complex)  # kept rows of V X^T
+    y_t = np.ascontiguousarray(np.swapaxes(y, -1, -2))  # X V^T in the kept columns
+    out = (v_keep @ y_t.view(float)).view(complex) * p_diag[:keep]
+    out[(np.asarray(a) == 0.0) & (np.asarray(b) == 0.0)] = np.eye(keep)
+    return out
 
 
 def _exp_x_exp_p_columns(omega: float, a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:

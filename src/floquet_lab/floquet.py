@@ -63,6 +63,7 @@ from .core_fock import (
     TruncatedOperator,
     Truncation,
     _exp_x_exp_p,
+    _integer_field,
     _oscillator_op,
     _padded_state,
     number_basis_energies,
@@ -159,16 +160,17 @@ def build_HF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> Tr
     return TruncatedOperator.hermitian_op(_hf_matrix(spec, params, trunc.n_keep))
 
 
-def _uf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int) -> np.ndarray:
+def _uf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int, keep: int) -> np.ndarray:
+    """The leading keep x keep block of U_F(t) at the working dimension dim."""
     fs = floquet_scalars(spec, params, t)
-    return np.exp(1j * fs.big_phi) * _exp_x_exp_p(params.omega, dim, fs.f2, fs.f1)
+    return np.exp(1j * fs.big_phi) * _exp_x_exp_p(params.omega, dim, fs.f2, fs.f1, keep)
 
 
 def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float) -> TruncatedOperator:
-    """Periodic factor U_F(t), built at the padded dimension and trimmed."""
+    """Periodic factor U_F(t): the kept block of its factors at the padded
+    dimension."""
     _check_periods(spec, params)
-    full = _uf_matrix(spec, params, float(t), trunc.dim)
-    return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
+    return TruncatedOperator(_uf_matrix(spec, params, float(t), trunc.dim, trunc.n_keep))
 
 
 def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
@@ -203,6 +205,7 @@ def energy_bound_constant(
     treats as leak-free; the sup runs over sup_samples points of one period.
     psi0 must be normalized and supported there (ValueError otherwise).
     """
+    sup_samples = _integer_field(sup_samples, "sup_samples")
     if sup_samples < 1:
         raise ValueError(f"sup_samples must be >= 1, got {sup_samples}")
     psi, leak = _padded_state(psi0, trunc)
@@ -352,9 +355,11 @@ def stability_scan(
     sup ||H psi|| against it; resonant drives, and states reaching past
     n_keep/2, are judged by the growth exponent alone.
     """
-    _check_periods(spec, params)
+    n_periods = _integer_field(n_periods, "n_periods")
+    samples_per_period = _integer_field(samples_per_period, "samples_per_period")
     if n_periods < 1 or samples_per_period < 1:
         raise ValueError("n_periods and samples_per_period must be >= 1")
+    _check_periods(spec, params)
     classification = classify_monodromy(spec, params)
     t_grid = _time_grid(params, n_periods, samples_per_period)
 
@@ -401,7 +406,8 @@ class TransitionBoundReport:
     norms kept-block.  transition_bound_check gives p = 1 with
     C_1 = 2 sup ||S_F|| over 64 points of one period;
     commutators.higher_order_bound_check gives p in 1..4 with C_p the max of
-    ||X_p|| on sup_xn_norm's [0,T)^2 grid, a lower estimate of sup ||X_p||.
+    ||X_p|| on sup_xn_norm's [0,T)^2 grid, a lower estimate of sup ||X_p||,
+    taken over the nodes t >= s alone since ||X_p(s,t)|| = ||X_p(t,s)||.
     The point intervals D1 = (E_n, E_n) and D2 = (E_m, E_m) of two
     eigenvalues give the eigenvalue-resolved form
     |<n(t)| U(t,s) |m(s)>| <= C_p / |E_n - E_m|^p."""

@@ -60,6 +60,7 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
+    _integer_field,
     _padded_state,
     matrix_exp,
     number_basis_energies,
@@ -151,6 +152,7 @@ class PeriodStepper:
     _segments: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self.steps_per_period = _integer_field(self.steps_per_period, "steps_per_period")
         if self.steps_per_period < 16:
             raise ValueError(f"steps_per_period must be >= 16, got {self.steps_per_period}")
         if self.scheme not in SCHEMES:
@@ -284,9 +286,10 @@ def integrate(
 ) -> TruncatedOperator:
     """Brute-force U(t, s), trimmed to the kept block: stepped from s, with
     whole periods taken as powers of the monodromy at s's phase."""
+    stepper = PeriodStepper(spec, params, trunc, steps_per_period, scheme)
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
-    full = PeriodStepper(spec, params, trunc, steps_per_period, scheme).u(t, s)
+    full = stepper.u(t, s)
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 

@@ -122,11 +122,16 @@ def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float,
 
 
 def _factored_matrix(
-    params: OscillatorParams, phi1: float, phi2: float, psi_ts: float, tau: float, dim: int
+    params: OscillatorParams, phi1, phi2, psi_ts, tau, dim: int, keep: int
 ) -> np.ndarray:
-    energies = number_basis_energies(params.omega, dim)
+    """The leading keep x keep block of the factored U at the working
+    dimension dim.  phi1, phi2 and tau may be 1-d arrays of one length, and
+    psi_ts one of them too or a number; the result is then a stack of
+    blocks, one per entry."""
+    energies = number_basis_energies(params.omega, keep)
+    tau, psi_ts = np.asarray(tau)[..., None], np.asarray(psi_ts)[..., None]
     diag = np.exp(-1j * tau * energies - 1j * psi_ts)
-    return _exp_x_exp_p(params.omega, dim, -phi1, phi2) * diag
+    return _exp_x_exp_p(params.omega, dim, -phi1, phi2, keep) * diag[..., None, :]
 
 
 def _factored_states(spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid) -> np.ndarray:
@@ -152,10 +157,11 @@ def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np
 def propagator_factored(
     spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float, s: float
 ) -> TruncatedOperator:
-    """U(t,s) in the factored form, built at n_keep + n_pad and trimmed."""
+    """U(t,s) in the factored form: the kept block of its factors at
+    n_keep + n_pad."""
     p1, p2 = phi12(spec, params, t, s)
-    full = _factored_matrix(params, p1, p2, psi(spec, params, t, s), t - s, trunc.dim)
-    return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
+    psi_ts = psi(spec, params, t, s)
+    return TruncatedOperator(_factored_matrix(params, p1, p2, psi_ts, t - s, trunc.dim, trunc.n_keep))
 
 
 def propagator_single_exp(

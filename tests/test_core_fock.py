@@ -242,25 +242,39 @@ class TestExpXExpP:
         x, p = xp_operators(omega, dim)
         for a, b in self.PAIRS:
             ref = matrix_exp(1j * a * x) @ matrix_exp(1j * (b / omega) * p)
-            assert np.abs(_exp_x_exp_p(omega, dim, a, b) - ref).max() <= 1e-13
+            assert np.abs(_exp_x_exp_p(omega, dim, a, b, dim) - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [64, 96, 192])
+    def test_kept_block_is_the_trimmed_full_product(self, dim):
+        """The kept rows of V are all both GEMMs need; a stack of pairs gives
+        each pair's block, a zero pair the exact identity."""
+        keep = dim // 2
+        a, b = np.array(self.PAIRS + ((0.0, 0.0),)).T
+        stack = _exp_x_exp_p(1.1, dim, a, b, keep)
+        assert stack.shape == (a.size, keep, keep)
+        for k in range(a.size):
+            trimmed = _exp_x_exp_p(1.1, dim, a[k], b[k], dim)[:keep, :keep]
+            assert np.array_equal(_exp_x_exp_p(1.1, dim, a[k], b[k], keep), trimmed)
+            assert np.array_equal(stack[k], trimmed)
+        assert np.array_equal(stack[-1], np.eye(keep))
 
     def test_zero_exponents_give_the_exact_identity(self):
         for a, b in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
-            u = _exp_x_exp_p(1.3, 12, a, b)
+            u = _exp_x_exp_p(1.3, 12, a, b, 12)
             assert u.dtype == complex
             assert np.array_equal(u, np.eye(12))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NumericError):
-            _exp_x_exp_p(1.0, 16, bad, 0.5)
+            _exp_x_exp_p(1.0, 16, bad, 0.5, 16)
         with pytest.raises(NumericError):
-            _exp_x_exp_p(1.0, 16, 0.5, bad)
+            _exp_x_exp_p(1.0, 16, 0.5, bad, 16)
 
     def test_rejects_an_overflowing_phase(self):
         """A finite exponent whose product with the eigenvalues of x overflows."""
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            _exp_x_exp_p(1.0, 16, 1e308, 0.0)
+            _exp_x_exp_p(1.0, 16, 1e308, 0.0, 16)
 
     @pytest.mark.parametrize("factor, raises", [(0.99, False), (1.01, True)])
     def test_rejects_a_phase_of_2_to_the_52(self, factor, raises):
@@ -269,9 +283,9 @@ class TestExpXExpP:
         for pair in ((a, 0.5), (0.5, a)):
             if raises:
                 with pytest.raises(NumericError, match="2\\^52"):
-                    _exp_x_exp_p(1.0, 16, *pair)
+                    _exp_x_exp_p(1.0, 16, *pair, 16)
             else:
-                assert np.all(np.isfinite(_exp_x_exp_p(1.0, 16, *pair)))
+                assert np.all(np.isfinite(_exp_x_exp_p(1.0, 16, *pair, 16)))
 
     @pytest.mark.parametrize("omega", [0.8, 1.25])
     def test_columns_match_the_matrix_pair(self, omega):
@@ -281,7 +295,7 @@ class TestExpXExpP:
         cols = rng.normal(size=(dim, a.size)) + 1j * rng.normal(size=(dim, a.size))
         out = _exp_x_exp_p_columns(omega, a, b, cols)
         for k in range(a.size):
-            ref = _exp_x_exp_p(omega, dim, a[k], b[k]) @ cols[:, k]
+            ref = _exp_x_exp_p(omega, dim, a[k], b[k], dim) @ cols[:, k]
             assert np.abs(out[:, k] - ref).max() <= 1e-13 * np.abs(cols).max()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0**60])

@@ -257,6 +257,22 @@ class TestStabilityScan:
                 drive_nonres, params_nonres, trunc48, ground_state, 5, samples_per_period=0
             )
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_periods": 2.5}, "n_periods"),
+            ({"n_periods": True}, "n_periods"),
+            ({"n_periods": 4, "samples_per_period": 3.5}, "samples_per_period"),
+            ({"n_periods": 4, "samples_per_period": "8"}, "samples_per_period"),
+        ],
+    )
+    def test_non_integer_counts_are_refused_first(self, drive_nonres, trunc48, ground_state, kwargs, name):
+        """A count that is not an integer is named before the periods are
+        checked: these params disagree with the drive's period."""
+        other_period = OscillatorParams(omega=1.0, period_T=3.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            stability_scan(drive_nonres, other_period, trunc48, ground_state, **kwargs)
+
     def test_report_serialization(self, drive_nonres, params_nonres, trunc48, ground_state):
         report = stability_scan(
             drive_nonres, params_nonres, trunc48, ground_state, n_periods=2, samples_per_period=2
@@ -274,6 +290,11 @@ class TestStabilityScan:
     def test_energy_bound_constant_finite(self, drive_nonres, params_nonres, trunc48, ground_state):
         c = energy_bound_constant(drive_nonres, params_nonres, trunc48, ground_state)
         assert math.isfinite(c) and c > 0.0
+
+    @pytest.mark.parametrize("count", [9.5, True, None])
+    def test_energy_bound_constant_refuses_a_non_integer_count(self, drive_nonres, params_nonres, trunc48, count):
+        with pytest.raises(ValueError, match="^sup_samples must be an integer"):
+            energy_bound_constant(drive_nonres, params_nonres, trunc48, np.ones(30), sup_samples=count)
 
     def test_energy_bound_constant_block_is_levels_0_to_half(self, drive_nonres, params_nonres, trunc48):
         """Level n_keep/2 = 24 is in the block, with ||H_F psi0|| at least

@@ -77,6 +77,19 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=8)
 
+    @pytest.mark.parametrize("steps", [32.5, True, "64"])
+    def test_non_integer_steps_rejected(self, steps):
+        """A fractional step count is named, not run; integrate names it
+        before it reads the times."""
+        with pytest.raises(ValueError, match="^steps_per_period must be an integer"):
+            integrate(SPEC, PARAMS, TRUNC, math.nan, 0.0, steps_per_period=steps)
+        with pytest.raises(ValueError, match="^steps_per_period must be an integer"):
+            evolve_state(SPEC, PARAMS, TRUNC, np.eye(1, TRUNC.dim)[0], [1.0], steps_per_period=steps)
+
+    def test_integral_float_steps_read_as_int(self):
+        stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=64.0)
+        assert stepper.steps_per_period == 64 and isinstance(stepper.steps_per_period, int)
+
 
 class TestStepper:
     @pytest.mark.parametrize("t,s,name", [(math.inf, 0.0, "t"), (math.nan, 0.0, "t"), (1.0, -math.inf, "s")])
