@@ -31,7 +31,6 @@ from .core_fock import (
     Truncation,
     _integer_field,
     _oscillator_op,
-    _padded_state,
     _real_field,
     matrix_exp,
 )
@@ -390,14 +389,14 @@ def _suite_appendix(config_path: str) -> list:
 
     # the closed-form trajectory of stability, with its global phase, against the stepped one
     t_grid = np.linspace(0.0, 6 * params.period_T, 25)
-    psi0, _ = _padded_state(np.ones(1, dtype=complex), trunc)
+    psi0 = np.ones(1, dtype=complex)
     phase = np.exp(-1j * _psi_from(spec, params, np.concatenate(([0.0], t_grid)))[1:])
-    closed = _factored_states(spec, params, psi0, t_grid) * phase[:, None]
+    closed = _factored_states(spec, params, psi0, t_grid, trunc.dim) * phase[:, None]
     stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"])
     dev = float(np.linalg.norm(closed - stepped, axis=1).max())
     checks.append(("stability_closed_form_vs_oracle", dev <= 1e-6, dev))
     # the full-space energies against H(t) psi_t of those truncated states
-    exact, _ = _exact_energies(spec, params, np.ones(1, dtype=complex), t_grid)
+    exact, _ = _exact_energies(spec, params, psi0, t_grid)
     truncated = np.linalg.norm(
         [hamiltonian_at(spec, params, t, trunc.dim) @ state for t, state in zip(t_grid, closed)], axis=1
     )
@@ -470,7 +469,7 @@ def _suite_floquet(config_path: str) -> list:
     um = u_f(t0 - eps)
     up = u_f(t0 + eps)
     dudt = (up - um) / (2 * eps)
-    sf_fd = 1j * np.linalg.inv(u_f(t0)) @ dudt
+    sf_fd = 1j * u_f(t0).conj().T @ dudt
     dev = float(np.linalg.norm((sf_fd - s_f(t0))[:half, :half], 2))
     checks.append(("s_f_finite_difference", dev <= 1e-5, dev))
     return checks

@@ -77,7 +77,7 @@ def _xn_block(
     of them, and h_s is H(s).  One chi covers every t.  NumericError if an
     entry is not finite."""
     chi = _chi(spec, params.omega, ts, s)
-    x = _factored_matrix(params, chi.real, chi.imag, psi_ts, np.asarray(ts) - s, trunc.dim, trunc.n_keep)
+    x = _factored_matrix(params, chi.real, chi.imag, psi_ts, np.asarray(ts) - s, trunc.n_keep)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         for _ in range(n):
             x = h_ts @ x - x @ h_s
@@ -113,10 +113,10 @@ def xn_operator_via_floquet(
     t: float,
     s: float,
 ) -> TruncatedOperator:
-    """Dual construction X_n = U_F(t) Z_n U_F(s)^{-1} with the recursion
+    """Dual construction X_n = U_F(t) Z_n U_F(s)^dag, at n_keep + n_pad, with
     Z_{k+1} = K_F(t) Z_k - Z_k K_F(s), Z_0 = e^{-i(t-s)H_F}, where
     K_F(tau) = H_F + S_F(tau) = U_F(tau)^{-1} H(tau) U_F(tau): the recursion
-    of xn_operator in the co-rotating frame.
+    of xn_operator in the co-rotating frame; U_F's entries are exact.
 
     Independent of xn_operator except for the shared scalar kernels; used
     as its cross-check.
@@ -130,9 +130,9 @@ def xn_operator_via_floquet(
     k_t, k_s = hf + sf_t, hf + sf_s
     for _ in range(n):
         z = k_t @ z - z @ k_s
-    uf_t = _uf_matrix(spec, params, t, trunc.dim, trunc.dim)
-    uf_s = _uf_matrix(spec, params, s, trunc.dim, trunc.dim)
-    full = uf_t @ z @ np.linalg.inv(uf_s)
+    uf_t = _uf_matrix(spec, params, t, trunc.dim)
+    uf_s = _uf_matrix(spec, params, s, trunc.dim)
+    full = uf_t @ z @ uf_s.conj().T
     return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
 
 

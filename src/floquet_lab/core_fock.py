@@ -12,40 +12,30 @@ H_omega is built spectrally rather than from x and p so its diagonal is exact
 at every truncation.  Every operator the closed forms assemble (H(t), H_F,
 S_F(t), the single-exponential generator) lies in span{H_omega, x, p, 1},
 and _oscillator_op writes any member of it onto its diagonal and two bands,
-using p[n-1, n] = -i omega x[n-1, n].  Truncation policy: operators are
-assembled and exponentiated at dimension n_keep + n_pad and only the
-n_keep block of a result is kept, which keeps the basis-cutoff corruption
-inside the padding band.
-Every exponential the package forms has an anti-Hermitian generator, so
-matrix_exp accepts that kind only.
+using p[n-1, n] = -i omega x[n-1, n].  A generator exponentiated as a
+matrix (matrix_exp, anti-Hermitian only) is truncated: its exponential is
+formed at n_keep + n_pad and only the n_keep block is kept.
 
-The closed forms need only exponentials of x and of p, and both are
-functions of one real tridiagonal matrix, x_hat = a + a^dag = sqrt(2 omega) x.
-With P = diag(i^n), p/omega = -P^dag x P, so
+The factored closed forms need x and p only as e^{i a x} e^{i (b/omega) p}
+= e^{-i a b/(2 omega)} D(beta), beta = (i a - b)/sqrt(2 omega), with D the
+displacement, whose Fock entries are closed forms (Cahill and Glauber,
+Phys. Rev. 177, 1857, 1969): D(r e^{i theta}) = e^{i theta N} D(r) e^{-i theta N}
+and, for m >= k, <m|D(r)|k> = g_k^(m-k) and <k|D(r)|m> = (-1)^(m-k) g_k^(m-k),
 
-    e^{i a x} e^{i (b/omega) p} = V diag(e^{i a lam}) W diag(e^{-i b lam}) V^T P,
+    g_k^(d) = sqrt(k!/(k+d)!) r^d e^{-r^2/2} L_k^(d)(r^2),
+    g_(k+1) = [(2k + 1 + d - r^2) g_k - sqrt(k (k+d)) g_(k-1)] / sqrt((k+1)(k+d+1)).
 
-where x_hat = V diag(lam_hat) V^T, lam = lam_hat / sqrt(2 omega) are the
-eigenvalues of x, and W = V^T P^dag V is a fixed overlap.  V, lam_hat and
-W depend on the dimension alone: _x_eigenbasis computes them once per
-dimension with numpy's eigh of the band, and _exp_x_exp_p then costs two
-real GEMMs on the stacked real and imaginary parts, with no eigensolve.
-It forms only the leading keep x keep block, for which both GEMMs need
-only the kept rows of V, so a closed form at n_keep + n_pad never forms
-the padded product it would trim; for 1-d arrays of a and b the same two
-GEMMs give a stack of such blocks, one per pair.
-x_norm reads the largest lam from the same cached basis, so the module
-needs numpy alone.
-_exp_x_exp_p_columns applies a different pair to each of many states
-without forming one.  In the eigenbasis of x, x is diagonal and p is
-reached through W: the discrete-variable picture.  A phase a lam or b lam
-of 2^52 rad or more keeps no digit and raises NumericError, as the
-oracle's step phase does.
+_displacement runs that forward recurrence (stable, unlike the one of the
+columns D|k+1> = (a^dag - beta^*) D|k>/sqrt(k+1)) along every diagonal d at
+once, from the Poisson amplitudes g_0^(d) kept as logarithms, so nothing
+underflows or overflows at large r: exact entries on any rows and columns,
+with no padding and no eigensolve.  A phase a b/(2 omega) of 2^52 rad or
+more keeps no digit and raises NumericError, as the oracle's step phase does.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -67,8 +57,8 @@ __all__ = [
 # Relative tolerance used to classify generators as (anti-)Hermitian.
 _HERM_RTOL = 1e-12
 
-# Distinct working dimensions whose x eigenbasis stays cached.
-_X_BASIS_CACHE_SIZE = 8
+# A running log-bound on the Laguerre values past which _displacement rescales.
+_RESCALE_LOG = 600.0
 
 
 def _integer_field(value, name: str) -> int:
@@ -135,12 +125,10 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Kept block size plus padding used during assembly.
-
-    n_pad defaults to n_keep, which in practice keeps truncation artifacts
-    out of the kept block for the moderately displaced states this package
-    deals with.
-    """
+    """Kept block size plus the padding of the exponentials the oracle,
+    the single exponential and the X_n cross-check take at n_keep + n_pad
+    (the factored forms need none).  n_pad defaults to n_keep, which in
+    practice keeps their truncation artifacts out of the kept block."""
 
     n_keep: int
     n_pad: int = -1  # sentinel: replaced by n_keep in __post_init__
@@ -216,10 +204,14 @@ def x_off_diagonal(omega: float, dim: int) -> np.ndarray:
 
 
 def x_norm(omega: float, dim: int) -> float:
-    """Spectral norm of the truncated x at the given dimension: its largest
-    eigenvalue, since its spectrum is symmetric about 0, read from the
-    cached eigenbasis of x."""
-    return float(_x_eigenbasis(dim)[0][-1] / np.sqrt(2.0 * omega))
+    """Spectral norm of the truncated x at the given dimension.  x_hat =
+    sqrt(2 omega) x couples even levels to odd ones only, so ||x_hat||^2 is
+    the largest eigenvalue of x_hat^2 on the even levels: one eigvalsh of a
+    band of half the size, diagonal 4i + 1 (less 2i + 1 where level 2i + 1
+    is cut) and off-diagonal sqrt((2i + 1)(2i + 2))."""
+    odd = 2.0 * np.arange((dim + 1) // 2) + 1.0  # the odd levels 2i + 1 above each even one
+    band = np.diag(2.0 * odd - 1.0 - odd * (odd >= dim)) + np.diag(np.sqrt(odd[:-1] * (odd[:-1] + 1.0)), 1)
+    return float(np.sqrt(np.linalg.eigvalsh(band, UPLO="U")[-1] / (2.0 * omega)))
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -252,76 +244,79 @@ def matrix_exp(m) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-@functools.lru_cache(maxsize=_X_BASIS_CACHE_SIZE)
-def _x_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lam_hat, V, W^T, i^n) at the given dimension: the eigenpairs of the
-    omega-free band x_hat = a + a^dag = V diag(lam_hat) V^T, the transpose of
-    the overlap W = V^T diag((-i)^n) V, and the diagonal of P = diag(i^n).
-    The arrays are shared between callers, so they are read-only.  numpy's
-    eigh of the upper band gives the same eigenpairs as LAPACK dstevd."""
-    lam_hat, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")
-    # i^n from a table: numpy rounds 1j ** n from n = 100 on
-    p_diag = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
-    w_t = np.ascontiguousarray(((v.T * p_diag.conj()) @ v).T)
-    out = (lam_hat, v, w_t, p_diag)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
+    """The exact entries <m| e^{i a x} e^{i (b/omega) p} |k>, m < rows and
+    k < cols (module docstring), as a (rows, cols) block, or for 1-d arrays
+    a and b as a (len(a), rows, cols) stack, one block per pair.
 
-
-def _x_phases(omega: float, lam_hat: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The phases a lam and b lam, for scalars a and b or, as (dim, n)
-    arrays, for 1-d arrays of them; NumericError if one is not finite or
-    reaches 1/eps = 2^52 rad (module docstring)."""
-    lam = lam_hat / np.sqrt(2.0 * omega)
-    phase_a = np.multiply.outer(lam, a)
-    phase_b = np.multiply.outer(lam, b)
-    limit = 1.0 / np.finfo(float).eps
-    # the negated comparison also refuses NaN
-    if not (np.abs(phase_a).max() < limit and np.abs(phase_b).max() < limit):
-        raise NumericError(
-            f"exponent of x or p is not finite or reaches 2^52 rad (max |a| = {np.abs(a).max():.3e}, "
-            f"max |b| = {np.abs(b).max():.3e}): no digit of the exponential survives"
-        )
-    return phase_a, phase_b
-
-
-def _exp_x_exp_p(omega: float, dim: int, a, b, keep: int) -> np.ndarray:
-    """The leading keep x keep block of e^{i a x} e^{i (b/omega) p} at the
-    given dimension, from the cached eigenbasis of x (module docstring):
-    V_k X V_k^T P_k with V_k the first keep rows of V, P_k the first keep
-    entries of P and X = diag(e^{i a lam}) W diag(e^{-i b lam}).  X^T is
-    formed directly, so both products are real-by-complex GEMMs of V_k on a
-    C-contiguous complex matrix's float view, whose rows interleave re and
-    im.  For 1-d arrays a and b the result is a (len(a), keep, keep) stack,
-    one block per pair.
-
-    A pair a = b = 0 gives the exact identity.  _x_phases checks the phases.
+    A pair a = b = 0 gives the exact identity.  NumericError if a or b is
+    not finite, |beta|^2 overflows, or the phase a b/(2 omega) reaches
+    2^52 rad.
     """
-    lam_hat, v, w_t, p_diag = _x_eigenbasis(dim)
-    phase_a, phase_b = _x_phases(omega, lam_hat, a, b)
-    x_t = (np.exp(-1j * phase_b).T[..., :, None] * w_t) * np.exp(1j * phase_a).T[..., None, :]
-    v_keep = v[:keep]
-    y = (v_keep @ np.ascontiguousarray(x_t).view(float)).view(complex)  # kept rows of V X^T
-    y_t = np.ascontiguousarray(np.swapaxes(y, -1, -2))  # X V^T in the kept columns
-    out = (v_keep @ y_t.view(float)).view(complex) * p_diag[:keep]
-    out[(np.asarray(a) == 0.0) & (np.asarray(b) == 0.0)] = np.eye(keep)
-    return out
-
-
-def _exp_x_exp_p_columns(omega: float, a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """e^{i a_k x} e^{i (b_k/omega) p} applied to column k of the (dim, n)
-    complex cols for every k, with no matrix formed: P, V^T, diag(e^{-i b_k
-    lam}), W, diag(e^{i a_k lam}) and V in turn, as two real GEMMs on float
-    views and one complex GEMM with W."""
-    lam_hat, v, w_t, p_diag = _x_eigenbasis(cols.shape[0])
-    phase_a, phase_b = _x_phases(omega, lam_hat, a, b)
-    y = np.ascontiguousarray(cols * p_diag[:, None])
-    y = (v.T @ y.view(float)).view(complex)
-    y *= np.exp(-1j * phase_b)
-    y = w_t.T @ y
-    y *= np.exp(1j * phase_a)
-    return (v @ y.view(float)).view(complex)
+    shape = np.shape(a)
+    a, b = np.asarray(a, dtype=float).reshape(-1), np.asarray(b, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        x = (a * a + b * b) / (2.0 * omega)  # r^2 = |beta|^2
+        phase = a * b / (2.0 * omega)
+        # the negated comparison also refuses NaN
+        if not (np.isfinite(x) & (np.abs(phase) < 2.0**52)).all():
+            raise NumericError(
+                f"exponent of x or p is not finite or its phase reaches 2^52 rad (max |a| = {np.abs(a).max():.3e}, "
+                f"max |b| = {np.abs(b).max():.3e}): no digit of the exponential survives"
+            )
+    nb = a.size
+    n_diag, n_steps = max(rows, cols), min(rows, cols)
+    d = np.arange(n_diag, dtype=float)
+    k = np.arange(n_steps - 1, dtype=float)[:, None]
+    kd = k + d
+    # g_(k+1) = A_k g_k - B_k g_(k-1) is f_(k+1) = A_k (c_k / c_(k+1)) f_k - f_(k-1) for g_k = c_k f_k,
+    # c_0 = c_1 = 1 and c_(k+1) = B_k c_(k-1): one product less per step; f_(-1) = 0, f_0 = 1 start it
+    den = 1.0 / np.sqrt((k + 1.0) * (kd + 1.0))
+    b_k = np.sqrt(k * kd) * den
+    c = np.ones((n_steps, 1, n_diag))
+    c[2::2, 0] = np.cumprod(b_k[1::2], axis=0)
+    c[3::2, 0] = np.cumprod(b_k[2::2], axis=0)
+    den *= c[:-1, 0] / c[1:, 0]
+    coef = ((k + kd + 1.0) * den)[:, None, :] - x[:, None] * den[:, None, :]
+    # |f_(k+1)| <= (|coef_k| + 1) max(|f_k|, |f_(k-1)|): rescaling every `every` steps keeps f below e^600
+    every = max(1, int(_RESCALE_LOG / math.log1p(np.abs(coef).max(initial=1.0))))
+    terms = np.empty((nb, n_diag))
+    terms[:, 0] = -0.5 * x
+    terms[:, 1:] = 0.5 * (np.log(np.where(x > 0.0, x, 1.0))[:, None] - np.log(d[1:]))
+    scale = np.cumsum(terms, axis=1)  # log g_0^(d)
+    f = np.empty((n_steps + 1, nb, n_diag))
+    f[0], f[1] = 0.0, 1.0
+    f_rows, coef, mul, sub = list(f), list(coef), np.multiply, np.subtract
+    for j in range(n_steps - 1):
+        if j % every == every - 1:
+            top = np.maximum(np.abs(f_rows[j + 1]), np.abs(f_rows[j]))
+            top[top == 0.0] = 1.0
+            f[: j + 2] /= top
+            scale += np.log(top)
+        mul(coef[j], f_rows[j + 1], out=f_rows[j + 2])
+        sub(f_rows[j + 2], f_rows[j], out=f_rows[j + 2])
+    f = f[1:] * c
+    if n_steps > 1 and scale.min() < -700.0:  # e^scale underflows under f > 1: fold f's peaks into it
+        top = np.abs(f).max(axis=0)
+        top[top == 0.0] = 1.0
+        f /= top
+        scale += np.log(top)
+    # diagonal d of e^{i theta N} D(r) e^{-i theta N} carries u^d below the main one, (-u^*)^d above it;
+    # e^{-i phase} and e^scale go in too, the latter as 0 below e^-708, where it is subnormal
+    weights = np.empty((nb, 2, n_diag), dtype=complex)
+    weights[:, :, 0] = np.exp(-1j * phase)[:, None]
+    u = (1j * a - b) / np.where(x > 0.0, np.hypot(a, b), 1.0)
+    weights[:, 0, 1:], weights[:, 1, 1:] = u[:, None], -u.conj()[:, None]
+    np.cumprod(weights, axis=2, out=weights)
+    weights *= np.exp(scale, out=np.zeros_like(scale), where=scale > -708.0)[:, None, :]
+    table = f[:, :, None, :] * weights  # (k, nb, side, d)
+    m_i, k_i = np.arange(rows)[:, None], np.arange(cols)
+    stride = 2 * nb * n_diag - 1
+    idx = np.where(m_i >= k_i, m_i + stride * k_i, stride * m_i + n_diag + k_i)
+    out = table.reshape(-1)[np.arange(0, nb * 2 * n_diag, 2 * n_diag)[:, None, None] + idx]
+    if not x.all():
+        out[x == 0.0] = np.eye(rows, cols)
+    return out.reshape(shape + (rows, cols))
 
 
 def _padded_state(psi0, trunc: Truncation) -> tuple[np.ndarray, bool]:

@@ -62,7 +62,7 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    _exp_x_exp_p,
+    _displacement,
     _integer_field,
     _oscillator_op,
     _padded_state,
@@ -83,7 +83,7 @@ from .drive_model import (
     is_resonant_period,
 )
 from .errors import InvalidIntervalError, NumericError
-from .propagator import _factored_states, propagator_factored
+from .propagator import _factored_matrix, _factored_states
 
 __all__ = [
     "Classification",
@@ -160,17 +160,16 @@ def build_HF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> Tr
     return TruncatedOperator.hermitian_op(_hf_matrix(spec, params, trunc.n_keep))
 
 
-def _uf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, dim: int, keep: int) -> np.ndarray:
-    """The leading keep x keep block of U_F(t) at the working dimension dim."""
+def _uf_matrix(spec: DriveSpec, params: OscillatorParams, t: float, n: int) -> np.ndarray:
+    """The n x n block of U_F(t) from exact entries."""
     fs = floquet_scalars(spec, params, t)
-    return np.exp(1j * fs.big_phi) * _exp_x_exp_p(params.omega, dim, fs.f2, fs.f1, keep)
+    return np.exp(1j * fs.big_phi) * _displacement(params.omega, fs.f2, fs.f1, n, n)
 
 
 def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float) -> TruncatedOperator:
-    """Periodic factor U_F(t): the kept block of its factors at the padded
-    dimension."""
+    """Periodic factor U_F(t) on the kept block, from exact entries."""
     _check_periods(spec, params)
-    return TruncatedOperator(_uf_matrix(spec, params, float(t), trunc.dim, trunc.n_keep))
+    return TruncatedOperator(_uf_matrix(spec, params, float(t), trunc.n_keep))
 
 
 def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
@@ -230,8 +229,8 @@ class StabilityReport:
     """Energy diagnostics of psi_t = U(t, 0) psi0 on a uniform time grid.
 
     energy_norms and mean_energy are ||H(t) psi_t|| and <H(t)> on the full
-    space (module docstring); high_mode_population is the weight of the
-    truncated state above the kept block, the leak meter.  verdict is
+    space (module docstring); high_mode_population is the exact weight of
+    psi_t above the kept block, never negative, the leak meter.  verdict is
     "bounded" or "growing"; fit_exponent is the least-squares slope of log
     mean energy against log t over the last half of the grid. paper_bound
     is None for resonant drives, where the uniform bound does not apply,
@@ -321,6 +320,18 @@ def _exact_energies(
     return energy_norms, mean_energy
 
 
+def _population_above(spec: DriveSpec, params: OscillatorParams, psi0, t_grid: np.ndarray, n: int) -> np.ndarray:
+    """The exact weight of U(t, 0) psi0 on the levels n and up at each time
+    of t_grid.  D(beta)|k> lies below (|beta| + sqrt(k))^2 but for a few
+    levels, so while half the weight or more is below n, the states on
+    (sqrt(n) + 2 sqrt(K) + 8)^2 levels, psi0 on K, hold all of it: it is
+    their sum, with no floor.  Past that it is 1 minus the weight below n."""
+    rows = math.ceil((math.sqrt(n) + 2.0 * math.sqrt(psi0.size) + 8.0) ** 2)
+    weights = np.abs(_factored_states(spec, params, psi0, t_grid, rows)) ** 2
+    below = weights[:, :n].sum(axis=1)
+    return np.where(below < 0.5, 1.0 - below, weights[:, n:].sum(axis=1))
+
+
 def _fit_exponent(t: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(max(value, 1e-14)) vs log t, last half."""
     half = t.size // 2
@@ -345,15 +356,13 @@ def stability_scan(
 
     The energies are the full-space values ||K(t) psi0|| and
     <psi0, K(t) psi0> (module docstring, _exact_energies), so they do not
-    saturate when psi_t outgrows the working space.  The truncated state,
-    the factored form of U(t, 0) psi0 at the working dimension on the whole
-    grid without its global phase (propagator._factored_states), is only
-    the leak meter: high_mode_population is its weight above the kept
-    block, and leak_warning flips when psi0 reaches past n_keep/2 or that
-    weight exceeds 1e-6.  Non-resonant drives with psi0 inside levels
-    0..n_keep/2 also get the uniform bound C_psi and the verdict compares
-    sup ||H psi|| against it; resonant drives, and states reaching past
-    n_keep/2, are judged by the growth exponent alone.
+    saturate when psi_t outgrows the working space.  psi_t itself is only
+    the leak meter: high_mode_population is its exact weight above the kept
+    block (_population_above), and leak_warning flips when psi0 reaches past
+    n_keep/2 or that weight exceeds 1e-6.  Non-resonant drives with psi0
+    inside levels 0..n_keep/2 also get the uniform bound C_psi and the
+    verdict compares sup ||H psi|| against it; resonant drives, and states
+    reaching past n_keep/2, are judged by the growth exponent alone.
     """
     n_periods = _integer_field(n_periods, "n_periods")
     samples_per_period = _integer_field(samples_per_period, "samples_per_period")
@@ -363,9 +372,8 @@ def stability_scan(
     classification = classify_monodromy(spec, params)
     t_grid = _time_grid(params, n_periods, samples_per_period)
 
-    psi, leak = _padded_state(psi0, trunc)
-    states = _factored_states(spec, params, psi, t_grid)
-    pad_pop = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)
+    _, leak = _padded_state(psi0, trunc)
+    pad_pop = _population_above(spec, params, np.ravel(psi0).astype(complex), t_grid, trunc.n_keep)
     energy_norms, mean_energy = _exact_energies(spec, params, psi0, t_grid)
 
     sup_bound = float(energy_norms.max())
@@ -472,14 +480,16 @@ def _transition_bound(
         )
 
     n = trunc.n_keep
-    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n))
-    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n))
+    # H(t) = H_omega + f(t) x is real: a real eigh suffices
+    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n).real)
+    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n).real)
     idx_t = np.nonzero((vals_t >= lo1) & (vals_t <= hi1))[0]
     idx_s = np.nonzero((vals_s >= lo2) & (vals_s <= hi2))[0]
 
-    u = propagator_factored(spec, params, trunc, t, s).entries
-    core = vecs_t.conj().T @ u @ vecs_s
-    block = core[np.ix_(idx_t, idx_s)]
+    # the factored U without its factor e^{-i psi(t, s)}, a global phase that
+    # no norm sees, so no psi quadrature
+    chi = _chi(spec, params.omega, t, s)
+    block = vecs_t[:, idx_t].T @ _factored_matrix(params, chi.real, chi.imag, 0.0, t - s, n) @ vecs_s[:, idx_s]
     lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
 
     constant = c_p()

@@ -12,8 +12,8 @@ propagator collapses to a single displaced-oscillator exponential
 
 using exp(-i (2 pi/omega) N H_omega) = (-1)^N, valid off resonance only.
 
-The factored form takes its x and p exponentials from the cached
-eigenbasis of x (core_fock._exp_x_exp_p) with no eigensolve; the single
+The factored form is a displacement times free evolution, built on the
+kept block from exact Fock entries (core_fock._displacement); the single
 exponential goes through matrix_exp's dense eigensolve on purpose, so
 comparing the two forms compares two independent computations.
 
@@ -34,8 +34,7 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
-    _exp_x_exp_p,
-    _exp_x_exp_p_columns,
+    _displacement,
     _oscillator_op,
     matrix_exp,
     number_basis_energies,
@@ -121,29 +120,26 @@ def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float,
     return mu, nu, phase
 
 
-def _factored_matrix(
-    params: OscillatorParams, phi1, phi2, psi_ts, tau, dim: int, keep: int
-) -> np.ndarray:
-    """The leading keep x keep block of the factored U at the working
-    dimension dim.  phi1, phi2 and tau may be 1-d arrays of one length, and
-    psi_ts one of them too or a number; the result is then a stack of
-    blocks, one per entry."""
-    energies = number_basis_energies(params.omega, keep)
+def _factored_matrix(params: OscillatorParams, phi1, phi2, psi_ts, tau, n: int) -> np.ndarray:
+    """The n x n block of the factored U from exact entries.  phi1, phi2
+    and tau may be 1-d arrays of one length, and psi_ts one of them too or
+    a number; the result is then a stack of blocks, one per entry."""
+    energies = number_basis_energies(params.omega, n)
     tau, psi_ts = np.asarray(tau)[..., None], np.asarray(psi_ts)[..., None]
     diag = np.exp(-1j * tau * energies - 1j * psi_ts)
-    return _exp_x_exp_p(params.omega, dim, -phi1, phi2, keep) * diag[..., None, :]
+    return _displacement(params.omega, -phi1, phi2, n, n) * diag[..., None, :]
 
 
-def _factored_states(spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid) -> np.ndarray:
-    """U(t, 0) psi0 without its global phase e^{-i psi(t, 0)}, in the
-    factored form at each time of t_grid, one row per time, at psi0's
-    dimension, from one chi over the grid; the factors act on the states as
-    batched products (core_fock._exp_x_exp_p_columns), so no propagator is
-    formed."""
+def _factored_states(spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid, rows: int) -> np.ndarray:
+    """U(t, 0) psi0 less its global phase e^{-i psi(t, 0)} on levels
+    0..rows - 1, one row per time of t_grid, from one chi and psi0's own
+    columns of the displacement (for the ground state, the coherent
+    amplitudes), formed a few times at once to bound the memory."""
     chi = _chi(spec, params.omega, t_grid, 0.0)
-    energies = number_basis_energies(params.omega, psi0.size)
-    cols = psi0[:, None] * np.exp(-1j * np.multiply.outer(energies, t_grid))
-    return _exp_x_exp_p_columns(params.omega, -chi.real, chi.imag, cols).T
+    cols = psi0 * np.exp(-1j * np.multiply.outer(t_grid, number_basis_energies(params.omega, psi0.size)))
+    parts = np.array_split(np.arange(chi.size), min(chi.size, -(-chi.size * rows * psi0.size // 2**14)))
+    blocks = [_displacement(params.omega, -chi.real[p], chi.imag[p], rows, psi0.size) for p in parts]
+    return np.concatenate([np.einsum("tmk,tk->tm", blk, cols[p]) for blk, p in zip(blocks, parts)])
 
 
 def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:
@@ -157,11 +153,10 @@ def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np
 def propagator_factored(
     spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float, s: float
 ) -> TruncatedOperator:
-    """U(t,s) in the factored form: the kept block of its factors at
-    n_keep + n_pad."""
+    """U(t,s) in the factored form on the kept block, from exact entries."""
     p1, p2 = phi12(spec, params, t, s)
     psi_ts = psi(spec, params, t, s)
-    return TruncatedOperator(_factored_matrix(params, p1, p2, psi_ts, t - s, trunc.dim, trunc.n_keep))
+    return TruncatedOperator(_factored_matrix(params, p1, p2, psi_ts, t - s, trunc.n_keep))
 
 
 def propagator_single_exp(

@@ -39,6 +39,27 @@ class TestXnOperators:
         scale = max(np.linalg.norm(direct[:half, :half], 2), 1.0)
         assert dev <= 1e-8 * scale
 
+    def test_dual_route_inverts_u_f_by_its_adjoint(self, monkeypatch):
+        """U_F(s)^{-1} is the adjoint of U_F(s)'s exact entries,
+        D(beta)^dag = D(-beta): no matrix is inverted, and at n = 0 the dual
+        route is U_F(t) e^{-i(t-s)H_F} U_F(s)^dag, trimmed."""
+        from floquet_lab.floquet import _hf_matrix, _uf_matrix
+        from floquet_lab.core_fock import matrix_exp
+
+        t, s, dim = 0.9, 0.2, TRUNC.dim
+        expect = (
+            _uf_matrix(SPEC, PARAMS, t, dim)
+            @ matrix_exp(-1j * (t - s) * _hf_matrix(SPEC, PARAMS, dim))
+            @ _uf_matrix(SPEC, PARAMS, s, dim).conj().T
+        )[: TRUNC.n_keep, : TRUNC.n_keep]
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.inv was called")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        dual = xn_operator_via_floquet(SPEC, PARAMS, TRUNC, 0, t, s).entries
+        assert np.array_equal(dual, expect)
+
     def test_x0_is_propagator(self):
         from floquet_lab import propagator_factored
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,11 +16,9 @@ from floquet_lab import (
     matrix_exp,
 )
 from floquet_lab.core_fock import (
-    _exp_x_exp_p,
-    _exp_x_exp_p_columns,
+    _displacement,
     _oscillator_op,
     _padded_state,
-    _x_eigenbasis,
     number_basis_energies,
     x_norm,
     x_off_diagonal,
@@ -220,91 +219,151 @@ class TestTridiagonalExp:
 
     @pytest.mark.parametrize("dim", [2, 3, 17, 96, 192])
     def test_x_eigenbasis_is_dstevds(self, dim):
-        """The closed forms' numpy eigh of the x band gives the eigenpairs
-        of dstevd bit for bit, and x_norm is its largest eigenvalue."""
-        lam_hat, v, _, _ = _x_eigenbasis(dim)
-        w_ref, v_ref = _dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
-        assert np.array_equal(lam_hat, w_ref)
-        assert np.array_equal(v, v_ref)
-        assert x_norm(2.0, dim) == lam_hat[-1] / 2.0
+        """x_norm, from the even-level half of x_hat^2, is the largest
+        eigenvalue in the oracle's dstevd eigenbasis of the x band."""
+        w_ref, _ = _dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+        assert x_norm(2.0, dim) == pytest.approx(w_ref[-1] / 2.0, rel=1e-14, abs=0.0)
+
+
+def _coherent(beta: complex, rows: int) -> np.ndarray:
+    """The coherent amplitudes e^{-|beta|^2/2} beta^m / sqrt(m!), m < rows,
+    as one running product of |beta| / sqrt(m) (no underflow for
+    |beta| < 26)."""
+    factors = np.ones(rows)
+    factors[1:] = abs(beta) / np.sqrt(np.arange(1.0, rows))
+    mag = math.exp(-0.5 * abs(beta) ** 2) * np.cumprod(factors)
+    return mag * np.exp(1j * np.arange(rows) * cmath.phase(beta))
+
+
+def _d_of_beta(beta: complex, rows: int, cols: int) -> np.ndarray:
+    """D(beta) from _displacement at omega = 1/2, where beta = i a - b and
+    e^{i a x} e^{i (b/omega) p} = e^{-i a b} D(beta)."""
+    a, b = beta.imag, -beta.real
+    return _displacement(0.5, a, b, rows, cols) * cmath.exp(1j * a * b)
 
 
 class TestExpXExpP:
-    """e^{i a x} e^{i (b/omega) p} from the cached eigenbasis of x."""
+    """e^{i a x} e^{i (b/omega) p} = e^{-i a b/(2 omega)} D(beta) from the
+    exact Fock entries of the displacement."""
 
     PAIRS = ((3.5, -3.5), (-3.5, 3.5), (2.1, 0.4), (0.0, -2.7), (-1.3, 0.0))
 
     @pytest.mark.parametrize("omega", [0.8, 1.0, 1.25])
     @pytest.mark.parametrize("dim", [64, 96, 192])
     def test_matches_the_matrix_exp_pair(self, dim, omega):
-        """The cache is keyed on the dimension alone, so each dimension is
-        met at three omega."""
-        x, p = xp_operators(omega, dim)
+        """The quarter block against the two dense exponentials at dimension
+        dim + 128, where the truncated product has converged on it."""
+        x, p = xp_operators(omega, dim + 128)
+        keep = dim // 4
         for a, b in self.PAIRS:
             ref = matrix_exp(1j * a * x) @ matrix_exp(1j * (b / omega) * p)
-            assert np.abs(_exp_x_exp_p(omega, dim, a, b, dim) - ref).max() <= 1e-13
+            assert np.abs(_displacement(omega, a, b, keep, keep) - ref[:keep, :keep]).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", [64, 96, 192])
     def test_kept_block_is_the_trimmed_full_product(self, dim):
-        """The kept rows of V are all both GEMMs need; a stack of pairs gives
-        each pair's block, a zero pair the exact identity."""
+        """The entries do not depend on the block they are formed in; a
+        stack of pairs gives each pair's block, a zero pair the exact
+        identity."""
         keep = dim // 2
         a, b = np.array(self.PAIRS + ((0.0, 0.0),)).T
-        stack = _exp_x_exp_p(1.1, dim, a, b, keep)
+        stack = _displacement(1.1, a, b, keep, keep)
         assert stack.shape == (a.size, keep, keep)
         for k in range(a.size):
-            trimmed = _exp_x_exp_p(1.1, dim, a[k], b[k], dim)[:keep, :keep]
-            assert np.array_equal(_exp_x_exp_p(1.1, dim, a[k], b[k], keep), trimmed)
-            assert np.array_equal(stack[k], trimmed)
+            trimmed = _displacement(1.1, a[k], b[k], dim, dim)[:keep, :keep]
+            assert np.abs(_displacement(1.1, a[k], b[k], keep, keep) - trimmed).max() <= 1e-15
+            assert np.abs(stack[k] - trimmed).max() <= 1e-15
         assert np.array_equal(stack[-1], np.eye(keep))
 
     def test_zero_exponents_give_the_exact_identity(self):
         for a, b in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
-            u = _exp_x_exp_p(1.3, 12, a, b, 12)
+            u = _displacement(1.3, a, b, 12, 12)
             assert u.dtype == complex
             assert np.array_equal(u, np.eye(12))
+        assert np.array_equal(_displacement(1.3, 0.0, 0.0, 12, 5), np.eye(12, 5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NumericError):
-            _exp_x_exp_p(1.0, 16, bad, 0.5, 16)
+            _displacement(1.0, bad, 0.5, 16, 16)
         with pytest.raises(NumericError):
-            _exp_x_exp_p(1.0, 16, 0.5, bad, 16)
+            _displacement(1.0, 0.5, bad, 16, 16)
 
     def test_rejects_an_overflowing_phase(self):
-        """A finite exponent whose product with the eigenvalues of x overflows."""
+        """A finite exponent whose |beta|^2 overflows."""
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            _exp_x_exp_p(1.0, 16, 1e308, 0.0, 16)
+            _displacement(1.0, 1e308, 0.0, 16, 16)
 
     @pytest.mark.parametrize("factor, raises", [(0.99, False), (1.01, True)])
     def test_rejects_a_phase_of_2_to_the_52(self, factor, raises):
-        """A finite phase of 2^52 rad or more keeps no digit of its exponential."""
-        a = factor * 2.0**52 / x_norm(1.0, 16)
+        """A finite phase a b/(2 omega) of 2^52 rad or more keeps no digit of
+        its exponential."""
+        a = factor * 2.0**52 * 2.0 / 0.5
         for pair in ((a, 0.5), (0.5, a)):
             if raises:
                 with pytest.raises(NumericError, match="2\\^52"):
-                    _exp_x_exp_p(1.0, 16, *pair, 16)
+                    _displacement(1.0, *pair, 16, 16)
             else:
-                assert np.all(np.isfinite(_exp_x_exp_p(1.0, 16, *pair, 16)))
+                assert np.all(np.isfinite(_displacement(1.0, *pair, 16, 16)))
 
     @pytest.mark.parametrize("omega", [0.8, 1.25])
     def test_columns_match_the_matrix_pair(self, omega):
-        dim = 64
+        """A few columns on many rows are those columns of the square block."""
         a, b = np.array(self.PAIRS).T
-        rng = np.random.default_rng(7)
-        cols = rng.normal(size=(dim, a.size)) + 1j * rng.normal(size=(dim, a.size))
-        out = _exp_x_exp_p_columns(omega, a, b, cols)
-        for k in range(a.size):
-            ref = _exp_x_exp_p(omega, dim, a[k], b[k], dim) @ cols[:, k]
-            assert np.abs(out[:, k] - ref).max() <= 1e-13 * np.abs(cols).max()
+        cols = _displacement(omega, a, b, 64, 3)
+        assert cols.shape == (a.size, 64, 3)
+        assert np.abs(cols - _displacement(omega, a, b, 64, 64)[:, :, :3]).max() <= 1e-15
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0**60])
     def test_columns_reject_one_bad_exponent(self, bad):
         a = np.array([0.5, bad, 0.5])
-        cols = np.ones((16, 3), dtype=complex)
-        for pair in ((a, np.zeros(3)), (np.zeros(3), a)):
+        for pair in ((a, np.ones(3)), (np.ones(3), a)):
             with pytest.raises(NumericError):
-                _exp_x_exp_p_columns(1.0, *pair, cols)
+                _displacement(1.0, *pair, 16, 2)
+
+    @pytest.mark.parametrize("beta_abs", [0.3, 1.0, 4.1, 8.0, 15.8, 22.2])
+    def test_column_0_is_the_coherent_state(self, beta_abs):
+        """D(beta)|0> is the coherent state: on 128 rows, where at
+        |beta| = 22.2 every amplitude is below 1e-40 and each is matched
+        to 1e-12 of itself, and on rows past the state's bulk, where both
+        sides carry the round-off of a phase m arg(beta) near 1000 rad."""
+        beta = beta_abs * cmath.exp(0.7j)
+        col, ref = _d_of_beta(beta, 128, 1)[:, 0], _coherent(beta, 128)
+        assert np.abs(col - ref).max() <= 4e-15
+        if beta_abs > 20.0:
+            assert np.abs(ref).max() < 1e-40
+            assert np.all(np.abs(col - ref) <= 1e-12 * np.abs(ref))
+        rows = int((beta_abs + 10.0) ** 2)
+        col, ref = _d_of_beta(beta, rows, 1)[:, 0], _coherent(beta, rows)
+        assert np.abs(col - ref).max() <= 2e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("alpha, beta", [(0.9 - 0.4j, -0.3 + 1.2j), (2.5 + 1.0j, 1.5 - 3.0j), (4.0j, 3.5)])
+    def test_group_law(self, alpha, beta):
+        """D(alpha) D(beta) = e^{i Im(alpha beta^*)} D(alpha + beta) on the
+        leading 40 x 40 block, with D(beta)'s rows taken far enough past it
+        that the product has no truncation."""
+        n, inner = 40, 40 + int((abs(alpha) + abs(beta) + 12.0) ** 2)
+        lhs = _d_of_beta(alpha, n, inner) @ _d_of_beta(beta, inner, n)
+        rhs = cmath.exp(1j * (alpha * beta.conjugate()).imag) * _d_of_beta(alpha + beta, n, n)
+        assert np.abs(lhs - rhs).max() <= 1e-14
+
+    def test_adjoint_is_the_opposite_displacement(self):
+        """D(beta)^dag = D(-beta), entry for entry, on a rectangular block."""
+        beta = 2.2 - 1.7j
+        assert np.abs(_d_of_beta(beta, 30, 50).conj().T - _d_of_beta(-beta, 50, 30)).max() <= 1e-14
+
+    def test_large_beta_rescales_without_overflow(self):
+        """At |beta| = 40 the Poisson amplitudes start near e^{-800} and the
+        Laguerre values pass e^{600} after about 80 steps, so the scales
+        move on the way; the block is still unitary on the columns whose
+        support it holds, to the round-off of logarithms of size
+        |beta|^2/2 = 800, and its first 60 columns, formed in fewer steps
+        than a rescale takes, agree."""
+        beta = 40.0 * cmath.exp(-1.1j)
+        rows = int((40.0 + 11.0 + 8.0) ** 2)
+        block = _d_of_beta(beta, rows, 120)
+        assert np.all(np.isfinite(block))
+        assert np.abs(block.conj().T @ block - np.eye(120)).max() <= 5e-12
+        assert np.abs(block[:, :60] - _d_of_beta(beta, rows, 60)).max() <= 1e-13
 
     def test_p_is_x_conjugated_by_i_to_the_n(self):
         """P^dag (a + a^dag) P = -i (a^dag - a) exactly for P = diag(i^n), so

@@ -31,10 +31,11 @@ import floquet_lab.floquet as floquet_module
 import floquet_lab.propagator as propagator_module
 from floquet_lab import cli
 from floquet_lab.cli import shipped_config_path
-from floquet_lab.core_fock import _padded_state, _x_eigenbasis, number_basis_energies, xp_operators
+from floquet_lab.core_fock import number_basis_energies, xp_operators
 from floquet_lab.floquet import _sup_sf_norm
 from floquet_lab.oracle import PeriodStepper, evolve_state
-from floquet_lab.propagator import _factored_states
+from floquet_lab.drive_model import _chi
+from floquet_lab.propagator import _factored_matrix, _factored_states
 
 P12 = 13  # projector onto the lowest 13 number states
 
@@ -121,9 +122,9 @@ class TestDecomposition:
         assert np.array_equal(u0, np.eye(trunc48.n_keep))
 
     def test_uf_makes_no_dense_eigensolve(self, forbid_dense_eigh, drive_nonres, params_nonres, trunc48):
-        """U_F(t) takes its x and p exponentials from the cached eigenbasis of
-        x, and matches the product of two dense exponentials.  The basis is
-        one eigh of the x band per dimension, made before the guard."""
+        """U_F(t) takes its x and p factors from the exact entries of the
+        displacement, with no eigensolve at all, and matches the product of
+        two dense exponentials on the kept block."""
         omega, n = params_nonres.omega, trunc48.n_keep
         x, p = xp_operators(omega, trunc48.dim)
         ts = (0.37 * params_nonres.period_T, 2.2, 7.9)
@@ -132,7 +133,6 @@ class TestDecomposition:
             fs = floquet_scalars(drive_nonres, params_nonres, t)
             u = matrix_exp(1j * fs.f2 * x) @ matrix_exp(1j * (fs.f1 / omega) * p)
             refs.append(np.exp(1j * fs.big_phi) * u[:n, :n])
-        _x_eigenbasis(trunc48.dim)
         forbid_dense_eigh()
         for t, ref in zip(ts, refs):
             assert np.abs(build_UF(drive_nonres, params_nonres, trunc48, t).entries - ref).max() <= 1e-13
@@ -425,13 +425,44 @@ class TestStabilityScanWork:
         monkeypatch.setattr(floquet_module, "eval_drive", lambda sp, t: grids.append(t) or real(sp, t))
         report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4)
         assert len(grids) == 1 and np.shape(grids[0]) == report.t_grid.shape
-        states = _factored_states(spec, params, _padded_state(ground_state, trunc)[0], report.t_grid)
+        states = _factored_states(spec, params, ground_state, report.t_grid, trunc.dim)
         x, _ = xp_operators(params.omega, trunc.dim)
         h0 = np.diag(number_basis_energies(params.omega, trunc.dim)).astype(complex)
         for i, ti in enumerate(report.t_grid):
             v = (h0 + float(real(spec, ti)) * x) @ states[i]
             assert report.energy_norms[i] == pytest.approx(np.linalg.norm(v), rel=1e-12)
             assert report.mean_energy[i] == pytest.approx(np.real(np.vdot(states[i], v)), rel=1e-12)
+
+
+def test_leak_meter_is_the_poisson_tail():
+    """stability resonant_growth.json --periods 200 --samples 4 from the
+    ground state: psi_t is the coherent state of mean number
+    |beta_t|^2 = |chi(t, 0)|^2/(2 omega), so high_mode_population is the
+    Poisson tail P(N >= n_keep), here summed term by term in logarithms.
+    Each row matches it to 1e-10 wherever it exceeds 1e-280, none is
+    negative, and the late rows read 1: the state has left the kept block,
+    as the "growing" verdict says."""
+    spec, params, trunc, _, _ = cli._load_config(shipped_config_path("resonant_growth.json"))
+    report = stability_scan(spec, params, trunc, np.ones(1, dtype=complex), n_periods=200, samples_per_period=4)
+    assert report.verdict == "growing"
+    mean = np.abs(_chi(spec, params.omega, report.t_grid, 0.0)) ** 2 / (2.0 * params.omega)
+    n = trunc.n_keep
+
+    def tail(lam: float) -> float:
+        if lam == 0.0:
+            return 0.0
+        ks = np.arange(n, n + int(lam + 40.0 * math.sqrt(lam) + 200.0))
+        log_terms = ks * math.log(lam) - lam - np.array([math.lgamma(k + 1.0) for k in ks])
+        return math.fsum(np.exp(log_terms))
+
+    expected = np.array([tail(lam) for lam in mean])
+    got = report.high_mode_population
+    assert np.all(got >= 0.0)
+    seen = expected > 1e-280
+    assert seen.sum() > 700
+    np.testing.assert_allclose(got[seen], expected[seen], rtol=1e-10, atol=0.0)
+    assert np.all(got[~seen] <= 1e-279)
+    assert np.all(got[-40:] > 1.0 - 1e-12)
 
 
 class TestExactEnergies:
@@ -448,7 +479,7 @@ class TestExactEnergies:
         energy_norms, mean_energy = floquet_module._exact_energies(spec, params, psi0, report.t_grid)
         np.testing.assert_array_equal(report.energy_norms, energy_norms)
         np.testing.assert_array_equal(report.mean_energy, mean_energy)
-        states = _factored_states(spec, params, _padded_state(psi0, trunc)[0], report.t_grid)
+        states = _factored_states(spec, params, psi0, report.t_grid, trunc.dim)
         pad_population = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1).max()
         assert pad_population <= 1e-20, (
             f"{name} {state}: the truncated state leaks {pad_population:.3g} into the pad, "
@@ -621,19 +652,26 @@ class TestSFAgainstReference:
         iv1, iv2 = (0.0, 1.2), (2.3, 3.6)
         report = transition_bound_check(spec, params, trunc, t, s, iv1, iv2)
 
-        vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep))
-        vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep))
+        # H(t) is real, and the factored U's e^{-i psi(t, s)} is a global phase
+        vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep).real)
+        vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep).real)
         idx_t = np.nonzero((vals_t >= iv1[0]) & (vals_t <= iv1[1]))[0]
         idx_s = np.nonzero((vals_s >= iv2[0]) & (vals_s <= iv2[1]))[0]
-        core = vecs_t.conj().T @ propagator_factored(spec, params, trunc, t, s).entries @ vecs_s
+        chi = _chi(spec, params.omega, t, s)
+        u = _factored_matrix(params, chi.real, chi.imag, 0.0, t - s, n_keep)
         dist = iv2[0] - iv1[1]
-        lhs = float(np.linalg.norm(core[np.ix_(idx_t, idx_s)], 2))
+        lhs = float(np.linalg.norm(vecs_t[:, idx_t].T @ u @ vecs_s[:, idx_s], 2))
         rhs = 2.0 * _reference_sup_sf(spec, params, n_keep) / dist
+        # the same norm from the whole factored U and the complex eigenvectors
+        core = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep))[1].conj().T @ (
+            propagator_factored(spec, params, trunc, t, s).entries
+        ) @ np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep))[1]
 
         assert idx_t.size and idx_s.size
         assert (report.t, report.s, report.dist) == (t, s, dist)
         assert (report.interval_1, report.interval_2) == (iv1, iv2)
         assert report.lhs == lhs
+        assert lhs == pytest.approx(np.linalg.norm(core[np.ix_(idx_t, idx_s)], 2), rel=1e-12)
         assert (report.p, report.c_p) == (1, 2.0 * _sup_sf_norm(spec, params, trunc))
         assert report.rhs == report.c_p / dist
         assert report.rhs == pytest.approx(rhs, rel=1e-14)

@@ -20,7 +20,7 @@ from floquet_lab import (
     split_forward,
     split_inverse,
 )
-from floquet_lab.core_fock import _x_eigenbasis, number_basis_energies, xp_operators
+from floquet_lab.core_fock import number_basis_energies, xp_operators
 
 OMEGA = 1.0
 T_DRIVE = 2 * math.pi * math.sqrt(2)
@@ -34,12 +34,11 @@ def _free_h(dim: int) -> np.ndarray:
 
 
 def test_factored_form_makes_no_dense_eigensolve(forbid_dense_eigh):
-    """The factored form takes its x and p exponentials from the cached
-    eigenbasis of x and matches the product of dense exponentials; the
-    single exponential still goes through matrix_exp's dense eigh, so
-    comparing the two forms compares two independent computations.  The
-    basis is one eigh of the x band per dimension, made here before the
-    guard, so the test does not depend on the tests run before it."""
+    """The factored form takes its x and p factors from the exact entries
+    of the displacement, with no eigensolve at all, and matches the product
+    of dense exponentials on the kept block; the single exponential still
+    goes through matrix_exp's dense eigh, so comparing the two forms
+    compares two independent computations."""
     x, p = xp_operators(OMEGA, TRUNC.dim)
     n = TRUNC.n_keep
     cases = ((3.1, 0.4), (0.4, 3.1), (17.5, -2.0))
@@ -49,13 +48,54 @@ def test_factored_form_makes_no_dense_eigensolve(forbid_dense_eigh):
         diag = np.exp(-1j * (t - s) * number_basis_energies(OMEGA, TRUNC.dim) - 1j * psi(SPEC, PARAMS, t, s))
         u = matrix_exp(-1j * p1 * x) @ matrix_exp(1j * (p2 / OMEGA) * p) @ np.diag(diag)
         refs.append(u[:n, :n])
-    _x_eigenbasis(TRUNC.dim)
 
     forbid_dense_eigh()
     for (t, s), ref in zip(cases, refs):
         assert np.abs(propagator_factored(SPEC, PARAMS, TRUNC, t, s).entries - ref).max() <= 1e-13
     with pytest.raises(AssertionError, match="eigh"):
         propagator_single_exp(SPEC, PARAMS, TRUNC, 3.1, 0.4)
+
+
+def test_factored_column_0_is_the_coherent_state_past_the_working_space():
+    """On resonant_growth at t = 200 T + 0.3 the state has |beta| = 22.2
+    and lies far above the 128 kept levels: column 0 of the factored U is
+    still the coherent state e^{-i(psi + t omega/2 + a b/(2 omega))}
+    D(beta)|0>, all of whose kept amplitudes are below 1e-40.  A block cut
+    from a padded product read 0.21 off here."""
+    from floquet_lab import cli
+    from floquet_lab.cli import shipped_config_path
+
+    spec, params, trunc, _, _ = cli._load_config(shipped_config_path("resonant_growth.json"))
+    t = 200 * params.period_T + 0.3
+    column = propagator_factored(spec, params, trunc, t, 0.0).entries[:, 0]
+    p1, p2 = phi12(spec, params, t, 0.0)
+    omega = params.omega
+    a, b = -p1, p2
+    beta = complex(-b, a) / math.sqrt(2.0 * omega)
+    m = np.arange(trunc.n_keep)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in m])
+    coherent = np.exp(m * math.log(abs(beta)) - 0.5 * abs(beta) ** 2 - 0.5 * log_fact + 1j * m * cmath.phase(beta))
+    phase = psi(spec, params, t, 0.0) + 0.5 * t * omega + a * b / (2.0 * omega)
+    assert abs(beta) > 22.0 and np.abs(coherent).max() < 1e-40
+    assert np.abs(column - cmath.exp(-1j * phase) * coherent).max() <= 1e-14
+
+
+def test_factored_states_are_the_factored_columns_per_time():
+    """_factored_states forms psi0's columns for a few times at once, in
+    parts that bound the memory; every row is U(t, 0) psi0 less its phase
+    e^{-i psi(t, 0)}, here from the whole factored block of each time."""
+    from floquet_lab.propagator import _factored_states
+
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[[0, 3, 5]] = 0.6, 0.64j, 0.48
+    t_grid = np.linspace(0.0, 3 * T_DRIVE, 37)
+    rows = 300  # 37 x 300 x 6 entries make several parts
+    states = _factored_states(SPEC, PARAMS, psi0, t_grid, rows)
+    assert states.shape == (t_grid.size, rows)
+    for t, state in zip(t_grid, states):
+        u = propagator_factored(SPEC, PARAMS, Truncation(n_keep=rows, n_pad=0), t, 0.0).entries
+        expect = u[:, : psi0.size] @ psi0 * cmath.exp(1j * psi(SPEC, PARAMS, t, 0.0))
+        assert np.abs(state - expect).max() <= 1e-13
 
 
 class TestSplitRoundTrip:
