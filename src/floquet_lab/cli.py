@@ -34,7 +34,7 @@ from .core_fock import (
     _real_field,
     matrix_exp,
 )
-from .drive_model import DriveSpec, _psi_from, hamiltonian_at, mu_nu_sigma, phi12, psi
+from .drive_model import DriveSpec, _chi, _psi_from, hamiltonian_at, mu_nu_sigma, phi12, psi
 from .errors import FloquetLabError, NumericError, ResonantTimeError
 from .floquet import _exact_energies, _fit_exponent, _time_grid, classify_monodromy, stability_scan
 from .oracle import evolve_state, integrate
@@ -391,7 +391,8 @@ def _suite_appendix(config_path: str) -> list:
     t_grid = np.linspace(0.0, 6 * params.period_T, 25)
     psi0 = np.ones(1, dtype=complex)
     phase = np.exp(-1j * _psi_from(spec, params, np.concatenate(([0.0], t_grid)))[1:])
-    closed = _factored_states(spec, params, psi0, t_grid, trunc.dim) * phase[:, None]
+    chi = _chi(spec, params.omega, t_grid, 0.0)
+    closed = _factored_states(params, chi, psi0, t_grid, trunc.dim) * phase[:, None]
     stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"])
     dev = float(np.linalg.norm(closed - stepped, axis=1).max())
     checks.append(("stability_closed_form_vs_oracle", dev <= 1e-6, dev))

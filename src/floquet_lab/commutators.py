@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core_fock import OscillatorParams, TruncatedOperator, Truncation, _integer_field, matrix_exp
-from .drive_model import DriveSpec, _check_finite, _chi, hamiltonian_at, psi
+from .drive_model import DriveSpec, _check_finite, hamiltonian_at, psi
 from .errors import NumericError
 from .floquet import (
     TransitionBoundReport,
@@ -76,13 +76,12 @@ def _xn_block(
     phase is e^{-i psi_ts}.  h_ts is H(t) on the kept block, or the stack
     of them, and h_s is H(s).  One chi covers every t.  NumericError if an
     entry is not finite."""
-    chi = _chi(spec, params.omega, ts, s)
-    x = _factored_matrix(params, chi.real, chi.imag, psi_ts, np.asarray(ts) - s, trunc.n_keep)
+    x = _factored_matrix(spec, params, ts, s, trunc.n_keep, psi_ts)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         for _ in range(n):
             x = h_ts @ x - x @ h_s
     if not np.all(np.isfinite(x)):
-        raise NumericError(f"X_{n} is not finite (|chi| up to {np.abs(chi).max():.3e}): the drive is too large")
+        raise NumericError(f"X_{n} is not finite (H(s) up to {np.abs(h_s).max():.3e}): the drive is too large")
     return x
 
 

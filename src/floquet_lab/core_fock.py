@@ -25,11 +25,12 @@ and, for m >= k, <m|D(r)|k> = g_k^(m-k) and <k|D(r)|m> = (-1)^(m-k) g_k^(m-k),
     g_k^(d) = sqrt(k!/(k+d)!) r^d e^{-r^2/2} L_k^(d)(r^2),
     g_(k+1) = [(2k + 1 + d - r^2) g_k - sqrt(k (k+d)) g_(k-1)] / sqrt((k+1)(k+d+1)).
 
-_displacement runs that forward recurrence (stable, unlike the one of the
-columns D|k+1> = (a^dag - beta^*) D|k>/sqrt(k+1)) along every diagonal d at
-once, from the Poisson amplitudes g_0^(d) kept as logarithms, so nothing
+_displacement_table runs that forward recurrence (stable, unlike the one of
+the columns D|k+1> = (a^dag - beta^*) D|k>/sqrt(k+1)) along every diagonal d
+at once, from the Poisson amplitudes g_0^(d) kept as logarithms, so nothing
 underflows or overflows at large r: exact entries on any rows and columns,
-with no padding and no eigensolve.  A phase a b/(2 omega) of 2^52 rad or
+with no padding and no eigensolve; _displacement reads blocks off it and
+_displaced_states displaced vectors.  A phase a b/(2 omega) of 2^52 rad or
 more keeps no digit and raises NumericError, as the oracle's step phase does.
 """
 
@@ -204,14 +205,9 @@ def x_off_diagonal(omega: float, dim: int) -> np.ndarray:
 
 
 def x_norm(omega: float, dim: int) -> float:
-    """Spectral norm of the truncated x at the given dimension.  x_hat =
-    sqrt(2 omega) x couples even levels to odd ones only, so ||x_hat||^2 is
-    the largest eigenvalue of x_hat^2 on the even levels: one eigvalsh of a
-    band of half the size, diagonal 4i + 1 (less 2i + 1 where level 2i + 1
-    is cut) and off-diagonal sqrt((2i + 1)(2i + 2))."""
-    odd = 2.0 * np.arange((dim + 1) // 2) + 1.0  # the odd levels 2i + 1 above each even one
-    band = np.diag(2.0 * odd - 1.0 - odd * (odd >= dim)) + np.diag(np.sqrt(odd[:-1] * (odd[:-1] + 1.0)), 1)
-    return float(np.sqrt(np.linalg.eigvalsh(band, UPLO="U")[-1] / (2.0 * omega)))
+    """Spectral norm of the truncated x at the given dimension: its largest
+    eigenvalue, since its spectrum is symmetric about 0."""
+    return float(np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")[-1] / np.sqrt(2.0 * omega))
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -244,17 +240,13 @@ def matrix_exp(m) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
-    """The exact entries <m| e^{i a x} e^{i (b/omega) p} |k>, m < rows and
-    k < cols (module docstring), as a (rows, cols) block, or for 1-d arrays
-    a and b as a (len(a), rows, cols) stack, one block per pair.
-
-    A pair a = b = 0 gives the exact identity.  NumericError if a or b is
-    not finite, |beta|^2 overflows, or the phase a b/(2 omega) reaches
-    2^52 rad.
-    """
-    shape = np.shape(a)
-    a, b = np.asarray(a, dtype=float).reshape(-1), np.asarray(b, dtype=float).reshape(-1)
+def _displacement_table(omega: float, a, b, rows: int, cols: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """<m| e^{i a x} e^{i (b/omega) p} |k>, m < rows, first <= k < cols, for
+    1-d arrays a and b (module docstring): entry (m, k) of pair i is
+    g[min(m, k), i, |m - k|] weights[i, m < k, |m - k|], with |m - k| below
+    max(rows - first, cols).  A pair a = b = 0 gives the exact identity.
+    NumericError if a or b is not finite, |beta|^2 overflows, or the phase
+    a b/(2 omega) reaches 2^52 rad."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         x = (a * a + b * b) / (2.0 * omega)  # r^2 = |beta|^2
         phase = a * b / (2.0 * omega)
@@ -265,7 +257,7 @@ def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
                 f"max |b| = {np.abs(b).max():.3e}): no digit of the exponential survives"
             )
     nb = a.size
-    n_diag, n_steps = max(rows, cols), min(rows, cols)
+    n_diag, n_steps = max(rows - first, cols), min(rows, cols)
     d = np.arange(n_diag, dtype=float)
     k = np.arange(n_steps - 1, dtype=float)[:, None]
     kd = k + d
@@ -277,9 +269,11 @@ def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
     c[2::2, 0] = np.cumprod(b_k[1::2], axis=0)
     c[3::2, 0] = np.cumprod(b_k[2::2], axis=0)
     den *= c[:-1, 0] / c[1:, 0]
-    coef = ((k + kd + 1.0) * den)[:, None, :] - x[:, None] * den[:, None, :]
+    p_k = (k + kd + 1.0) * den
+    coef = den[:, None, :] * -x[:, None]
+    coef += p_k[:, None, :]
     # |f_(k+1)| <= (|coef_k| + 1) max(|f_k|, |f_(k-1)|): rescaling every `every` steps keeps f below e^600
-    every = max(1, int(_RESCALE_LOG / math.log1p(np.abs(coef).max(initial=1.0))))
+    every = max(1, int(_RESCALE_LOG / math.log1p(p_k.max(initial=1.0) + x.max() * den.max(initial=0.0))))
     terms = np.empty((nb, n_diag))
     terms[:, 0] = -0.5 * x
     terms[:, 1:] = 0.5 * (np.log(np.where(x > 0.0, x, 1.0))[:, None] - np.log(d[1:]))
@@ -295,11 +289,12 @@ def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
             scale += np.log(top)
         mul(coef[j], f_rows[j + 1], out=f_rows[j + 2])
         sub(f_rows[j + 2], f_rows[j], out=f_rows[j + 2])
-    f = f[1:] * c
-    if n_steps > 1 and scale.min() < -700.0:  # e^scale underflows under f > 1: fold f's peaks into it
-        top = np.abs(f).max(axis=0)
+    g = f[1:]
+    g *= c
+    if n_steps > 1 and scale.min() < -700.0:  # e^scale underflows under g > 1: fold g's peaks into it
+        top = np.maximum(g.max(axis=0), -g.min(axis=0))
         top[top == 0.0] = 1.0
-        f /= top
+        g /= top
         scale += np.log(top)
     # diagonal d of e^{i theta N} D(r) e^{-i theta N} carries u^d below the main one, (-u^*)^d above it;
     # e^{-i phase} and e^scale go in too, the latter as 0 below e^-708, where it is subnormal
@@ -309,14 +304,38 @@ def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
     weights[:, 0, 1:], weights[:, 1, 1:] = u[:, None], -u.conj()[:, None]
     np.cumprod(weights, axis=2, out=weights)
     weights *= np.exp(scale, out=np.zeros_like(scale), where=scale > -708.0)[:, None, :]
-    table = f[:, :, None, :] * weights  # (k, nb, side, d)
+    zero = x == 0.0  # r = 0: the identity, exactly
+    g[:, zero], weights[zero] = 1.0, d == 0.0
+    return g, weights
+
+
+def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
+    """The exact entries <m| e^{i a x} e^{i (b/omega) p} |k>, m < rows and
+    k < cols (_displacement_table), as a (rows, cols) block, or for 1-d
+    arrays a and b as a (len(a), rows, cols) stack, one block per pair."""
+    shape = np.shape(a)
+    a, b = np.asarray(a, dtype=float).reshape(-1), np.asarray(b, dtype=float).reshape(-1)
+    g, weights = _displacement_table(omega, a, b, rows, cols)
+    n_diag = weights.shape[2]
     m_i, k_i = np.arange(rows)[:, None], np.arange(cols)
-    stride = 2 * nb * n_diag - 1
-    idx = np.where(m_i >= k_i, m_i + stride * k_i, stride * m_i + n_diag + k_i)
-    out = table.reshape(-1)[np.arange(0, nb * 2 * n_diag, 2 * n_diag)[:, None, None] + idx]
-    if not x.all():
-        out[x == 0.0] = np.eye(rows, cols)
-    return out.reshape(shape + (rows, cols))
+    diag, stack = np.abs(m_i - k_i), n_diag * np.arange(a.size)[:, None, None]
+    out = g.reshape(-1)[np.minimum(m_i, k_i) * (a.size * n_diag) + diag + stack]
+    return (out * weights.reshape(-1)[np.where(m_i < k_i, n_diag, 0) + diag + 2 * stack]).reshape(shape + (rows, cols))
+
+
+def _displaced_states(omega: float, a, b, vecs: np.ndarray, rows: int) -> np.ndarray:
+    """e^{i a_i x} e^{i (b_i/omega) p} vecs[i] on the levels 0..rows - 1, one
+    row per pair of the 1-d arrays a and b, from the columns of
+    _displacement_table where vecs is nonzero; no block is formed."""
+    nonzero = np.flatnonzero(vecs.any(axis=0))
+    g, weights = _displacement_table(omega, a, b, rows, vecs.shape[1], nonzero[0])
+    out = np.zeros((a.size, rows), dtype=complex)
+    for k in nonzero:
+        if k < rows:  # rows m >= k: diagonals m - k
+            out[:, k:] += g[k, :, : rows - k] * (weights[:, 0, : rows - k] * vecs[:, k, None])
+        m = np.arange(min(k, rows))  # rows m < k: diagonals k - m
+        out[:, m] += g[m, :, k - m].T * (weights[:, 1, k - m] * vecs[:, k, None])
+    return out
 
 
 def _padded_state(psi0, trunc: Truncation) -> tuple[np.ndarray, bool]:

@@ -323,11 +323,15 @@ def _exact_energies(
 def _population_above(spec: DriveSpec, params: OscillatorParams, psi0, t_grid: np.ndarray, n: int) -> np.ndarray:
     """The exact weight of U(t, 0) psi0 on the levels n and up at each time
     of t_grid.  D(beta)|k> lies below (|beta| + sqrt(k))^2 but for a few
-    levels, so while half the weight or more is below n, the states on
-    (sqrt(n) + 2 sqrt(K) + 8)^2 levels, psi0 on K, hold all of it: it is
-    their sum, with no floor.  Past that it is 1 minus the weight below n."""
-    rows = math.ceil((math.sqrt(n) + 2.0 * math.sqrt(psi0.size) + 8.0) ** 2)
-    weights = np.abs(_factored_states(spec, params, psi0, t_grid, rows)) ** 2
+    levels, so while half the weight or more is below n (|beta| at most
+    sqrt(n) + sqrt(K), psi0 on K levels) the states on (max(sqrt(n),
+    |beta| + sqrt(K)) + 8)^2 levels hold it all: it is their sum, with no
+    floor.  Past that it is 1 minus the weight below n."""
+    chi, root_k = _chi(spec, params.omega, t_grid, 0.0), math.sqrt(psi0.size)
+    # fmin passes a non-finite chi on, for _displacement_table to refuse
+    beta = np.fmin(np.abs(chi).max() / math.sqrt(2.0 * params.omega), math.sqrt(n) + root_k)
+    rows = math.ceil((max(math.sqrt(n), beta + root_k) + 8.0) ** 2)
+    weights = np.abs(_factored_states(params, chi, psi0, t_grid, rows)) ** 2
     below = weights[:, :n].sum(axis=1)
     return np.where(below < 0.5, 1.0 - below, weights[:, n:].sum(axis=1))
 
@@ -486,10 +490,8 @@ def _transition_bound(
     idx_t = np.nonzero((vals_t >= lo1) & (vals_t <= hi1))[0]
     idx_s = np.nonzero((vals_s >= lo2) & (vals_s <= hi2))[0]
 
-    # the factored U without its factor e^{-i psi(t, s)}, a global phase that
-    # no norm sees, so no psi quadrature
-    chi = _chi(spec, params.omega, t, s)
-    block = vecs_t[:, idx_t].T @ _factored_matrix(params, chi.real, chi.imag, 0.0, t - s, n) @ vecs_s[:, idx_s]
+    # the factored U less its global phase, which no norm sees: no psi quadrature
+    block = vecs_t[:, idx_t].T @ _factored_matrix(spec, params, t, s, n) @ vecs_s[:, idx_s]
     lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
 
     constant = c_p()

@@ -34,6 +34,7 @@ from .core_fock import (
     OscillatorParams,
     TruncatedOperator,
     Truncation,
+    _displaced_states,
     _displacement,
     _oscillator_op,
     matrix_exp,
@@ -47,7 +48,6 @@ from .drive_model import (
     _lambda_factor,
     _p123,
     mu_nu_sigma,
-    phi12,
     psi,
 )
 from .errors import DomainError
@@ -120,26 +120,27 @@ def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float,
     return mu, nu, phase
 
 
-def _factored_matrix(params: OscillatorParams, phi1, phi2, psi_ts, tau, n: int) -> np.ndarray:
-    """The n x n block of the factored U from exact entries.  phi1, phi2
-    and tau may be 1-d arrays of one length, and psi_ts one of them too or
-    a number; the result is then a stack of blocks, one per entry."""
-    energies = number_basis_energies(params.omega, n)
-    tau, psi_ts = np.asarray(tau)[..., None], np.asarray(psi_ts)[..., None]
-    diag = np.exp(-1j * tau * energies - 1j * psi_ts)
-    return _displacement(params.omega, -phi1, phi2, n, n) * diag[..., None, :]
+def _factored_matrix(spec: DriveSpec, params: OscillatorParams, ts, s: float, n: int, psi_ts=0.0) -> np.ndarray:
+    """The n x n block of the factored U(t, s) from exact entries, for a
+    time t or a 1-d array of them (a stack, one block per t), from one chi.
+    Its global phase e^{-i psi(t, s)}, which no norm sees, is taken as
+    e^{-i psi_ts}: none by default, or a number, or one per t."""
+    chi = _chi(spec, params.omega, ts, s)
+    tau, psi_ts = np.asarray(ts)[..., None] - s, np.asarray(psi_ts)[..., None]
+    diag = np.exp(-1j * tau * number_basis_energies(params.omega, n) - 1j * psi_ts)
+    return _displacement(params.omega, -chi.real, chi.imag, n, n) * diag[..., None, :]
 
 
-def _factored_states(spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid, rows: int) -> np.ndarray:
+def _factored_states(params: OscillatorParams, chi: np.ndarray, psi0: np.ndarray, t_grid, rows: int) -> np.ndarray:
     """U(t, 0) psi0 less its global phase e^{-i psi(t, 0)} on levels
-    0..rows - 1, one row per time of t_grid, from one chi and psi0's own
-    columns of the displacement (for the ground state, the coherent
-    amplitudes), formed a few times at once to bound the memory."""
-    chi = _chi(spec, params.omega, t_grid, 0.0)
+    0..rows - 1, one row per time of t_grid, chi = chi(t, 0) there, from the
+    columns of the displacement where psi0 is nonzero (for the ground state,
+    the coherent amplitudes), many times at once in parts of bounded memory."""
     cols = psi0 * np.exp(-1j * np.multiply.outer(t_grid, number_basis_energies(params.omega, psi0.size)))
-    parts = np.array_split(np.arange(chi.size), min(chi.size, -(-chi.size * rows * psi0.size // 2**14)))
-    blocks = [_displacement(params.omega, -chi.real[p], chi.imag[p], rows, psi0.size) for p in parts]
-    return np.concatenate([np.einsum("tmk,tk->tm", blk, cols[p]) for blk, p in zip(blocks, parts)])
+    # a part's table holds about max(rows, K) (3 min(rows, K) + 6) numbers per time, psi0 on K levels
+    per_time = max(rows, psi0.size) * (3 * min(rows, psi0.size) + 6)
+    parts = np.array_split(np.arange(chi.size), min(chi.size, -(-chi.size * per_time // 2**18)))
+    return np.concatenate([_displaced_states(params.omega, -chi.real[p], chi.imag[p], cols[p], rows) for p in parts])
 
 
 def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:
@@ -154,9 +155,8 @@ def propagator_factored(
     spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float, s: float
 ) -> TruncatedOperator:
     """U(t,s) in the factored form on the kept block, from exact entries."""
-    p1, p2 = phi12(spec, params, t, s)
     psi_ts = psi(spec, params, t, s)
-    return TruncatedOperator(_factored_matrix(params, p1, p2, psi_ts, t - s, trunc.n_keep))
+    return TruncatedOperator(_factored_matrix(spec, params, float(t), float(s), trunc.n_keep, psi_ts))
 
 
 def propagator_single_exp(

@@ -16,6 +16,7 @@ from floquet_lab import (
     matrix_exp,
 )
 from floquet_lab.core_fock import (
+    _displaced_states,
     _displacement,
     _oscillator_op,
     _padded_state,
@@ -219,8 +220,9 @@ class TestTridiagonalExp:
 
     @pytest.mark.parametrize("dim", [2, 3, 17, 96, 192])
     def test_x_eigenbasis_is_dstevds(self, dim):
-        """x_norm, from the even-level half of x_hat^2, is the largest
-        eigenvalue in the oracle's dstevd eigenbasis of the x band."""
+        """x_norm, one eigvalsh of the x band, is the largest eigenvalue in
+        the oracle's dstevd eigenbasis of that band, to the last digits in
+        which eigvalsh's LAPACK route (dsterf) and dstevd's (dstedc) differ."""
         w_ref, _ = _dstevd(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
         assert x_norm(2.0, dim) == pytest.approx(w_ref[-1] / 2.0, rel=1e-14, abs=0.0)
 
@@ -364,6 +366,35 @@ class TestExpXExpP:
         assert np.all(np.isfinite(block))
         assert np.abs(block.conj().T @ block - np.eye(120)).max() <= 5e-12
         assert np.abs(block[:, :60] - _d_of_beta(beta, rows, 60)).max() <= 1e-13
+
+    @pytest.mark.parametrize("beta_abs, tol", [(0.05, 1e-13), (0.1, 5e-13), (0.01, 5e-13), (1e-4, 5e-13), (1e-8, 5e-13)])
+    def test_small_beta_on_128_levels(self, beta_abs, tol):
+        """At small |beta| the recurrence has a near-double root, so its
+        round-off grows with the level: at |beta| = 0.05 the diagonal of a
+        128-level block is off by about 8e-14 (2.9e-14 at level 47).  The
+        block is unitary on its 128 columns, whose support ends below
+        row 200, and D(beta) D(-beta) = 1 through 200 levels, both to
+        within about twice the error seen (6.7e-14 at 0.05, 2.7e-13 at
+        most below it)."""
+        beta = beta_abs * cmath.exp(0.3j)
+        block = _d_of_beta(beta, 200, 128)
+        assert np.abs(block.conj().T @ block - np.eye(128)).max() <= tol
+        product = _d_of_beta(beta, 128, 200) @ _d_of_beta(-beta, 200, 128)
+        assert np.abs(product - np.eye(128)).max() <= tol
+
+    @pytest.mark.parametrize("support", [[0], [5], [0, 3, 7], list(range(12))])
+    def test_displaced_states_are_the_block_times_the_vectors(self, support):
+        """_displaced_states reads D(beta_i) v_i off the table column by
+        column, only where v is nonzero; it matches the block times the
+        vector, on more rows than columns and on fewer."""
+        rng = np.random.default_rng(len(support))
+        a, b = rng.normal(size=5) * 2.0, rng.normal(size=5) * 2.0
+        vecs = np.zeros((5, 12), dtype=complex)
+        vecs[:, support] = rng.normal(size=(5, len(support))) + 1j * rng.normal(size=(5, len(support)))
+        for rows in (60, 9):
+            states = _displaced_states(1.2, a, b, vecs, rows)
+            expect = np.einsum("imk,ik->im", _displacement(1.2, a, b, rows, 12), vecs)
+            assert np.abs(states - expect).max() <= 1e-14
 
     def test_p_is_x_conjugated_by_i_to_the_n(self):
         """P^dag (a + a^dag) P = -i (a^dag - a) exactly for P = diag(i^n), so

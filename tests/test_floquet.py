@@ -425,7 +425,8 @@ class TestStabilityScanWork:
         monkeypatch.setattr(floquet_module, "eval_drive", lambda sp, t: grids.append(t) or real(sp, t))
         report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4)
         assert len(grids) == 1 and np.shape(grids[0]) == report.t_grid.shape
-        states = _factored_states(spec, params, ground_state, report.t_grid, trunc.dim)
+        chi = _chi(spec, params.omega, report.t_grid, 0.0)
+        states = _factored_states(params, chi, ground_state, report.t_grid, trunc.dim)
         x, _ = xp_operators(params.omega, trunc.dim)
         h0 = np.diag(number_basis_energies(params.omega, trunc.dim)).astype(complex)
         for i, ti in enumerate(report.t_grid):
@@ -465,6 +466,23 @@ def test_leak_meter_is_the_poisson_tail():
     assert np.all(got[-40:] > 1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("state, periods", [("fock:20", 60), ("fock:100", 60), ("coherent:2-1j", 60), ("fock:127", 30)])
+def test_leak_meter_holds_the_whole_tail_of_a_state_on_many_levels(state, periods):
+    """For psi0 on K levels the leak meter sums |psi_t|^2 over
+    (max(sqrt(n_keep), |beta| + sqrt(K)) + 8)^2 levels, or takes 1 minus
+    the kept weight; either matches the weight above n_keep of the same
+    states on 1500 levels to 1e-12 relative (resonant_growth, where |beta|
+    reaches 6.7 by 60 periods and fock:127 keeps about half its weight
+    above level 127)."""
+    spec, params, trunc, _, _ = cli._load_config(shipped_config_path("resonant_growth.json"))
+    psi0 = cli._parse_state(state, trunc)
+    report = stability_scan(spec, params, trunc, psi0, n_periods=periods, samples_per_period=4)
+    chi = _chi(spec, params.omega, report.t_grid, 0.0)
+    states = _factored_states(params, chi, psi0, report.t_grid, 1500)
+    expected = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1)
+    np.testing.assert_allclose(report.high_mode_population, expected, rtol=1e-12, atol=1e-300)
+
+
 class TestExactEnergies:
     """The full-space energies ||K(t) psi0|| and <psi0, K(t) psi0> against
     H(t) psi_t of the truncated factored states, which agree while the
@@ -479,7 +497,8 @@ class TestExactEnergies:
         energy_norms, mean_energy = floquet_module._exact_energies(spec, params, psi0, report.t_grid)
         np.testing.assert_array_equal(report.energy_norms, energy_norms)
         np.testing.assert_array_equal(report.mean_energy, mean_energy)
-        states = _factored_states(spec, params, psi0, report.t_grid, trunc.dim)
+        chi = _chi(spec, params.omega, report.t_grid, 0.0)
+        states = _factored_states(params, chi, psi0, report.t_grid, trunc.dim)
         pad_population = np.sum(np.abs(states[:, trunc.n_keep :]) ** 2, axis=1).max()
         assert pad_population <= 1e-20, (
             f"{name} {state}: the truncated state leaks {pad_population:.3g} into the pad, "
@@ -657,8 +676,7 @@ class TestSFAgainstReference:
         vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep).real)
         idx_t = np.nonzero((vals_t >= iv1[0]) & (vals_t <= iv1[1]))[0]
         idx_s = np.nonzero((vals_s >= iv2[0]) & (vals_s <= iv2[1]))[0]
-        chi = _chi(spec, params.omega, t, s)
-        u = _factored_matrix(params, chi.real, chi.imag, 0.0, t - s, n_keep)
+        u = _factored_matrix(spec, params, t, s, n_keep)
         dist = iv2[0] - iv1[1]
         lhs = float(np.linalg.norm(vecs_t[:, idx_t].T @ u @ vecs_s[:, idx_s], 2))
         rhs = 2.0 * _reference_sup_sf(spec, params, n_keep) / dist

@@ -81,16 +81,18 @@ def test_factored_column_0_is_the_coherent_state_past_the_working_space():
 
 
 def test_factored_states_are_the_factored_columns_per_time():
-    """_factored_states forms psi0's columns for a few times at once, in
-    parts that bound the memory; every row is U(t, 0) psi0 less its phase
-    e^{-i psi(t, 0)}, here from the whole factored block of each time."""
+    """_factored_states forms psi0's nonzero columns for many times at
+    once, in parts that bound the memory; every row is U(t, 0) psi0 less
+    its phase e^{-i psi(t, 0)}, here from the whole factored block of each
+    time."""
+    from floquet_lab.drive_model import _chi
     from floquet_lab.propagator import _factored_states
 
     psi0 = np.zeros(6, dtype=complex)
     psi0[[0, 3, 5]] = 0.6, 0.64j, 0.48
     t_grid = np.linspace(0.0, 3 * T_DRIVE, 37)
-    rows = 300  # 37 x 300 x 6 entries make several parts
-    states = _factored_states(SPEC, PARAMS, psi0, t_grid, rows)
+    rows = 300  # 37 x 300 x (6 + 2 x 3) numbers make several parts
+    states = _factored_states(PARAMS, _chi(SPEC, PARAMS.omega, t_grid, 0.0), psi0, t_grid, rows)
     assert states.shape == (t_grid.size, rows)
     for t, state in zip(t_grid, states):
         u = propagator_factored(SPEC, PARAMS, Truncation(n_keep=rows, n_pad=0), t, 0.0).entries
