@@ -79,11 +79,10 @@ from .drive_model import (
     _sf_scalars,
     eval_drive,
     floquet_scalars,
-    hamiltonian_at,
     is_resonant_period,
 )
 from .errors import InvalidIntervalError, NumericError
-from .propagator import _factored_matrix, _factored_states
+from .propagator import _factored_states
 
 __all__ = [
     "Classification",
@@ -413,15 +412,18 @@ def stability_scan(
 class TransitionBoundReport:
     """Check of the order-p transition bound
 
-        ||P(t, D1) U(t,s) P(s, D2)|| <= C_p / dist(D1, D2)^p,
+        ||P(t, D1) U(t,s) P(s, D2)|| <= C_p / dist(D1, D2)^p.
 
-    norms kept-block.  transition_bound_check gives p = 1 with
+    P(tau, D) projects onto the levels n < n_keep of H(tau), energies
+    E_n(tau) = omega (n + 1/2) - f(tau)^2/(2 omega^2), in D.  lhs is exact,
+    C_p kept-block.  transition_bound_check gives p = 1 with
     C_1 = 2 sup ||S_F|| over 64 points of one period;
     commutators.higher_order_bound_check gives p in 1..4 with C_p the max of
     ||X_p|| on sup_xn_norm's [0,T)^2 grid, a lower estimate of sup ||X_p||,
     taken over the nodes t >= s alone since ||X_p(s,t)|| = ||X_p(t,s)||.
-    The point intervals D1 = (E_n, E_n) and D2 = (E_m, E_m) of two
-    eigenvalues give the eigenvalue-resolved form
+    The point intervals D1 = (E_n, E_n) and D2 = (E_m, E_m) of two of
+    those energies, as the formula gives them (a kept-block eigenvalue is
+    a few ulps off and selects none), give the eigenvalue-resolved form
     |<n(t)| U(t,s) |m(s)>| <= C_p / |E_n - E_m|^p."""
 
     p: int
@@ -465,10 +467,15 @@ def _transition_bound(
     """The order-p check behind both public ones.
 
     Checks the periods, the times and the intervals (ordered and apart),
-    diagonalizes H(t) and H(s) on the kept block, picks the eigenvalues in
-    each closed interval (endpoint ties included) and takes the projected
-    norm of U.  Only then does it call c_p, so a bad input never pays for
-    the constant.
+    picks the levels n < n_keep of H(t) and H(s) in each closed interval
+    (endpoint ties included) and takes lhs from their exact eigenbasis:
+    H(tau) = D(b) H_omega D(b)^dag - f^2/(2 omega^2), b = -f/(omega sqrt(2 omega)),
+    and the factored U(t, s) = D(beta_U) e^{-i (t - s) H_omega} up to a phase,
+    beta_U = -i conj(chi(t, s))/sqrt(2 omega), so D(b_t)^dag U D(b_s) is
+    D(beta_U - b_t + b_s e^{-i omega (t - s)}) e^{-i (t - s) H_omega} up to a
+    phase, and lhs the norm of that displacement's selected rows and columns.
+    Only then does it call c_p, so a bad input never pays for the constant.
+    NumericError if f^2/(2 omega^2) or C_p is not finite.
     """
     _check_periods(spec, params)
     t, s = float(t), float(s)
@@ -479,34 +486,25 @@ def _transition_bound(
         raise InvalidIntervalError("intervals must satisfy lo <= hi")
     dist = max(lo2 - hi1, lo1 - hi2, 0.0)
     if dist <= 0.0:
-        raise InvalidIntervalError(
-            f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch"
-        )
+        raise InvalidIntervalError(f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch")
 
-    n = trunc.n_keep
-    # H(t) = H_omega + f(t) x is real: a real eigh suffices
-    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n).real)
-    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n).real)
-    idx_t = np.nonzero((vals_t >= lo1) & (vals_t <= hi1))[0]
-    idx_s = np.nonzero((vals_s >= lo2) & (vals_s <= hi2))[0]
-
-    # the factored U less its global phase, which no norm sees: no psi quadrature
-    block = vecs_t[:, idx_t].T @ _factored_matrix(spec, params, t, s, n) @ vecs_s[:, idx_s]
-    lhs = float(np.linalg.norm(block, 2)) if block.size else 0.0
-
-    constant = c_p()
+    omega = params.omega
+    f_t, f_s = eval_drive(spec, np.array([t, s]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        e_t, e_s = (number_basis_energies(omega, trunc.n_keep) - f * f / (2.0 * omega * omega) for f in (f_t, f_s))
+        idx_t, idx_s = np.flatnonzero((e_t >= lo1) & (e_t <= hi1)), np.flatnonzero((e_s >= lo2) & (e_s <= hi2))
+        lhs = 0.0
+        if idx_t.size and idx_s.size:  # z = sqrt(2 omega) beta; the levels are consecutive, the block a corner
+            z = -1j * np.conj(_chi(spec, omega, t, s)) + (f_t - f_s * np.exp(-1j * omega * (t - s))) / omega
+            d = _displacement(omega, z.imag, -z.real, idx_t[-1] + 1, idx_s[-1] + 1)
+            lhs = float(np.linalg.norm(d[idx_t[0] :, idx_s[0] :], 2))
+        constant = c_p()
+    if not np.isfinite([e_t[0], e_s[0], constant]).all():
+        raise NumericError(f"the levels of H(t), H(s) or C_{p} = {constant} are not finite: the drive is too large")
     rhs = constant / dist**p
     return TransitionBoundReport(
-        p=p,
-        t=t,
-        s=s,
-        interval_1=(lo1, hi1),
-        interval_2=(lo2, hi2),
-        dist=dist,
-        lhs=lhs,
-        c_p=constant,
-        rhs=rhs,
-        ok=lhs <= rhs * (1.0 + 1e-6),
+        p=p, t=t, s=s, interval_1=(lo1, hi1), interval_2=(lo2, hi2), dist=dist,
+        lhs=lhs, c_p=constant, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-6),
     )
 
 
@@ -522,9 +520,9 @@ def transition_bound_check(
     """The first-order transition bound between two times: p = 1 and
     C_1 = 2 sup_tau ||S_F(tau)|| over 64 points of one period.
 
-    Diagonalizes H(t) and H(s) on the kept block, builds the interval
-    projectors (closed intervals, endpoint ties included) and compares
-    ||P1 U P2|| against C_1 / dist.
+    Picks the levels of H(t) and H(s) in the closed intervals (endpoint
+    ties included) and compares the exact ||P1 U P2||, one block of one
+    displacement, against C_1 / dist.
     """
     return _transition_bound(
         spec, params, trunc, 1, t, s, interval_1, interval_2,

@@ -120,11 +120,11 @@ def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float,
     return mu, nu, phase
 
 
-def _factored_matrix(spec: DriveSpec, params: OscillatorParams, ts, s: float, n: int, psi_ts=0.0) -> np.ndarray:
+def _factored_matrix(spec: DriveSpec, params: OscillatorParams, ts, s: float, n: int, psi_ts) -> np.ndarray:
     """The n x n block of the factored U(t, s) from exact entries, for a
     time t or a 1-d array of them (a stack, one block per t), from one chi.
-    Its global phase e^{-i psi(t, s)}, which no norm sees, is taken as
-    e^{-i psi_ts}: none by default, or a number, or one per t."""
+    Its global phase e^{-i psi(t, s)} is taken as e^{-i psi_ts}, a number
+    or one per t; a caller that only takes norms may pass 0."""
     chi = _chi(spec, params.omega, ts, s)
     tau, psi_ts = np.asarray(ts)[..., None] - s, np.asarray(psi_ts)[..., None]
     diag = np.exp(-1j * tau * number_basis_energies(params.omega, n) - 1j * psi_ts)

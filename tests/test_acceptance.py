@@ -31,6 +31,7 @@ from floquet_lab import (
     build_HF,
     build_SF,
     build_UF,
+    eval_drive,
     higher_order_bound_check,
     kam_iterate,
     level_hamiltonian,
@@ -276,9 +277,14 @@ def test_06_transition_bounds():
         ((0.2, 2.2), (4.0, 6.2)),
         ((1.3, 2.8), (7.0, 9.5)),
     ]
-    n = trunc.n_keep
-    vals_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n))[0]
-    vals_s = np.linalg.eigh(hamiltonian_at(spec, params, 0.0, n))[0]
+    n, omega = trunc.n_keep, params.omega
+    # H(tau) = H_omega + f x is a displaced oscillator: levels omega (n + 1/2) - f^2/(2 omega^2),
+    # which the kept block's low eigenvalues approach to a few ulps
+    vals_t, vals_s = (number_basis_energies(omega, n) - f * f / (2.0 * omega * omega)
+                      for f in eval_drive(spec, np.array([t, 0.0])))
+    for tau, vals in ((t, vals_t), (0.0, vals_s)):
+        np.testing.assert_allclose(np.linalg.eigh(hamiltonian_at(spec, params, tau, n))[0][: n // 2],
+                                   vals[: n // 2], rtol=1e-14, atol=0)
     margins = []
     level_pairs = 0
     for iv1, iv2 in pairs:

@@ -567,6 +567,18 @@ class TestErrorStream:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["warnings"] == ["RuntimeWarning: held back"]
 
+    def test_an_error_filter_is_held_too(self, monkeypatch, capsys):
+        """A caller's "error" filter (python -W error) turns no held warning
+        into an exception and a traceback."""
+        def fail():
+            raise NumericError("boom")
+        self._warn_then(monkeypatch, fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify"]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["warnings"] == ["RuntimeWarning: held back"]
+
 
 class TestResonanceScan:
     def test_straddles_resonance(self, tmp_path):

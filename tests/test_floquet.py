@@ -21,8 +21,10 @@ from floquet_lab import (
     floquet_scalar_derivs,
     floquet_scalars,
     hamiltonian_at,
+    higher_order_bound_check,
     matrix_exp,
     propagator_factored,
+    propagator_single_exp,
     stability_scan,
     transition_bound_check,
 )
@@ -35,7 +37,7 @@ from floquet_lab.core_fock import number_basis_energies, xp_operators
 from floquet_lab.floquet import _sup_sf_norm
 from floquet_lab.oracle import PeriodStepper, evolve_state
 from floquet_lab.drive_model import _chi
-from floquet_lab.propagator import _factored_matrix, _factored_states
+from floquet_lab.propagator import _factored_states
 
 P12 = 13  # projector onto the lowest 13 number states
 
@@ -79,9 +81,10 @@ class TestQuasiEnergy:
             build_HF(drive_res, params_res, trunc48)
 
     def test_huge_drive_is_a_numeric_error(self, params_nonres, trunc48):
-        """mu**2 overflows a float once the amplitude passes about 1e154."""
+        """mu**2 overflows a float once the amplitude passes about 1e154;
+        numpy warns of the overflow on the way."""
         huge = DriveSpec.sine(params_nonres.period_T, amplitude=1e200)
-        with pytest.raises(NumericError):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericError):
             build_HF(huge, params_nonres, trunc48)
 
     def test_huge_frequency_is_no_overflow_error(self):
@@ -172,18 +175,22 @@ class TestDecomposition:
         assert np.linalg.norm(sf - sf.conj().T, 2) <= 1e-9
 
     def test_sf_finite_difference(self, drive_nonres, params_nonres, trunc48):
-        """S_F = i U_F^{-1} dU_F/dt, checked by central differences."""
+        """S_F = i U_F^{-1} dU_F/dt, checked by the fourth-order central
+        difference, whose truncation eps^4 and round-off 1/eps balance near
+        eps = 1e-3."""
         t0 = 0.42 * params_nonres.period_T
-        eps = 1e-6
+        eps = 1e-3
         half = trunc48.n_keep // 2
         dim = trunc48.dim
         big = Truncation(dim, 0)
-        up = build_UF(drive_nonres, params_nonres, big, t0 + eps).entries
-        dn = build_UF(drive_nonres, params_nonres, big, t0 - eps).entries
-        mid = build_UF(drive_nonres, params_nonres, big, t0).entries
-        approx = 1j * np.linalg.inv(mid) @ ((up - dn) / (2 * eps))
+
+        def u_f(t):
+            return build_UF(drive_nonres, params_nonres, big, t).entries
+
+        dudt = (8.0 * (u_f(t0 + eps) - u_f(t0 - eps)) - (u_f(t0 + 2 * eps) - u_f(t0 - 2 * eps))) / (12 * eps)
+        approx = 1j * np.linalg.inv(u_f(t0)) @ dudt
         sf = build_SF(drive_nonres, params_nonres, Truncation(dim, 0), t0).entries
-        assert np.linalg.norm((approx - sf)[:half, :half], 2) <= 1e-5
+        assert np.linalg.norm((approx - sf)[:half, :half], 2) <= 1e-9
 
     def test_sampled_drive_matches_fourier(self, drive_nonres, params_nonres, trunc48):
         big_t = params_nonres.period_T
@@ -546,6 +553,47 @@ class TestTransitionBound:
         assert report.lhs > 0.0
         assert report.rhs == pytest.approx(2.0 * _sup_sf_norm(drive_nonres, params_nonres, trunc48) / report.dist)
 
+    def test_both_checks_make_no_dense_eigensolve(self, forbid_dense_eigh, drive_nonres, params_nonres, trunc48):
+        """The levels of H(t) and H(s) are closed forms and lhs one block of
+        one displacement, so neither check diagonalizes anything."""
+        forbid_dense_eigh()
+        t = 0.7 * params_nonres.period_T
+        for iv1, iv2 in self.PAIRS:
+            assert transition_bound_check(drive_nonres, params_nonres, trunc48, t, 0.0, iv1, iv2).ok
+            report = higher_order_bound_check(drive_nonres, params_nonres, trunc48, 2, t, 0.0, iv1, iv2, grid_points=4)
+            assert report.ok and report.lhs > 0.0
+
+    @pytest.mark.parametrize(
+        "iv1,iv2", [((0.0, 3.0), (5.0, 9.0)), ((1.3, 2.8), (7.0, 9.5)), ((20.0, 23.9), (0.0, 3.0))]
+    )
+    def test_lhs_does_not_depend_on_the_block(self, drive_nonres, params_nonres, iv1, iv2):
+        """Windows on levels below 24 read the same lhs at n_keep 24, 48 and
+        96, down to the 2.8e-39 of levels 20..23 from levels 0..2, which a
+        kept-block eigensolve reads up to 5e-3 apart at the three sizes."""
+        lhs = [
+            transition_bound_check(drive_nonres, params_nonres, Truncation(n), 2.5, 0.7, iv1, iv2).lhs
+            for n in (24, 48, 96)
+        ]
+        assert lhs[0] > 1e-40
+        assert lhs[1:] == pytest.approx([lhs[0]] * 2, rel=1e-13, abs=0)
+
+    def test_short_elapsed_time(self, drive_nonres, params_nonres, trunc48):
+        """t - s = 1e-3: lhs is about 1e-14 and matches the single
+        exponential's eigh projection to 1e-15."""
+        t, s, iv1, iv2 = 0.7 + 1e-3, 0.7, (0.0, 3.0), (5.0, 9.0)
+        lhs = transition_bound_check(drive_nonres, params_nonres, trunc48, t, s, iv1, iv2).lhs
+        want, _ = _reference_lhs(drive_nonres, params_nonres, t, s, iv1, iv2)
+        assert 1e-15 < want < 1e-13
+        assert abs(lhs - want) <= 1e-15
+
+    @pytest.mark.parametrize("amplitude, t", [(1e160, 0.0), (1e200, 2.5)])
+    def test_huge_drive_is_a_numeric_error(self, params_nonres, trunc48, amplitude, t):
+        """f(s)^2 or C_1 overflows; the windows hold no level there, so no
+        displacement is formed to refuse it."""
+        huge = DriveSpec.sine(params_nonres.period_T, amplitude=amplitude)
+        with pytest.raises(NumericError, match="not finite"):
+            transition_bound_check(huge, params_nonres, trunc48, t, 0.5 * params_nonres.period_T, *self.PAIRS[0])
+
     def test_overlapping_intervals_rejected(self, drive_nonres, params_nonres, trunc48):
         with pytest.raises(InvalidIntervalError):
             transition_bound_check(
@@ -580,6 +628,18 @@ def _reference_sup_sf(spec, params, dim, samples=64):
         tau = j * params.period_T / samples
         sup = max(sup, float(np.linalg.norm(_reference_sf(spec, params, tau, dim), 2)))
     return sup
+
+
+def _reference_lhs(spec, params, t, s, iv1, iv2, n_keep=96):
+    """||P(t, D1) U(t, s) P(s, D2)|| from a real eigh of H(t) and H(s) on
+    a kept block of n_keep and propagator_single_exp there, with the window
+    sizes."""
+    u = propagator_single_exp(spec, params, Truncation(n_keep=n_keep), t, s).entries
+    vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep).real)
+    vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep).real)
+    in_t = (vals_t >= iv1[0]) & (vals_t <= iv1[1])
+    in_s = (vals_s >= iv2[0]) & (vals_s <= iv2[1])
+    return float(np.linalg.norm(vecs_t[:, in_t].T @ u @ vecs_s[:, in_s], 2)), (in_t.sum(), in_s.sum())
 
 
 def _sf_case(harmonics, ratio, omega=1.0, amp=1.0, signs=(1, -1)):
@@ -671,29 +731,23 @@ class TestSFAgainstReference:
         iv1, iv2 = (0.0, 1.2), (2.3, 3.6)
         report = transition_bound_check(spec, params, trunc, t, s, iv1, iv2)
 
-        # H(t) is real, and the factored U's e^{-i psi(t, s)} is a global phase
-        vals_t, vecs_t = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep).real)
-        vals_s, vecs_s = np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep).real)
-        idx_t = np.nonzero((vals_t >= iv1[0]) & (vals_t <= iv1[1]))[0]
-        idx_s = np.nonzero((vals_s >= iv2[0]) & (vals_s <= iv2[1]))[0]
-        u = _factored_matrix(spec, params, t, s, n_keep)
+        # lhs against a route that shares no step with it, on every window pair
+        lhs, sizes = _reference_lhs(spec, params, t, s, iv1, iv2)
+        for pair in TestTransitionBound.PAIRS[1:]:
+            want, _ = _reference_lhs(spec, params, t, s, *pair)
+            assert want >= 1e-8
+            assert transition_bound_check(spec, params, trunc, t, s, *pair).lhs == pytest.approx(want, rel=1e-12, abs=0)
         dist = iv2[0] - iv1[1]
-        lhs = float(np.linalg.norm(vecs_t[:, idx_t].T @ u @ vecs_s[:, idx_s], 2))
         rhs = 2.0 * _reference_sup_sf(spec, params, n_keep) / dist
-        # the same norm from the whole factored U and the complex eigenvectors
-        core = np.linalg.eigh(hamiltonian_at(spec, params, t, n_keep))[1].conj().T @ (
-            propagator_factored(spec, params, trunc, t, s).entries
-        ) @ np.linalg.eigh(hamiltonian_at(spec, params, s, n_keep))[1]
 
-        assert idx_t.size and idx_s.size
+        assert all(sizes) and lhs >= 1e-8
         assert (report.t, report.s, report.dist) == (t, s, dist)
         assert (report.interval_1, report.interval_2) == (iv1, iv2)
-        assert report.lhs == lhs
-        assert lhs == pytest.approx(np.linalg.norm(core[np.ix_(idx_t, idx_s)], 2), rel=1e-12)
+        assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
         assert (report.p, report.c_p) == (1, 2.0 * _sup_sf_norm(spec, params, trunc))
         assert report.rhs == report.c_p / dist
         assert report.rhs == pytest.approx(rhs, rel=1e-14)
-        assert report.ok is (lhs <= rhs * (1.0 + 1e-6))
+        assert report.ok is (report.lhs <= rhs * (1.0 + 1e-6))
 
 
 class TestSampleCounts:
