@@ -592,9 +592,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Warnings are held so that a failing run's stderr is the one JSON error
     # object, which lists them; a run that returns prints them as usual.  A
-    # caller's "error" filter would turn numpy's into exceptions on the way.
+    # caller's "error" filter would turn numpy's into exceptions on the way,
+    # so it is held as Python's default; any other action stays the caller's.
     with warnings.catch_warnings(record=True) as held:
-        warnings.simplefilter("default", RuntimeWarning)
+        if next((f[0] for f in warnings.filters if issubclass(RuntimeWarning, f[2])), None) == "error":
+            warnings.simplefilter("default", RuntimeWarning)
         try:
             code = args.func(args)
         except ResonantTimeError as err:

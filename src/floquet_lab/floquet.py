@@ -421,10 +421,9 @@ class TransitionBoundReport:
     commutators.higher_order_bound_check gives p in 1..4 with C_p the max of
     ||X_p|| on sup_xn_norm's [0,T)^2 grid, a lower estimate of sup ||X_p||,
     taken over the nodes t >= s alone since ||X_p(s,t)|| = ||X_p(t,s)||.
-    The point intervals D1 = (E_n, E_n) and D2 = (E_m, E_m) of two of
-    those energies, as the formula gives them (a kept-block eigenvalue is
-    a few ulps off and selects none), give the eigenvalue-resolved form
-    |<n(t)| U(t,s) |m(s)>| <= C_p / |E_n - E_m|^p."""
+    The point intervals D1 = (E_n, E_n) and D2 = (E_m, E_m) of two levels,
+    from the formula or from a kept-block eigensolve, give the
+    eigenvalue-resolved form |<n(t)| U(t,s) |m(s)>| <= C_p / |E_n - E_m|^p."""
 
     p: int
     t: float
@@ -453,6 +452,22 @@ def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, s
     return float(np.max(np.abs(f1 * d2 / omega - dphi) + np.hypot(d1, d2) * x_nrm))
 
 
+def _levels(omega: float, f: np.ndarray, n: int) -> np.ndarray:
+    """Levels 0..n-1 of H(tau) = H_omega + f(tau) x, one row per value of f:
+    omega (n + 1/2) - f^2/(2 omega^2), -inf where f^2 overflows."""
+    with np.errstate(over="ignore"):  # the caller refuses a level that is not finite
+        shift = f * f / (2.0 * omega * omega)
+    return number_basis_energies(omega, n) - shift[:, None]
+
+
+def _in_window(levels: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the levels in [lo, hi], each end widened by 16 ulps of the
+    level, so that a kept-block eigenvalue, within a few ulps of its level,
+    picks that level as a point interval."""
+    slack = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(levels))
+    return np.flatnonzero((levels >= lo - slack) & (levels <= hi + slack))
+
+
 def _transition_bound(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -468,14 +483,14 @@ def _transition_bound(
 
     Checks the periods, the times and the intervals (ordered and apart),
     picks the levels n < n_keep of H(t) and H(s) in each closed interval
-    (endpoint ties included) and takes lhs from their exact eigenbasis:
+    (_in_window) and takes lhs from their exact eigenbasis:
     H(tau) = D(b) H_omega D(b)^dag - f^2/(2 omega^2), b = -f/(omega sqrt(2 omega)),
     and the factored U(t, s) = D(beta_U) e^{-i (t - s) H_omega} up to a phase,
     beta_U = -i conj(chi(t, s))/sqrt(2 omega), so D(b_t)^dag U D(b_s) is
     D(beta_U - b_t + b_s e^{-i omega (t - s)}) e^{-i (t - s) H_omega} up to a
     phase, and lhs the norm of that displacement's selected rows and columns.
     Only then does it call c_p, so a bad input never pays for the constant.
-    NumericError if f^2/(2 omega^2) or C_p is not finite.
+    NumericError if a level of H(t) or H(s), or C_p, is not finite.
     """
     _check_periods(spec, params)
     t, s = float(t), float(s)
@@ -486,25 +501,40 @@ def _transition_bound(
         raise InvalidIntervalError("intervals must satisfy lo <= hi")
     dist = max(lo2 - hi1, lo1 - hi2, 0.0)
     if dist <= 0.0:
-        raise InvalidIntervalError(f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch")
+        raise InvalidIntervalError(
+            f"intervals [{lo1}, {hi1}] and [{lo2}, {hi2}] overlap or touch"
+        )
 
     omega = params.omega
     f_t, f_s = eval_drive(spec, np.array([t, s]))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        e_t, e_s = (number_basis_energies(omega, trunc.n_keep) - f * f / (2.0 * omega * omega) for f in (f_t, f_s))
-        idx_t, idx_s = np.flatnonzero((e_t >= lo1) & (e_t <= hi1)), np.flatnonzero((e_s >= lo2) & (e_s <= hi2))
-        lhs = 0.0
-        if idx_t.size and idx_s.size:  # z = sqrt(2 omega) beta; the levels are consecutive, the block a corner
-            z = -1j * np.conj(_chi(spec, omega, t, s)) + (f_t - f_s * np.exp(-1j * omega * (t - s))) / omega
-            d = _displacement(omega, z.imag, -z.real, idx_t[-1] + 1, idx_s[-1] + 1)
-            lhs = float(np.linalg.norm(d[idx_t[0] :, idx_s[0] :], 2))
-        constant = c_p()
-    if not np.isfinite([e_t[0], e_s[0], constant]).all():
-        raise NumericError(f"the levels of H(t), H(s) or C_{p} = {constant} are not finite: the drive is too large")
+    levels_t, levels_s = _levels(omega, np.array([f_t, f_s]), trunc.n_keep)
+    if not (np.isfinite(levels_t[0]) and np.isfinite(levels_s[0])):
+        raise NumericError(f"the levels of H(t), H(s) are not finite at f = {f_t}, {f_s}: the drive is too large")
+    idx_t = _in_window(levels_t, lo1, hi1)
+    idx_s = _in_window(levels_s, lo2, hi2)
+
+    lhs = 0.0
+    if idx_t.size and idx_s.size:
+        # z = sqrt(2 omega) beta; the levels are consecutive, so the block is a corner
+        z = -1j * np.conj(_chi(spec, omega, t, s)) + (f_t - f_s * np.exp(-1j * omega * (t - s))) / omega
+        block = _displacement(omega, z.imag, -z.real, idx_t[-1] + 1, idx_s[-1] + 1)
+        lhs = float(np.linalg.norm(block[idx_t[0] :, idx_s[0] :], 2))
+
+    constant = c_p()
+    if not np.isfinite(constant):
+        raise NumericError(f"C_{p} = {constant} is not finite: the drive is too large")
     rhs = constant / dist**p
     return TransitionBoundReport(
-        p=p, t=t, s=s, interval_1=(lo1, hi1), interval_2=(lo2, hi2), dist=dist,
-        lhs=lhs, c_p=constant, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-6),
+        p=p,
+        t=t,
+        s=s,
+        interval_1=(lo1, hi1),
+        interval_2=(lo2, hi2),
+        dist=dist,
+        lhs=lhs,
+        c_p=constant,
+        rhs=rhs,
+        ok=lhs <= rhs * (1.0 + 1e-6),
     )
 
 
@@ -520,8 +550,8 @@ def transition_bound_check(
     """The first-order transition bound between two times: p = 1 and
     C_1 = 2 sup_tau ||S_F(tau)|| over 64 points of one period.
 
-    Picks the levels of H(t) and H(s) in the closed intervals (endpoint
-    ties included) and compares the exact ||P1 U P2||, one block of one
+    Picks the levels of H(t) and H(s) in the closed intervals (ties within
+    a few ulps included) and compares the exact ||P1 U P2||, one block of one
     displacement, against C_1 / dist.
     """
     return _transition_bound(

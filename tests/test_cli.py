@@ -579,6 +579,25 @@ class TestErrorStream:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["warnings"] == ["RuntimeWarning: held back"]
 
+    @pytest.mark.parametrize("code", [0, 4])
+    def test_an_ignore_filter_is_kept(self, monkeypatch, capsys, code):
+        """A caller's "ignore" filter (python -W ignore) still silences the
+        warnings of a run that returns and of one that fails."""
+        def outcome():
+            if code:
+                raise NumericError("boom")
+            return 0
+        self._warn_then(monkeypatch, outcome)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["verify"]) == code
+        assert seen == []
+        err = capsys.readouterr().err
+        if code:
+            assert "warnings" not in json.loads(err)["error"]
+        else:
+            assert err == ""
+
 
 class TestResonanceScan:
     def test_straddles_resonance(self, tmp_path):

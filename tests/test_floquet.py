@@ -586,13 +586,40 @@ class TestTransitionBound:
         assert 1e-15 < want < 1e-13
         assert abs(lhs - want) <= 1e-15
 
-    @pytest.mark.parametrize("amplitude, t", [(1e160, 0.0), (1e200, 2.5)])
-    def test_huge_drive_is_a_numeric_error(self, params_nonres, trunc48, amplitude, t):
-        """f(s)^2 or C_1 overflows; the windows hold no level there, so no
-        displacement is formed to refuse it."""
-        huge = DriveSpec.sine(params_nonres.period_T, amplitude=amplitude)
-        with pytest.raises(NumericError, match="not finite"):
-            transition_bound_check(huge, params_nonres, trunc48, t, 0.5 * params_nonres.period_T, *self.PAIRS[0])
+    def test_point_intervals_on_eigenvalues_pick_their_level(self, drive_nonres, params_nonres, trunc48):
+        """The eigenvalue-resolved form on kept-block eigenvalues, which lie a
+        few ulps off the closed-form levels: each point interval picks its
+        level, and lhs is |<n(t)| U(t,s) |m(s)>| of the single exponential's
+        eigh projection.  A point 1e-9 off the level picks none."""
+        t, s = 0.7 * params_nonres.period_T, 0.0
+        vals_t = np.linalg.eigh(hamiltonian_at(drive_nonres, params_nonres, t, 48).real)[0]
+        vals_s = np.linalg.eigh(hamiltonian_at(drive_nonres, params_nonres, s, 48).real)[0]
+        for n, m in ((0, 1), (2, 4), (5, 3)):
+            e_n, e_m = vals_t[n], vals_s[m]
+            lhs = transition_bound_check(drive_nonres, params_nonres, trunc48, t, s, (e_n, e_n), (e_m, e_m)).lhs
+            windows = (e_n - 0.1, e_n + 0.1), (e_m - 0.1, e_m + 0.1)
+            want, sizes = _reference_lhs(drive_nonres, params_nonres, t, s, *windows)
+            assert sizes == (1, 1) and want >= 1e-8
+            assert lhs == pytest.approx(want, rel=1e-12, abs=0)
+            off = transition_bound_check(drive_nonres, params_nonres, trunc48, t, s, (e_n + 1e-9,) * 2, (e_m, e_m))
+            assert off.lhs == 0.0
+
+    def test_huge_drive_is_a_numeric_error(self, params_nonres, trunc48):
+        """f(2.5)^2 overflows at amplitude 1e200: the levels of H(t) are
+        refused before anything else runs, so numpy has nothing to warn of."""
+        huge = DriveSpec.sine(params_nonres.period_T, amplitude=1e200)
+        with pytest.raises(NumericError, match="levels .* not finite"):
+            transition_bound_check(huge, params_nonres, trunc48, 2.5, 0.5 * params_nonres.period_T, *self.PAIRS[0])
+
+    def test_overflowing_constant_is_a_numeric_error(self, params_nonres, trunc48):
+        """At amplitude 1e160 the levels at t = 0 and s = T/2 are finite
+        (f(T/2) is about 1e144) and lie outside the windows, and C_1
+        overflows, of which numpy warns on the way (an overflow, then the
+        invalid values it leads to)."""
+        huge = DriveSpec.sine(params_nonres.period_T, amplitude=1e160)
+        with pytest.warns(RuntimeWarning, match="overflow|invalid"):
+            with pytest.raises(NumericError, match="C_1 .* not finite"):
+                transition_bound_check(huge, params_nonres, trunc48, 0.0, 0.5 * params_nonres.period_T, *self.PAIRS[0])
 
     def test_overlapping_intervals_rejected(self, drive_nonres, params_nonres, trunc48):
         with pytest.raises(InvalidIntervalError):
