@@ -247,7 +247,8 @@ def _parse_state(text: str, trunc: Truncation) -> np.ndarray:
         vec = np.zeros(value + 1, dtype=complex)
         vec[value] = 1.0
         return vec
-    # levels 0..n_keep/2, the support _padded_state treats as leak-free
+    # levels 0..n_keep/2: the state starts well inside the kept block, so
+    # high_mode_population reads what the drive moves out, not the cut
     n_max = trunc.n_keep // 2 + 1
     vec = np.zeros(n_max, dtype=complex)
     term = 1.0 + 0j

@@ -146,7 +146,8 @@ def sup_xn_norm(
 
     This is a lower estimate of sup ||X_n|| over the plane, not the sup:
     ||X_n(t,s)|| depends on t mod T, s mod T and omega (t - s) mod 2 pi,
-    and the grid fixes the third by the first two.
+    and the grid fixes the third by the first two.  grid_points must be
+    >= 2 (ValueError): one point sees only X_n(0, 0) = 0.
 
     Only the nodes t >= s are evaluated, since ||X_n(s,t)|| = ||X_n(t,s)||,
     and U's global phase is left out (module docstring).  H(t) is built
@@ -155,8 +156,8 @@ def sup_xn_norm(
     """
     n = _order(n)
     grid_points = _integer_field(grid_points, "grid_points")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     taus = np.linspace(0.0, params.period_T, grid_points, endpoint=False)
     h = np.stack([hamiltonian_at(spec, params, tau, trunc.n_keep) for tau in taus.tolist()])
     sup = 0.0
@@ -185,8 +186,8 @@ def higher_order_bound_check(
     grid_points = _integer_field(grid_points, "grid_points")
     if not 1 <= p <= 4:
         raise ValueError("p is limited to 1..4 at desk scale")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     return _transition_bound(
         spec, params, trunc, p, t, s, interval_1, interval_2,
         lambda: sup_xn_norm(spec, params, trunc, p, grid_points),

@@ -338,10 +338,9 @@ def _displaced_states(omega: float, a, b, vecs: np.ndarray, rows: int) -> np.nda
     return out
 
 
-def _padded_state(psi0, trunc: Truncation) -> tuple[np.ndarray, bool]:
-    """psi0 zero-padded to the working dimension, and whether its support
-    (entries above 1e-10) reaches past n_keep/2, near the truncation edge.
-    psi0 must be normalized and fit the working dimension (ValueError)."""
+def _padded_state(psi0, trunc: Truncation) -> np.ndarray:
+    """psi0 zero-padded to the working dimension.  psi0 must be normalized
+    and fit the working dimension (ValueError)."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if psi0.size > trunc.dim:
         raise ValueError(f"psi0 has {psi0.size} components, working dimension is {trunc.dim}")
@@ -349,6 +348,4 @@ def _padded_state(psi0, trunc: Truncation) -> tuple[np.ndarray, bool]:
     # the negated comparison also refuses a NaN norm
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"psi0 must be normalized, got norm {nrm}")
-    psi = np.zeros(trunc.dim, dtype=complex)
-    psi[: psi0.size] = psi0
-    return psi, bool(np.any(np.abs(psi[trunc.n_keep // 2 + 1 :]) > 1e-10))
+    return np.pad(psi0, (0, trunc.dim - psi0.size))

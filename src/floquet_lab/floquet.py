@@ -190,6 +190,11 @@ def build_SF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
 # energy bound and stability scan
 
 
+def _own_levels(psi0, trunc: Truncation) -> np.ndarray:
+    """psi0, checked by _padded_state, up to its last nonzero level."""
+    return np.trim_zeros(_padded_state(psi0, trunc), "b")
+
+
 def energy_bound_constant(
     spec: DriveSpec,
     params: OscillatorParams,
@@ -197,30 +202,27 @@ def energy_bound_constant(
     psi0: np.ndarray,
     sup_samples: int = 9,
 ) -> float:
-    """C_psi = ||H_F psi|| + sup_t ||S_F(t)(H_F + i)^{-1}|| ||(H_F + i) psi||.
-
-    Evaluated on the block of levels 0..n_keep/2, the support _padded_state
-    treats as leak-free; the sup runs over sup_samples points of one period.
-    psi0 must be normalized and supported there (ValueError otherwise).
+    """C_psi = ||H_F psi|| + a ||(H_F + i) psi||, a = sup_t ||S_F(t)(H_F + i)^{-1}||,
+    a bound on ||H(t) psi_t|| at all times for any psi0 (arXiv 0710.0768;
+    a is S_F's bound relative to H_F, Kato IV.1).  H_F is tridiagonal, so
+    for psi0 on m levels both norms are exact on levels 0..m.  a is taken on
+    levels 0..n_keep/2, the sup over sup_samples points of one period (on
+    nonresonant.json it reads 0.057271006579 from block 25 up).  psi0 must
+    be normalized and fit the working dimension (ValueError otherwise).
     """
     sup_samples = _integer_field(sup_samples, "sup_samples")
     if sup_samples < 1:
         raise ValueError(f"sup_samples must be >= 1, got {sup_samples}")
-    psi, leak = _padded_state(psi0, trunc)
-    if leak:
-        raise ValueError(
-            f"psi0 has support past level n_keep/2 = {trunc.n_keep // 2}, outside the block C_psi is evaluated on"
-        )
+    psi = np.append(_own_levels(psi0, trunc), 0.0)
     m = trunc.n_keep // 2 + 1
-    psi = psi[:m]
-    hf = _hf_matrix(spec, params, m)
-    shifted = hf + 1j * np.eye(m)
-    inv_shifted = np.linalg.inv(shifted)
+    hf = _hf_matrix(spec, params, max(m, psi.size))
+    hf_psi = hf[: psi.size, : psi.size] @ psi
+    inv_shifted = np.linalg.inv(hf[:m, :m] + 1j * np.eye(m))
     taus = [j * params.period_T / max(1, sup_samples - 1) for j in range(sup_samples)]
     sup = 0.0
     for s_blk in _sf_matrices(spec, params, taus, m):
         sup = max(sup, float(np.linalg.norm(s_blk @ inv_shifted, 2)))
-    return float(np.linalg.norm(hf @ psi) + sup * np.linalg.norm(shifted @ psi))
+    return float(np.linalg.norm(hf_psi) + sup * np.linalg.norm(hf_psi + 1j * psi))
 
 
 @dataclass
@@ -232,9 +234,9 @@ class StabilityReport:
     psi_t above the kept block, never negative, the leak meter.  verdict is
     "bounded" or "growing"; fit_exponent is the least-squares slope of log
     mean energy against log t over the last half of the grid. paper_bound
-    is None for resonant drives, where the uniform bound does not apply,
-    and for a psi0 reaching past level n_keep/2, outside the block C_psi is
-    evaluated on.
+    is C_psi (energy_bound_constant), or None for resonant drives, where
+    the uniform bound does not apply.  leak_warning is set when
+    high_mode_population exceeds 1e-6.
     """
 
     t_grid: np.ndarray
@@ -361,34 +363,31 @@ def stability_scan(
     <psi0, K(t) psi0> (module docstring, _exact_energies), so they do not
     saturate when psi_t outgrows the working space.  psi_t itself is only
     the leak meter: high_mode_population is its exact weight above the kept
-    block (_population_above), and leak_warning flips when psi0 reaches past
-    n_keep/2 or that weight exceeds 1e-6.  Non-resonant drives with psi0
-    inside levels 0..n_keep/2 also get the uniform bound C_psi and the
-    verdict compares sup ||H psi|| against it; resonant drives, and states
-    reaching past n_keep/2, are judged by the growth exponent alone.
+    block (_population_above), and leak_warning flips when that weight
+    exceeds 1e-6.  Non-resonant drives also get the uniform bound C_psi and
+    the verdict compares sup ||H psi|| against it; resonant drives are
+    judged by the growth exponent alone.  psi0 is cut after its last
+    nonzero level first, so trailing zeros cost nothing.
     """
     n_periods = _integer_field(n_periods, "n_periods")
     samples_per_period = _integer_field(samples_per_period, "samples_per_period")
     if n_periods < 1 or samples_per_period < 1:
         raise ValueError("n_periods and samples_per_period must be >= 1")
-    _check_periods(spec, params)
     classification = classify_monodromy(spec, params)
     t_grid = _time_grid(params, n_periods, samples_per_period)
 
-    _, leak = _padded_state(psi0, trunc)
-    pad_pop = _population_above(spec, params, np.ravel(psi0).astype(complex), t_grid, trunc.n_keep)
+    psi0 = _own_levels(psi0, trunc)
+    pad_pop = _population_above(spec, params, psi0, t_grid, trunc.n_keep)
     energy_norms, mean_energy = _exact_energies(spec, params, psi0, t_grid)
 
     sup_bound = float(energy_norms.max())
     exponent = _fit_exponent(t_grid, mean_energy)
 
-    if classification is Classification.NON_RESONANT and not leak:
+    paper_bound = None
+    if classification is Classification.NON_RESONANT:
         paper_bound = energy_bound_constant(spec, params, trunc, psi0, samples_per_period + 1)
-        bounded = sup_bound <= paper_bound * (1.0 + 1e-6)
-        verdict = "bounded" if bounded else ("growing" if exponent > 0.5 else "bounded")
-    else:
-        paper_bound = None
-        verdict = "growing" if exponent > 0.5 else "bounded"
+    within = paper_bound is not None and sup_bound <= paper_bound * (1.0 + 1e-6)
+    verdict = "growing" if exponent > 0.5 and not within else "bounded"
 
     return StabilityReport(
         t_grid=t_grid,
@@ -400,7 +399,7 @@ def stability_scan(
         fit_exponent=exponent,
         verdict=verdict,
         classification=classification,
-        leak_warning=bool(leak or pad_pop.max() > 1e-6),
+        leak_warning=bool(pad_pop.max() > 1e-6),
     )
 
 

@@ -306,7 +306,7 @@ def evolve_state(
     (len(t_grid), dim) array at the padded dimension.  Each state is the
     last one carried by U(t_i, t_{i-1}), on one PeriodStepper, so grid
     steps at the same phase in later periods reuse their segments."""
-    psi, _ = _padded_state(psi0, trunc)
+    psi = _padded_state(psi0, trunc)
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be a non-empty increasing 1-d array")

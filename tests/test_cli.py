@@ -178,15 +178,6 @@ class TestStability:
             )
             assert rc == 0
 
-    @pytest.mark.parametrize("level, leak", [(16, False), (17, True)])
-    def test_fock_state_past_half_the_kept_block_sets_leak_warning(self, small_config, tmp_path, level, leak):
-        """n_keep is 32: a state supported above level 16 starts near the edge."""
-        rc = main(["stability", small_config, "--periods", "2", "--samples", "2",
-                   "--state", f"fock:{level}", "--out-csv", str(tmp_path / "s.csv")])
-        assert rc == 0
-        verdict = json.loads((tmp_path / "s.verdict.json").read_text())
-        assert verdict["leak_warning"] is leak
-
     def _shipped_fock_verdict(self, tmp_path, level: int) -> dict:
         rc = main(["stability", shipped_config_path("nonresonant.json"), "--periods", "20", "--samples", "4",
                    "--state", f"fock:{level}", "--out-csv", str(tmp_path / "s.csv")])
@@ -194,8 +185,8 @@ class TestStability:
         return json.loads((tmp_path / "s.verdict.json").read_text())
 
     def test_fock_state_at_half_the_kept_block_gets_the_bound(self, tmp_path):
-        """n_keep is 48: level 24 lies in the block C_psi is evaluated on,
-        so the bound holds at least ||H_F psi0|| and bounds the energies."""
+        """n_keep is 48: the bound on level 24 holds at least ||H_F psi0||
+        and bounds the energies."""
         verdict = self._shipped_fock_verdict(tmp_path, 24)
         spec, params, trunc, _, _ = cli._load_config(shipped_config_path("nonresonant.json"))
         hf_psi0 = float(np.linalg.norm(floquet_lab.build_HF(spec, params, trunc).entries[:, 24]))
@@ -204,13 +195,22 @@ class TestStability:
         assert verdict["paper_bound"] >= verdict["sup_bound"]
         assert verdict["verdict"] == "bounded"
 
-    def test_fock_state_past_half_the_kept_block_gets_no_bound(self, tmp_path):
-        """Level 30 lies outside that block: no bound is quoted, and the
-        verdict is the growth exponent's, as for a resonant drive."""
+    def test_fock_state_past_half_the_kept_block_gets_the_bound(self, tmp_path):
+        """Level 30 lies past level n_keep/2 = 24 and gets the bound too:
+        C_psi needs only psi0's levels and the one above them."""
         verdict = self._shipped_fock_verdict(tmp_path, 30)
-        assert verdict["leak_warning"] is True
-        assert verdict["paper_bound"] is None
-        assert verdict["verdict"] == ("growing" if verdict["fit_exponent"] > 0.5 else "bounded")
+        assert verdict["leak_warning"] is False
+        assert verdict["paper_bound"] == pytest.approx(32.2517, rel=1e-5)
+        assert verdict["paper_bound"] >= verdict["sup_bound"] > 30.0
+        assert verdict["verdict"] == "bounded"
+
+    @pytest.mark.parametrize("level, leak", [(30, False), (47, True)])
+    def test_leak_warning_is_the_exact_population_above_the_kept_block(self, tmp_path, level, leak):
+        """Within 20 periods fock:30 puts 1e-36 of its weight above level
+        47, fock:47 0.42; the warning is set past 1e-6."""
+        verdict = self._shipped_fock_verdict(tmp_path, level)
+        assert (max(verdict["high_mode_population"]) > 1e-6) is leak
+        assert verdict["leak_warning"] is leak
 
     def test_resonant_growth_over_200_periods_is_growing(self, tmp_path):
         """The truncated state fills the working space within these 200

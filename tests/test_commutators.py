@@ -19,6 +19,7 @@ from floquet_lab import (
     xn_operator_via_floquet,
 )
 from floquet_lab import commutators
+from floquet_lab.cli import _load_config, shipped_config_path
 
 OMEGA = 1.0
 T_DRIVE = 2 * math.pi * math.sqrt(2)
@@ -87,11 +88,11 @@ class TestXnOperators:
         sup = sup_xn_norm(SPEC, PARAMS, TRUNC, 1, grid_points=5)
         assert math.isfinite(sup) and sup > 0.0
 
-    @pytest.mark.parametrize("grid_points", [1, 2, 5])
+    @pytest.mark.parametrize("grid_points", [2, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sup_norm_is_the_full_grid_max(self, n, grid_points):
         """The half grid without psi gives the max of ||xn_operator|| over
-        every pair of grid times.  At g = 1 both are ||X_n(0, 0)|| = 0."""
+        every pair of grid times."""
         taus = np.linspace(0.0, T_DRIVE, grid_points, endpoint=False)
         brute = max(
             np.linalg.norm(xn_operator(SPEC, PARAMS, TRUNC, n, t, s).entries, 2) for t in taus for s in taus
@@ -206,6 +207,23 @@ class TestHigherOrderBound:
             higher_order_bound_check(
                 SPEC, other_period, TRUNC, args["p"], 1.0, 0.0, self.IV1, self.IV2, grid_points=args["grid_points"]
             )
+
+    def test_one_grid_point_is_refused(self, monkeypatch):
+        """One point sees only X_p(0, 0) = 0, so it would give C_p = 0 and a
+        false violation; two give the bound.  The count is refused before
+        lhs is computed."""
+        spec, params, trunc, _, _ = _load_config(shipped_config_path("nonresonant.json"))
+        args = (spec, params, trunc, 2, 2.5, 0.7, (0.0, 3.0), (5.0, 9.0))
+        assert higher_order_bound_check(*args, grid_points=2).ok
+        with pytest.raises(ValueError, match="^grid_points must be >= 2, got 1$"):
+            sup_xn_norm(spec, params, trunc, 2, grid_points=1)
+
+        def no_lhs(*args):
+            raise AssertionError("_transition_bound was called")
+
+        monkeypatch.setattr(commutators, "_transition_bound", no_lhs)
+        with pytest.raises(ValueError, match="^grid_points must be >= 2, got 1$"):
+            higher_order_bound_check(*args, grid_points=1)
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_grid_points_must_be_positive(self, count):

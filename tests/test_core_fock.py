@@ -448,15 +448,18 @@ class TestValidation:
 
 
 class TestPaddedState:
-    def test_edge_state_warns(self):
-        """Support past n_keep/2 is near the truncation edge."""
+    def test_pads_any_normalized_state_that_fits(self):
+        """Every level of the working dimension is accepted and padded with
+        zeros; a state that does not fit or is not normalized is refused."""
         trunc = Truncation(n_keep=24, n_pad=24)
-        for level, edge in ((0, False), (12, False), (13, True), (22, True)):
-            psi0 = np.zeros(trunc.dim, dtype=complex)
+        for level in (0, 12, 13, 47):
+            psi0 = np.zeros(level + 1, dtype=complex)
             psi0[level] = 1.0
-            psi, warns = _padded_state(psi0, trunc)
-            assert warns is edge
-            assert np.array_equal(psi, psi0)
+            assert np.array_equal(_padded_state(psi0, trunc), np.eye(trunc.dim)[level])
+        with pytest.raises(ValueError, match="working dimension is 48"):
+            _padded_state(np.eye(49)[0], trunc)
+        with pytest.raises(ValueError, match="normalized"):
+            _padded_state(np.full(2, 0.5), trunc)
 
 
 @settings(max_examples=30, deadline=None)

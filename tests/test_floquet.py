@@ -303,21 +303,52 @@ class TestStabilityScan:
         with pytest.raises(ValueError, match="^sup_samples must be an integer"):
             energy_bound_constant(drive_nonres, params_nonres, trunc48, np.ones(30), sup_samples=count)
 
-    def test_energy_bound_constant_block_is_levels_0_to_half(self, drive_nonres, params_nonres, trunc48):
-        """Level n_keep/2 = 24 is in the block, with ||H_F psi0|| at least
-        its energy; a support past it is refused, never dropped."""
-        psi0 = np.zeros(25, dtype=complex)
-        psi0[24] = 1.0
-        assert energy_bound_constant(drive_nonres, params_nonres, trunc48, psi0) > 24.5
-        psi0 = np.zeros(26, dtype=complex)
-        psi0[0], psi0[25] = math.sqrt(1.0 - 1e-18), 1e-9
-        with pytest.raises(ValueError, match="psi0"):
-            energy_bound_constant(drive_nonres, params_nonres, trunc48, psi0)
-        # below _padded_state's 1e-10 an entry is no support
-        psi0[0], psi0[25] = 1.0, 1e-11
-        assert energy_bound_constant(drive_nonres, params_nonres, trunc48, psi0) == energy_bound_constant(
-            drive_nonres, params_nonres, trunc48, psi0[:1]
+    def test_energy_bound_constant_norms_are_exact_on_the_support_plus_one(self):
+        """fock:24 at n_keep 48: C_psi = ||H_F psi|| + a ||(H_F + i) psi||
+        with both norms from a 200-level H_F (a cut at level 24 reads 5e-5
+        relative low) and a on levels 0..24 over 9 samples."""
+        spec, params, trunc, _, _ = cli._load_config(shipped_config_path("nonresonant.json"))
+        m = Truncation(n_keep=trunc.n_keep // 2 + 1)
+        inv_shifted = np.linalg.inv(build_HF(spec, params, m).entries + 1j * np.eye(m.n_keep))
+        a = max(
+            np.linalg.norm(build_SF(spec, params, m, j * params.period_T / 8).entries @ inv_shifted, 2)
+            for j in range(9)
         )
+        assert a == pytest.approx(0.057271006579, rel=1e-10)
+        psi = np.zeros(200, dtype=complex)
+        psi[24] = 1.0
+        hf_psi = build_HF(spec, params, Truncation(n_keep=200)).entries @ psi
+        expected = np.linalg.norm(hf_psi) + a * np.linalg.norm(hf_psi + 1j * psi)
+        assert energy_bound_constant(spec, params, trunc, psi[:25]) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_energy_bound_constant_takes_any_state_of_the_working_dimension(
+        self, drive_nonres, params_nonres, trunc48
+    ):
+        """The top level of the working dimension gets a bound at least its
+        energy; one level more does not fit."""
+        top = np.eye(trunc48.dim)[-1]
+        assert energy_bound_constant(drive_nonres, params_nonres, trunc48, top) > trunc48.dim - 0.5
+        with pytest.raises(ValueError, match="^psi0 has 97 components"):
+            energy_bound_constant(drive_nonres, params_nonres, trunc48, np.eye(trunc48.dim + 1)[-1])
+
+    @pytest.mark.parametrize("level", [0, 30])
+    def test_trailing_zeros_give_the_same_report(self, monkeypatch, drive_nonres, params_nonres, trunc48, level):
+        """psi0 is cut after its last nonzero level, so padding it to the
+        working dimension changes no number and the leak meter evolves only
+        the levels up to it."""
+        sizes = []
+        real = floquet_module._factored_states
+
+        def spy(params, chi, psi0, t_grid, rows):
+            sizes.append(psi0.size)
+            return real(params, chi, psi0, t_grid, rows)
+
+        monkeypatch.setattr(floquet_module, "_factored_states", spy)
+        padded = stability_scan(drive_nonres, params_nonres, trunc48, np.eye(trunc48.dim)[level], 20)
+        minimal = stability_scan(drive_nonres, params_nonres, trunc48, np.eye(level + 1)[level], 20)
+        assert padded.to_json_dict() == minimal.to_json_dict()
+        assert padded.paper_bound is not None
+        assert sizes == [level + 1, level + 1]
 
 
 def _count_segment_builds(monkeypatch) -> list:
@@ -736,18 +767,16 @@ class TestSFAgainstReference:
     def test_energy_bound_constant(self, case, n_keep, ground_state):
         spec, params = case
         trunc = Truncation(n_keep=n_keep)
-        m = n_keep // 2 + 1  # levels 0..n_keep/2
+        m = n_keep // 2 + 1  # a on levels 0..n_keep/2
         samples = 9
-        psi = np.zeros(m, dtype=complex)
-        psi[0] = 1.0
-        hf = build_HF(spec, params, Truncation(n_keep=m)).entries
-        shifted = hf + 1j * np.eye(m)
-        inv_shifted = np.linalg.inv(shifted)
+        inv_shifted = np.linalg.inv(build_HF(spec, params, Truncation(n_keep=m)).entries + 1j * np.eye(m))
         sup = 0.0
         for j in range(samples):
             s_blk = _reference_sf(spec, params, j * params.period_T / (samples - 1), m)
             sup = max(sup, float(np.linalg.norm(s_blk @ inv_shifted, 2)))
-        expected = float(np.linalg.norm(hf @ psi) + sup * np.linalg.norm(shifted @ psi))
+        # the norms on psi's level and the one above it
+        hf_psi = build_HF(spec, params, Truncation(n_keep=2)).entries[:, 0]
+        expected = float(np.linalg.norm(hf_psi) + sup * np.linalg.norm(hf_psi + [1j, 0.0]))
         assert energy_bound_constant(spec, params, trunc, ground_state, samples) == expected
 
     @pytest.mark.parametrize("n_keep", [32, 48])
