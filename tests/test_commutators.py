@@ -88,11 +88,17 @@ class TestXnOperators:
         sup = sup_xn_norm(SPEC, PARAMS, TRUNC, 1, grid_points=5)
         assert math.isfinite(sup) and sup > 0.0
 
-    @pytest.mark.parametrize("grid_points", [2, 5])
+    @pytest.mark.parametrize("grid_points", [1, 2, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sup_norm_is_the_full_grid_max(self, n, grid_points):
         """The half grid without psi gives the max of ||xn_operator|| over
-        every pair of grid times."""
+        every pair of grid times.  One point is refused: its only pair is
+        X_n(0, 0) = 0."""
+        if grid_points == 1:
+            assert np.linalg.norm(xn_operator(SPEC, PARAMS, TRUNC, n, 0.0, 0.0).entries, 2) == 0.0
+            with pytest.raises(ValueError, match="^grid_points must be >= 2, got 1$"):
+                sup_xn_norm(SPEC, PARAMS, TRUNC, n, grid_points=1)
+            return
         taus = np.linspace(0.0, T_DRIVE, grid_points, endpoint=False)
         brute = max(
             np.linalg.norm(xn_operator(SPEC, PARAMS, TRUNC, n, t, s).entries, 2) for t in taus for s in taus
