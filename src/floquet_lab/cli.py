@@ -193,9 +193,7 @@ def cmd_propagate(args) -> int:
     half = trunc.n_keep // 2
     block = primary[:half, :half]
     tolerances = {
-        "halfblock_unitarity_defect": float(
-            float(np.linalg.norm(block.conj().T @ block - np.eye(half), 2))
-        ),
+        "halfblock_unitarity_defect": float(np.linalg.norm(block.conj().T @ block - np.eye(half), 2)),
         "halfblock_note": _HALF_NOTE,
     }
     if len(forms) > 1:
@@ -231,9 +229,7 @@ def _parse_state(text: str, trunc: Truncation) -> np.ndarray:
     """The --state value, ground, fock:n or coherent:a, as a normalized
     vector; ValueError naming the flag otherwise."""
     if text == "ground":
-        vec = np.zeros(1, dtype=complex)
-        vec[0] = 1.0
-        return vec
+        return np.ones(1, dtype=complex)
     kind, _, arg = text.partition(":")
     if kind not in ("fock", "coherent"):
         raise ValueError(f"--state must be ground, fock:n or coherent:a, got {text!r}")
@@ -453,6 +449,8 @@ def _suite_floquet(config_path: str) -> list:
     dev = float(np.linalg.norm(ufT - uf0, 2))
     checks.append(("u_f_periodicity", dev <= 1e-7, dev))
 
+    # holds by construction (S_F is H conjugated through U_F less H_F, and U_F(0) = 1);
+    # s_f_finite_difference below is the independent check of that identity
     h0 = hamiltonian_at(spec, params, 0.0, trunc.n_keep)
     recon = h_f + s_f(0.0)
     dev = float(np.linalg.norm(h0 - recon, 2))

@@ -62,17 +62,17 @@ _HERM_RTOL = 1e-12
 _RESCALE_LOG = 600.0
 
 
-def _integer_field(value, name: str) -> int:
+def _integer_field(value, name: str, error: type = ValueError) -> int:
     """A config field read as an int64.  An integral float such as 20.0 is
     read as 20; a fraction, a bool, a non-number or an integer outside the
-    int64 range raises ValueError naming the field."""
+    int64 range raises error (a ValueError) naming the field."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         if -(2**63) <= value < 2**63:
             return int(value)
-        raise ValueError(f"{name} must be an integer in the int64 range [-2**63, 2**63)")
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer in the int64 range [-2**63, 2**63)")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _real_field(value, name: str) -> float:
@@ -137,9 +137,11 @@ class Truncation:
     def __post_init__(self):
         if self.n_pad == -1:
             object.__setattr__(self, "n_pad", self.n_keep)
-        if int(self.n_keep) != self.n_keep or self.n_keep < 2:
+        for name in ("n_keep", "n_pad"):  # read as a config field is, so 48.0 is 48
+            object.__setattr__(self, name, _integer_field(getattr(self, name), name, InvalidTruncationError))
+        if self.n_keep < 2:
             raise InvalidTruncationError(f"n_keep must be an integer >= 2, got {self.n_keep}")
-        if int(self.n_pad) != self.n_pad or self.n_pad < 0:
+        if self.n_pad < 0:
             raise InvalidTruncationError(f"n_pad must be a non-negative integer, got {self.n_pad}")
 
     @property
@@ -210,12 +212,6 @@ def x_norm(omega: float, dim: int) -> float:
     return float(np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")[-1] / np.sqrt(2.0 * omega))
 
 
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, TruncatedOperator):
-        return m.entries
-    return np.asarray(m, dtype=complex)
-
-
 def matrix_exp(m) -> np.ndarray:
     """exp(A) for an anti-Hermitian generator A = iH, the only kind this
     package exponentiates.
@@ -227,7 +223,7 @@ def matrix_exp(m) -> np.ndarray:
 
     Accepts a TruncatedOperator or a bare ndarray; returns an ndarray.
     """
-    a = _as_matrix(m)
+    a = m.entries if isinstance(m, TruncatedOperator) else np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(a.view(float))):
         raise NumericError("matrix_exp input contains NaN or Inf")
     scale = np.abs(a).max()

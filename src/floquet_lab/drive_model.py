@@ -34,7 +34,8 @@ so every drive is a Fourier series and every kernel here is exact for it.
 
 The Floquet-mode scalars xi(t), eta(t), phi(t), F1(t), F2(t), Phi(t) of the
 non-resonant decomposition are assembled here as well, together with the
-exact time derivatives F1', F2', Phi' needed by the Floquet generator.
+(x, p, 1) coefficients of the Floquet generator S_F(t), which conjugating
+H(t) through U_F gives with no time derivative (_conjugated_h).
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ RESONANCE_REL_TOL = 1e-9
 _SERIES_CUT = 1e-4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Quadrature panels per evaluation of the integrand: about 6 MB of complex nodes.
+_PANEL_CHUNK = 2**14
 
 
 def _check_period(period) -> None:
@@ -328,19 +331,37 @@ def phi12(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> tupl
 def _gauss_panels(fn, grid, max_freq: float) -> np.ndarray:
     """int_{grid[0]}^{grid[i]} fn for every i, by composite 24-node
     Gauss-Legendre: machine-accurate for band-limited integrands when each
-    interval's equal panels keep max_freq * length <= 6.  fn is called once,
-    on a (panels, 24) array of all the nodes; panel sums accumulate in order."""
+    interval's equal panels keep max_freq * length <= 6.  fn is called on
+    the (panels, 24) nodes of _PANEL_CHUNK panels at a time, and panel sums
+    accumulate in order across the chunks.  ValueError naming t - s if the
+    panel count is not finite or not below 2**53."""
     grid = np.asarray(grid, dtype=float)
     spans = np.diff(grid)
-    counts = np.maximum(1, np.ceil(np.abs(spans) * max(max_freq, 1e-12) / 6.0)).astype(int)
-    owner = np.repeat(np.arange(spans.size), counts)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        counts = np.maximum(1.0, np.ceil(np.abs(spans) * max(max_freq, 1e-12) / 6.0))
+        total = counts.sum()
+    if not total < 2.0**53:  # NaN fails too
+        raise ValueError(
+            f"t - s = {float(grid[-1] - grid[0])!r} needs {float(total):.3g} quadrature panels, "
+            "not below 2**53: the elapsed time is too long"
+        )
+    counts, total = counts.astype(np.int64), int(total)
     ends = np.cumsum(counts)
-    # index of each panel within its interval
-    k = np.arange(owner.size) - np.repeat(ends - counts, counts)
-    half = 0.5 * spans[owner] / counts[owner]
-    mid = grid[owner] + (2 * k + 1) * half
-    panels = half * (fn(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
-    return np.concatenate(([0.0], np.cumsum(panels)[ends - 1]))
+    out = np.empty(spans.size)
+    carry = -0.0  # x + -0.0 is x, so the first chunk's sums are untouched
+    for lo in range(0, total, _PANEL_CHUNK):
+        idx = np.arange(lo, min(lo + _PANEL_CHUNK, total))
+        owner = np.searchsorted(ends, idx, side="right")
+        half = 0.5 * spans[owner] / counts[owner]
+        # (2k + 1) half past the interval's start for its k-th panel
+        mid = grid[owner] + (2 * (idx - ends[owner] + counts[owner]) + 1) * half
+        panels = half * (fn(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+        panels[0] += carry
+        sums = np.cumsum(panels)
+        carry = sums[-1]
+        done = (ends > lo) & (ends <= idx[-1] + 1)
+        out[done] = sums[ends[done] - 1 - lo]
+    return np.concatenate(([0.0], out))
 
 
 def _psi_from(spec: DriveSpec, params: OscillatorParams, grid) -> np.ndarray:
@@ -495,61 +516,54 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     t = float(t)
     _check_finite(t=t)
     w = params.omega
-    big_t = params.period_T
     mns = _monodromy_scalars(spec, params)
-    mu_t, nu_t, sigma_t, delta = mns.mu, mns.nu, mns.sigma, mns.delta
-
+    mu_t, nu_t = mns.mu, mns.nu
     u = w * t
     xi, eta = _xi_eta(mns, w, math.sin(u), math.cos(u))
     q1, q2, q3 = _p123(u)
-    w_delta = w * delta  # products, not float powers: a huge value gives inf, not OverflowError
+    w_delta = w * mns.delta  # products, not float powers: a huge value gives inf, not OverflowError
     phi = -(q1 * mu_t * mu_t + q2 * mu_t * nu_t + q3 * nu_t * nu_t) / (4.0 * w * w_delta * w_delta)
 
     p1, p2 = phi12(spec, params, t, 0.0)
     f1 = p2 - xi
     f2 = -p1 - eta
     rot = _quasi_energy_shift(mns, params)
-    big_phi = -psi(spec, params, t, 0.0) + phi - sigma_t * t / big_t + rot * t - p2 * eta / w
+    big_phi = -psi(spec, params, t, 0.0) + phi - mns.sigma * t / params.period_T + rot * t - p2 * eta / w
     return FloquetScalars(xi=xi, eta=eta, phi=phi, f1=f1, f2=f2, big_phi=big_phi)
 
 
+def _hf_coeffs(mns: MuNuSigma, params: OscillatorParams) -> tuple[float, float, float]:
+    """The (x, p, 1) coefficients of H_F = H_omega + x x + p p + one (floquet module docstring)."""
+    shift = -mns.sigma / params.period_T + _quasi_energy_shift(mns, params)
+    return -mns.nu / mns.delta, -mns.mu / (params.omega * mns.delta), shift
+
+
+def _conjugated_h(omega: float, f, a, b):
+    """The (x, p, 1) coefficients of A^dag (H_omega + f x) A, A = e^{i a x} e^{i (b/omega) p},
+    for scalars or arrays f, a, b.  A moves x to x - b/omega and p to p + a (Husimi 1953), so
+    A^dag (H_omega + f x) A = H_omega + (f - omega b) x + a p + (a^2 + b^2)/2 - f b/omega."""
+    return f - omega * b, a, 0.5 * (a * a + b * b) - f * b / omega
+
+
 def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarray, ...]:
-    """(F1, F1', F2', Phi') at each time of t, a scalar or an array: all that
-    S_F needs, from one chi(t, 0) over all the times and no psi quadrature."""
+    """(x, p, one, F1) at each time of t, a scalar or an array, S_F(t) = x x + p p + one:
+    S_F = U_F^{-1} H(t) U_F - H_F, U_F a phase times e^{i F2 x} e^{i (F1/omega) p}
+    (_conjugated_h at (F2, F1)), from one chi(t, 0) and one drive evaluation
+    over all the times; no psi quadrature and no time derivative."""
     t = np.asarray(t, dtype=float)
     _check_finite(t=t)
     w = params.omega
-    big_t = params.period_T
     mns = _monodromy_scalars(spec, params)
-    mu_t, nu_t, sigma_t, delta = mns.mu, mns.nu, mns.sigma, mns.delta
-
     u = w * t
-    sin_u = np.sin(u)
-    cos_u = np.cos(u)
-    xi, eta = _xi_eta(mns, w, sin_u, cos_u)
-    xi_dot = (cos_u * mu_t - sin_u * nu_t) / delta
-    eta_dot = (sin_u * mu_t + cos_u * nu_t) / delta
-    # d/du of the three polynomials in phi
-    q1d = 2.0 - 4.0 * cos_u + 2.0 * np.cos(2.0 * u)
-    q2d = 4.0 * sin_u - 4.0 * np.sin(2.0 * u)
-    q3d = 2.0 - 2.0 * np.cos(2.0 * u)
-    w_delta = w * delta  # products, not float powers, as in floquet_scalars
-    phi_dot = -(q1d * mu_t * mu_t + q2d * mu_t * nu_t + q3d * nu_t * nu_t) / (4.0 * w_delta * w_delta)
-
+    xi, eta = _xi_eta(mns, w, np.sin(u), np.cos(u))
     chi = _chi(spec, w, t, 0.0)
-    p1, p2 = chi.real, chi.imag
-    ft = eval_drive(spec, t)
-    f1_dot = w * p1 - xi_dot
-    f2_dot = w * p2 - ft - eta_dot
-    psi_dot = 0.5 * (p1 * p1 - p2 * p2)
-    rot = _quasi_energy_shift(mns, params)
-    big_phi_dot = (
-        -psi_dot + phi_dot - sigma_t / big_t + rot - (w * p1 * eta + p2 * eta_dot) / w
-    )
-    return p2 - xi, f1_dot, f2_dot, big_phi_dot
+    f1, f2 = chi.imag - xi, -chi.real - eta
+    hf_x, hf_p, hf_one = _hf_coeffs(mns, params)
+    x, p, one = _conjugated_h(w, eval_drive(spec, t), f2, f1)
+    return x - hf_x, p - hf_p, one - hf_one, f1
 
 
 def floquet_scalar_derivs(spec: DriveSpec, params: OscillatorParams, t: float) -> tuple[float, float, float]:
-    """(F1', F2', Phi') at time t, exact."""
-    return tuple(float(v) for v in _sf_scalars(spec, params, float(t))[1:])
-
+    """(F1', F2', Phi') at time t, read off S_F = -(F1'/omega) p - F2' x + (F1 F2'/omega - Phi')."""
+    x, p, one, f1 = (float(v) for v in _sf_scalars(spec, params, float(t)))
+    return -params.omega * p, -x, f1 * -x / params.omega - one

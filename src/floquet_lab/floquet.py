@@ -16,13 +16,13 @@ and the periodic factor in product form
 
     U_F(t) = e^{i Phi(t)} e^{i F2(t) x} e^{i (F1(t)/omega) p}.
 
-The co-rotating generator S_F(t) = i U_F(t)^{-1} dU_F/dt is linear in x
-and p,
+The co-rotating generator S_F(t) = i U_F(t)^{-1} dU_F/dt satisfies
+H(t) = U_F(t) (H_F + S_F(t)) U_F(t)^{-1}, H(0) = H_F + S_F(0), so it is H(t)
+conjugated through the displacement U_F (drive_model._conjugated_h):
 
-    S_F = -(F1'/omega) p - F2' x + (F1 F2'/omega - Phi'),
-
-so H(t) = U_F(t) (H_F + S_F(t)) U_F(t)^{-1} and in particular
-H(0) = H_F + S_F(0).
+    S_F = U_F^{-1} H(t) U_F - H_F
+        = (f - omega F1 + nu/Delta) x + (F2 + mu/(omega Delta)) p
+          + (F1^2 + F2^2)/2 - f F1/omega - c_F,   c_F the constant of H_F.
 
 Resonant periods split further by the drive's Fourier coefficient at the
 oscillator frequency: with T = 2 pi N/omega, the monodromy is a multiple
@@ -31,7 +31,8 @@ continuous spectrum otherwise.
 
 The stability energies need no propagator.  With chi(t, 0) = phi1 + i phi2
 and f = f(t), conjugating H(t) = H_omega + f x through the factored form of
-U(t, 0) (propagator module) gives, on the full space,
+U(t, 0) (propagator module: drive_model._conjugated_h at (-phi1, phi2), then
+the free rotation) gives, on the full space,
 
     U(t, 0)^dag H(t) U(t, 0) = K(t) = H_omega + A(t) x + B(t) p + C(t),
     g = f - omega phi2,
@@ -74,8 +75,9 @@ from .drive_model import (
     DriveSpec,
     _check_finite,
     _chi,
+    _conjugated_h,
+    _hf_coeffs,
     _monodromy_scalars,
-    _quasi_energy_shift,
     _sf_scalars,
     eval_drive,
     floquet_scalars,
@@ -138,15 +140,10 @@ def classify_monodromy(spec: DriveSpec, params: OscillatorParams) -> Classificat
 
 
 def _hf_matrix(spec: DriveSpec, params: OscillatorParams, dim: int) -> np.ndarray:
-    mns = _monodromy_scalars(spec, params)
-    shift = -mns.sigma / params.period_T + _quasi_energy_shift(mns, params)
-    if not all(math.isfinite(c) for c in (mns.mu, mns.nu, shift)):
-        raise NumericError(
-            f"H_F is not finite: mu = {mns.mu}, nu = {mns.nu}, shift = {shift}"
-        )
-    return _oscillator_op(
-        params.omega, dim, h=1.0, x=-mns.nu / mns.delta, p=-mns.mu / (params.omega * mns.delta), one=shift
-    )
+    x, p, one = _hf_coeffs(_monodromy_scalars(spec, params), params)
+    if not all(math.isfinite(c) for c in (x, p, one)):
+        raise NumericError(f"H_F is not finite: its x, p and 1 coefficients are {x}, {p}, {one}")
+    return _oscillator_op(params.omega, dim, h=1.0, x=x, p=p, one=one)
 
 
 def build_HF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation) -> TruncatedOperator:
@@ -173,14 +170,14 @@ def build_UF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: fl
 
 def _sf_matrices(spec: DriveSpec, params: OscillatorParams, ts, dim: int) -> Iterator[np.ndarray]:
     """S_F at each time in ts, in order, from one evaluation of the scalars."""
-    omega = params.omega
-    f1, d1, d2, dphi = _sf_scalars(spec, params, np.asarray(ts, dtype=float))
-    for j in range(f1.size):
-        yield _oscillator_op(omega, dim, x=-d2[j], p=-d1[j] / omega, one=f1[j] * d2[j] / omega - dphi[j])
+    x, p, one, _ = _sf_scalars(spec, params, np.asarray(ts, dtype=float))
+    for j in range(x.size):
+        yield _oscillator_op(params.omega, dim, x=x[j], p=p[j], one=one[j])
 
 
 def build_SF(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, t: float) -> TruncatedOperator:
-    """Co-rotating generator S_F(t) = i U_F^{-1} dU_F/dt on the kept block."""
+    """Co-rotating generator S_F(t) = i U_F^{-1} dU_F/dt = U_F^{-1} H(t) U_F - H_F
+    on the kept block."""
     _check_periods(spec, params)
     (s_f,) = _sf_matrices(spec, params, (float(t),), trunc.n_keep)
     return TruncatedOperator.hermitian_op(s_f)
@@ -200,13 +197,13 @@ def energy_bound_constant(
     params: OscillatorParams,
     trunc: Truncation,
     psi0: np.ndarray,
-    sup_samples: int = 9,
+    sup_samples: int = 8,
 ) -> float:
     """C_psi = ||H_F psi|| + a ||(H_F + i) psi||, a = sup_t ||S_F(t)(H_F + i)^{-1}||,
     a bound on ||H(t) psi_t|| at all times for any psi0 (arXiv 0710.0768;
     a is S_F's bound relative to H_F, Kato IV.1).  H_F is tridiagonal, so
     for psi0 on m levels both norms are exact on levels 0..m.  a is taken on
-    levels 0..n_keep/2, the sup over sup_samples points of one period (on
+    levels 0..n_keep/2, the sup over the sup_samples times jT/sup_samples (on
     nonresonant.json it reads 0.057271006579 from block 25 up).  psi0 must
     be normalized and fit the working dimension (ValueError otherwise).
     """
@@ -218,9 +215,8 @@ def energy_bound_constant(
     hf = _hf_matrix(spec, params, max(m, psi.size))
     hf_psi = hf[: psi.size, : psi.size] @ psi
     inv_shifted = np.linalg.inv(hf[:m, :m] + 1j * np.eye(m))
-    taus = [j * params.period_T / max(1, sup_samples - 1) for j in range(sup_samples)]
     sup = 0.0
-    for s_blk in _sf_matrices(spec, params, taus, m):
+    for s_blk in _sf_matrices(spec, params, np.arange(sup_samples) * params.period_T / sup_samples, m):
         sup = max(sup, float(np.linalg.norm(s_blk @ inv_shifted, 2)))
     return float(np.linalg.norm(hf_psi) + sup * np.linalg.norm(hf_psi + 1j * psi))
 
@@ -296,19 +292,13 @@ def _exact_energies(
     x, p = xp_operators(omega, psi.size)
     images = np.stack([number_basis_energies(omega, psi.size) * psi, x @ psi, p @ psi, psi])
     chi = _chi(spec, omega, t_grid, 0.0)
-    phi1, phi2 = chi.real, chi.imag
     f = eval_drive(spec, t_grid)
     cos_u, sin_u = np.cos(omega * t_grid), np.sin(omega * t_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        g = f - omega * phi2
+        # U(t, 0) is a phase times e^{-i phi1 x} e^{i (phi2/omega) p} e^{-i t H_omega}
+        x, p, one = _conjugated_h(omega, f, -chi.real, chi.imag)
         coeffs = np.stack(
-            [
-                np.ones_like(f),
-                g * cos_u + omega * phi1 * sin_u,
-                (g / omega) * sin_u - phi1 * cos_u,
-                0.5 * (phi1 * phi1 + phi2 * phi2) - f * phi2 / omega,
-            ],
-            axis=1,
+            [np.ones_like(f), x * cos_u - omega * p * sin_u, (x / omega) * sin_u + p * cos_u, one], axis=1
         )
         k_psi = coeffs @ images
         energy_norms = np.linalg.norm(k_psi, axis=1)
@@ -385,7 +375,7 @@ def stability_scan(
 
     paper_bound = None
     if classification is Classification.NON_RESONANT:
-        paper_bound = energy_bound_constant(spec, params, trunc, psi0, samples_per_period + 1)
+        paper_bound = energy_bound_constant(spec, params, trunc, psi0, samples_per_period)
     within = paper_bound is not None and sup_bound <= paper_bound * (1.0 + 1e-6)
     verdict = "growing" if exponent > 0.5 and not within else "bounded"
 
@@ -439,16 +429,14 @@ class TransitionBoundReport:
 def _sup_sf_norm(spec: DriveSpec, params: OscillatorParams, trunc: Truncation, samples: int = 64) -> float:
     """max ||S_F(tau)|| over samples uniform points of one period, kept block.
 
-    S_F = z a + conj(z) a^dag + c with |z| = sqrt(F1'^2 + F2'^2)/sqrt(2 omega)
-    and real c = F1 F2'/omega - Phi'.  The diagonal unitary diag(e^{i n arg z})
-    maps it to |z| (a + a^dag) + c = sqrt(F1'^2 + F2'^2) x + c on every
-    truncation, and the truncated x has a spectrum symmetric about 0, so
-    ||S_F|| = |c| + sqrt(F1'^2 + F2'^2) ||x||: no matrix is formed.
+    S_F = x x + p p + c (_sf_scalars) is z a + conj(z) a^dag + c with
+    |z| = hypot(x, omega p)/sqrt(2 omega).  The diagonal unitary
+    diag(e^{i n arg z}) maps it to |z| (a + a^dag) + c = hypot(x, omega p) x + c
+    on every truncation, and the truncated x has a spectrum symmetric about 0,
+    so ||S_F|| = |c| + hypot(x, omega p) ||x||: no matrix is formed.
     """
-    omega = params.omega
-    x_nrm = x_norm(omega, trunc.n_keep)
-    f1, d1, d2, dphi = _sf_scalars(spec, params, np.arange(samples) * params.period_T / samples)
-    return float(np.max(np.abs(f1 * d2 / omega - dphi) + np.hypot(d1, d2) * x_nrm))
+    x, p, one, _ = _sf_scalars(spec, params, np.arange(samples) * params.period_T / samples)
+    return float(np.max(np.abs(one) + np.hypot(x, params.omega * p) * x_norm(params.omega, trunc.n_keep)))
 
 
 def _levels(omega: float, f: np.ndarray, n: int) -> np.ndarray:

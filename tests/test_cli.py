@@ -148,6 +148,18 @@ class TestPropagate:
         assert err["message"] == f"{flag} must be a finite number, got {float(value)!r}"
         assert not (tmp_path / "u.json").exists()
 
+    def test_elapsed_time_past_the_quadrature_is_a_config_error(self, tmp_path, capsys):
+        """t = 1e300 would need about 6e299 psi quadrature panels: refused,
+        naming t - s, before any allocation or cast that numpy warns of."""
+        out = tmp_path / "u.json"
+        rc = main(["propagate", shipped_config_path("nonresonant.json"), "--t", "1e300", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("t - s = 1e+300 needs 5.69e+299 quadrature panels")
+        assert "warnings" not in err
+        assert not out.exists()
+
     def test_deterministic_output(self, small_config, tmp_path):
         out1, out2 = tmp_path / "u1.json", tmp_path / "u2.json"
         main(["propagate", small_config, "--t", "3.1", "--form", "all", "--out", str(out1)])

@@ -434,6 +434,14 @@ class TestValidation:
             Truncation(n_keep=8, n_pad=-2)
         assert Truncation(n_keep=8, n_pad=0).dim == 8
         assert Truncation(n_keep=8).n_pad == 8
+        # an integral float is read as its integer; anything else not an integer names its field
+        trunc = Truncation(n_keep=48.0, n_pad=np.float64(12.0))
+        assert (trunc.n_keep, trunc.n_pad) == (48, 12) and type(trunc.n_keep) is type(trunc.n_pad) is int
+        assert Truncation(n_keep=48.0).n_pad == 48
+        for bad in (math.inf, -math.inf, math.nan, 1.5, "48", True):
+            for field in ("n_keep", "n_pad"):
+                with pytest.raises(InvalidTruncationError, match=f"^{field} must be an integer"):
+                    Truncation(**{"n_keep": 8, "n_pad": 4, field: bad})
 
     def test_params_positive(self):
         with pytest.raises(ValueError):

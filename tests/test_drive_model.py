@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from floquet_lab import (
     transition_bound_check,
 )
 from floquet_lab import drive_model
+from floquet_lab.cli import _load_config, shipped_config_path
 
 T0 = 2 * math.pi * math.sqrt(2)
 
@@ -212,6 +215,27 @@ class TestKernelQuadratureOracle:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
             assert got[0] == 0.0
 
+    def test_psi_memory_does_not_grow_with_the_span(self):
+        """At t = 2e5 on nonresonant.json psi takes about 1.1e5 panels, seven
+        chunks of nodes: its value is the one a single pass over every panel
+        gave, and the traced peak stays under 64 MB (200 MB in one pass)."""
+        spec, params, *_ = _load_config(shipped_config_path("nonresonant.json"))
+        tracemalloc.start()
+        try:
+            value = psi(spec, params, 2e5, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == -249.9987490794968
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("t", [1e300, 1e308])
+    def test_psi_refuses_a_panel_count_past_2_to_the_53(self, t):
+        spec, params, *_ = _load_config(shipped_config_path("nonresonant.json"))
+        message = rf"^t - s = {re.escape(repr(t))} needs .* quadrature panels, not below 2\*\*53"
+        with pytest.raises(ValueError, match=message):
+            psi(spec, params, t, 0.0)
+
     def test_phi12_additivity(self):
         # phi_i(t,s) = phi_i(t,r) + rotation of phi_i(r,s): check through the
         # complex kernel chi = phi1 + i phi2, chi(t,s) = chi(t,r) + e^{iw(t-r)} chi(r,s)
@@ -321,8 +345,9 @@ class TestFloquetScalars:
 
     @pytest.mark.parametrize("omega", [0.7, 1.0, 1.9])
     def test_sf_scalars_over_an_array_match_each_time(self, omega):
-        """One call over every time gives each time's (F1, F1', F2', Phi') to
-        1e-15 of that quantity's size over the times."""
+        """One call over every time gives each time's S_F coefficients
+        (x, p, 1) and F1 to 1e-15 of that quantity's size over the times,
+        and floquet_scalar_derivs reads (F1', F2', Phi') off them."""
         spec = two_harmonic_drive()
         params = OscillatorParams(omega=omega, period_T=T0)
         ts = np.arange(64) * T0 / 64 - 0.3
@@ -331,7 +356,8 @@ class TestFloquetScalars:
         assert all(q.shape == ts.shape for q in together)
         for got, want in zip(together, apart):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        assert floquet_scalar_derivs(spec, params, ts[5]) == tuple(apart[1:, 5])
+        x, p, one, f1 = apart[:, 5]
+        assert floquet_scalar_derivs(spec, params, ts[5]) == (-omega * p, -x, f1 * -x / omega - one)
 
 
 class TestMonodromyMemo:

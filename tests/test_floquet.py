@@ -735,12 +735,30 @@ class TestSFAgainstReference:
         for frac in (0.0, 0.29, 0.71):
             t = frac * params.period_T
             got = build_SF(spec, params, trunc, t).entries
-            assert np.array_equal(got, _reference_sf(spec, params, t, n_keep))
+            want = _reference_sf(spec, params, t, n_keep)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         assert _sup_sf_norm(spec, params, trunc) == pytest.approx(_reference_sup_sf(spec, params, n_keep), rel=1e-14)
         for samples in (1, 5, 70):
             assert _sup_sf_norm(spec, params, trunc, samples) == pytest.approx(
                 _reference_sup_sf(spec, params, n_keep, samples), rel=1e-14
             )
+
+    @pytest.mark.parametrize(
+        "harmonics, ratio, amp", [(*c, 1.0) for c in SF_CASES] + [(2, 1.37, 10.0)], ids=lambda v: f"{v:g}"
+    )
+    def test_sf_is_h_conjugated_through_uf_less_hf(self, harmonics, ratio, amp):
+        """S_F(t) = U_F(t)^dag H(t) U_F(t) - H_F on the leading 16 x 16 block,
+        the right side from dense U_F, H(t) and H_F on 200 levels: matrix
+        products that share no S_F coefficient formula with build_SF."""
+        spec, params = _sf_case(harmonics, ratio, amp=amp)
+        dim, n = 200, 16
+        h_f = floquet_module._hf_matrix(spec, params, dim)
+        for frac in (0.0, 0.29, 0.71):
+            t = frac * params.period_T
+            u_f = floquet_module._uf_matrix(spec, params, t, dim)
+            want = (u_f.conj().T @ hamiltonian_at(spec, params, t, dim) @ u_f - h_f)[:n, :n]
+            got = build_SF(spec, params, Truncation(n_keep=n), t).entries
+            assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
 
     @pytest.mark.parametrize("n_keep", [7, 33])
     @pytest.mark.parametrize("amp", [1.0, 10.0])
@@ -768,11 +786,11 @@ class TestSFAgainstReference:
         spec, params = case
         trunc = Truncation(n_keep=n_keep)
         m = n_keep // 2 + 1  # a on levels 0..n_keep/2
-        samples = 9
+        samples = 8
         inv_shifted = np.linalg.inv(build_HF(spec, params, Truncation(n_keep=m)).entries + 1j * np.eye(m))
         sup = 0.0
         for j in range(samples):
-            s_blk = _reference_sf(spec, params, j * params.period_T / (samples - 1), m)
+            s_blk = _reference_sf(spec, params, j * params.period_T / samples, m)
             sup = max(sup, float(np.linalg.norm(s_blk @ inv_shifted, 2)))
         # the norms on psi's level and the one above it
         hf_psi = build_HF(spec, params, Truncation(n_keep=2)).entries[:, 0]
