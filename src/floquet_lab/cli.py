@@ -12,12 +12,17 @@ inside it under "warnings".
 Exit codes: 0 success, 2 configuration or argument error, 3 resonant
 time difference where only the factored form exists, 4 numeric failure,
 5 small-denominator abort, 6 iteration limit.
+
+The argument parser is built once per process, and main dispatches by the
+subcommand's function name at call time, so a cmd_* function rebound on
+this module after import is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -50,6 +55,9 @@ EXIT_SMALL_DENOM = 5
 EXIT_ITERATION_LIMIT = 6
 
 _HALF_NOTE = "half-block means the leading n_keep/2 rows and columns"
+
+# resonance-scan rows per _exact_energies call: their arrays over the 97-time grid peak near 3 MB
+_SCAN_CHUNK = 128
 
 
 def _emit_error(exc: BaseException, code: int, held: list) -> int:
@@ -289,18 +297,14 @@ def cmd_stability(args) -> int:
 # resonance scan
 
 
-def _scan_row(spec, params, omega: float) -> str:
-    """One row: the classification, and the growth exponent and sup of
-    ||H(t) psi_t|| for the ground state over 24 periods at 4 samples each,
-    from the full-space energies; no state is evolved."""
-    p = OscillatorParams(omega=omega, period_T=params.period_T)
-    classification = classify_monodromy(spec, p)
-    t_grid = _time_grid(p, 24, 4)
-    energy_norms, mean_energy = _exact_energies(spec, p, np.ones(1, dtype=complex), t_grid)
+def _scan_row(spec, params: OscillatorParams, t_grid, energy_norms, mean_energy) -> str:
+    """One row: the classification, and the growth exponent and sup of the
+    ground state's energies over t_grid, that omega's row of one batch of
+    _exact_energies."""
     return ",".join(
         [
-            str(float(omega)),
-            classification.value,
+            str(float(params.omega)),
+            classify_monodromy(spec, params).value,
             str(_fit_exponent(t_grid, mean_energy)),
             str(float(energy_norms.max())),
         ]
@@ -308,6 +312,9 @@ def _scan_row(spec, params, omega: float) -> str:
 
 
 def cmd_resonance_scan(args) -> int:
+    """Rows on the ground state's energies over 24 periods at 4 samples
+    each; all rows share that grid, so the energies of _SCAN_CHUNK rows at a
+    time come from one _exact_energies call over their omegas."""
     spec, params, _, _, _ = _load_config(args.config)
     try:
         lo_s, hi_s = args.omega_range.split(":", 1)
@@ -321,7 +328,13 @@ def cmd_resonance_scan(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     grid = np.linspace(lo, hi, args.steps)
-    rows = [_scan_row(spec, params, w) for w in grid]
+    t_grid = _time_grid(params, 24, 4)
+    rows = []
+    for start in range(0, grid.size, _SCAN_CHUNK):
+        chunk = grid[start : start + _SCAN_CHUNK]
+        row_params = [OscillatorParams(omega=w, period_T=params.period_T) for w in chunk]
+        norms, means = _exact_energies(spec, chunk, np.ones(1, dtype=complex), t_grid)
+        rows += [_scan_row(spec, p, t_grid, n, m) for p, n, m in zip(row_params, norms, means)]
     text = "omega,classification,growth_exponent,sup_energy\n" + "\n".join(rows) + "\n"
     _write_text(args.out_csv, text)
     return EXIT_OK
@@ -394,7 +407,7 @@ def _suite_appendix(config_path: str) -> list:
     dev = float(np.linalg.norm(closed - stepped, axis=1).max())
     checks.append(("stability_closed_form_vs_oracle", dev <= 1e-6, dev))
     # the full-space energies against H(t) psi_t of those truncated states
-    exact, _ = _exact_energies(spec, params, psi0, t_grid)
+    exact, _ = _exact_energies(spec, params.omega, psi0, t_grid)
     truncated = np.linalg.norm(
         [hamiltonian_at(spec, params, t, trunc.dim) @ state for t, state in zip(t_grid, closed)], axis=1
     )
@@ -545,6 +558,7 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="floquet-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -555,7 +569,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--form", choices=["factored", "single-exp", "oracle", "all"], default="factored")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_propagate)
+    p.set_defaults(func="cmd_propagate")
 
     p = sub.add_parser("stability", help="energy tracking over many periods")
     p.add_argument("config")
@@ -563,32 +577,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--state", default="ground")
     p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=cmd_stability)
+    p.set_defaults(func="cmd_stability")
 
     p = sub.add_parser("resonance-scan", help="classification sweep over omega")
     p.add_argument("config")
     p.add_argument("--omega-range", required=True, help="lo:hi")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=cmd_resonance_scan)
+    p.set_defaults(func="cmd_resonance_scan")
 
     p = sub.add_parser("kam", help="run the iterative diagonalization")
     p.add_argument("problem")
     p.add_argument("--out-history", required=True)
     p.add_argument("--out-result", required=True)
-    p.set_defaults(func=cmd_kam)
+    p.set_defaults(func="cmd_kam")
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", choices=["appendix", "floquet", "commutators", "kam", "all"], default="all")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # Warnings are held so that a failing run's stderr is the one JSON error
     # object, which lists them; a run that returns prints them as usual.  A
     # caller's "error" filter would turn numpy's into exceptions on the way,
@@ -597,7 +610,7 @@ def main(argv=None) -> int:
         if next((f[0] for f in warnings.filters if issubclass(RuntimeWarning, f[2])), None) == "error":
             warnings.simplefilter("default", RuntimeWarning)
         try:
-            code = args.func(args)
+            code = globals()[args.func](args)
         except ResonantTimeError as err:
             return _emit_error(err, EXIT_RESONANT_TIME, held)
         except NumericError as err:

@@ -176,23 +176,27 @@ class TruncatedOperator:
         return cls(entries, hermitian=True)
 
 
-def _oscillator_op(omega: float, dim: int, h=0.0, x=0.0, p=0.0, one=0.0) -> np.ndarray:
+def _oscillator_op(omega, dim: int, h=0.0, x=0.0, p=0.0, one=0.0) -> np.ndarray:
     """h H_omega + x x + p p + one 1 at the given dimension, dense, for real
     or complex coefficients: the diagonal h omega (n + 1/2) + one and the
-    bands (x -+ i omega p) x[n-1, n] above and below it."""
-    out = np.zeros((dim, dim), dtype=complex)
-    flat = out.reshape(-1)
-    off = x_off_diagonal(omega, dim)
-    iwp = 1j * omega * p
-    flat[:: dim + 1] = h * number_basis_energies(omega, dim) + one
-    flat[1 :: dim + 1] = (x - iwp) * off
-    flat[dim :: dim + 1] = (x + iwp) * off
+    bands (x -+ i omega p) x[n-1, n] above and below it.  omega is a float,
+    or a 1-d array of them for a (len(omega), dim, dim) stack."""
+    lead = omega.shape if isinstance(omega, np.ndarray) else ()
+    w = omega[..., None] if lead else omega  # (m, 1) for m of them
+    out = np.zeros(lead + (dim, dim), dtype=complex)
+    flat = out.reshape(lead + (-1,))
+    off = x_off_diagonal(w, dim)
+    iwp = 1j * w * p
+    flat[..., :: dim + 1] = h * number_basis_energies(w, dim) + one
+    flat[..., 1 :: dim + 1] = (x - iwp) * off
+    flat[..., dim :: dim + 1] = (x + iwp) * off
     return out
 
 
-def xp_operators(omega: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum matrices at the given dimension.  x is laid out
-    from x_off_diagonal, so the dense x and the band agree bit for bit."""
+def xp_operators(omega, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum matrices at the given dimension, stacked over an
+    array of omega as _oscillator_op stacks.  x is laid out from
+    x_off_diagonal, so the dense x and the band agree bit for bit."""
     return _oscillator_op(omega, dim, x=1.0), _oscillator_op(omega, dim, p=1.0)
 
 

@@ -262,26 +262,24 @@ class FloquetScalars(NamedTuple):
 # elementary moments and drive evaluation
 
 
-def _m0(a: float, tau) -> np.ndarray:
-    """int_0^tau exp(i a u) du, stable for small |a tau| (series branch)."""
+def _m0(a, tau) -> np.ndarray:
+    """int_0^tau exp(i a u) du for a and tau floats or arrays that broadcast
+    together, stable for small |a tau| (series branch)."""
     tau = np.asarray(tau, dtype=float)
     z = a * tau
-    # One pass when no node is in the series branch; NaN fails the test and
-    # takes the masked path.  ravel keeps a 0-d tau on the array loops, which
-    # round as the masked path's do.
-    if np.abs(z).min(initial=np.inf) >= _SERIES_CUT:
-        return ((np.exp(1j * np.ravel(z)) - 1.0) / (1j * a)).reshape(tau.shape)
-    small = np.abs(z) < _SERIES_CUT
-    out = np.empty(tau.shape, dtype=complex)
-    if np.any(~small):
-        zt = z[~small]
-        out[~small] = (np.exp(1j * zt) - 1.0) / (1j * a)
-    if np.any(small):
-        iz = 1j * z[small]
+    # atleast_1d keeps a 0-d z on the array loops, so a scalar tau rounds as an array's nodes do
+    iz = 1j * np.atleast_1d(z)
+    small = np.abs(z) < _SERIES_CUT  # NaN is not small: it takes the exponential form
+    if not small.any():
+        return ((np.exp(iz) - 1.0) / (1j * a)).reshape(z.shape)
+    # both forms on every node, each kept where it is accurate: the series
+    # may overflow where it is not, and a = 0 puts every node in the series
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exact = (np.exp(iz) - 1.0) / (1j * a)
         # tau * sum_j (i a tau)^j / (j+1)!
         acc = 1.0 + iz * (1.0 / 2.0 + iz * (1.0 / 6.0 + iz * (1.0 / 24.0 + iz * (1.0 / 120.0 + iz / 720.0))))
-        out[small] = tau[small] * acc
-    return out
+        series = tau * acc
+    return np.where(small, series, exact).reshape(z.shape)
 
 
 def eval_drive(spec: DriveSpec, t):
@@ -305,16 +303,17 @@ def hamiltonian_at(spec: DriveSpec, params: OscillatorParams, t: float, dim: int
     return _oscillator_op(params.omega, dim, h=1.0, x=float(eval_drive(spec, t)))
 
 
-def _chi(spec: DriveSpec, omega: float, t, s: float) -> np.ndarray:
-    """chi(t,s) = phi1 + i phi2 for a scalar t or an array of them, the
-    package's one sum over the drive's modes:
+def _chi(spec: DriveSpec, omega, t, s: float) -> np.ndarray:
+    """chi(t,s) = phi1 + i phi2 for a scalar t or an array of them, and for
+    omega a float or an array that broadcasts against t, the package's one
+    sum over the drive's modes:
 
         chi(s + tau, s) = e^{i omega tau} sum_k f_k e^{i Omega_k s} M0(Omega_k - omega, tau),
 
     Omega_k = 2 pi k / T."""
     tau = np.asarray(t, dtype=float) - s
     w0 = spec.base_frequency
-    acc = np.zeros(tau.shape, dtype=complex)
+    acc = np.zeros(np.broadcast(omega, tau).shape, dtype=complex)
     for k, c in spec.fourier:
         acc += c * np.exp(1j * w0 * k * s) * _m0(w0 * k - omega, tau)
     return np.exp(1j * omega * tau) * acc

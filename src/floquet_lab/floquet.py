@@ -277,36 +277,38 @@ def _time_grid(params: OscillatorParams, n_periods: int, samples_per_period: int
     return np.linspace(0.0, n_periods * params.period_T, n_periods * samples_per_period + 1)
 
 
-def _exact_energies(
-    spec: DriveSpec, params: OscillatorParams, psi0: np.ndarray, t_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _exact_energies(spec: DriveSpec, omega, psi0: np.ndarray, t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(||K(t) psi0||, <psi0, K(t) psi0>) at each time of t_grid: the
     full-space ||H(t) psi_t|| and <H(t)> (module docstring), from one chi and
     one drive evaluation over the grid.  K is tridiagonal, so for psi0 on m
     levels K psi0 lives on m + 1, where H_omega, x and p applied to psi0 are
-    exact; no propagator, padding or psi quadrature is involved.
-    NumericError if an energy is not finite."""
-    omega = params.omega
+    exact; no propagator, padding or psi quadrature is involved.  omega is a
+    float, or a 1-d array of them for one row of each per omega, every row
+    bit for bit the one its omega gives alone.  NumericError if an energy is
+    not finite, naming the first omega of an array whose energies are not."""
+    w = np.asarray(omega, dtype=float)[..., None]  # (1,) for a float, (m, 1) for m of them
     psi = np.zeros(np.size(psi0) + 1, dtype=complex)
     psi[:-1] = np.ravel(psi0)
     x, p = xp_operators(omega, psi.size)
-    images = np.stack([number_basis_energies(omega, psi.size) * psi, x @ psi, p @ psi, psi])
-    chi = _chi(spec, omega, t_grid, 0.0)
+    h_psi = number_basis_energies(w, psi.size) * psi
+    images = np.stack(np.broadcast_arrays(h_psi, x @ psi, p @ psi, psi), axis=-2)
+    chi = _chi(spec, w, t_grid, 0.0)
     f = eval_drive(spec, t_grid)
-    cos_u, sin_u = np.cos(omega * t_grid), np.sin(omega * t_grid)
+    cos_u, sin_u = np.cos(w * t_grid), np.sin(w * t_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         # U(t, 0) is a phase times e^{-i phi1 x} e^{i (phi2/omega) p} e^{-i t H_omega}
-        x, p, one = _conjugated_h(omega, f, -chi.real, chi.imag)
-        coeffs = np.stack(
-            [np.ones_like(f), x * cos_u - omega * p * sin_u, (x / omega) * sin_u + p * cos_u, one], axis=1
-        )
+        x, p, one = _conjugated_h(w, f, -chi.real, chi.imag)
+        coeffs = np.stack([np.ones_like(x), x * cos_u - w * p * sin_u, (x / w) * sin_u + p * cos_u, one], axis=-1)
         k_psi = coeffs @ images
-        energy_norms = np.linalg.norm(k_psi, axis=1)
+        energy_norms = np.linalg.norm(k_psi, axis=-1)
         mean_energy = np.real(k_psi @ psi.conj())
-    if not (np.all(np.isfinite(energy_norms)) and np.all(np.isfinite(mean_energy))):
+    finite = np.ravel(np.isfinite(energy_norms).all(axis=-1) & np.isfinite(mean_energy).all(axis=-1))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        at = "" if np.ndim(omega) == 0 else f" at omega = {float(np.ravel(omega)[first])!r}"
         raise NumericError(
             f"the energies are not finite (drive up to {np.abs(f).max():.3e}, "
-            f"|chi| up to {np.abs(chi).max():.3e}): the drive is too large"
+            f"|chi| up to {np.abs(chi.reshape(-1, f.size)[first]).max():.3e}): the drive is too large{at}"
         )
     return energy_norms, mean_energy
 
@@ -368,7 +370,7 @@ def stability_scan(
 
     psi0 = _own_levels(psi0, trunc)
     pad_pop = _population_above(spec, params, psi0, t_grid, trunc.n_keep)
-    energy_norms, mean_energy = _exact_energies(spec, params, psi0, t_grid)
+    energy_norms, mean_energy = _exact_energies(spec, params.omega, psi0, t_grid)
 
     sup_bound = float(energy_norms.max())
     exponent = _fit_exponent(t_grid, mean_energy)

@@ -171,17 +171,19 @@ class PeriodStepper:
         """x's off-diagonal at the working dimension and its spectral norm."""
         return x_off_diagonal(self.params.omega, self.dim), x_norm(self.params.omega, self.dim)
 
-    def segment(self, start: float, span: float) -> np.ndarray:
-        """U(start + span, start), read-only, stepped once per stepper.
+    def segment(self, start: float, span: float, keep: int | None = None) -> np.ndarray:
+        """U(start + span, start), read-only, stepped once per stepper; with
+        keep, only its leading keep x keep block, stepped on keep columns.
 
         The start is folded into [0, T).  At start = k T, fmod can return T
         less one ulp, whose phase would round to 1.0: that start is folded to
-        0.0.  A request whose phase and span agree with an earlier one's to
-        12 digits in units of T reuses that one's segment, as the starts of a
-        time grid at the same phase in later periods do.
+        0.0.  A request whose phase, span and keep agree with an earlier one's
+        (phase and span to 12 digits in units of T) reuses that one's
+        segment, as the starts of a time grid at the same phase in later
+        periods do.
         """
         if span == 0.0:
-            return np.eye(self.dim, dtype=complex)
+            return np.eye(self.dim if keep is None else keep, dtype=complex)
         big_t = self.spec.period
         t_mod = math.fmod(start, big_t)
         if t_mod < 0.0:
@@ -189,15 +191,15 @@ class PeriodStepper:
         phase = round(t_mod / big_t, 12)
         if phase == 1.0:
             t_mod = phase = 0.0
-        key = (phase, round(span / big_t, 12))
+        key = (phase, round(span / big_t, 12), keep)
         u = self._segments.get(key)
         if u is None:
-            u = self._stepped(t_mod, t_mod + span, self._steps_for(span))
+            u = self._stepped(t_mod, t_mod + span, self._steps_for(span), keep)
             u.setflags(write=False)
             self._segments[key] = u
         return u
 
-    def _stepped(self, s: float, t: float, n_steps: int) -> np.ndarray:
+    def _stepped(self, s: float, t: float, n_steps: int, keep: int | None = None) -> np.ndarray:
         """propagate_generic(H, dim, s, t, n_steps, scheme) on the (diag, off)
         form of the step generators.
 
@@ -212,7 +214,10 @@ class PeriodStepper:
         _dstevd, which still checks info and the eigenvalues.  The
         exponentials, flattened in order of action, are chained in their
         eigenbases (module docstring).  Each real-by-complex product is one
-        real GEMM on a.view(float), whose rows interleave re and im.
+        real GEMM on a.view(float), whose rows interleave re and im.  The
+        columns of a evolve apart, so with keep only its first keep columns
+        are carried and only V_last's first keep rows multiply them: the
+        leading keep x keep block of the full product.
         """
         h = (t - s) / n_steps
         t0 = s + np.arange(n_steps) * h
@@ -240,30 +245,32 @@ class PeriodStepper:
         if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offs))):
             raise NumericError("tridiagonal input contains NaN or Inf")
         w, v = _dstevd(diag, offs[0])
-        a = np.exp(-1j * w)[:, None] * v.T
+        a = np.exp(-1j * w)[:, None] * v.T[:, :keep]
         for off in offs[1:]:
             v_prev = v
             w, v = _dstevd(diag, off)
             a = ((v.T @ v_prev) @ a.view(float)).view(complex)
             a *= np.exp(-1j * w)[:, None]
-        return (v @ a.view(float)).view(complex)
+        return (v[:keep] @ a.view(float)).view(complex)
 
-    def u(self, t: float, s: float) -> np.ndarray:
+    def u(self, t: float, s: float, keep: int | None = None) -> np.ndarray:
         """U(t, s) at the padded dimension, stepped from s: the segment from s
         past the whole periods times the power of M = segment(s, T), the
         monodromy at s's phase.  t < s gives the adjoint of U(s, t).  Within
-        one period the result is the segment itself, which is read-only."""
+        one period the result is the segment itself, which is read-only, and
+        with keep only its leading keep x keep block (segment); past a period
+        keep is ignored and the full product returned."""
         if t < s:
-            return self.u(s, t).conj().T
+            return self.u(s, t, keep).conj().T
         big_t = self.spec.period
         n = math.floor((t - s) / big_t)
         tau = (t - s) - n * big_t
         if tau >= big_t:  # guard against floating rollover
             tau -= big_t
             n += 1
-        u = self.segment(s, tau)
         if n == 0:
-            return u
+            return self.segment(s, tau, keep)
+        u = self.segment(s, tau)
         acc = np.eye(self.dim, dtype=complex)
         base = self.segment(s, big_t)
         # binary powering keeps 200-period runs cheap and deterministic
@@ -285,12 +292,13 @@ def integrate(
     scheme: str = "cf4",
 ) -> TruncatedOperator:
     """Brute-force U(t, s), trimmed to the kept block: stepped from s, with
-    whole periods taken as powers of the monodromy at s's phase."""
+    whole periods taken as powers of the monodromy at s's phase.  A span
+    within one period is stepped on the kept columns alone."""
     stepper = PeriodStepper(spec, params, trunc, steps_per_period, scheme)
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
-    full = stepper.u(t, s)
-    return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
+    u = stepper.u(t, s, trunc.n_keep)
+    return TruncatedOperator(u[: trunc.n_keep, : trunc.n_keep].copy())
 
 
 def evolve_state(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -611,6 +612,29 @@ class TestErrorStream:
             assert err == ""
 
 
+class TestParserReuse:
+    """The parser is built once per process and dispatches by name, so a
+    command rebound on the module after import is the one that runs."""
+
+    def test_usage_error_then_a_valid_run(self, small_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["resonance-scan", small_config, "--steps", "3"])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ArgumentError"
+        out = tmp_path / "scan.csv"
+        assert main(["resonance-scan", small_config, "--omega-range", "0.8:1.2", "--steps", "3",
+                     "--out-csv", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_rebound_command_runs(self, monkeypatch):
+        cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.suite) or 0)
+        assert main(["verify", "--suite", "kam"]) == 0
+        assert seen == ["kam"]
+
+
 class TestResonanceScan:
     def test_straddles_resonance(self, tmp_path):
         cfg = _write_config(tmp_path / "res.json", period=2 * math.pi, n_keep=24, n_pad=24)
@@ -657,8 +681,55 @@ class TestResonanceScan:
                      "--out-csv", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err)["error"]["type"] == "NumericError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "NumericError"
+        assert error["message"].endswith("the drive is too large at omega = 0.8")
         assert not out.exists()
+
+    def test_rows_are_the_one_omega_rows(self, tmp_path):
+        """The rows of one batch per chunk equal, bit for bit, those of
+        _exact_energies and _fit_exponent at each omega alone: a two-harmonic
+        drive, a grid longer than one chunk, and both ends exactly on a
+        resonance of T = 2 pi sqrt(2) (omega = 1/sqrt(2) and sqrt(2))."""
+        from floquet_lab.core_fock import OscillatorParams
+        from floquet_lab.floquet import _exact_energies, _fit_exponent, _time_grid, classify_monodromy
+
+        cfg = _write_config(tmp_path / "two.json")
+        data = json.loads(open(cfg).read())
+        data["drive"]["fourier"] += [{"k": 2, "re": 0.02, "im": 0.01}, {"k": -2, "re": 0.02, "im": -0.01}]
+        (tmp_path / "two.json").write_text(json.dumps(data))
+        spec, params, _, _, _ = cli._load_config(cfg)
+        lo, hi, steps = 1.0 / math.sqrt(2), math.sqrt(2), cli._SCAN_CHUNK + 3
+        out = tmp_path / "scan.csv"
+        assert main(["resonance-scan", cfg, "--omega-range", f"{lo!r}:{hi!r}", "--steps", str(steps),
+                     "--out-csv", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        grid = np.linspace(lo, hi, steps)
+        t_grid = _time_grid(params, 24, 4)
+        ground = np.ones(1, dtype=complex)
+        batch = _exact_energies(spec, grid, ground, t_grid)
+        for i, (omega, row) in enumerate(zip(grid, rows)):
+            p = OscillatorParams(omega=float(omega), period_T=params.period_T)
+            norms, means = _exact_energies(spec, float(omega), ground, t_grid)
+            assert np.array_equal(batch[0][i], norms) and np.array_equal(batch[1][i], means)
+            assert row == ",".join([str(float(omega)), classify_monodromy(spec, p).value,
+                                    str(_fit_exponent(t_grid, means)), str(float(norms.max()))])
+        assert [rows[0].split(",")[1], rows[-1].split(",")[1]] == ["ResonantAbsolutelyContinuous"] * 2
+
+    def test_memory_is_bounded_per_chunk(self, tmp_path):
+        """A 1,500-row grid holds one chunk's arrays at a time: the whole
+        grid's would take about 27 MB."""
+        out = tmp_path / "scan.csv"
+        argv = ["resonance-scan", shipped_config_path("nonresonant.json"), "--omega-range", "0.8:1.2",
+                "--steps", "1500", "--out-csv", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 1501
+        assert peak <= 8e6, f"peak {peak} bytes"
 
     @pytest.mark.parametrize("window", ["0.5:inf", "inf:inf", "nan:1.5", "0.5:nan"])
     def test_non_finite_range_is_a_config_error(self, small_config, tmp_path, capsys, window):

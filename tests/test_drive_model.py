@@ -251,8 +251,8 @@ class TestKernelQuadratureOracle:
 @pytest.mark.parametrize("a", [1.3, -0.7, 1e-3])
 def test_m0_whole_array_path_matches_the_masked_path(a):
     """Without a node in the series branch, _m0 takes the exponential form on
-    the whole array; one series node sends it down the masked path, which
-    must give the same bits on the other nodes."""
+    the whole array; one series node sends it down the path that forms both
+    and picks per node, which must give the same bits on the other nodes."""
     tau = np.linspace(0.5, 9.0, 24)
     small = drive_model._SERIES_CUT / (4 * abs(a))
     whole = drive_model._m0(a, tau)
@@ -262,6 +262,17 @@ def test_m0_whole_array_path_matches_the_masked_path(a):
         got = drive_model._m0(a, one)
         assert isinstance(got, np.ndarray) and got.shape == np.shape(one)
         assert np.array_equal(got.ravel(), whole[:1])
+
+
+def test_m0_rows_over_an_array_of_a_are_the_one_a_values():
+    """A column of a broadcasts against tau: each row is _m0 at that a alone,
+    bit for bit, a = 0 (every node in the series branch) included, with no warning."""
+    tau = np.linspace(0.0, 9.0, 25)
+    a = np.array([1.3, 0.0, -0.7, 1e-5])
+    rows = drive_model._m0(a[:, None], tau)
+    assert rows.shape == (a.size, tau.size)
+    for row, one in zip(rows, a):
+        assert np.array_equal(row, drive_model._m0(float(one), tau))
 
 
 class TestSplitElapsed:

@@ -356,9 +356,9 @@ def _count_segment_builds(monkeypatch) -> list:
     starts = []
     real = PeriodStepper._stepped
 
-    def spy(self, s, t, n_steps):
+    def spy(self, s, t, n_steps, *keep):
         starts.append(s)
-        return real(self, s, t, n_steps)
+        return real(self, s, t, n_steps, *keep)
 
     monkeypatch.setattr(PeriodStepper, "_stepped", spy)
     return starts
@@ -396,9 +396,8 @@ class TestStabilityScanWork:
         assert len(starts) == 8
 
     def test_repeated_stability_steps_nothing(self, monkeypatch, tmp_path):
-        """Neither stability nor a resonance-scan row steps a segment, and a
-        second stability run writes the same bytes."""
-        spec, params, trunc, _ = self._nonresonant()
+        """Neither stability nor resonance-scan steps a segment, and a second
+        stability run writes the same bytes."""
         starts = _count_segment_builds(monkeypatch)
         outs = []
         for run in ("a", "b"):
@@ -407,13 +406,14 @@ class TestStabilityScanWork:
                            "--samples", "8", "--out-csv", str(csv)])
             assert rc == 0
             outs.append((csv.read_bytes(), (tmp_path / f"{run}.verdict.json").read_bytes()))
-        cli._scan_row(spec, params, 0.9)
+        assert cli.main(["resonance-scan", shipped_config_path("nonresonant.json"), "--omega-range", "0.9:1.0",
+                         "--steps", "2", "--out-csv", str(tmp_path / "scan.csv")]) == 0
         assert starts == []
         assert outs[0] == outs[1]
 
-    def test_resonance_scan_row_evolves_no_state(self, monkeypatch):
-        """A row needs no state, no psi quadrature and no C_psi."""
-        spec, params, _, _ = self._nonresonant()
+    def test_resonance_scan_row_evolves_no_state(self, monkeypatch, tmp_path):
+        """A row needs no state, no psi quadrature and no C_psi; the rows
+        include omega = 1/sqrt(2), a resonance of the shipped period."""
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -424,9 +424,13 @@ class TestStabilityScanWork:
                              (cli, "_psi_from"), (drive_model_module, "_psi_from"),
                              (floquet_module, "energy_bound_constant")]:
             monkeypatch.setattr(module, name, forbidden(name))
-        for omega in (0.9, 1.0 / math.sqrt(2), 1.0):
-            row = cli._scan_row(spec, params, omega).split(",")
-            assert len(row) == 4 and all(math.isfinite(float(v)) for v in (row[0], row[2], row[3]))
+        out = tmp_path / "scan.csv"
+        for window in (f"{1.0 / math.sqrt(2)!r}:0.9", "0.9:1.0"):
+            assert cli.main(["resonance-scan", shipped_config_path("nonresonant.json"), "--omega-range", window,
+                             "--steps", "2", "--out-csv", str(out)]) == 0
+            for line in out.read_text().splitlines()[1:]:
+                row = line.split(",")
+                assert len(row) == 4 and all(math.isfinite(float(v)) for v in (row[0], row[2], row[3]))
 
     def test_stability_runs_no_psi_quadrature(self, monkeypatch, ground_state):
         """The leak meter reads only |psi_t|^2, from which the global phase
@@ -532,7 +536,7 @@ class TestExactEnergies:
         spec, params, trunc, _, _ = cli._load_config(shipped_config_path(name + ".json"))
         psi0 = cli._parse_state(state, trunc)
         report = stability_scan(spec, params, trunc, psi0, n_periods=20, samples_per_period=4)
-        energy_norms, mean_energy = floquet_module._exact_energies(spec, params, psi0, report.t_grid)
+        energy_norms, mean_energy = floquet_module._exact_energies(spec, params.omega, psi0, report.t_grid)
         np.testing.assert_array_equal(report.energy_norms, energy_norms)
         np.testing.assert_array_equal(report.mean_energy, mean_energy)
         chi = _chi(spec, params.omega, report.t_grid, 0.0)

@@ -213,7 +213,7 @@ class TestSegmentKey:
         starts = []
         real = PeriodStepper._stepped
         monkeypatch.setattr(
-            PeriodStepper, "_stepped", lambda self, s, t, n: starts.append(s) or real(self, s, t, n)
+            PeriodStepper, "_stepped", lambda self, s, t, n, *keep: starts.append(s) or real(self, s, t, n, *keep)
         )
         stepper = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32)
         first = stepper.segment(start, 0.25 * T_DRIVE)
@@ -250,7 +250,7 @@ def _spy_stepped(monkeypatch) -> list:
     spans = []
     real = PeriodStepper._stepped
     monkeypatch.setattr(
-        PeriodStepper, "_stepped", lambda self, s, t, n: spans.append((s, t, n)) or real(self, s, t, n)
+        PeriodStepper, "_stepped", lambda self, s, t, n, *keep: spans.append((s, t, n)) or real(self, s, t, n, *keep)
     )
     return spans
 
@@ -340,6 +340,31 @@ class TestSteppedFromS:
     def test_equal_times_give_the_identity(self, t):
         u = integrate(SPEC, PARAMS, TRUNC, t, t, steps_per_period=32).entries
         assert np.array_equal(u, np.eye(TRUNC.n_keep))
+
+
+class TestKeptColumns:
+    """Within one period integrate steps only the n_keep columns it returns;
+    across a period, and in evolve_state, the segments stay whole."""
+
+    @pytest.mark.parametrize("scheme", ["cf4", "midpoint"])
+    @pytest.mark.parametrize("t, s", [(0.9, 0.1), (0.1, 0.9)], ids=["forward", "backward"])
+    def test_block_equals_the_full_stepped_one(self, scheme, t, s):
+        t, s = t * T_DRIVE, s * T_DRIVE
+        kept = integrate(SPEC, PARAMS, TRUNC, t, s, steps_per_period=32, scheme=scheme).entries
+        full = PeriodStepper(SPEC, PARAMS, TRUNC, steps_per_period=32, scheme=scheme).u(t, s)
+        assert np.array_equal(kept, full[: TRUNC.n_keep, : TRUNC.n_keep])
+
+    def test_only_a_partial_span_is_cut(self, monkeypatch):
+        keeps = []
+        real = PeriodStepper._stepped
+        monkeypatch.setattr(
+            PeriodStepper, "_stepped", lambda self, s, t, n, *keep: keeps.append(keep) or real(self, s, t, n, *keep)
+        )
+        integrate(SPEC, PARAMS, TRUNC, 0.8 * T_DRIVE, 0.0, steps_per_period=32)
+        assert keeps == [(TRUNC.n_keep,)]
+        integrate(SPEC, PARAMS, TRUNC, 1.8 * T_DRIVE, 0.0, steps_per_period=32)
+        evolve_state(SPEC, PARAMS, TRUNC, np.ones(1, dtype=complex), [0.5 * T_DRIVE], steps_per_period=32)
+        assert keeps[1:] == [(None,)] * 3
 
 
 class TestNonFiniteDrive:
