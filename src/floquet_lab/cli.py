@@ -39,7 +39,7 @@ from .core_fock import (
     _real_field,
     matrix_exp,
 )
-from .drive_model import DriveSpec, _chi, _psi_from, hamiltonian_at, mu_nu_sigma, phi12, psi
+from .drive_model import DriveSpec, _chi, _psi, hamiltonian_at, mu_nu_sigma, phi12, psi
 from .errors import FloquetLabError, NumericError, ResonantTimeError
 from .floquet import _exact_energies, _fit_exponent, _time_grid, classify_monodromy, stability_scan
 from .oracle import evolve_state, integrate
@@ -390,8 +390,7 @@ def _suite_appendix(config_path: str) -> list:
     t_probe = 0.37 * params.period_T
     u_fact = propagator_factored(spec, params, trunc, t_probe, 0.0).entries
     if debug.get("flip_psi_sign"):
-        psi_val = psi(spec, params, t_probe, 0.0)
-        u_fact = u_fact * cmath.exp(2j * psi_val)
+        u_fact = u_fact * cmath.exp(2j * psi(spec, params, t_probe, 0.0))
     u_orc = integrate(spec, params, trunc, t_probe, 0.0, opts["steps_per_period"], opts["scheme"]).entries
     half = trunc.n_keep // 2
     dev = float(np.linalg.norm(u_fact[:half, :half] - u_orc[:half, :half], 2))
@@ -400,8 +399,7 @@ def _suite_appendix(config_path: str) -> list:
     # the closed-form trajectory of stability, with its global phase, against the stepped one
     t_grid = np.linspace(0.0, 6 * params.period_T, 25)
     psi0 = np.ones(1, dtype=complex)
-    phase = np.exp(-1j * _psi_from(spec, params, np.concatenate(([0.0], t_grid)))[1:])
-    chi = _chi(spec, params.omega, t_grid, 0.0)
+    chi, phase = _chi(spec, params.omega, t_grid, 0.0), np.exp(-1j * _psi(spec, params.omega, t_grid, 0.0))
     closed = _factored_states(params, chi, psi0, t_grid, trunc.dim) * phase[:, None]
     stepped = evolve_state(spec, params, trunc, psi0, t_grid, opts["steps_per_period"], opts["scheme"])
     dev = float(np.linalg.norm(closed - stepped, axis=1).max())

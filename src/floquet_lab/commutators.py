@@ -20,7 +20,7 @@ U(t,s)^dag, and the recursion carries the adjoint through, so
 X_n(s,t) = (-1)^n X_n(t,s)^dag and ||X_n(s,t)|| = ||X_n(t,s)||: on a grid
 whose t and s nodes are the same times, the nodes t >= s give the max.
 And U's factor e^{-i psi(t,s)} is a global phase that no norm sees, so
-the max needs no psi quadrature.
+the max needs no psi.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ evaluated with a series branch for small |a tau| so near-resonant modes lose
 no precision.  The sum over the drive's modes is formed in one place, for
 chi = phi1 + i phi2 (_chi); the integrals of mu and nu are chi rotated back
 to the midpoint by e^{-i omega (t-s)/2}.  The one nested integral (psi) is
-evaluated by composite Gauss-Legendre panels applied to the exact
-single-integral integrand, which is machine-accurate for trigonometric
-integrands of known bandwidth.
+a finite sum over pairs of modes of exponential integrals over a simplex,
+each a third divided difference of exp (_psi; Van Loan, IEEE TAC 23, 395
+(1978)), so its cost does not grow with t - s.
 A drive given as equally spaced samples of one period is turned into its
 trigonometric interpolant once, by one real FFT (DriveSpec.from_samples),
 so every drive is a Fourier series and every kernel here is exact for it.
@@ -79,9 +79,10 @@ RESONANCE_REL_TOL = 1e-9
 # Below this |omega t| the removable-singularity factors switch to series.
 _SERIES_CUT = 1e-4
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-# Quadrature panels per evaluation of the integrand: about 6 MB of complex nodes.
-_PANEL_CHUNK = 2**14
+_DD_SPAN = 1.0  # a divided difference of exp over nodes that span less than this is a series (_exp_dd)
+_DD_TERMS = 18  # terms of that series: the first one left out is below 2e-17 of the sum
+_DD_COEFS = np.array([[1j**n / math.factorial(n + k) for n in range(_DD_TERMS)] for k in range(4)])
+_DD_LAGS = np.subtract.outer(np.arange(_DD_TERMS), np.arange(_DD_TERMS))
 
 
 def _check_period(period) -> None:
@@ -327,58 +328,56 @@ def phi12(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> tupl
     return float(np.real(c)), float(np.imag(c))
 
 
-def _gauss_panels(fn, grid, max_freq: float) -> np.ndarray:
-    """int_{grid[0]}^{grid[i]} fn for every i, by composite 24-node
-    Gauss-Legendre: machine-accurate for band-limited integrands when each
-    interval's equal panels keep max_freq * length <= 6.  fn is called on
-    the (panels, 24) nodes of _PANEL_CHUNK panels at a time, and panel sums
-    accumulate in order across the chunks.  ValueError naming t - s if the
-    panel count is not finite or not below 2**53."""
-    grid = np.asarray(grid, dtype=float)
-    spans = np.diff(grid)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        counts = np.maximum(1.0, np.ceil(np.abs(spans) * max(max_freq, 1e-12) / 6.0))
-        total = counts.sum()
-    if not total < 2.0**53:  # NaN fails too
-        raise ValueError(
-            f"t - s = {float(grid[-1] - grid[0])!r} needs {float(total):.3g} quadrature panels, "
-            "not below 2**53: the elapsed time is too long"
-        )
-    counts, total = counts.astype(np.int64), int(total)
-    ends = np.cumsum(counts)
-    out = np.empty(spans.size)
-    carry = -0.0  # x + -0.0 is x, so the first chunk's sums are untouched
-    for lo in range(0, total, _PANEL_CHUNK):
-        idx = np.arange(lo, min(lo + _PANEL_CHUNK, total))
-        owner = np.searchsorted(ends, idx, side="right")
-        half = 0.5 * spans[owner] / counts[owner]
-        # (2k + 1) half past the interval's start for its k-th panel
-        mid = grid[owner] + (2 * (idx - ends[owner] + counts[owner]) + 1) * half
-        panels = half * (fn(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
-        panels[0] += carry
-        sums = np.cumsum(panels)
-        carry = sums[-1]
-        done = (ends > lo) & (ends <= idx[-1] + 1)
-        out[done] = sums[ends[done] - 1 - lo]
-    return np.concatenate(([0.0], out))
+def _exp_dd(x: np.ndarray) -> np.ndarray:
+    """exp[i x_0, i x_1, i x_2, i x_3] for real nodes x of shape (..., 4), sorted first since it is symmetric
+    in them.  Level 1 is e^{i mid} sin(h)/h at a gap 2h.  Level k divides by its nodes' span where that is at
+    least _DD_SPAN, and elsewhere is the series e^{i x_0} sum_n i^n h_n(d) / (n + k)!, h_n the complete
+    homogeneous polynomial of degree n in d_j = x_j - x_0, j = 1..k, so no level cancels digits away
+    (McCurdy, Ng and Parlett, Math. Comp. 43, 501 (1984))."""
+    x = np.sort(x, axis=-1)
+    half = 0.5 * (x[..., 1:] - x[..., :-1])
+    dd = np.exp(1j * (x[..., :-1] + half)) * np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    whole = x[..., 3:] - x[..., :1] < _DD_SPAN  # the top level's series needs no lower level's
+    for k in (2, 3):
+        span = x[..., k:] - x[..., :-k]
+        dd = (dd[..., 1:] - dd[..., :-1]) / (1j * np.maximum(span, _DD_SPAN))
+        if (small := whole if k == 3 else (span < _DD_SPAN) & ~whole).any():
+            nodes = np.stack([x[..., j : j + 4 - k] for j in range(k + 1)], axis=-1)[small]
+            powers = (nodes[:, 1:] - nodes[:, :1])[..., None] ** np.arange(float(_DD_TERMS))
+            h = powers[:, 0]
+            for j in range(1, k):  # h_n(d_1..d_j) = sum_m d_j^(n - m) h_m(d_1..d_(j-1)), row by row
+                h = (np.where(_DD_LAGS >= 0, powers[:, j, _DD_LAGS], 0.0) @ h[..., None])[..., 0]
+            dd[small] = np.exp(1j * nodes[:, 0]) * (h * _DD_COEFS[k]).sum(-1)
+    return dd[..., 0]
 
 
-def _psi_from(spec: DriveSpec, params: OscillatorParams, grid) -> np.ndarray:
-    """psi(grid[i], grid[0]) for every i, from one quadrature over grid."""
-    s = float(grid[0])
-
-    def integrand(v):
-        c = _chi(spec, params.omega, v, s)
-        return 0.5 * np.real(c * c)
-
-    return _gauss_panels(integrand, grid, 2.0 * (spec.max_frequency + params.omega))
+def _psi(spec: DriveSpec, omega: float, t, s: float):
+    """psi(t, s) for a float t or an array of them.  chi^2 is a double sum over the modes, so with
+    g_k = f_k e^{i Omega_k s} and a_k = Omega_k - omega, psi(s + tau, s) = Re sum_{k,l} g_k g_l E_kl over
+    ordered pairs, E_kl = int_{0 <= x_1 <= x_2 <= x_3 <= tau} e^{i a_k x_1 + i a_l x_2 + 2 i omega x_3} dx,
+    the (0, 3) entry of exp(tau B), B upper bidiagonal with diagonal i (Omega_k + Omega_l, Omega_l + omega,
+    2 omega, 0) and ones above (Van Loan, IEEE TAC 23, 395 (1978)): tau^3 _exp_dd of tau times it.  ValueError
+    naming t - s if 2 (omega + max |Omega_k|) |t - s| reaches 2^52 rad (core_fock._displacement_table's rule)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        tau = np.asarray(t, dtype=float) - s
+        ok = np.ravel(2.0 * (omega + spec.max_frequency) * np.abs(tau) < 2.0**52)  # NaN fails too
+    if not ok.all():
+        tau = float(np.ravel(tau)[np.argmin(ok)])
+        raise ValueError(f"t - s = {tau!r} is too long: 2 (omega + max |Omega_k|) |t - s| reaches 2^52 rad")
+    freq = spec.base_frequency * np.array([k for k, _ in spec.fourier], dtype=float)  # Omega_k
+    g = np.array([c for _, c in spec.fourier], dtype=complex) * np.exp(1j * s * freq)
+    amp = np.abs(g).max(initial=0.0) or 1.0  # a psi past the float range overflows in the last product only
+    nodes = np.zeros((freq.size, freq.size, 4))  # (k, l, node over tau)
+    nodes[..., 0], nodes[..., 1], nodes[..., 2] = freq[:, None] + freq, freq + omega, 2.0 * omega
+    e = _exp_dd(tau[..., None, None, None] * nodes) * (tau * tau * tau)[..., None, None]
+    return amp * np.real(((e * g).sum(-1) * (g / amp)).sum(-1))  # a grid's sums in the order of a time's
 
 
 def psi(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -> float:
-    """psi(t,s) = 1/2 int_s^t (phi1(v,s)^2 - phi2(v,s)^2) dv."""
+    """psi(t,s) = 1/2 int_s^t (phi1(v,s)^2 - phi2(v,s)^2) dv, in closed form (_psi)."""
     t, s = float(t), float(s)
     _check_finite(t=t, s=s)
-    return float(_psi_from(spec, params, (s, t))[1])
+    return float(_psi(spec, params.omega, t, s))
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +438,7 @@ def mu_nu_sigma(spec: DriveSpec, params: OscillatorParams, t: float, s: float) -
     mu = pref * float(np.imag(mid))
     nu = -pref * float(np.real(mid))
 
-    sigma = (
-        -psi(spec, params, t, s)
-        + p1 * p2 / (2.0 * w)
-        - _lambda_factor(w * delta) / w * (p1 * p1 + p2 * p2)
-    )
+    sigma = -float(_psi(spec, w, t, s)) + p1 * p2 / (2.0 * w) - _lambda_factor(w * delta) / w * (p1 * p1 + p2 * p2)
     return MuNuSigma(mu=float(mu), nu=float(nu), sigma=float(sigma), whole_periods=n, delta=delta)
 
 
@@ -475,8 +470,8 @@ _MONODROMY_CACHE_SIZE = 64
 def _monodromy_scalars(spec: DriveSpec, params: OscillatorParams) -> MuNuSigma:
     """mu_nu_sigma(T, 0), memoized on the frozen (spec, params).
 
-    Errors are not cached: a resonant period or a failed quadrature raises
-    again on every call.
+    Errors are not cached: a resonant period, or a period too long for psi,
+    raises again on every call.
     """
     if is_resonant_period(params):
         raise ResonanceError(
@@ -527,7 +522,7 @@ def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> Floq
     f1 = p2 - xi
     f2 = -p1 - eta
     rot = _quasi_energy_shift(mns, params)
-    big_phi = -psi(spec, params, t, 0.0) + phi - mns.sigma * t / params.period_T + rot * t - p2 * eta / w
+    big_phi = -float(_psi(spec, w, t, 0.0)) + phi - mns.sigma * t / params.period_T + rot * t - p2 * eta / w
     return FloquetScalars(xi=xi, eta=eta, phi=phi, f1=f1, f2=f2, big_phi=big_phi)
 
 
@@ -548,7 +543,7 @@ def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarra
     """(x, p, one, F1) at each time of t, a scalar or an array, S_F(t) = x x + p p + one:
     S_F = U_F^{-1} H(t) U_F - H_F, U_F a phase times e^{i F2 x} e^{i (F1/omega) p}
     (_conjugated_h at (F2, F1)), from one chi(t, 0) and one drive evaluation
-    over all the times; no psi quadrature and no time derivative."""
+    over all the times; no psi and no time derivative."""
     t = np.asarray(t, dtype=float)
     _check_finite(t=t)
     w = params.omega

@@ -282,7 +282,7 @@ def _exact_energies(spec: DriveSpec, omega, psi0: np.ndarray, t_grid: np.ndarray
     full-space ||H(t) psi_t|| and <H(t)> (module docstring), from one chi and
     one drive evaluation over the grid.  K is tridiagonal, so for psi0 on m
     levels K psi0 lives on m + 1, where H_omega, x and p applied to psi0 are
-    exact; no propagator, padding or psi quadrature is involved.  omega is a
+    exact; no propagator, padding or psi is involved.  omega is a
     float, or a 1-d array of them for one row of each per omega, every row
     bit for bit the one its omega gives alone.  NumericError if an energy is
     not finite, naming the first omega of an array whose energies are not."""

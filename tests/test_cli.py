@@ -149,17 +149,26 @@ class TestPropagate:
         assert err["message"] == f"{flag} must be a finite number, got {float(value)!r}"
         assert not (tmp_path / "u.json").exists()
 
-    def test_elapsed_time_past_the_quadrature_is_a_config_error(self, tmp_path, capsys):
-        """t = 1e300 would need about 6e299 psi quadrature panels: refused,
-        naming t - s, before any allocation or cast that numpy warns of."""
+    def test_elapsed_time_past_2_to_the_52_rad_is_a_config_error(self, tmp_path, capsys):
+        """At t = 1e300 the phase 2 (omega + max |Omega_k|) (t - s) of psi
+        keeps no digit: refused, naming t - s, before any cast that numpy
+        warns of."""
         out = tmp_path / "u.json"
         rc = main(["propagate", shipped_config_path("nonresonant.json"), "--t", "1e300", "--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
-        assert err["message"].startswith("t - s = 1e+300 needs 5.69e+299 quadrature panels")
+        assert err["message"].startswith("t - s = 1e+300 is too long: ")
         assert "warnings" not in err
         assert not out.exists()
+
+    def test_propagate_at_a_billion_time_units(self, tmp_path):
+        """psi is a finite sum, so t = 1e9 costs what t = 1 costs; its value
+        is that of a 50-digit evaluation of the same sum."""
+        out = tmp_path / "u.json"
+        assert main(["propagate", shipped_config_path("nonresonant.json"), "--t", "1e9", "--out", str(out)]) == 0
+        kernels = json.loads(out.read_text())["metadata"]["scalar_kernels"]
+        assert kernels["psi"] == pytest.approx(-1249999.997479648010399605, rel=1e-13, abs=0.0)
 
     def test_deterministic_output(self, small_config, tmp_path):
         out1, out2 = tmp_path / "u1.json", tmp_path / "u2.json"
@@ -961,8 +970,9 @@ class TestVerify:
 def test_import_loads_no_quadrature_or_interpolation(tmp_path):
     """Every drive is a Fourier series, so the package needs neither, and
     scipy serves the oracle alone: a fresh process that imports the CLI and
-    runs stability and kam loads no scipy module at all (numpy's FFT is
-    the package's only one)."""
+    runs stability, kam and the factored propagate, whose psi is a closed
+    form, loads no scipy module at all (numpy's FFT is the package's only
+    one)."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -970,14 +980,16 @@ def test_import_loads_no_quadrature_or_interpolation(tmp_path):
                  "--out-csv", str(tmp_path / "s.csv")]
     kam = ["kam", shipped_config_path("kam_golden.json"),
            "--out-history", str(tmp_path / "h.csv"), "--out-result", str(tmp_path / "r.json")]
+    propagate = ["propagate", shipped_config_path("resonant_growth.json"), "--t", "30.7", "--s", "0.2",
+                 "--form", "factored", "--out", str(tmp_path / "u.json")]
     code = (
         "import contextlib, io, sys, floquet_lab.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [cli.main({stability!r}), cli.main({kam!r})]\n"
+        f"    codes = [cli.main({stability!r}), cli.main({kam!r}), cli.main({propagate!r})]\n"
         "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[0, 0] []"
+    assert done.stdout.strip() == "[0, 0, 0] []"
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")

@@ -130,7 +130,7 @@ class TestXnOperators:
 
 def test_sup_norm_builds_no_propagator_per_point():
     """A fresh process, so no cache is warm, counts what sup_xn_norm calls
-    through the names commutators looks up: no psi quadrature, no factored
+    through the names commutators looks up: no psi, no factored
     propagator, and one H(t) per grid time."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
@@ -145,7 +145,7 @@ def test_sup_norm_builds_no_propagator_per_point():
         "        calls[name] += 1\n"
         "        return original(*args, **kwargs)\n"
         "    setattr(module, name, wrapper)\n"
-        "for module, name, original in [(d, '_psi_from', d._psi_from), (c, 'psi', d.psi),\n"
+        "for module, name, original in [(d, '_psi', d._psi), (c, 'psi', d.psi),\n"
         "        (p, 'propagator_factored', p.propagator_factored),\n"
         "        (c, 'propagator_factored', p.propagator_factored), (c, 'hamiltonian_at', d.hamiltonian_at)]:\n"
         "    count(module, name, original)\n"

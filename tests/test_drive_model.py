@@ -2,7 +2,6 @@ import cmath
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,39 +199,37 @@ class TestKernelQuadratureOracle:
         want = scipy.integrate.quad(inner, s, t, limit=200, epsabs=1e-11)[0]
         assert psi(spec, self.params, t, s) == pytest.approx(want, abs=1e-9)
 
-    def test_psi_on_a_grid_matches_psi_per_time(self, monkeypatch):
-        """One quadrature over a grid, with one integrand call, gives psi at
-        every grid time from the first, in either direction."""
+    def test_psi_on_a_grid_matches_psi_per_time(self):
+        """_psi on an array of times is _psi at each time bit for bit, on a
+        forward grid and on a backward one that repeats a time."""
         spec = two_harmonic_drive()
-        calls = []
-        real = drive_model._chi
-        monkeypatch.setattr(drive_model, "_chi", lambda *a: calls.append(a) or real(*a))
-        for grid in (np.linspace(0.0, 5 * T0, 21), np.array([2.0, 1.0, -0.5, -0.5, 3.0])):
-            calls.clear()
-            got = drive_model._psi_from(spec, self.params, grid)
-            assert len(calls) == 1
-            want = [psi(spec, self.params, t, grid[0]) for t in grid]
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        for grid in (np.linspace(0.0, 5 * T0, 21), np.array([2.0, 1.0, -0.5, -0.5, 3.0]), np.linspace(0.3, -40.0, 97)):
+            got = drive_model._psi(spec, self.params.omega, grid, grid[0])
+            assert got.tolist() == [psi(spec, self.params, t, grid[0]) for t in grid]
             assert got[0] == 0.0
 
-    def test_psi_memory_does_not_grow_with_the_span(self):
-        """At t = 2e5 on nonresonant.json psi takes about 1.1e5 panels, seven
-        chunks of nodes: its value is the one a single pass over every panel
-        gave, and the traced peak stays under 64 MB (200 MB in one pass)."""
-        spec, params, *_ = _load_config(shipped_config_path("nonresonant.json"))
-        tracemalloc.start()
-        try:
-            value = psi(spec, params, 2e5, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert value == -249.9987490794968
-        assert peak < 64e6
+    # 50-digit evaluations of the same sum (mpmath, the 4 x 4 exponential of each pair at 50 and 70 digits)
+    @pytest.mark.parametrize(
+        "config,t,want,rel",
+        [
+            ("nonresonant.json", 2e5, -249.99874907949818063035, 1e-14),
+            ("resonant_growth.json", 2e4 + 0.1, -61989.552801452825281979, 1e-11),
+            ("resonant_growth.json", 1000.3, -87.467141115579055962377, 5e-13),
+        ],
+        ids=["nonresonant-2e5", "resonant_growth-2e4", "resonant_growth-1000"],
+    )
+    def test_psi_at_long_spans(self, config, t, want, rel):
+        """psi at long spans, where panels of a quadrature lost digits: the
+        resonant mode of resonant_growth.json makes chi grow like t - s."""
+        spec, params, *_ = _load_config(shipped_config_path(config))
+        assert psi(spec, params, t, 0.0) == pytest.approx(want, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("t", [1e300, 1e308])
-    def test_psi_refuses_a_panel_count_past_2_to_the_53(self, t):
+    def test_psi_refuses_a_phase_past_2_to_52(self, t):
+        """The largest phase 2 (omega + max |Omega_k|) |t - s| keeps no digit
+        past 2^52 rad: ValueError naming t - s, with no numpy warning."""
         spec, params, *_ = _load_config(shipped_config_path("nonresonant.json"))
-        message = rf"^t - s = {re.escape(repr(t))} needs .* quadrature panels, not below 2\*\*53"
+        message = rf"^t - s = {re.escape(repr(t))} is too long: .* reaches 2\^52 rad$"
         with pytest.raises(ValueError, match=message):
             psi(spec, params, t, 0.0)
 

@@ -30,7 +30,6 @@ from floquet_lab import (
 )
 import floquet_lab.drive_model as drive_model_module
 import floquet_lab.floquet as floquet_module
-import floquet_lab.propagator as propagator_module
 from floquet_lab import cli
 from floquet_lab.cli import shipped_config_path
 from floquet_lab.core_fock import number_basis_energies, xp_operators
@@ -412,8 +411,8 @@ class TestStabilityScanWork:
         assert outs[0] == outs[1]
 
     def test_resonance_scan_row_evolves_no_state(self, monkeypatch, tmp_path):
-        """A row needs no state, no psi quadrature and no C_psi; the rows
-        include omega = 1/sqrt(2), a resonance of the shipped period."""
+        """A row needs no state, no psi and no C_psi; the rows include
+        omega = 1/sqrt(2), a resonance of the shipped period."""
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -421,7 +420,7 @@ class TestStabilityScanWork:
             return call
 
         for module, name in [(floquet_module, "_factored_states"), (cli, "_factored_states"),
-                             (cli, "_psi_from"), (drive_model_module, "_psi_from"),
+                             (cli, "_psi"), (drive_model_module, "_psi"),
                              (floquet_module, "energy_bound_constant")]:
             monkeypatch.setattr(module, name, forbidden(name))
         out = tmp_path / "scan.csv"
@@ -432,18 +431,23 @@ class TestStabilityScanWork:
                 row = line.split(",")
                 assert len(row) == 4 and all(math.isfinite(float(v)) for v in (row[0], row[2], row[3]))
 
-    def test_stability_runs_no_psi_quadrature(self, monkeypatch, ground_state):
+    def test_stability_evaluates_only_the_monodromy_psi(self, monkeypatch, ground_state):
         """The leak meter reads only |psi_t|^2, from which the global phase
-        e^{-i psi(t, 0)} drops out."""
+        e^{-i psi(t, 0)} drops out: the one psi that stability_scan takes is
+        the monodromy's, at (T, 0), and none on the trajectory grid.  The
+        memo is cleared first, so no earlier test can have taken that psi."""
         spec, params, trunc, _ = self._nonresonant()
+        calls = []
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("_psi_from was called")
+        def recorded(original):
+            return lambda spec, omega, t, s: calls.append((t, s)) or original(spec, omega, t, s)
 
-        for module in (drive_model_module, propagator_module, floquet_module):
-            monkeypatch.setattr(module, "_psi_from", forbidden, raising=False)
+        for module in (drive_model_module, cli):
+            monkeypatch.setattr(module, "_psi", recorded(module._psi), raising=True)
+        drive_model_module._monodromy_scalars.cache_clear()
         report = stability_scan(spec, params, trunc, ground_state, n_periods=6, samples_per_period=4)
         assert np.all(np.isfinite(report.high_mode_population))
+        assert calls == [(params.period_T, 0.0)]
 
     def test_output_does_not_depend_on_earlier_runs(self, tmp_path):
         """A 20-period run writes the same bytes after a 13-period one as

@@ -100,6 +100,32 @@ def test_factored_states_are_the_factored_columns_per_time():
         assert np.abs(state - expect).max() <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "config,t,r,s,tol",
+    [
+        ("nonresonant.json", 2.5, 1.25, 0.5, 1e-12),
+        ("resonant_growth.json", -3.0, 7.5, 0.25, 1e-12),
+        ("resonant_identity.json", 40.5, 17.25, 0.125, 1e-12),
+        ("nonresonant.json", 2.0**30 + 0.5, 2.0**29 + 0.25, 0.125, 1e-5),
+    ],
+    ids=["nonresonant", "resonant_growth-backward", "resonant_identity", "nonresonant-2^30"],
+)
+def test_factored_form_keeps_the_group_law(config, t, r, s, tol):
+    """U(t, r) U(r, s) = U(t, s) on the kept half block, the global phases
+    e^{-i psi} included, a law that shares no formula with psi's.  The
+    times are dyadic, so their differences are exact; at 2^30 the phases of
+    order 1e9 keep about 1e-7 each, against a psi of about -1.3e6."""
+    from floquet_lab.cli import _load_config, shipped_config_path
+
+    spec, params, trunc, *_ = _load_config(shipped_config_path(config))
+    half = trunc.n_keep // 2
+
+    def u(a, b):
+        return propagator_factored(spec, params, trunc, a, b).entries
+
+    assert np.linalg.norm((u(t, r) @ u(r, s) - u(t, s))[:half, :half], 2) <= tol
+
+
 class TestSplitRoundTrip:
     def test_thousand_draws(self):
         """Forward and inverse reordering agree to 1e-10 over 1000 draws
