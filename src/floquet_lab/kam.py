@@ -134,13 +134,15 @@ def _cap(sym: np.ndarray) -> int:
 
 def _as_array(sym: dict, cap: int, ell: int) -> np.ndarray:
     out = np.zeros((2 * cap + 1, ell, ell), dtype=complex)
-    for q, blk in sym.items():
-        out[q + cap] = blk
+    if sym:
+        out[np.fromiter(sym, dtype=np.int64, count=len(sym)) + cap] = list(sym.values())
     return out
 
 def _as_dict(sym: np.ndarray) -> dict:
-    """Non-zero blocks of an array symbol keyed by q, ascending."""
-    return {q - _cap(sym): blk.copy() for q, blk in enumerate(sym) if np.any(blk)}
+    """Non-zero blocks of an array symbol keyed by q, ascending: views of
+    one fresh copy."""
+    nonzero = np.flatnonzero(sym.any(axis=(1, 2)))
+    return dict(zip((nonzero - _cap(sym)).tolist(), sym[nonzero]))
 
 def _to_grid(sym: np.ndarray, n_grid: int) -> np.ndarray:
     """S(theta_j) at theta_j = 2 pi j / n_grid, j = 0 .. n_grid - 1."""
@@ -214,25 +216,15 @@ def _sym_norm(sym: np.ndarray) -> float:
         return 0.0
     return _hermitian_norm(_to_grid(sym, _grid_size(_cap(sym))))
 
-def _spectral_norms(mats: list) -> list:
-    """Spectral norms of matrices or stacks of matrices (the last two axes).
-
-    One np.linalg.norm call per distinct matrix shape; the batched SVD
-    gives each matrix the value a call on it alone would. A 1 x 1 matrix
-    takes its modulus, which agrees with the SVD to round-off.
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of matrices (the last two axes), one per
+    leading index. A 1 x 1 matrix takes its modulus, which agrees with the
+    SVD to round-off; any other shape takes one batched np.linalg.norm
+    call, which gives each matrix the value a call on it alone would.
     """
-    groups: dict = {}
-    for i, mat in enumerate(mats):
-        groups.setdefault(mat.shape[-2:], []).append(i)
-    out: list = [None] * len(mats)
-    for shape, idx in groups.items():
-        flat = [mats[i].reshape(-1, *shape) for i in idx]
-        stack = np.concatenate(flat)
-        norms = np.abs(stack[:, 0, 0]) if shape == (1, 1) else np.linalg.norm(stack, 2, axis=(-2, -1))
-        bounds = np.cumsum([len(f) for f in flat])[:-1]
-        for i, part in zip(idx, np.split(norms, bounds)):
-            out[i] = part.reshape(mats[i].shape[:-2])
-    return out
+    if stack.shape[-2:] == (1, 1):
+        return np.abs(stack[..., 0, 0])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +241,8 @@ class BlockPerturbation:
     The blocks are kept packed in one complex array, with one index row
     (k, n, m, rows, cols, start) per block: a dict of small arrays costs
     some 250 bytes a block. The blocks property unpacks them, in the
-    order given, into a fresh dict of read-only views.
+    order given, into a fresh dict of read-only views; symbol and
+    eps_v_norm read the packed arrays whole and never unpack them.
     """
 
     __slots__ = ("_index", "_data")
@@ -289,21 +282,57 @@ class BlockPerturbation:
     def zero(cls) -> "BlockPerturbation":
         return cls(blocks={})
 
+    def _shape_groups(self):
+        """(mask over the blocks, stack of their matrices) per distinct
+        block shape, each stack in block order: gathers from the packed
+        data, with no loop over blocks."""
+        rows, cols, start = self._index[:, 3:].T
+        wide = int(cols.max(initial=0)) + 1
+        shape_key = rows * wide + cols
+        for key in np.unique(shape_key).tolist():
+            (n_rows, n_cols), mask = divmod(key, wide), shape_key == key
+            yield mask, self._data[start[mask, None] + np.arange(n_rows * n_cols)].reshape(-1, n_rows, n_cols)
+
     def symbol(self, space: FloquetMatrixSpace) -> dict:
+        """The level-space blocks S_q = sum over (n, m) of V_{qnm}, placed at
+        the rows of level n and the columns of level m, for every q with a
+        non-zero block; q in order of first appearance among the blocks.
+
+        One scatter of the packed data into an (n_q, L, L) array. A block
+        that references a level outside the space, or whose shape is not
+        M_n x M_m, raises ValueError naming the first such block.
+        """
+        k, n, m, rows, cols, start = self._index.T
+        mult = np.array([mu for _, mu in space.levels])
+        outside = (n < 0) | (n >= space.n_levels) | (m < 0) | (m >= space.n_levels)
+        n_in, m_in = np.where(outside, 0, n), np.where(outside, 0, m)
+        misshapen = ~outside & ((rows != mult[n_in]) | (cols != mult[m_in]))
+        if np.any(outside | misshapen):
+            i = int(np.argmax(outside | misshapen))
+            key = tuple(self._index[i, :3].tolist())
+            if outside[i]:
+                raise ValueError(f"block {key} references a level outside the space")
+            raise ValueError(
+                f"block {key} has shape {(int(rows[i]), int(cols[i]))}, "
+                f"expected {(int(mult[n[i]]), int(mult[m[i]]))}"
+            )
+        qs, first, q_of_block = np.unique(k, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
+        # entry e of block b sits at offset e - start_b in the row-major block
+        block = np.repeat(np.arange(len(k)), rows * cols)
+        offset = np.arange(len(self._data)) - start[block]
+        level_start = np.cumsum(mult) - mult
         ell = space.level_dim
-        mult = [m for _, m in space.levels]
-        start = np.cumsum([0] + mult).tolist()
-        out: dict = {}
-        for (k, n, m), blk in self.blocks.items():
-            if not (0 <= n < space.n_levels and 0 <= m < space.n_levels):
-                raise ValueError(f"block {(k, n, m)} references a level outside the space")
-            if blk.shape != (mult[n], mult[m]):
-                raise ValueError(
-                    f"block {(k, n, m)} has shape {blk.shape}, expected {(mult[n], mult[m])}"
-                )
-            target = out.setdefault(k, np.zeros((ell, ell), dtype=complex))
-            target[start[n] : start[n + 1], start[m] : start[m + 1]] += blk
-        return {q: blk for q, blk in out.items() if np.any(blk)}
+        out = np.zeros((len(qs), ell, ell), dtype=complex)
+        out[
+            slot[q_of_block][block],
+            level_start[n_in][block] + offset // cols[block],
+            level_start[m_in][block] + offset % cols[block],
+        ] += self._data
+        keep = out.any(axis=(1, 2))
+        return dict(zip(qs[order][keep].tolist(), out[keep]))
 
     def to_json_list(self) -> list:
         items = []
@@ -356,7 +385,13 @@ def random_perturbation(
     r: float,
     eps_target: float,
 ) -> BlockPerturbation:
-    """Dense random Hermitian perturbation scaled to eps_v_norm = eps_target."""
+    """Dense random Hermitian perturbation scaled to eps_v_norm = eps_target.
+
+    k_band must be an integer >= 0, r and eps_target finite numbers >= 0;
+    anything else raises ValueError naming the argument before any draw."""
+    _require(_is_number(k_band, numbers.Integral) and k_band >= 0, "k_band", "an integer >= 0", k_band)
+    _require(_is_number(r) and r >= 0, "r", "a finite number >= 0", r)
+    _require(_is_number(eps_target) and eps_target >= 0, "eps_target", "a finite number >= 0", eps_target)
     blocks = {}
     for k in range(0, k_band + 1):
         for n in range(space.n_levels):
@@ -383,38 +418,54 @@ def random_perturbation(
 def eps_v_norm(v: BlockPerturbation, r: float) -> float:
     """eps_V = sup_n sum_m sum_k (1 + |k|)^r ||V_{knm}||.
 
-    ||V_{knm}|| is the spectral norm of each block, taken in one batched
-    call per block shape; zero blocks contribute zero.
+    Read from the packed blocks: ||V_{knm}|| is the spectral norm of each
+    block, taken once per block shape (the modulus of a 1 x 1 block, one
+    batched SVD for any other shape); zero blocks contribute zero. Each
+    level's sum runs in block order. r must be a finite number >= 0
+    (ValueError otherwise).
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    blocks = v.blocks
-    norms = _spectral_norms(list(blocks.values()))
-    per_n: dict = {}
-    for (k, n, m), norm in zip(blocks, norms):
-        w = (1.0 + abs(k)) ** r * float(norm)
-        per_n[n] = per_n.get(n, 0.0) + w
-    return max(per_n.values(), default=0.0)
+    _require(_is_number(r) and r >= 0, "r", "a finite number >= 0", r)
+    k, n = v._index[:, 0], v._index[:, 1]
+    if not len(k):
+        return 0.0
+    norms = np.empty(len(k))
+    for mask, stack in v._shape_groups():
+        norms[mask] = _spectral_norms(stack)
+    abs_k, k_of_block = np.unique(np.abs(k), return_inverse=True)
+    weights = np.array([(1.0 + q) ** r for q in abs_k.tolist()])
+    _, n_of_block = np.unique(n, return_inverse=True)
+    # bincount adds each level's terms in block order, as a per-block loop would
+    return float(np.bincount(n_of_block, weights=weights[k_of_block] * norms).max())
 
 
 def weighted_block_norm(space: FloquetMatrixSpace, sym: dict, nu: float) -> float:
     """sup_n sum_m sum_k (1+|k|)^nu ||X_{knm}|| for a symbol-form operator.
 
     ||X_{knm}|| is the spectral norm of the (n, m) level sub-block of the
-    symbol's k block, taken in one batched call per sub-block shape; zero
-    sub-blocks contribute zero.
+    symbol's k block, taken once per sub-block shape: when every level has
+    multiplicity 1 that is the modulus of each entry, otherwise one
+    batched SVD per pair of multiplicities. Zero sub-blocks contribute
+    zero. nu must be a finite number (ValueError otherwise).
     """
+    _require(_is_number(nu), "nu", "a finite number", nu)
     if not sym:
         return 0.0
     stack = np.stack(list(sym.values()))
-    slices = [space.level_slice(n) for n in range(space.n_levels)]
-    norms = _spectral_norms([stack[:, sn, sm] for sn in slices for sm in slices])
+    mult = np.array([mu for _, mu in space.levels])
+    level_start = np.cumsum(mult) - mult
+    norms = np.empty((len(stack), space.n_levels, space.n_levels))  # norms[q, n, m]
+    for rows in np.unique(mult).tolist():
+        ns = np.flatnonzero(mult == rows)
+        row_idx = (level_start[ns, None] + np.arange(rows))[:, None, :, None]
+        for cols in np.unique(mult).tolist():
+            ms = np.flatnonzero(mult == cols)
+            col_idx = (level_start[ms, None] + np.arange(cols))[None, :, None, :]
+            norms[:, ns[:, None], ms] = _spectral_norms(stack[:, row_idx, col_idx])
     weights = np.array([(1.0 + abs(q)) ** nu for q in sym])
-    # terms[n, m, q]; add.accumulate sums each row in order, q then m, where
+    # terms[n, (q, m)]; add.accumulate sums each row in order, q then m, where
     # np.sum would sum pairwise, so the row sums match a per-block loop's
-    terms = (np.array(norms) * weights).reshape(space.n_levels, space.n_levels, -1)
-    per_n = np.add.accumulate(terms.transpose(0, 2, 1).reshape(space.n_levels, -1), axis=1)
-    return float(per_n[:, -1].max())
+    terms = (norms * weights[:, None, None]).transpose(1, 0, 2).reshape(space.n_levels, -1)
+    return float(np.add.accumulate(terms, axis=1)[:, -1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +481,27 @@ def _solve_sym(
     """Symbol-form homological solve against K_0 dressed by the level
     matrix e_level = D(G) blocks; returns (A, min denominator used).
 
-    The first needed denominator below the guard, by ascending q and then
-    row-major within the block, aborts the solve."""
-    # rotate within level blocks so the dressed diagonal is scalar
-    ell = space.level_dim
-    rot = np.eye(ell, dtype=complex)
-    d = space.h_expanded.astype(float).copy()
-    for n in range(space.n_levels):
-        sl = space.level_slice(n)
-        blk = e_level[sl, sl]
-        if blk.shape[0] == 1:
-            d[sl.start] += float(blk[0, 0].real)
-        else:
-            vals, vecs = np.linalg.eigh(blk)
+    A level of multiplicity 1 is dressed by its diagonal entry alone; only
+    when some level is degenerate does the solve rotate into the
+    eigenbasis of the dressed level blocks (and back). The first needed
+    denominator below the guard, by ascending q and then row-major within
+    the block, aborts the solve."""
+    h = space.h_expanded
+    d = h + e_level.diagonal().real
+    degenerate = [n for n, (_, mult) in enumerate(space.levels) if mult > 1]
+    rot = None
+    if degenerate:
+        # rotate within the degenerate level blocks so the dressed diagonal is scalar
+        rot = np.eye(space.level_dim, dtype=complex)
+        for n in degenerate:
+            sl = space.level_slice(n)
+            vals, vecs = np.linalg.eigh(e_level[sl, sl])
             rot[sl, sl] = vecs
-            d[sl] += vals
-    rotated = rot.conj().T @ y @ rot
+            d[sl] = h[sl] + vals
+        y = rot.conj().T @ y @ rot
     cap = _cap(y)
     denom = _denominators(space, cap, d)
-    needed = rotated != 0.0
+    needed = y != 0.0
     needed[cap] &= ~_same_level(space)
     bad = needed & (np.abs(denom) < guard)
     if np.any(bad):
@@ -462,9 +515,9 @@ def _solve_sym(
             gap=float(denom[qi, a_idx, b_idx]),
         )
     min_denom = float(np.abs(denom[needed]).min()) if np.any(needed) else math.inf
-    a_sym = np.zeros_like(rotated)
-    np.divide(rotated, denom, out=a_sym, where=needed)
-    return rot @ a_sym @ rot.conj().T, min_denom
+    a_sym = np.zeros(y.shape, dtype=complex)
+    np.divide(y, denom, out=a_sym, where=needed)
+    return (a_sym if rot is None else rot @ a_sym @ rot.conj().T), min_denom
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +535,12 @@ def _is_number(value, kind=numbers.Real) -> bool:
         return False
 
 
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """ValueError "<name> must be <rule>, got <value>" unless ok."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KamConfig:
     max_iters: int = 20
@@ -491,17 +550,14 @@ class KamConfig:
     nu_weight: float = 1.0
 
     def __post_init__(self):
-        if not (_is_number(self.max_iters, numbers.Integral) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (_is_number(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
-        if not (_is_number(self.r_weight) and self.r_weight >= 0):
-            raise ValueError(f"r_weight must be a finite number >= 0, got {self.r_weight!r}")
-        if not _is_number(self.nu_weight):
-            raise ValueError(f"nu_weight must be a finite number, got {self.nu_weight!r}")
+        _require(_is_number(self.max_iters, numbers.Integral) and self.max_iters >= 1,
+                 "max_iters", "an integer >= 1", self.max_iters)
+        _require(_is_number(self.tol) and self.tol > 0, "tol", "a positive finite number", self.tol)
+        _require(_is_number(self.r_weight) and self.r_weight >= 0, "r_weight", "a finite number >= 0", self.r_weight)
+        _require(_is_number(self.nu_weight), "nu_weight", "a finite number", self.nu_weight)
         guard = self.min_denom_guard
-        if guard is not None and not (isinstance(guard, float) and math.isfinite(guard) and guard > 0):
-            raise ValueError(f"min_denom_guard must be None or a positive finite float, got {guard!r}")
+        _require(guard is None or (isinstance(guard, float) and math.isfinite(guard) and guard > 0),
+                 "min_denom_guard", "None or a positive finite float", guard)
 
 
 @dataclass

@@ -887,6 +887,33 @@ class TestKam:
         assert err["message"].startswith(f"V_blocks[0].{key}")
         assert not result.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"n": 9}, "block (1, 9, 1) references a level outside the space"),
+            ({"re": [[0.01, 0.0]], "im": [[0.0, 0.0]]}, "block (1, 0, 1) has shape (1, 2), expected (1, 1)"),
+        ],
+        ids=["level_outside", "wrong_shape"],
+    )
+    def test_block_that_fits_no_level_is_a_config_error(self, tmp_path, capsys, edit, message):
+        """A block and its Hermitian partner that fit no level of the space:
+        one JSON error naming the first of them, and neither file written."""
+        problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
+        block = {"k": 1, "n": 0, "m": 1, "re": [[0.01]], "im": [[0.0]]}
+        block.update(edit)
+        partner = {"k": -1, "n": block["m"], "m": block["n"],
+                   "re": np.transpose(block["re"]).tolist(), "im": (-np.transpose(block["im"])).tolist()}
+        problem["V_blocks"] = [blk for blk in problem["V_blocks"] if (blk["k"], blk["n"], blk["m"]) not in
+                               {(1, block["n"], block["m"]), (-1, block["m"], block["n"])}] + [block, partner]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        history, result = tmp_path / "h.jsonl", tmp_path / "result.json"
+        rc = main(["kam", str(path), "--out-history", str(history), "--out-result", str(result)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not history.exists() and not result.exists()
+
     def test_integral_max_iters_is_accepted(self, tmp_path):
         problem = json.loads(open(shipped_config_path("kam_golden.json")).read())
         problem["max_iters"] = float(problem.get("max_iters", 20))

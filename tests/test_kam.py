@@ -210,10 +210,149 @@ class TestBatchedNorms:
         rng = np.random.default_rng(31)
         for scale in (1e-20, 1e-3, 1.0, 1e5):
             z = scale * (rng.normal(size=(400, 1, 1)) + 1j * rng.normal(size=(400, 1, 1)))
-            got, = kam._spectral_norms([z])
+            got = kam._spectral_norms(z)
             ref = np.linalg.norm(z, 2, axis=(-2, -1))
             assert got.shape == (400,)
             assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+def _symbol_loop(space, v):
+    """Per-block reference for BlockPerturbation.symbol: each block added
+    into its q's level-space matrix, q in order of first appearance."""
+    ell = space.level_dim
+    start = np.cumsum([0] + [m for _, m in space.levels]).tolist()
+    out: dict = {}
+    for (k, n, m), blk in v.blocks.items():
+        target = out.setdefault(k, np.zeros((ell, ell), dtype=complex))
+        target[start[n] : start[n + 1], start[m] : start[m + 1]] += blk
+    return {q: blk for q, blk in out.items() if np.any(blk)}
+
+
+def _hermitian_blocks(rng, keys, mult):
+    """Random blocks V_{knm} for the given (k, n, m) with their partners
+    V_{-k,m,n} = V_{knm}^+; mult maps a level key to its multiplicity."""
+    blocks = {}
+    for k, n, m in keys:
+        shape = (mult[n], mult[m])
+        blk = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if (k, n) == (0, m):
+            blk = blk + blk.conj().T
+        blocks[(k, n, m)] = blk
+        blocks[(-k, m, n)] = blk.conj().T
+    return blocks
+
+
+class TestBlockBookkeeping:
+    """symbol and eps_v_norm read the packed blocks whole; these hold them
+    to the per-block references and refusals bit for bit."""
+
+    MIXED = TestBatchedNorms.MIXED
+
+    @pytest.mark.parametrize("bad", [(1, 0, 7), (1, -1, 2), (2, 4, 0)])
+    def test_block_outside_the_space_is_refused(self, space, bad):
+        k, n, m = bad
+        blocks = {(0, 0, 0): np.array([[0.01]]), bad: np.array([[0.002]]), (-k, m, n): np.array([[0.002]])}
+        with pytest.raises(ValueError) as err:
+            kam_iterate(space, BlockPerturbation(blocks=blocks))
+        assert str(err.value) == f"block {bad} references a level outside the space"
+
+    def test_block_of_the_wrong_shape_is_refused(self, space):
+        blk = np.array([[0.01, 0.02]])
+        v = BlockPerturbation(blocks={(0, 1, 1): np.array([[0.01]]), (1, 0, 1): blk, (-1, 1, 0): blk.conj().T})
+        with pytest.raises(ValueError) as err:
+            kam_iterate(space, v)
+        assert str(err.value) == "block (1, 0, 1) has shape (1, 2), expected (1, 1)"
+
+    def test_the_first_bad_block_in_block_order_is_named(self):
+        sp = self.MIXED
+        wide, one = np.full((2, 2), 0.01), np.array([[0.01]])
+        blocks = {(0, 1, 1): np.eye(3), (1, 0, 2): wide[:1], (-1, 2, 0): wide[:1].T,
+                  (0, 5, 5): one, (2, 0, 0): wide, (-2, 0, 0): wide}
+        with pytest.raises(ValueError, match=r"^block \(1, 0, 2\) has shape \(1, 2\), expected \(2, 1\)$"):
+            BlockPerturbation(blocks=blocks).symbol(sp)
+        del blocks[(1, 0, 2)], blocks[(-1, 2, 0)]
+        with pytest.raises(ValueError, match=r"^block \(0, 5, 5\) references a level outside the space$"):
+            BlockPerturbation(blocks=blocks).symbol(sp)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["mult1", "mixed"])
+    def test_symbol_keys_in_first_appearance_order(self, space, mixed):
+        """q comes out in order of first appearance (here 2, -2, 0, 1, -1),
+        a q whose blocks are all zero (3) is dropped, and level_hamiltonian,
+        which sums in that order, is unchanged to the bit."""
+        sp = self.MIXED if mixed else space
+        mult = {n: m for n, (_, m) in enumerate(sp.levels)}
+        keys = [(2, 0, 1), (0, 1, 1), (1, 2, 0), (0, 0, 2), (3, 1, 2), (2, 2, 2), (1, 1, 1)]
+        blocks = _hermitian_blocks(np.random.default_rng(41), keys, mult)
+        blocks[(3, 1, 2)] = np.zeros_like(blocks[(3, 1, 2)])
+        blocks[(-3, 2, 1)] = np.zeros_like(blocks[(-3, 2, 1)])
+        v = BlockPerturbation(blocks=blocks)
+        sym, ref = v.symbol(sp), _symbol_loop(sp, v)
+        assert list(sym) == list(ref) == [2, -2, 0, 1, -1]
+        for q, blk in ref.items():
+            assert np.array_equal(sym[q], blk)
+        for t in (0.0, 0.37, 2.9):
+            expected = np.diag(sp.h_expanded).astype(complex)
+            for q, blk in ref.items():
+                expected = expected + np.exp(1j * q * sp.omega * t) * blk
+            assert np.array_equal(level_hamiltonian(sp, v, t), expected)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.5, 3])
+    def test_eps_v_norm_on_negative_and_gappy_level_keys(self, r):
+        """eps_v_norm needs no space: level keys may be negative or leave
+        gaps, and shapes may mix; each level's sum runs in block order."""
+        mult = {-3: 1, 5: 2, 2: 1, 11: 3}
+        keys = [(1, -3, 5), (0, 2, 2), (2, -3, -3), (0, 11, 5), (3, 5, 2), (1, 11, -3), (0, -3, 2), (4, 11, 11)]
+        v = BlockPerturbation(blocks=_hermitian_blocks(np.random.default_rng(43), keys, mult))
+        assert eps_v_norm(v, r) == _eps_v_norm_loop(v, r)
+
+
+class TestTypedRefusals:
+    """The public KAM helpers refuse a non-finite, negative, boolean or
+    text weight with a ValueError that names the argument."""
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5, True, "2", None])
+    def test_eps_v_norm_weight(self, rough_v, r):
+        with pytest.raises(ValueError, match="^r must be a finite number >= 0"):
+            eps_v_norm(rough_v, r)
+
+    @pytest.mark.parametrize("nu", [math.nan, -math.inf, True, "1"])
+    def test_weighted_block_norm_weight(self, space, nu):
+        with pytest.raises(ValueError, match="^nu must be a finite number"):
+            weighted_block_norm(space, {0: np.eye(space.level_dim, dtype=complex)}, nu)
+        with pytest.raises(ValueError, match="^nu must be a finite number"):
+            weighted_block_norm(space, {}, nu)
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("eps_target", math.nan, "a finite number >= 0"),
+            ("eps_target", math.inf, "a finite number >= 0"),
+            ("eps_target", -1e-3, "a finite number >= 0"),
+            ("eps_target", "0.1", "a finite number >= 0"),
+            ("k_band", -1, "an integer >= 0"),
+            ("k_band", 1.5, "an integer >= 0"),
+            ("k_band", True, "an integer >= 0"),
+            ("r", math.nan, "a finite number >= 0"),
+            ("r", -1.0, "a finite number >= 0"),
+        ],
+    )
+    def test_random_perturbation_arguments(self, space, field, value, rule):
+        """Refused before any draw: the generator's state does not move."""
+        args = {"k_band": 2, "r": 2.0, "eps_target": 0.01, field: value}
+        rng = np.random.default_rng(19)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+            random_perturbation(space, rng, **args)
+        assert rng.bit_generator.state == state
+
+    def test_valid_arguments_of_numpy_types(self, space):
+        """numpy integers and floats are numbers; the draws match the
+        Python-typed call's."""
+        a = random_perturbation(space, np.random.default_rng(2), k_band=2, r=2.0, eps_target=0.01)
+        b = random_perturbation(space, np.random.default_rng(2), k_band=np.int64(2), r=np.float64(2.0),
+                                eps_target=np.float64(0.01))
+        assert list(a.blocks) == list(b.blocks)
+        assert all(np.array_equal(a.blocks[key], b.blocks[key]) for key in a.blocks)
 
 
 def _homological_lhs(space, e_level, a):
@@ -299,6 +438,73 @@ class TestHomologicalSolve:
         a, _ = kam._solve_sym(sp, np.zeros((3, 3)), y, 1e-8)
         assert a[1, 0, 1] == 0.0 and a[1, 1, 0] == 0.0
         assert a[1, 0, 2] == pytest.approx(0.3 / (1.0 - 2.0))
+
+
+def _solve_sym_rotating(space, e_level, y, guard):
+    """Reference for kam._solve_sym that always rotates: an identity
+    rotation on every level of multiplicity 1."""
+    ell = space.level_dim
+    rot = np.eye(ell, dtype=complex)
+    d = space.h_expanded.astype(float).copy()
+    for n in range(space.n_levels):
+        sl = space.level_slice(n)
+        blk = e_level[sl, sl]
+        if blk.shape[0] == 1:
+            d[sl.start] += float(blk[0, 0].real)
+        else:
+            vals, vecs = np.linalg.eigh(blk)
+            rot[sl, sl] = vecs
+            d[sl] += vals
+    rotated = rot.conj().T @ y @ rot
+    cap = kam._cap(y)
+    denom = kam._denominators(space, cap, d)
+    needed = rotated != 0.0
+    needed[cap] &= ~kam._same_level(space)
+    a_sym = np.zeros_like(rotated)
+    np.divide(rotated, denom, out=a_sym, where=needed)
+    return rot @ a_sym @ rot.conj().T
+
+
+class TestSolveRotation:
+    """_solve_sym rotates only when some level is degenerate."""
+
+    MIXED = TestBatchedNorms.MIXED
+
+    def _case(self, sp, seed):
+        rng = np.random.default_rng(seed)
+        ell = sp.level_dim
+        y = _random_array_symbol(rng, 4, ell)
+        y = kam._sym_offd(sp, 0.5 * (y + kam._adjoint(y)))
+        e = 0.05 * (rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell)))
+        return kam._block_diag(sp, e + e.conj().T), y
+
+    @staticmethod
+    def _eigh_shapes(monkeypatch):
+        seen, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_multiplicity_one_equals_the_identity_rotation(self, space, monkeypatch, seed):
+        e_level, y = self._case(space, seed)
+        expected = _solve_sym_rotating(space, e_level, y, 1e-8)
+        seen = self._eigh_shapes(monkeypatch)
+        a, _ = kam._solve_sym(space, e_level, y, 1e-8)
+        assert seen == []
+        assert np.array_equal(a, expected)
+
+    def test_degenerate_levels_still_rotate(self, monkeypatch):
+        e_level, y = self._case(self.MIXED, 4)
+        expected = _solve_sym_rotating(self.MIXED, e_level, y, 1e-8)
+        seen = self._eigh_shapes(monkeypatch)
+        a, _ = kam._solve_sym(self.MIXED, e_level, y, 1e-8)
+        assert seen == [(2, 2), (3, 3)]
+        assert np.array_equal(a, expected)
 
 
 class TestDiagonalPart:
