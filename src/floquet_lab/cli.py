@@ -297,15 +297,15 @@ def cmd_stability(args) -> int:
 # resonance scan
 
 
-def _scan_row(spec, params: OscillatorParams, t_grid, energy_norms, mean_energy) -> str:
+def _scan_row(spec, params: OscillatorParams, exponent: float, energy_norms) -> str:
     """One row: the classification, and the growth exponent and sup of the
-    ground state's energies over t_grid, that omega's row of one batch of
-    _exact_energies."""
+    ground state's energies, that omega's entries of one batch of
+    _exact_energies and _fit_exponent."""
     return ",".join(
         [
             str(float(params.omega)),
             classify_monodromy(spec, params).value,
-            str(_fit_exponent(t_grid, mean_energy)),
+            str(exponent),
             str(float(energy_norms.max())),
         ]
     )
@@ -334,7 +334,8 @@ def cmd_resonance_scan(args) -> int:
         chunk = grid[start : start + _SCAN_CHUNK]
         row_params = [OscillatorParams(omega=w, period_T=params.period_T) for w in chunk]
         norms, means = _exact_energies(spec, chunk, np.ones(1, dtype=complex), t_grid)
-        rows += [_scan_row(spec, p, t_grid, n, m) for p, n, m in zip(row_params, norms, means)]
+        exponents = _fit_exponent(t_grid, means)
+        rows += [_scan_row(spec, p, e, n) for p, e, n in zip(row_params, exponents, norms)]
     text = "omega,classification,growth_exponent,sup_energy\n" + "\n".join(rows) + "\n"
     _write_text(args.out_csv, text)
     return EXIT_OK

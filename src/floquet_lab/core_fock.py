@@ -13,8 +13,9 @@ at every truncation.  Every operator the closed forms assemble (H(t), H_F,
 S_F(t), the single-exponential generator) lies in span{H_omega, x, p, 1},
 and _oscillator_op writes any member of it onto its diagonal and two bands,
 using p[n-1, n] = -i omega x[n-1, n].  A generator exponentiated as a
-matrix (matrix_exp, anti-Hermitian only) is truncated: its exponential is
-formed at n_keep + n_pad and only the n_keep block is kept.
+matrix (matrix_exp, anti-Hermitian only; a real H = -iA takes the real
+eigh) is truncated: its exponential is formed at n_keep + n_pad and only
+the n_keep block is kept.
 
 The factored closed forms need x and p only as e^{i a x} e^{i (b/omega) p}
 = e^{-i a b/(2 omega)} D(beta), beta = (i a - b)/sqrt(2 omega), with D the
@@ -36,6 +37,7 @@ more keeps no digit and raises NumericError, as the oracle's step phase does.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -210,10 +212,18 @@ def x_off_diagonal(omega: float, dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1, dim)) / np.sqrt(2.0 * omega)
 
 
+@functools.cache
+def _unit_x_norm(dim: int) -> np.float64:
+    """Largest eigenvalue of the band sqrt(n), n = 1 .. dim-1: the x norm
+    at 2 omega = 1, which depends on dim alone, so it is solved once per
+    dimension."""
+    return np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")[-1]
+
+
 def x_norm(omega: float, dim: int) -> float:
     """Spectral norm of the truncated x at the given dimension: its largest
     eigenvalue, since its spectrum is symmetric about 0."""
-    return float(np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")[-1] / np.sqrt(2.0 * omega))
+    return float(_unit_x_norm(dim) / np.sqrt(2.0 * omega))
 
 
 def matrix_exp(m) -> np.ndarray:
@@ -221,7 +231,10 @@ def matrix_exp(m) -> np.ndarray:
     package exponentiates.
 
     exp(A) = V diag(e^{iw}) V^dag from the eigenpairs (w, V) of H, which is
-    exactly unitary up to rounding.  A generator that deviates from
+    exactly unitary up to rounding.  An H with no imaginary part (a purely
+    imaginary A) is eigensolved as the real symmetric matrix it is, by
+    the real eigh (LAPACK dsyevd), cheaper than the complex one; any other
+    H goes through the complex eigh.  A generator that deviates from
     anti-Hermitian by more than 1e-12 of its largest entry raises
     ValueError naming the deviation.
 
@@ -236,7 +249,8 @@ def matrix_exp(m) -> np.ndarray:
     dev = np.abs(a + a.conj().T).max()
     if dev > _HERM_RTOL * scale:
         raise ValueError(f"matrix_exp generator is not anti-Hermitian: deviates by {dev:.3e} (scale {scale:.3e})")
-    w, v = np.linalg.eigh(-1j * a)
+    h = -1j * a
+    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 

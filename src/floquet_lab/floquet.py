@@ -329,16 +329,26 @@ def _population_above(spec: DriveSpec, params: OscillatorParams, psi0, t_grid: n
     return np.where(below < 0.5, 1.0 - below, weights[:, n:].sum(axis=1))
 
 
-def _fit_exponent(t: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares slope of log(max(value, 1e-14)) vs log t, last half."""
+def _fit_exponent(t: np.ndarray, values: np.ndarray):
+    """Least-squares slope of log(max(value, 1e-14)) vs log t, last half:
+    a float for 1-d values, a list with one per row for 2-d values.
+
+    The rows share t, so np.polyfit's scaled design matrix is built once
+    and each row is one lstsq against it with polyfit's rcond: the slopes
+    are polyfit's, bit for bit, at about half its cost per row."""
     half = t.size // 2
     tt = t[half:]
-    vv = values[half:]
     keep = tt > 0
+    rows = np.atleast_2d(values)[:, half:][:, keep]
     if keep.sum() < 2:
-        return 0.0
-    slope = np.polyfit(np.log(tt[keep]), np.log(np.maximum(vv[keep], 1e-14)), 1)[0]
-    return float(slope)
+        slopes = [0.0] * len(rows)
+    else:
+        lhs = np.vander(np.log(tt[keep]), 2)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        rcond = len(lhs) * np.finfo(float).eps
+        slopes = [float(np.linalg.lstsq(lhs, np.log(np.maximum(row, 1e-14)), rcond)[0][0] / scale[0]) for row in rows]
+    return slopes if np.ndim(values) == 2 else slopes[0]
 
 
 def stability_scan(

@@ -409,10 +409,11 @@ def random_perturbation(
     eps = eps_v_norm(v, r)
     if eps == 0.0:
         return v
-    factor = eps_target / eps
-    return BlockPerturbation(
-        blocks={key: factor * blk for key, blk in v.blocks.items()}
-    )
+    # a real factor keeps every block's partner its exact conjugate transpose,
+    # so the checked instance is rescaled in place of a second construction
+    v._data = (eps_target / eps) * v._data
+    v._data.flags.writeable = False
+    return v
 
 
 def eps_v_norm(v: BlockPerturbation, r: float) -> float:

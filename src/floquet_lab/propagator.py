@@ -13,8 +13,12 @@ propagator collapses to a single displaced-oscillator exponential
 using exp(-i (2 pi/omega) N H_omega) = (-1)^N, valid off resonance only.
 
 The factored form is a displacement times free evolution, built on the
-kept block from exact Fock entries (core_fock._displacement); the single
-exponential goes through matrix_exp's dense eigensolve on purpose, so
+kept block from exact Fock entries (core_fock._displacement).  The single
+exponential diagonalizes its own generator numerically, through
+matrix_exp: the generator's two bands carry one phase arg z, which a
+diagonal unitary moves off it, so the eigensolve is matrix_exp's real
+symmetric one and the phases go back on the kept block.  It shares no
+formula with the displacement and no eigensolver with the oracle, so
 comparing the two forms compares two independent computations.
 
 The scalar conversions between the two forms are the Weyl-algebra splitting
@@ -50,7 +54,7 @@ from .drive_model import (
     mu_nu_sigma,
     psi,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "split_forward",
@@ -143,12 +147,20 @@ def _factored_states(params: OscillatorParams, chi: np.ndarray, psi0: np.ndarray
     return np.concatenate([_displaced_states(params.omega, -chi.real[p], chi.imag[p], cols[p], rows) for p in parts])
 
 
-def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, dim: int) -> np.ndarray:
-    gen = _oscillator_op(
-        params.omega, dim, h=-1j * mns.delta, x=1j * mns.nu, p=1j * (mns.mu / params.omega), one=1j * mns.sigma
-    )
+def _single_exp_matrix(params: OscillatorParams, mns: MuNuSigma, trunc: Truncation) -> np.ndarray:
+    """The kept block of (-1)^N exp(-i H), H = Delta H_omega - nu x - (mu/omega) p
+    - sigma, exponentiated at the working dimension.  H's upper band is
+    z x[n, n+1] with z = -nu + i mu, so H = D R D^dag with D = diag(e^{-i n arg z})
+    and R = Delta H_omega + |z| x - sigma real symmetric: matrix_exp takes R
+    through the real eigh, and the kept block gets D's phases back."""
+    r = math.hypot(mns.nu, mns.mu)
+    if not math.isfinite(r):
+        raise NumericError(f"single-exponential exponent is not finite (mu = {mns.mu!r}, nu = {mns.nu!r})")
+    gen = _oscillator_op(params.omega, trunc.dim, h=-1j * mns.delta, x=-1j * r, one=1j * mns.sigma)
+    n = trunc.n_keep
+    rot = np.exp(1j * math.atan2(mns.mu, -mns.nu) * np.arange(n)) if r > 0.0 else np.ones(n)
     sign = -1.0 if mns.whole_periods % 2 else 1.0
-    return sign * matrix_exp(gen)
+    return (sign * rot.conj())[:, None] * matrix_exp(gen)[:n, :n] * rot
 
 
 def propagator_factored(
@@ -164,6 +176,5 @@ def propagator_single_exp(
 ) -> TruncatedOperator:
     """U(t,s) as a single displaced exponential; resonant elapsed times are
     rejected upstream with ResonantTimeError."""
-    full = _single_exp_matrix(params, mu_nu_sigma(spec, params, t, s), trunc.dim)
-    return TruncatedOperator(full[: trunc.n_keep, : trunc.n_keep].copy())
+    return TruncatedOperator(_single_exp_matrix(params, mu_nu_sigma(spec, params, t, s), trunc))
 

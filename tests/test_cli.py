@@ -997,9 +997,9 @@ class TestVerify:
 def test_import_loads_no_quadrature_or_interpolation(tmp_path):
     """Every drive is a Fourier series, so the package needs neither, and
     scipy serves the oracle alone: a fresh process that imports the CLI and
-    runs stability, kam and the factored propagate, whose psi is a closed
-    form, loads no scipy module at all (numpy's FFT is the package's only
-    one)."""
+    runs stability, kam, the factored propagate, whose psi is a closed
+    form, and the single-exponential one, whose matrix_exp is numpy's eigh,
+    loads no scipy module at all (numpy's FFT is the package's only one)."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(floquet_lab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -1009,14 +1009,16 @@ def test_import_loads_no_quadrature_or_interpolation(tmp_path):
            "--out-history", str(tmp_path / "h.csv"), "--out-result", str(tmp_path / "r.json")]
     propagate = ["propagate", shipped_config_path("resonant_growth.json"), "--t", "30.7", "--s", "0.2",
                  "--form", "factored", "--out", str(tmp_path / "u.json")]
+    single = ["propagate", shipped_config_path("nonresonant.json"), "--t", "20.3", "--s", "0.7",
+              "--form", "single-exp", "--out", str(tmp_path / "v.json")]
     code = (
         "import contextlib, io, sys, floquet_lab.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [cli.main({stability!r}), cli.main({kam!r}), cli.main({propagate!r})]\n"
+        f"    codes = [cli.main({stability!r}), cli.main({kam!r}), cli.main({propagate!r}), cli.main({single!r})]\n"
         "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[0, 0, 0] []"
+    assert done.stdout.strip() == "[0, 0, 0, 0] []"
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")

@@ -100,6 +100,16 @@ class TestXPH:
             x, _ = xp_operators(omega, dim)
             assert x_norm(omega, dim) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
 
+    def test_x_norm_is_the_uncached_formula(self):
+        """The unit-omega eigenvalue is solved once per dimension; x_norm
+        still divides it by sqrt(2 omega), so it equals one eigvalsh of the
+        band per call bit for bit, on a first call and on a repeated one."""
+        for dim in range(2, 193):
+            top = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, dim)), 1), UPLO="U")[-1]
+            for omega in (0.3, 1.0, 2.0, 7.5):
+                ref = float(top / np.sqrt(2.0 * omega))
+                assert x_norm(omega, dim) == ref and x_norm(omega, dim) == ref
+
     def test_x_band_helper(self):
         x, _ = xp_operators(0.7, 9)
         assert np.allclose(x_off_diagonal(0.7, 9), np.diagonal(x, 1), rtol=1e-15, atol=0.0)
@@ -150,6 +160,30 @@ class TestMatrixExp:
         gen = -1j * _random_hermitian(rng, 10)
         gen[0, 1] += 1e-14
         assert np.linalg.norm(matrix_exp(gen) - scipy.linalg.expm(gen), 2) <= 1e-12
+
+    def test_real_h_goes_through_the_real_eigh(self, monkeypatch):
+        """A purely imaginary generator -iH, H real symmetric, is eigensolved
+        by the real eigh and still matches scipy.linalg.expm."""
+        rng = np.random.default_rng(6)
+        h = rng.standard_normal((24, 24))
+        gen = -1j * (h + h.T)
+        ref = scipy.linalg.expm(gen)
+        seen, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert np.abs(matrix_exp(gen) - ref).max() <= 1e-12
+        assert seen == [np.float64]
+
+    def test_complex_h_keeps_the_complex_eigh(self):
+        """An H with an imaginary part goes through the complex eigh, bit for
+        bit V diag(e^{iw}) V^dag of its eigenpairs."""
+        gen = -1j * _random_hermitian(np.random.default_rng(7), 24)
+        w, v = np.linalg.eigh(-1j * gen)
+        assert np.array_equal(matrix_exp(gen), (v * np.exp(1j * w)) @ v.conj().T)
 
     def test_zero_generator_gives_identity(self):
         assert np.array_equal(matrix_exp(np.zeros((4, 4))), np.eye(4, dtype=complex))

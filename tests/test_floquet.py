@@ -255,6 +255,28 @@ class TestStabilityScan:
         assert report.paper_bound is None
         assert 1.5 < report.fit_exponent < 2.5
 
+    def test_fit_exponent_rows_are_polyfit_bit_for_bit(self, params_nonres):
+        """The design matrix is built once per time grid and each row is one
+        lstsq against it: a 2-d batch gives, row by row, the 1-d call and
+        np.polyfit's slope exactly, an all-zero row included; a grid with
+        fewer than two positive times in its last half gives 0.0."""
+        from floquet_lab.floquet import _fit_exponent, _time_grid
+
+        rng = np.random.default_rng(9)
+        for periods, samples in ((1, 2), (3, 2), (24, 4), (30, 5)):
+            t = _time_grid(params_nonres, periods, samples)
+            rows = np.abs(rng.standard_normal((6, t.size))) * np.exp(rng.uniform(-40.0, 10.0, (6, 1)))
+            rows *= (1.0 + t) ** rng.uniform(0.0, 3.0, (6, 1))
+            rows[0] = 0.0
+            keep = t[t.size // 2 :] > 0
+            for row, slope in zip(rows, _fit_exponent(t, rows)):
+                tail = row[t.size // 2 :][keep]
+                ref = np.polyfit(np.log(t[t.size // 2 :][keep]), np.log(np.maximum(tail, 1e-14)), 1)[0]
+                assert slope == _fit_exponent(t, row) == float(ref)
+        t = _time_grid(params_nonres, 1, 1)
+        assert (t[t.size // 2 :] > 0).sum() < 2
+        assert _fit_exponent(t, np.ones((2, t.size))) == [0.0, 0.0] and _fit_exponent(t, np.ones(t.size)) == 0.0
+
     def test_bad_arguments(self, drive_nonres, params_nonres, trunc48, ground_state):
         with pytest.raises(ValueError):
             stability_scan(drive_nonres, params_nonres, trunc48, ground_state, n_periods=0)

@@ -121,6 +121,29 @@ class TestPerturbation:
     def test_random_perturbation_targets_norm(self, space, rough_v):
         assert eps_v_norm(rough_v, 2.0) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("mult, k_band", [(1, 2), (2, 1)])
+    def test_random_perturbation_rescales_the_checked_instance(self, monkeypatch, mult, k_band):
+        """The draw is checked once and its packed data rescaled: the result
+        is, bit for bit, a second construction from the rescaled blocks, its
+        data stays read-only, and no draw follows the norm."""
+        sp = FloquetMatrixSpace(k_max=4, levels=tuple((0.5 + n, mult) for n in range(5)), omega=GOLDEN)
+        rng = np.random.default_rng(11)
+        seen = []
+
+        def spy(v, r):
+            seen.append((BlockPerturbation(v.blocks), rng.bit_generator.state))
+            return eps_v_norm(v, r)
+
+        monkeypatch.setattr(kam, "eps_v_norm", spy)
+        v = random_perturbation(sp, rng, k_band=k_band, r=2.0, eps_target=0.03)
+        (drawn, state), = seen
+        factor = 0.03 / eps_v_norm(drawn, 2.0)
+        ref = BlockPerturbation(blocks={key: factor * blk for key, blk in drawn.blocks.items()})
+        assert np.array_equal(v._index, ref._index)
+        assert v._data.tobytes() == ref._data.tobytes()
+        assert not v._data.flags.writeable
+        assert rng.bit_generator.state == state
+
 
 def _block_norm(blk):
     """Spectral norm of one block: its modulus if it is 1 x 1, else one

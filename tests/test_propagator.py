@@ -20,7 +20,10 @@ from floquet_lab import (
     split_forward,
     split_inverse,
 )
-from floquet_lab.core_fock import number_basis_energies, xp_operators
+from floquet_lab.core_fock import _oscillator_op, number_basis_energies, xp_operators
+from floquet_lab.drive_model import MuNuSigma
+from floquet_lab.errors import NumericError
+from floquet_lab.propagator import _single_exp_matrix
 
 OMEGA = 1.0
 T_DRIVE = 2 * math.pi * math.sqrt(2)
@@ -232,6 +235,43 @@ class TestClosedForms:
         half = TRUNC.n_keep // 2
         assert mu_nu_sigma(SPEC, PARAMS, t, 0.0).whole_periods == 1
         assert np.linalg.norm((u1 - u2)[:half, :half], 2) <= 1e-10
+
+
+class TestSingleExpRotation:
+    """The single exponential turns its band phase arg z, z = -nu + i mu,
+    into a diagonal unitary and exponentiates a real symmetric matrix; its
+    kept block is that of matrix_exp on the unrotated generator."""
+
+    CASES = [(1.3, 0.0), (8.9, 2.1), (17.5, -2.0), (25.0, 3.0), (-2.0, 1.0), (1.0, 8.0), (-9.0, 1.0)]
+
+    def test_matches_the_unrotated_generator(self):
+        parities = set()
+        for t, s in self.CASES:
+            m = mu_nu_sigma(SPEC, PARAMS, t, s)
+            gen = _oscillator_op(
+                OMEGA, TRUNC.dim, h=-1j * m.delta, x=1j * m.nu, p=1j * (m.mu / OMEGA), one=1j * m.sigma
+            )
+            ref = (-1.0) ** m.whole_periods * matrix_exp(gen)[: TRUNC.n_keep, : TRUNC.n_keep]
+            assert np.abs(propagator_single_exp(SPEC, PARAMS, TRUNC, t, s).entries - ref).max() <= 1e-12
+            parities.add((m.whole_periods % 2, t < s))
+        assert parities == {(0, False), (1, False), (0, True), (1, True)}
+
+    def test_no_drive_needs_no_rotation(self):
+        """mu = nu = 0: arg z is taken as 0, and the block is free evolution."""
+        spec0 = DriveSpec(period=T_DRIVE)
+        for t, s in ((1.9, 0.0), (8.9, 2.1)):
+            m = mu_nu_sigma(spec0, PARAMS, t, s)
+            assert m.mu == m.nu == 0.0
+            expect = np.diag(np.exp(-1j * (t - s) * number_basis_energies(OMEGA, TRUNC.n_keep)))
+            assert np.abs(propagator_single_exp(spec0, PARAMS, TRUNC, t, s).entries - expect).max() <= 1e-12
+
+    @pytest.mark.parametrize("mu, nu", [(math.nan, 0.1), (0.1, -math.inf), (1.7e308, -1.7e308)])
+    def test_non_finite_band_is_a_numeric_error(self, mu, nu):
+        """A mu or nu that is not finite, or a |z| that overflows, is refused
+        before any phase is formed."""
+        mns = MuNuSigma(mu=mu, nu=nu, sigma=0.0, whole_periods=0, delta=1.0)
+        with pytest.raises(NumericError, match="not finite"):
+            _single_exp_matrix(PARAMS, mns, TRUNC)
 
 
 class TestNearWholePeriods:
