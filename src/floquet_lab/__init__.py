@@ -28,7 +28,6 @@ from .commutators import (
     xn_operator_via_floquet,
 )
 from .errors import (
-    DomainError,
     FloquetLabError,
     InvalidIntervalError,
     InvalidTruncationError,
@@ -65,11 +64,6 @@ from .kam import (
     weighted_block_norm,
 )
 from .oracle import PeriodStepper, evolve_state, integrate
-from .propagator import (
-    propagator_factored,
-    propagator_single_exp,
-    split_forward,
-    split_inverse,
-)
+from .propagator import propagator_factored, propagator_single_exp
 
 __version__ = "0.1.0"

@@ -37,6 +37,9 @@ from .core_fock import (
     _integer_field,
     _oscillator_op,
     _real_field,
+    _weyl_inverse,
+    _weyl_product,
+    _weyl_rotate,
     matrix_exp,
 )
 from .drive_model import DriveSpec, _chi, _psi, hamiltonian_at, mu_nu_sigma, phi12, psi
@@ -413,29 +416,26 @@ def _suite_appendix(config_path: str) -> list:
     gap = float(np.max(np.abs(exact - truncated) / truncated))
     checks.append(("stability_exact_vs_truncated", gap <= 1e-12, gap))
 
-    # operator identity: displaced exponential refactored through x and p
-    from .propagator import split_forward, split_inverse
+    # the Weyl group laws on U_F's own shape, W1 rot_theta(W2^-1) W2, against dense exponentials
+    dim, block, w = 96, 24, params.omega
 
-    dim = 48
-    w = params.omega
+    def exp_x(a):
+        return matrix_exp(_oscillator_op(w, dim, x=1j * a))
+
+    def exp_p(b):
+        return matrix_exp(_oscillator_op(w, dim, p=1j * (b / w)))
+
     for i in range(6):
-        mu = float(rng.uniform(-1.5, 1.5))
-        nu = float(rng.uniform(-1.5, 1.5))
-        tt = float(rng.uniform(0.05, 0.9) * (2 * math.pi / w))
-        xi, eta, phase = split_forward(mu, nu, tt, w)
-        lhs = matrix_exp(_oscillator_op(w, dim, h=-1j * tt, x=1j * nu, p=1j * (mu / w)))
-        rhs = (
-            cmath.exp(-1j * phase)
-            * matrix_exp(_oscillator_op(w, dim, p=1j * (xi / w)))
-            @ matrix_exp(_oscillator_op(w, dim, x=1j * eta))
-            @ matrix_exp(_oscillator_op(w, dim, h=-1j * tt))
-        )
-        half_dim = dim // 2
-        dev_i = float(np.linalg.norm((lhs - rhs)[:half_dim, :half_dim], 2))
-        checks.append((f"factorization_identity_draw{i}", dev_i <= 1e-7, dev_i))
-        back = split_inverse(xi, eta, tt, w)
-        rt = max(abs(back[0] - mu), abs(back[1] - nu), abs(back[2] - phase))
-        checks.append((f"split_roundtrip_draw{i}", rt <= 1e-10, rt))
+        w1, w2 = ((*rng.uniform(-1.5, 1.5, 2), rng.uniform(-math.pi, math.pi)) for _ in range(2))
+        theta = float(rng.uniform(0.05, 0.9) * (2 * math.pi / w))
+        rot = matrix_exp(_oscillator_op(w, dim, h=-1j * theta))
+        a, b, phase = _weyl_product(w, w1, _weyl_rotate(w, theta, _weyl_inverse(w, w2)), w2)
+        # W2^-1 as the exponentials of the negated generators in reverse order; W2's phases cancel
+        w2_inv = exp_p(-w2[1]) @ exp_x(-w2[0])
+        rhs = cmath.exp(1j * w1[2]) * exp_x(w1[0]) @ exp_p(w1[1]) @ rot @ w2_inv @ rot.conj().T
+        rhs = rhs @ exp_x(w2[0]) @ exp_p(w2[1])
+        dev_i = float(np.linalg.norm((cmath.exp(1j * phase) * exp_x(a) @ exp_p(b) - rhs)[:block, :block], 2))
+        checks.append((f"factorization_identity_draw{i}", dev_i <= 1e-12, dev_i))
     return checks
 
 

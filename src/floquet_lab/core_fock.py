@@ -33,6 +33,13 @@ underflows or overflows at large r: exact entries on any rows and columns,
 with no padding and no eigensolve; _displacement reads blocks off it and
 _displaced_states displaced vectors.  A phase a b/(2 omega) of 2^52 rad or
 more keeps no digit and raises NumericError, as the oracle's step phase does.
+
+Every operator of the closed forms is a phase times one such product times
+a free rotation e^{-i theta H_omega} (Husimi, Prog. Theor. Phys. 9, 381,
+1953).  A triple (a, b, phase) stands for e^{i phase} e^{i a x} e^{i (b/omega) p},
+and three group laws act on triples, for scalars or arrays that broadcast:
+the product (_weyl_product), the inverse (_weyl_inverse) and the rotation
+e^{-i theta H_omega} g e^{i theta H_omega} (_weyl_rotate).
 """
 
 from __future__ import annotations
@@ -335,6 +342,36 @@ def _displacement(omega: float, a, b, rows: int, cols: int) -> np.ndarray:
     diag, stack = np.abs(m_i - k_i), n_diag * np.arange(a.size)[:, None, None]
     out = g.reshape(-1)[np.minimum(m_i, k_i) * (a.size * n_diag) + diag + stack]
     return (out * weights.reshape(-1)[np.where(m_i < k_i, n_diag, 0) + diag + 2 * stack]).reshape(shape + (rows, cols))
+
+
+def _weyl_product(omega: float, *factors):
+    """The product, left to right, of triples (module docstring): moving
+    e^{i (b_1/omega) p} past e^{i a_2 x} gives e^{i b_1 a_2/omega}, so two
+    make (a_1 + a_2, b_1 + b_2, phase_1 + phase_2 + b_1 a_2/omega)."""
+    a, b, phase = factors[0]
+    for a_2, b_2, phase_2 in factors[1:]:
+        phase = phase + phase_2 + b * a_2 / omega
+        a, b = a + a_2, b + b_2
+    return a, b, phase
+
+
+def _weyl_inverse(omega: float, g):
+    """The inverse of the triple g: e^{-i (b/omega) p} e^{-i a x} is
+    e^{i a b/omega} e^{-i a x} e^{-i (b/omega) p} (_weyl_product)."""
+    a, b, phase = g
+    return -a, -b, a * b / omega - phase
+
+
+def _weyl_rotate(omega: float, theta, g):
+    """e^{-i theta H_omega} g e^{i theta H_omega} for the triple g: with c, s the
+    cos and sin of omega theta it turns a x + (b/omega) p into a' x + (b'/omega) p,
+    a' = a c + b s and b' = b c - a s, and the ordered product is
+    e^{-i a b/(2 omega)} times the exponential of that sum, so the phase moves
+    by (a' b' - a b)/(2 omega)."""
+    a, b, phase = g
+    c, s = np.cos(omega * theta), np.sin(omega * theta)
+    a_2, b_2 = a * c + b * s, b * c - a * s
+    return a_2, b_2, phase + (a_2 * b_2 - a * b) / (2.0 * omega)
 
 
 def _displaced_states(omega: float, a, b, vecs: np.ndarray, rows: int) -> np.ndarray:

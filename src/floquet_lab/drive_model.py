@@ -32,10 +32,11 @@ A drive given as equally spaced samples of one period is turned into its
 trigonometric interpolant once, by one real FFT (DriveSpec.from_samples),
 so every drive is a Fourier series and every kernel here is exact for it.
 
-The Floquet-mode scalars xi(t), eta(t), phi(t), F1(t), F2(t), Phi(t) of the
-non-resonant decomposition are assembled here as well, together with the
-(x, p, 1) coefficients of the Floquet generator S_F(t), which conjugating
-H(t) through U_F gives with no time derivative (_conjugated_h).
+The Floquet-mode scalars F1(t), F2(t), Phi(t) of the non-resonant
+decomposition, U_F(t) = U(t, 0) e^{i t H_F} composed by core_fock's group
+laws (_uf_factor), are assembled here as well, together with the (x, p, 1)
+coefficients of the Floquet generator S_F(t), which conjugating H(t)
+through U_F gives with no time derivative (_conjugated_h).
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ from .core_fock import (
     _oscillator_op,
     _real_field,
     _reals_field,
+    _weyl_inverse,
+    _weyl_product,
+    _weyl_rotate,
 )
 from .errors import ResonanceError, ResonantTimeError
 
@@ -251,9 +255,6 @@ class MuNuSigma(NamedTuple):
 
 
 class FloquetScalars(NamedTuple):
-    xi: float
-    eta: float
-    phi: float
     f1: float
     f2: float
     big_phi: float
@@ -453,15 +454,6 @@ def is_resonant_period(params: OscillatorParams) -> bool:
     return abs(r - round(r)) < RESONANCE_REL_TOL
 
 
-def _p123(u: float) -> tuple[float, float, float]:
-    """The three trigonometric polynomials in the quadratic phase phi(t)."""
-    return (
-        2.0 * u - 4.0 * math.sin(u) + math.sin(2.0 * u),
-        2.0 - 4.0 * math.cos(u) + 2.0 * math.cos(2.0 * u),
-        2.0 * u - math.sin(2.0 * u),
-    )
-
-
 # Distinct (spec, params) pairs whose monodromy scalars stay memoized.
 _MONODROMY_CACHE_SIZE = 64
 
@@ -491,41 +483,6 @@ def _quasi_energy_shift(mns: MuNuSigma, params: OscillatorParams) -> float:
     return math.pi * mns.whole_periods * (mu * mu + nu * nu) / (w_delta * w_delta * (w * params.period_T))
 
 
-def _xi_eta(mns: MuNuSigma, w: float, sin_u, cos_u):
-    """xi and eta at phase u = omega t, given sin u and cos u (scalars or
-    arrays): the monodromy data rotated at omega."""
-    xi = (sin_u * mns.mu - (1.0 - cos_u) * mns.nu) / (w * mns.delta)
-    eta = ((1.0 - cos_u) * mns.mu + sin_u * mns.nu) / (w * mns.delta)
-    return xi, eta
-
-
-def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> FloquetScalars:
-    """xi, eta, phi, F1, F2, Phi at time t for the non-resonant case.
-
-    xi and eta rotate the monodromy data (mu, nu) at frequency omega; phi is
-    the accompanying quadratic phase; F1 = phi2(t,0) - xi and
-    F2 = -phi1(t,0) - eta generate the periodic factor
-    U_F(t) = e^{i Phi} e^{i F2 x} e^{i (F1/omega) p}.
-    """
-    t = float(t)
-    _check_finite(t=t)
-    w = params.omega
-    mns = _monodromy_scalars(spec, params)
-    mu_t, nu_t = mns.mu, mns.nu
-    u = w * t
-    xi, eta = _xi_eta(mns, w, math.sin(u), math.cos(u))
-    q1, q2, q3 = _p123(u)
-    w_delta = w * mns.delta  # products, not float powers: a huge value gives inf, not OverflowError
-    phi = -(q1 * mu_t * mu_t + q2 * mu_t * nu_t + q3 * nu_t * nu_t) / (4.0 * w * w_delta * w_delta)
-
-    p1, p2 = phi12(spec, params, t, 0.0)
-    f1 = p2 - xi
-    f2 = -p1 - eta
-    rot = _quasi_energy_shift(mns, params)
-    big_phi = -float(_psi(spec, w, t, 0.0)) + phi - mns.sigma * t / params.period_T + rot * t - p2 * eta / w
-    return FloquetScalars(xi=xi, eta=eta, phi=phi, f1=f1, f2=f2, big_phi=big_phi)
-
-
 def _hf_coeffs(mns: MuNuSigma, params: OscillatorParams) -> tuple[float, float, float]:
     """The (x, p, 1) coefficients of H_F = H_omega + x x + p p + one (floquet module docstring)."""
     shift = -mns.sigma / params.period_T + _quasi_energy_shift(mns, params)
@@ -539,20 +496,47 @@ def _conjugated_h(omega: float, f, a, b):
     return f - omega * b, a, 0.5 * (a * a + b * b) - f * b / omega
 
 
+def _hf_frame(spec: DriveSpec, params: OscillatorParams):
+    """(A, E0) with H_F = A^dag H_omega A + E0: _conjugated_h at f = 0 gives
+    H_F's (x, p) coefficients (h_x, h_p) (_hf_coeffs) for the triple
+    A = (h_p, -h_x/omega, 0) (core_fock._weyl_product), and E0 is H_F's
+    constant c_F less that conjugation's, c_F - h_p^2/2 - h_x^2/(2 omega^2)."""
+    h_x, h_p, c_f = _hf_coeffs(_monodromy_scalars(spec, params), params)
+    a, b = h_p, -h_x / params.omega
+    return (a, b, 0.0), c_f - _conjugated_h(params.omega, 0.0, a, b)[2]
+
+
+def _uf_factor(spec: DriveSpec, params: OscillatorParams, t):
+    """U_F(t) e^{i psi(t, 0)} as a triple (a, b, phase) (core_fock), for a scalar t or
+    an array of them: U_F = U(t, 0) e^{i t H_F}, U(t, 0) e^{i psi} = (-phi1, phi2, 0) e^{-i t H_omega}
+    and e^{i t H_F} = e^{i t E0} A^-1 e^{i t H_omega} A (_hf_frame), so it is
+    (-phi1, phi2, t E0) rot_t(A^-1) A, rot_t the free rotation (core_fock._weyl_rotate)."""
+    w = params.omega
+    frame, e0 = _hf_frame(spec, params)
+    chi = _chi(spec, w, t, 0.0)
+    return _weyl_product(w, (-chi.real, chi.imag, t * e0), _weyl_rotate(w, t, _weyl_inverse(w, frame)), frame)
+
+
+def floquet_scalars(spec: DriveSpec, params: OscillatorParams, t: float) -> FloquetScalars:
+    """F1, F2, Phi at time t for the non-resonant case, the periodic factor
+    U_F(t) = e^{i Phi} e^{i F2 x} e^{i (F1/omega) p} (_uf_factor, with -psi(t, 0)
+    added to its phase)."""
+    t = float(t)
+    _check_finite(t=t)
+    f2, f1, phase = _uf_factor(spec, params, t)
+    return FloquetScalars(f1=float(f1), f2=float(f2), big_phi=float(phase) - float(_psi(spec, params.omega, t, 0.0)))
+
+
 def _sf_scalars(spec: DriveSpec, params: OscillatorParams, t) -> tuple[np.ndarray, ...]:
     """(x, p, one, F1) at each time of t, a scalar or an array, S_F(t) = x x + p p + one:
     S_F = U_F^{-1} H(t) U_F - H_F, U_F a phase times e^{i F2 x} e^{i (F1/omega) p}
-    (_conjugated_h at (F2, F1)), from one chi(t, 0) and one drive evaluation
-    over all the times; no psi and no time derivative."""
+    (_conjugated_h at (F2, F1), _uf_factor), from one chi(t, 0) and one drive
+    evaluation over all the times; no psi and no time derivative."""
     t = np.asarray(t, dtype=float)
     _check_finite(t=t)
     w = params.omega
-    mns = _monodromy_scalars(spec, params)
-    u = w * t
-    xi, eta = _xi_eta(mns, w, np.sin(u), np.cos(u))
-    chi = _chi(spec, w, t, 0.0)
-    f1, f2 = chi.imag - xi, -chi.real - eta
-    hf_x, hf_p, hf_one = _hf_coeffs(mns, params)
+    f2, f1, _ = _uf_factor(spec, params, t)
+    hf_x, hf_p, hf_one = _hf_coeffs(_monodromy_scalars(spec, params), params)
     x, p, one = _conjugated_h(w, eval_drive(spec, t), f2, f1)
     return x - hf_x, p - hf_p, one - hf_one, f1
 

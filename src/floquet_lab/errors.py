@@ -29,10 +29,6 @@ class ResonanceError(FloquetLabError, ValueError):
     non-resonant Floquet construction does not apply."""
 
 
-class DomainError(FloquetLabError, ValueError):
-    """Scalar arguments are outside the validity domain of a closed form."""
-
-
 class InvalidIntervalError(FloquetLabError, ValueError):
     """Spectral intervals are malformed or fail to separate."""
 

@@ -14,7 +14,10 @@ with the quasi-energy operator assembled from the monodromy scalars
 
 and the periodic factor in product form
 
-    U_F(t) = e^{i Phi(t)} e^{i F2(t) x} e^{i (F1(t)/omega) p}.
+    U_F(t) = e^{i Phi(t)} e^{i F2(t) x} e^{i (F1(t)/omega) p},
+
+composed as U(t, 0) e^{i t H_F} by core_fock's group laws
+(drive_model._uf_factor).
 
 The co-rotating generator S_F(t) = i U_F(t)^{-1} dU_F/dt satisfies
 H(t) = U_F(t) (H_F + S_F(t)) U_F(t)^{-1}, H(0) = H_F + S_F(0), so it is H(t)
@@ -67,6 +70,8 @@ from .core_fock import (
     _integer_field,
     _oscillator_op,
     _padded_state,
+    _weyl_product,
+    _weyl_rotate,
     number_basis_energies,
     x_norm,
     xp_operators,
@@ -482,12 +487,10 @@ def _transition_bound(
 
     Checks the periods, the times and the intervals (ordered and apart),
     picks the levels n < n_keep of H(t) and H(s) in each closed interval
-    (_in_window) and takes lhs from their exact eigenbasis:
-    H(tau) = D(b) H_omega D(b)^dag - f^2/(2 omega^2), b = -f/(omega sqrt(2 omega)),
-    and the factored U(t, s) = D(beta_U) e^{-i (t - s) H_omega} up to a phase,
-    beta_U = -i conj(chi(t, s))/sqrt(2 omega), so D(b_t)^dag U D(b_s) is
-    D(beta_U - b_t + b_s e^{-i omega (t - s)}) e^{-i (t - s) H_omega} up to a
-    phase, and lhs the norm of that displacement's selected rows and columns.
+    (_in_window) and takes lhs from their exact eigenbasis: H(tau) is
+    B_tau^dag H_omega B_tau - f^2/(2 omega^2) for the triple B_tau = (0, -f(tau)/omega, 0)
+    (core_fock), so lhs is the norm of the selected rows and columns of
+    B_t U(t, s) B_s^-1 = B_t (-phi1, phi2, -psi) rot_{t-s}(B_s^-1) e^{-i (t - s) H_omega}.
     Only then does it call c_p, so a bad input never pays for the constant.
     NumericError if a level of H(t) or H(s), or C_p, is not finite.
     """
@@ -514,9 +517,11 @@ def _transition_bound(
 
     lhs = 0.0
     if idx_t.size and idx_s.size:
-        # z = sqrt(2 omega) beta; the levels are consecutive, so the block is a corner
-        z = -1j * np.conj(_chi(spec, omega, t, s)) + (f_t - f_s * np.exp(-1j * omega * (t - s))) / omega
-        block = _displacement(omega, z.imag, -z.real, idx_t[-1] + 1, idx_s[-1] + 1)
+        # the levels are consecutive, so the block is a corner
+        chi = _chi(spec, omega, t, s)
+        rotated = _weyl_rotate(omega, t - s, (0.0, f_s / omega, 0.0))  # B_s^-1
+        a, b, _ = _weyl_product(omega, (0.0, -f_t / omega, 0.0), (-chi.real, chi.imag, 0.0), rotated)
+        block = _displacement(omega, a, b, idx_t[-1] + 1, idx_s[-1] + 1)
         lhs = float(np.linalg.norm(block[idx_t[0] :, idx_s[0] :], 2))
 
     constant = c_p()

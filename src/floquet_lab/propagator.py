@@ -13,19 +13,14 @@ propagator collapses to a single displaced-oscillator exponential
 using exp(-i (2 pi/omega) N H_omega) = (-1)^N, valid off resonance only.
 
 The factored form is a displacement times free evolution, built on the
-kept block from exact Fock entries (core_fock._displacement).  The single
+kept block from exact Fock entries (core_fock._displacement); its
+displacement composes with others by the Weyl group laws of core_fock.  The single
 exponential diagonalizes its own generator numerically, through
 matrix_exp: the generator's two bands carry one phase arg z, which a
 diagonal unitary moves off it, so the eigensolve is matrix_exp's real
 symmetric one and the phases go back on the kept block.  It shares no
 formula with the displacement and no eigensolver with the oracle, so
 comparing the two forms compares two independent computations.
-
-The scalar conversions between the two forms are the Weyl-algebra splitting
-identities: split_forward maps the exponent data (mu, nu, t) of a combined
-exponential to the data (xi, eta, phase) of its ordered product form, and
-split_inverse undoes it for |t| < 2 pi/omega.  Both are implemented with
-series branches where naive evaluation would cancel.
 """
 
 from __future__ import annotations
@@ -45,83 +40,18 @@ from .core_fock import (
     number_basis_energies,
 )
 from .drive_model import (
-    _SERIES_CUT,
     DriveSpec,
     MuNuSigma,
     _chi,
-    _lambda_factor,
-    _p123,
     mu_nu_sigma,
     psi,
 )
-from .errors import DomainError, NumericError
+from .errors import NumericError
 
 __all__ = [
-    "split_forward",
-    "split_inverse",
     "propagator_factored",
     "propagator_single_exp",
 ]
-
-
-def _sinc_half(u: float) -> float:
-    """2 sin(u/2) / u, exact at u = 0."""
-    return float(np.sinc(u / (2.0 * np.pi)))
-
-
-def split_forward(mu: float, nu: float, t: float, omega: float) -> tuple[float, float, float]:
-    """Order the combined exponential into p- and x-factors.
-
-    exp(-i t H + i (mu/w) p + i nu x)
-        = e^{-i phase} exp(i (xi/w) p) exp(i eta x) exp(-i t H)
-
-    Returns (xi, eta, phase).  As t -> 0 the limits are xi -> mu,
-    eta -> nu, phase -> mu nu / (2 omega), the last being the plain Weyl
-    reordering phase of exp(i (mu/w) p + i nu x).
-    """
-    u = omega * t
-    g = _sinc_half(u)
-    ch = math.cos(0.5 * u)
-    sh = math.sin(0.5 * u)
-    xi = g * (ch * mu - sh * nu)
-    eta = g * (sh * mu + ch * nu)
-    if abs(u) < _SERIES_CUT:
-        # phase = -(c1 mu^2 + c2 mu nu + c3 nu^2)/(4 w) with the u^2 removed
-        c1 = -(2.0 / 3.0) * u + (7.0 / 30.0) * u**3 - (31.0 / 1260.0) * u**5
-        c2 = -2.0 + (7.0 / 6.0) * u**2 - (31.0 / 180.0) * u**4
-        c3 = (4.0 / 3.0) * u - (4.0 / 15.0) * u**3 + (8.0 / 315.0) * u**5
-        phase = -(c1 * mu * mu + c2 * mu * nu + c3 * nu * nu) / (4.0 * omega)
-    else:
-        p1, p2, p3 = _p123(u)
-        phase = -(p1 * mu * mu + p2 * mu * nu + p3 * nu * nu) / (4.0 * omega * u * u)
-    return xi, eta, phase
-
-
-def _half_cot_half(u: float) -> float:
-    """(u/2) cot(u/2), series near 0, defined on |u| < 2 pi."""
-    if abs(u) < _SERIES_CUT:
-        return 1.0 - u * u / 12.0 - u**4 / 720.0
-    return 0.5 * u * math.cos(0.5 * u) / math.sin(0.5 * u)
-
-
-def split_inverse(xi: float, eta: float, t: float, omega: float) -> tuple[float, float, float]:
-    """Merge ordered factors back into one exponential, |t| < 2 pi/omega.
-
-    exp(i (xi/w) p) exp(i eta x) exp(-i t H)
-        = e^{i phase} exp(-i t H + i (mu/w) p + i nu x)
-
-    Returns (mu, nu, phase); round-trips split_forward exactly, including
-    the phase.  Outside |t| < 2 pi/omega the merge is not defined (the
-    half-angle cotangent crosses its pole) and a DomainError is raised.
-    """
-    u = omega * t
-    if abs(u) >= 2.0 * math.pi:
-        raise DomainError(f"split_inverse needs |omega t| < 2 pi, got {u}")
-    hc = _half_cot_half(u)
-    mu = hc * xi + 0.5 * u * eta
-    nu = -0.5 * u * xi + hc * eta
-    phase = xi * eta / (2.0 * omega) - _lambda_factor(u) / omega * (xi * xi + eta * eta)
-    return mu, nu, phase
 
 
 def _factored_matrix(spec: DriveSpec, params: OscillatorParams, ts, s: float, n: int, psi_ts) -> np.ndarray:

@@ -40,12 +40,16 @@ from floquet_lab import (
     propagator_single_exp,
     psi,
     random_perturbation,
-    split_forward,
-    split_inverse,
     stability_scan,
     transition_bound_check,
 )
-from floquet_lab.core_fock import number_basis_energies, xp_operators
+from floquet_lab.core_fock import (
+    _weyl_inverse,
+    _weyl_product,
+    _weyl_rotate,
+    number_basis_energies,
+    xp_operators,
+)
 from floquet_lab.cli import shipped_config_path
 from floquet_lab.drive_model import hamiltonian_at
 from floquet_lab.floquet import _levels
@@ -79,8 +83,12 @@ def _shipped(name: str):
 
 
 def test_01_reordering_identity_as_operators():
-    """exp(-itH + i(mu/w)p + i nu x) against its reordered product form,
-    materialized on a dim-96 basis and compared on the kept 48 block."""
+    """exp(-itH + i(mu/w)p + i nu x) against its reordered product form from
+    the Weyl group laws, materialized on a dim-96 basis and compared on the
+    kept 48 block.  Completing the square, H - (mu/(w t)) p - (nu/t) x is
+    C^dag H C - E for the triple C = (h_p, -h_x/w, 0), h_x = -nu/t and
+    h_p = -mu/(w t), E = (h_p^2 + h_x^2/w^2)/2, so the exponential is
+    e^{itE} C^-1 rot_t(C) e^{-itH}."""
     start = time.monotonic()
     rng = np.random.default_rng(11)
     dim, keep = 96, 48
@@ -92,12 +100,15 @@ def test_01_reordering_identity_as_operators():
         t = float(rng.uniform(0.05, 0.95) * 2 * math.pi / omega)
         x, p = xp_operators(omega, dim)
         h = np.diag(number_basis_energies(omega, dim)).astype(complex)
-        xi, eta, phase = split_forward(mu, nu, t, omega)
+        h_x, h_p = -nu / t, -mu / (omega * t)
+        c = (h_p, -h_x / omega, 0.0)
+        a, b, phase = _weyl_product(omega, _weyl_inverse(omega, c), _weyl_rotate(omega, t, c))
+        phase += t * 0.5 * (c[0] ** 2 + c[1] ** 2)
         lhs = matrix_exp(-1j * t * h + 1j * (mu / omega) * p + 1j * nu * x)
         rhs = (
-            cmath.exp(-1j * phase)
-            * matrix_exp(1j * (xi / omega) * p)
-            @ matrix_exp(1j * eta * x)
+            cmath.exp(1j * phase)
+            * matrix_exp(1j * a * x)
+            @ matrix_exp(1j * (b / omega) * p)
             @ matrix_exp(-1j * t * h)
         )
         worst = max(worst, _norm2((lhs - rhs)[:keep, :keep]))
@@ -111,6 +122,9 @@ def test_01_reordering_identity_as_operators():
 
 
 def test_02_split_round_trip():
+    """The Weyl group laws undo each other: rotating the inverse of a triple
+    by t, rotating back by -t and inverting again returns the triple, and a
+    triple times its inverse is the identity (0, 0, 0)."""
     start = time.monotonic()
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -119,14 +133,15 @@ def test_02_split_round_trip():
         mu = float(rng.uniform(-3.0, 3.0))
         nu = float(rng.uniform(-3.0, 3.0))
         t = float(rng.uniform(-0.999, 0.999)) * 2 * math.pi / omega
-        xi, eta, phase = split_forward(mu, nu, t, omega)
-        back = split_inverse(xi, eta, t, omega)
-        worst = max(worst, abs(back[0] - mu), abs(back[1] - nu), abs(back[2] - phase))
+        g = (mu, nu, mu * nu / (2.0 * omega))
+        back = _weyl_inverse(omega, _weyl_rotate(omega, -t, _weyl_rotate(omega, t, _weyl_inverse(omega, g))))
+        unit = _weyl_product(omega, g, _weyl_inverse(omega, g))
+        worst = max(worst, *(abs(u - v) for u, v in zip(back, g)), *(abs(u) for u in unit))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10
     assert elapsed <= 1.0
     print(
-        f"ACCEPTANCE 2: PASS - split round trip, max parameter error "
+        f"ACCEPTANCE 2: PASS - Weyl inverse and rotation round trip, max parameter error "
         f"{worst:.3e} over 1000 draws ({elapsed:.2f}s)"
     )
 

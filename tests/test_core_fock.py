@@ -20,6 +20,9 @@ from floquet_lab.core_fock import (
     _displacement,
     _oscillator_op,
     _padded_state,
+    _weyl_inverse,
+    _weyl_product,
+    _weyl_rotate,
     number_basis_energies,
     x_norm,
     x_off_diagonal,
@@ -441,6 +444,76 @@ class TestExpXExpP:
         for omega in (0.8, 1.0, 1.25):
             x, p = xp_operators(omega, dim)
             assert np.array_equal(-omega * (p_diag.conj()[:, None] * x * p_diag), p)
+
+
+class TestWeylKernel:
+    """The three group laws on triples (a, b, phase), each standing for
+    e^{i phase} e^{i a x} e^{i (b/omega) p}, against dense exponentials at
+    dimension 96 on the 24 block, where the truncated products have
+    converged."""
+
+    DIM, KEEP = 96, 24
+
+    @staticmethod
+    def _draws(rng, n):
+        return [(*rng.uniform(-1.5, 1.5, 2), rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+
+    def _dense(self, omega, g, x, p):
+        a, b, phase = g
+        return cmath.exp(1j * phase) * matrix_exp(1j * a * x) @ matrix_exp(1j * (b / omega) * p)
+
+    def _kept(self, omega, g):
+        a, b, phase = g
+        return cmath.exp(1j * phase) * _displacement(omega, a, b, self.KEEP, self.KEEP)
+
+    @pytest.mark.parametrize("omega", [0.8, 1.0, 1.25])
+    def test_laws_match_dense_exponentials(self, omega):
+        rng = np.random.default_rng(36)
+        x, p = xp_operators(omega, self.DIM)
+        k = self.KEEP
+        for g_1, g_2 in zip(self._draws(rng, 4), self._draws(rng, 4)):
+            theta = float(rng.uniform(-2.0, 2.0) * math.pi / omega)
+            rot = np.exp(-1j * theta * number_basis_energies(omega, self.DIM))
+            a, b, phase = g_1
+            inverse = cmath.exp(-1j * phase) * matrix_exp(-1j * (b / omega) * p) @ matrix_exp(-1j * a * x)
+            refs = (
+                (_weyl_product(omega, g_1, g_2), self._dense(omega, g_1, x, p) @ self._dense(omega, g_2, x, p)),
+                (_weyl_inverse(omega, g_1), inverse),
+                (_weyl_rotate(omega, theta, g_1), rot[:, None] * self._dense(omega, g_1, x, p) * rot.conj()),
+            )
+            for got, ref in refs:
+                assert np.abs(self._kept(omega, got) - ref[:k, :k]).max() <= 1e-12
+
+    def test_an_array_call_is_each_elements_call(self):
+        rng = np.random.default_rng(37)
+        omega = 1.3
+        g_1, g_2 = (tuple(np.array(v) for v in zip(*self._draws(rng, 7))) for _ in range(2))
+        theta = rng.uniform(-20.0, 20.0, 7)
+        together = (
+            _weyl_product(omega, g_1, g_2, g_1),
+            _weyl_inverse(omega, g_1),
+            _weyl_rotate(omega, theta, g_1),
+        )
+        for j in range(7):
+            e_1, e_2 = (tuple(float(v[j]) for v in g) for g in (g_1, g_2))
+            apart = (
+                _weyl_product(omega, e_1, e_2, e_1),
+                _weyl_inverse(omega, e_1),
+                _weyl_rotate(omega, float(theta[j]), e_1),
+            )
+            for got, want in zip(together, apart):
+                assert [v[j] for v in got] == list(want)
+
+    def test_rotation_by_zero_returns_the_triple(self):
+        for g in self._draws(np.random.default_rng(38), 20):
+            assert _weyl_rotate(0.9, 0.0, g) == g
+
+    def test_rotation_there_and_back_returns_the_triple(self):
+        rng = np.random.default_rng(39)
+        for g in self._draws(rng, 200):
+            omega, theta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-50.0, 50.0))
+            back = _weyl_rotate(omega, -theta, _weyl_rotate(omega, theta, g))
+            assert max(abs(u - v) for u, v in zip(back, g)) <= 1e-12
 
 
 class TestExpPadded:

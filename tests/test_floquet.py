@@ -141,6 +141,28 @@ class TestDecomposition:
         with pytest.raises(AssertionError, match="eigh"):  # the guard sees matrix_exp
             matrix_exp(1j * np.eye(3))
 
+    @pytest.mark.parametrize("config", ["nonresonant.json", "sampled_nonresonant.json"])
+    def test_uf_is_the_propagator_times_exp_i_t_hf(self, config):
+        """U_F(t) = U(t, 0) e^{i t H_F}, a check that shares no group law with
+        build_UF: the factored U at 144 levels times the dense exponential of
+        the 144-level H_F, on the 24 block."""
+        spec, params, _, _, _ = cli._load_config(shipped_config_path(config))
+        dim, k = 144, 24
+        hf = floquet_module._hf_matrix(spec, params, dim)
+        for t in (0.37 * params.period_T, 2.2, 7.9, -3.1, 41.3):
+            uf = build_UF(spec, params, Truncation(n_keep=48), t).entries
+            u = propagator_factored(spec, params, Truncation(n_keep=dim, n_pad=0), t, 0.0).entries
+            assert np.abs(uf[:k, :k] - (u @ matrix_exp(1j * t * hf))[:k, :k]).max() <= 1e-11
+
+    @pytest.mark.parametrize("config", ["nonresonant.json", "sampled_nonresonant.json"])
+    def test_hf_frame_gives_the_quasi_energies(self, config):
+        """H_F = A^dag H_omega A + E0, so its levels are omega (n + 1/2) + E0:
+        the lowest 20 eigenvalues of the 200-level H_F."""
+        spec, params, _, _, _ = cli._load_config(shipped_config_path(config))
+        _, e0 = drive_model_module._hf_frame(spec, params)
+        levels = np.linalg.eigvalsh(floquet_module._hf_matrix(spec, params, 200))[:20]
+        assert np.abs(number_basis_energies(params.omega, 20) + e0 - levels).max() <= 1e-13
+
     def test_uf_periodicity(self, drive_nonres, params_nonres, trunc48):
         big_t = params_nonres.period_T
         for t in (0.0, 0.37 * big_t, 0.81 * big_t):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from floquet_lab import (
-    DomainError,
     DriveSpec,
     OscillatorParams,
     ResonantTimeError,
@@ -17,8 +16,6 @@ from floquet_lab import (
     propagator_factored,
     propagator_single_exp,
     psi,
-    split_forward,
-    split_inverse,
 )
 from floquet_lab.core_fock import _oscillator_op, number_basis_energies, xp_operators
 from floquet_lab.drive_model import MuNuSigma
@@ -30,10 +27,6 @@ T_DRIVE = 2 * math.pi * math.sqrt(2)
 PARAMS = OscillatorParams(omega=OMEGA, period_T=T_DRIVE)
 SPEC = DriveSpec.sine(T_DRIVE, amplitude=0.4)
 TRUNC = Truncation(n_keep=48, n_pad=48)
-
-
-def _free_h(dim: int) -> np.ndarray:
-    return np.diag(number_basis_energies(OMEGA, dim)).astype(complex)
 
 
 def test_factored_form_makes_no_dense_eigensolve(forbid_dense_eigh):
@@ -127,53 +120,6 @@ def test_factored_form_keeps_the_group_law(config, t, r, s, tol):
         return propagator_factored(spec, params, trunc, a, b).entries
 
     assert np.linalg.norm((u(t, r) @ u(r, s) - u(t, s))[:half, :half], 2) <= tol
-
-
-class TestSplitRoundTrip:
-    def test_thousand_draws(self):
-        """Forward and inverse reordering agree to 1e-10 over 1000 draws
-        with the elapsed time inside one oscillator period."""
-        rng = np.random.default_rng(404)
-        worst = 0.0
-        for _ in range(1000):
-            mu = float(rng.uniform(-3, 3))
-            nu = float(rng.uniform(-3, 3))
-            t = float(rng.uniform(1e-6, 2 * math.pi / OMEGA * 0.999))
-            xi, eta, phase = split_forward(mu, nu, t, OMEGA)
-            back = split_inverse(xi, eta, t, OMEGA)
-            worst = max(worst, abs(back[0] - mu), abs(back[1] - nu), abs(back[2] - phase))
-        assert worst <= 1e-10
-
-    def test_weyl_limit(self):
-        # t -> 0 keeps mu, nu and leaves only the Weyl reordering phase
-        xi, eta, phase = split_forward(0.7, -0.3, 1e-12, OMEGA)
-        assert xi == pytest.approx(0.7, abs=1e-10)
-        assert eta == pytest.approx(-0.3, abs=1e-10)
-        assert phase == pytest.approx(0.7 * (-0.3) / (2 * OMEGA), abs=1e-10)
-
-    def test_inverse_domain(self):
-        with pytest.raises(DomainError):
-            split_inverse(0.1, 0.1, 2 * math.pi / OMEGA, OMEGA)
-
-    def test_split_identity_as_operators(self):
-        """The reordering identity itself, materialized on a padded basis."""
-        dim = 96
-        x, p = xp_operators(OMEGA, dim)
-        h = _free_h(dim)
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            mu = float(rng.uniform(-1.5, 1.5))
-            nu = float(rng.uniform(-1.5, 1.5))
-            t = float(rng.uniform(0.05, 0.95) * 2 * math.pi / OMEGA)
-            xi, eta, phase = split_forward(mu, nu, t, OMEGA)
-            lhs = matrix_exp(-1j * t * h + 1j * (mu / OMEGA) * p + 1j * nu * x)
-            rhs = (
-                cmath.exp(-1j * phase)
-                * matrix_exp(1j * (xi / OMEGA) * p)
-                @ matrix_exp(1j * eta * x)
-                @ matrix_exp(-1j * t * h)
-            )
-            assert np.linalg.norm((lhs - rhs)[:48, :48], 2) <= 1e-7
 
 
 class TestClosedForms:
